@@ -3,7 +3,7 @@ the classical symplectic invariants from the spectrum alone."""
 
 from . import errors
 from .config import ProbeConfig, RunConfig, Tolerances, TOL
-from .geometry import Ball, Rect
+from .geometry import Rect
 from .lattice import (
     AffineBasis,
     ChartSpec,

@@ -30,7 +30,6 @@ from .models import (
 )
 from .pipeline import (
     ModelCounter,
-    build_probe_family,
     default_dh_grid,
     default_strip,
     labelled_window,
@@ -45,6 +44,13 @@ MODEL_NAMES = {
     "coupled": COUPLED_ANGULAR_MOMENTA,
     "coupled-angular-momenta": COUPLED_ANGULAR_MOMENTA,
 }
+
+# figure name -> reference key of its theory column
+FIGURES = (("dxfr", "dx_fr"), ("dyfr", "dy_fr"), ("sigma1", "sigma1_priv"),
+           ("S01", "S01"), ("height", "S00"))
+
+# criterion-7 Hausdorff budget of the polygon, in multiples of hbar
+POLYGON_BUDGET = {SPIN_OSCILLATOR: 6.0, COUPLED_ANGULAR_MOMENTA: 8.0}
 
 
 def _model_from_args(args) -> ModelSpec:
@@ -133,44 +139,20 @@ def cmd_invariants(args) -> int:
     out = _outdir(cfg)
     report = recover_all(model, cfg)
     _write(out / "invariants.json", json.dumps(report, indent=2, sort_keys=True))
-    _write_figures(out, model, cfg, report)
+    _write_figures(out, model, report)
     return 0
 
 
-def _write_figures(out: Path, model: ModelSpec, cfg: RunConfig, report: dict) -> None:
-    """Per-figure CSVs (abscissa, estimate, theory) for the recovery curves."""
+def _write_figures(out: Path, model: ModelSpec, report: dict) -> None:
+    """Per-figure CSVs (k, estimate, theory): the per-k samples that the
+    recovery's hbar -> 0 fits used, read from the report."""
     ref = reference_invariants(model) or {}
-    probes = cfg.probes
-    origin = tuple(report["focus_focus"])
-    family = build_probe_family(model, origin, probes)
-    x = min(probes.x_schedule)
-    mu = probes.mu
-    x0, y0 = origin
-    rows = {"dxfr": [], "dyfr": [], "sigma1": [], "S01": [], "height": []}
-    counter = ModelCounter(model, probes.k_list)
-    s0 = report["radial_slope"]
-    dyfr = report["fr_jet"]["0,1"]
-    for k in probes.k_list:
-        near = family[k].a1a2_interpolated((x0 + x, y0))
-        far = family[k].a1a2_interpolated((x0 + mu * x, y0))
-        scale = 2 * np.pi / np.log(mu)
-        rows["dxfr"].append((k, scale * (near.a1 - far.a1), ref.get("dx_fr")))
-        rows["dyfr"].append((k, scale * (near.a2 - far.a2), ref.get("dy_fr")))
-        rad = family[k].a1a2_interpolated((x0 + x, y0 + s0 * x))
-        rows["sigma1"].append((k, rad.a1 + s0 * rad.a2, ref.get("sigma1_priv")))
-        rows["S01"].append(
-            (k, rad.a2 / dyfr + np.log(x) / (2 * np.pi), ref.get("S01"))
-        )
-        hb = 1.0 / k
-        w = probes.c_width * hb ** probes.delta
-        n = counter.count(k, x0 - w, x0 + w, -np.inf, y0)
-        rows["height"].append(
-            (k, hb ** (2 - probes.delta) / (2 * probes.c_width) * n, ref.get("S00"))
-        )
-    for name, data in rows.items():
+    per_k = report["diagnostics"]["per_k"]
+    for name, ref_key in FIGURES:
+        theory = ref.get(ref_key)
         lines = ["abscissa,estimate,theory"]
-        for a, b, c in data:
-            lines.append(f"{a},{b:.17g},{'' if c is None else format(c, '.17g')}")
+        for k, est in zip(per_k["k"], per_k[name]):
+            lines.append(f"{k},{est:.17g},{'' if theory is None else format(theory, '.17g')}")
         _write(out / f"fig_{name}.csv", "\n".join(lines) + "\n")
 
 
@@ -189,7 +171,7 @@ def cmd_polygon(args) -> int:
     _write(out / "polygon_report.json", json.dumps({
         "k": k,
         "hausdorff_to_reference": dist,
-        "hausdorff_budget_6h": 6.0 / k,
+        "hausdorff_budget": POLYGON_BUDGET[model.kind] / k,
         "translation": list(shift),
         "fitted_vertices": [list(v) for v in est.fitted_vertices],
         "vertex_errors": vert_err,

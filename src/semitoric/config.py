@@ -7,8 +7,10 @@ here so that tests and the CLI share one source of truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
+
+from .errors import ConfigurationError
 
 
 @dataclass(frozen=True)
@@ -44,7 +46,6 @@ class ProbeConfig:
     mu_list: list[float] = field(default_factory=lambda: [1.0, 1.5, 2.0])
     delta: float = 0.4              # height-invariant strip exponent, in (0, 1/2)
     c_width: float = 1.0
-    hbar_fit_order: int = 2         # powers of hbar in the hbar->0 extrapolation
 
     def validate(self) -> None:
         if not self.k_list or sorted(self.k_list) != list(self.k_list):
@@ -76,9 +77,24 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        raw = json.loads(Path(path).read_text())
-        probes = ProbeConfig(**raw.pop("probes", {}))
-        return cls(probes=probes, **raw)
+        """Read a config file; an unreadable file or a key that names no
+        field raises ConfigurationError."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except OSError as e:
+            raise ConfigurationError(f"cannot read config {path}: {e.strerror}") from e
+        _check_keys(cls, raw, "config")
+        probes = raw.pop("probes", {})
+        _check_keys(ProbeConfig, probes, "probes")
+        return cls(probes=ProbeConfig(**probes), **raw)
+
+
+def _check_keys(kind, raw, where: str) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    if unknown:
+        raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
 
 
 TOL = Tolerances()

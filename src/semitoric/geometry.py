@@ -1,4 +1,4 @@
-"""Plane regions used for windows, chart domains and exclusion zones."""
+"""Plane rectangles used for spectral windows and chart domains."""
 
 from __future__ import annotations
 
@@ -49,13 +49,3 @@ class Rect:
     def empty(self) -> bool:
         return self.xmax <= self.xmin or self.ymax <= self.ymin
 
-
-@dataclass(frozen=True)
-class Ball:
-    cx: float
-    cy: float
-    radius: float
-
-    def contains(self, pts) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.hypot(p[:, 0] - self.cx, p[:, 1] - self.cy) <= self.radius

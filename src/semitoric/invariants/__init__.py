@@ -23,17 +23,15 @@ from .polygon import (
     reference_polygon_vertices,
     sample_polygon_region,
 )
-from .spacings import A1A2Sample, LabelledSpectrum, spacings_to_a1a2
+from .spacings import A1A2Sample, LabelledSpectrum
 from .taylor import (
     GMuExpansion,
-    cross_derivative_shortcut,
     d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,
     g_mu_sample,
     mixed_dxdy_from_d1,
     s11_from_c1,
-    s11_shortcut,
     solve_jet_order,
     solve_taylor_order,
     taylor_system_determinant,

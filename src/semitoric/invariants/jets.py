@@ -88,19 +88,20 @@ def _origin_of(spec: LabelledSpectrum, fallback) -> tuple[float, float]:
 
 
 def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x,
-                        mu: float = 2.0, with_info: bool = False):
-    """(dx f_r(0), dy f_r(0)) from probes at horizontal offsets x and mu*x.
+                        mu: float = 2.0) -> tuple[float, float, dict]:
+    """(dx f_r(0), dy f_r(0), info) from probes at horizontal offsets x and mu*x.
 
     dx f_r(0) ~ 2*pi*(a1(x,0) - a1(mu*x,0)) / ln(mu), same for dy with a2;
     the error budget is O(x ln x) + O(hbar).  x may be a schedule, in which
-    case the O(x ln x) bias is fitted out.  with_info appends a diagnostics
-    dict carrying the empirical hbar-convergence slopes.
+    case the O(x ln x) bias is fitted out.  info carries, per x, the
+    empirical hbar-convergence slopes, the hbar limits and the per-k
+    samples (already scaled) they were fitted to.
     """
     ks = sorted(family)
     xs = [float(x)] if np.isscalar(x) else sorted(x, reverse=True)
     scale = 2 * np.pi / np.log(mu)
     per_x_1, per_x_2 = [], []
-    slopes = {}
+    slopes, per_k = {}, {}
     for xx in xs:
         d1, d2 = [], []
         for k in ks:
@@ -114,18 +115,20 @@ def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x,
         per_x_1.append(scale * lim1)
         per_x_2.append(scale * lim2)
         slopes[xx] = (info1["slope"], info2["slope"])
+        per_k[xx] = ([float(scale * v) for v in d1], [float(scale * v) for v in d2])
     dxfr = x_limit(xs, per_x_1)[0]
     dyfr = x_limit(xs, per_x_2)[0]
     if dyfr <= 0:
         raise SignError(f"recovered dy f_r(0) = {dyfr:.4f} <= 0")
-    if with_info:
-        return dxfr, dyfr, {"hbar_slopes": slopes, "per_x": dict(zip(xs, zip(per_x_1, per_x_2)))}
-    return dxfr, dyfr
+    return dxfr, dyfr, {"hbar_slopes": slopes,
+                        "per_x": dict(zip(xs, zip(per_x_1, per_x_2))),
+                        "per_k": per_k}
 
 
 def _sigma_tilde(family, origin, s0, x):
     """hbar->0 limit of a1 + s0*a2 along the radial direction at offset x,
-    with detection (and unipotent correction) of integer action jumps."""
+    with detection (and unipotent correction) of integer action jumps;
+    returns (limit, hbar slope, corrected per-k values)."""
     ks = sorted(family)
     vals = []
     for k in ks:
@@ -138,7 +141,7 @@ def _sigma_tilde(family, origin, s0, x):
     if np.any(jumps != 0):
         vals = vals - jumps  # composition with (j,l) -> (j, l+n*j) on the odd k out
     lim, info = hbar_limit(ks, vals)
-    return lim, info["slope"]
+    return lim, info["slope"], vals.tolist()
 
 
 def recover_sigma1(family: dict[int, LabelledSpectrum], origin, s0: float,
@@ -147,15 +150,17 @@ def recover_sigma1(family: dict[int, LabelledSpectrum], origin, s0: float,
 
     sigma_tilde_1(x) = (E_(j,l)-E_(j+1,l))/(E_(j,l+1)-E_(j,l))
                        + hbar*s0/(E_(j,l+1)-E_(j,l))  at c = (x, s0*x),
-    extrapolated hbar -> 0 and then x -> 0.
+    extrapolated hbar -> 0 and then x -> 0.  info carries, per x, the hbar
+    limits, their slopes and the per-k values (after the integer-jump
+    correction) they were fitted to.
     """
     xs = sorted(x_schedule, reverse=True)
-    per_x = []
-    slopes = []
+    per_x, slopes, per_k = [], [], []
     for x in xs:
-        val, info = _sigma_tilde(family, origin, s0, x)
+        val, slope, vals = _sigma_tilde(family, origin, s0, x)
         per_x.append(val)
-        slopes.append(info)
+        slopes.append(slope)
+        per_k.append(vals)
     per_x = np.array(per_x)
     # a jump of ~ an integer across the schedule means the action changed chart
     steps = np.diff(per_x)
@@ -166,6 +171,7 @@ def recover_sigma1(family: dict[int, LabelledSpectrum], origin, s0: float,
     val, info = x_limit(xs, per_x)
     info["per_x"] = dict(zip(xs, per_x))
     info["hbar_slopes"] = dict(zip(xs, slopes))
+    info["per_k"] = dict(zip(xs, per_k))
     return val, info
 
 
@@ -180,13 +186,16 @@ def twisting_and_privileged(sigma1_0: float, labelling: Labelling) -> tuple[int,
 
 def recover_S01(family: dict[int, LabelledSpectrum], origin, s0: float,
                 dy_fr: float, x_schedule) -> tuple[float, dict]:
-    """S_{0,1} = lim lim ( hbar / (dy f_r(0) (E_(j,l+1)-E_(j,l))) + ln(x)/2pi )."""
+    """S_{0,1} = lim lim ( hbar / (dy f_r(0) (E_(j,l+1)-E_(j,l))) + ln(x)/2pi ).
+
+    info carries, per x, the hbar limits, their slopes and the per-k values
+    they were fitted to."""
     if dy_fr <= 0:
         raise SignError("dy f_r(0) must be positive")
     ks = sorted(family)
     xs = sorted(x_schedule, reverse=True)
     per_x = []
-    slopes = {}
+    slopes, per_k = {}, {}
     for x in xs:
         vals = []
         for k in ks:
@@ -196,7 +205,9 @@ def recover_S01(family: dict[int, LabelledSpectrum], origin, s0: float,
         lim, inf = hbar_limit(ks, vals)
         per_x.append(lim)
         slopes[x] = inf["slope"]
+        per_k[x] = [float(v) for v in vals]
     val, info = x_limit(xs, np.array(per_x))
     info["per_x"] = dict(zip(xs, per_x))
     info["hbar_slopes"] = slopes
+    info["per_k"] = per_k
     return val, info

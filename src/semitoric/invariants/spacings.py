@@ -7,10 +7,10 @@ value c, the spacings satisfy
     hbar / (E_(j,l+1) - E_(j,l))            -> a2(c),
 
 where (a1, a2) decompose the action field: ham L = a1 ham J + a2 ham H.
-``spacings_to_a1a2`` is the literal anchored estimator; the interpolating
-variant evaluates the same quantities at the exact probe height from the
-local eigenvalue ladders, which removes the anchor jitter that otherwise
-dominates the hbar extrapolation.
+``LabelledSpectrum.a1a2_anchored`` is the literal estimator at a labelled
+anchor; ``a1a2_interpolated`` evaluates the same quantities at the exact
+probe height from the local eigenvalue ladders, which removes the anchor
+jitter that otherwise dominates the hbar extrapolation.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import MissingNeighbor
 from ..lattice import Labelling, PointCloud
 
-__all__ = ["A1A2Sample", "LabelledSpectrum", "spacings_to_a1a2"]
+__all__ = ["A1A2Sample", "LabelledSpectrum"]
 
 
 @dataclass(frozen=True)
@@ -88,6 +88,8 @@ class LabelledSpectrum:
     # -- estimators --------------------------------------------------------
 
     def a1a2_anchored(self, anchor: tuple[int, int]) -> A1A2Sample:
+        """Spacing functionals at the labelled anchor (j, l); needs the three
+        labels (j,l), (j+1,l), (j,l+1) to be present."""
         j, l = anchor
         e00 = self.energy(j, l)
         e01 = self.energy(j, l + 1)
@@ -129,8 +131,3 @@ def _interp3(xs, ys, x):
     i = np.argsort(np.abs(xs - x))[:3]
     return float(np.polyval(np.polyfit(xs[i], ys[i], 2), x))
 
-
-def spacings_to_a1a2(labelled: LabelledSpectrum, anchor: tuple[int, int]) -> A1A2Sample:
-    """Spacing functionals at the labelled anchor (j, l); needs the three
-    labels (j,l), (j+1,l), (j,l+1) to be present."""
-    return labelled.a1a2_anchored(anchor)

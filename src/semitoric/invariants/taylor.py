@@ -47,8 +47,6 @@ __all__ = [
     "fit_log_expansion",
     "solve_jet_order",
     "solve_taylor_order",
-    "cross_derivative_shortcut",
-    "s11_shortcut",
     "mixed_dxdy_from_d1",
     "s11_from_c1",
 ]
@@ -278,50 +276,3 @@ def s11_from_c1(c1: float, mu: float, jet1: FrJet, s01: float,
     A = jet1.dx + mu * jet1.dy
     c1_tilde = mu * dxdy * (2 * s01 - (1 + np.log(1 + A * A)) / (2 * np.pi))
     return (c1 - c1_tilde) / (2 * A)
-
-
-# -- spin-oscillator style shortcuts (pure mixed quadratic jet) -------------
-
-def cross_derivative_shortcut(exp: GMuExpansion, s10: float, s01: float,
-                              jet1: FrJet) -> tuple[float, dict]:
-    """dxdy f_r(0) when the quadratic jet is known to be purely mixed
-    (dx^2 f_r(0) = dy^2 f_r(0) = 0): then d_1 = -mu dxdy f_r(0) / pi and
-
-        dxdy f_r(0) = lim lim -pi (g - c_0 - d_0 ln x) / (mu x ln x),
-
-    with (c_0, d_0) assembled from the linear invariants. Convergence is
-    O(1/ln x), so expect slow decay in x.
-    """
-    mu = exp.mu
-    A = jet1.dx + mu * jet1.dy
-    c0 = s10 - np.arctan(A) / (2 * np.pi) + (s01 - np.log(1 + A * A) / (4 * np.pi)) * A
-    d0 = -A / (2 * np.pi)
-    xs = np.array([x for x, _ in exp.x_samples])
-    g = np.array([v for _, v in exp.x_samples])
-    per_x = -np.pi * (g - c0 - d0 * np.log(xs)) / (mu * xs * np.log(xs))
-    # residual is c_1-driven: per_x = e12 + const/ln(x); extrapolate in 1/ln x
-    Amat = np.vstack([np.ones_like(xs), 1.0 / np.log(xs)]).T
-    coef, *_ = np.linalg.lstsq(Amat, per_x, rcond=None)
-    return float(coef[0]), {"per_x": dict(zip(xs, per_x)), "c0": float(c0)}
-
-
-def s11_shortcut(exp: GMuExpansion, s10: float, s01: float, jet1: FrJet,
-                 dxdy: float) -> tuple[float, dict]:
-    """S_{1,1} when S_{2,0} = S_{0,2} = 0 and the quadratic jet is purely
-    mixed: c_1 - c~_1 = 2 A S_{1,1} with A = dx f_r + mu dy f_r and
-    c~_1 = mu dxdy f_r(0) (2 S_{0,1} - (1 + ln(1+A^2)) / 2 pi)."""
-    mu = exp.mu
-    A = jet1.dx + mu * jet1.dy
-    c0 = s10 - np.arctan(A) / (2 * np.pi) + (s01 - np.log(1 + A * A) / (4 * np.pi)) * A
-    d0 = -A / (2 * np.pi)
-    d1 = -mu * dxdy / np.pi
-    xs = np.array([x for x, _ in exp.x_samples])
-    g = np.array([v for _, v in exp.x_samples])
-    c1_per_x = (g - c0 - d0 * np.log(xs) - d1 * xs * np.log(xs)) / xs
-    Amat = np.vstack([np.ones_like(xs), xs * np.log(xs)]).T
-    coef, *_ = np.linalg.lstsq(Amat, c1_per_x, rcond=None)
-    c1 = float(coef[0])
-    b = mu * dxdy
-    c1_tilde = b * (2 * s01 - (1 + np.log(1 + A * A)) / (2 * np.pi))
-    s11 = (c1 - c1_tilde) / (2 * A)
-    return s11, {"c1": c1, "c1_tilde": float(c1_tilde)}

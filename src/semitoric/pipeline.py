@@ -185,8 +185,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     any_k = probes.k_list[-1]
 
     x_probe = min(probes.x_schedule)
-    dxfr, dyfr, grad_info = recover_fr_gradient(
-        family, origin, x_probe, probes.mu, with_info=True)
+    dxfr, dyfr, grad_info = recover_fr_gradient(family, origin, x_probe, probes.mu)
     jet1 = FrJet({(1, 0): dxfr, (0, 1): dyfr})
     s0 = jet1.slope_s0
 
@@ -256,6 +255,17 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
             "mu": mu_star,
         },
         "diagnostics": {
+            # the per-k samples behind the hbar -> 0 limits at the smallest
+            # probe offset; the CLI writes them as the fig_*.csv rows
+            "per_k": {
+                "k": list(probes.k_list),
+                "x": x_probe,
+                "dxfr": grad_info["per_k"][x_probe][0],
+                "dyfr": grad_info["per_k"][x_probe][1],
+                "sigma1": sig_info["per_k"][x_probe],
+                "S01": s01_info["per_k"][x_probe],
+                "height": [height_info["raw"][k] for k in probes.k_list],
+            },
             "sigma1_per_x": {f"{x}": v for x, v in sig_info.get("per_x", {}).items()},
             "s01_per_x": {f"{x}": v for x, v in s01_info.get("per_x", {}).items()},
             "d1_by_mu": dict(zip(map(str, mus), d1s)),
@@ -279,19 +289,18 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
 # ---------------------------------------------------------------------------
 # polygon pipeline
 
-def polygon_run(model: ModelSpec, k: int, strip=None, epsilon: float | None = None,
-                origin=None, corner_xs=None):
+def polygon_run(model: ModelSpec, k: int, strip=None):
     """Quantum cartographic cloud on the strip and the fitted polygon.
 
-    Exclusions: a vertical band of half-width epsilon above the focus-focus
-    value (the cut) and balls at the column ends over every other critical
-    abscissa (corners).  Default epsilon = max(3 hbar, 0.35 sqrt(hbar)).
+    The critical values are located from the spectrum first.  Exclusions: a
+    vertical band of half-width eps above the focus-focus value (the cut)
+    and balls of radius eps at the column ends over every other critical
+    abscissa (corners), eps = max(3 hbar, 0.35 sqrt(hbar)).
     """
     strip = default_strip(model) if strip is None else strip
     h = 1.0 / k
-    eps = max(3 * h, 0.35 * np.sqrt(h)) if epsilon is None else epsilon
-    if origin is None or corner_xs is None:
-        origin, corner_xs, _ = locate_critical_values(model)
+    eps = max(3 * h, 0.35 * np.sqrt(h))
+    origin, corner_xs, _ = locate_critical_values(model)
     x0, y0 = origin
     ymax = 1.2 if model.kind == COUPLED_ANGULAR_MOMENTA else 2.6
     window = Rect(strip[0], strip[1], -ymax, ymax)

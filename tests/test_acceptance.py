@@ -311,7 +311,7 @@ def test_criterion_9_d0_consistency():
                          x_schedule=[0.01], x_taylor=[0.04, 0.03, 0.02, 0.01],
                          mu_list=[1.0, 2.0, 4.0], mu=4.0)
     family = build_probe_family(SPIN, (1.0, 0.0), probes)
-    dx, dy = recover_fr_gradient(family, (1.0, 0.0), 0.01, 2.0)
+    dx, dy, _ = recover_fr_gradient(family, (1.0, 0.0), 0.01, 2.0)
     worst = 0.0
     for mu in (1.0, 2.0, 4.0):
         exp = g_mu_sample(family, (1.0, 0.0), mu, probes.x_taylor)

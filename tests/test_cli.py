@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import semitoric.pipeline
 from semitoric.cli import main
+from semitoric.invariants import hbar_limit
 
 
 def test_spectrum_deterministic(tmp_path):
@@ -35,6 +37,19 @@ def test_bad_model_exits_2(tmp_path, capsys):
 def test_bad_schedule_exits_2(tmp_path):
     rc = main(["spectrum", "--model", "coupled", "--x", "0.02", "--x", "0.02",
                "--out", str(tmp_path)])
+    assert rc == 2
+
+
+@pytest.mark.parametrize("config", [
+    {"model": "coupled", "k_list": [2]},
+    {"model": "coupled", "probes": {"hbar_fit_order": 7}},
+    None,
+], ids=["unknown-key", "unknown-probes-key", "missing-file"])
+def test_bad_config_file_exits_2(tmp_path, config):
+    path = tmp_path / "run.json"
+    if config is not None:
+        path.write_text(json.dumps(config))
+    rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
 
 
@@ -72,7 +87,15 @@ def test_config_file_and_flag_override(tmp_path):
 
 
 @pytest.mark.slow
-def test_invariants_command_small(tmp_path):
+def test_invariants_command_small(tmp_path, monkeypatch):
+    builds = []
+    build = semitoric.pipeline.build_probe_family
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(semitoric.pipeline, "build_probe_family", counted)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "model": "spin-oscillator", "r1": 1.0, "r2": 2.5, "t": 0.5,
@@ -89,8 +112,18 @@ def test_invariants_command_small(tmp_path):
     report = json.loads((tmp_path / "invariants.json").read_text())
     for key in ("focus_focus", "fr_jet", "sigma1_0", "twisting_p", "S", "quadratic_mixed"):
         assert key in report
-    fig = (tmp_path / "fig_height.csv").read_text().strip().split("\n")
-    assert fig[0] == "abscissa,estimate,theory"
+    assert len(builds) == 1
+    # the figures are the per-k samples behind the reported limits
+    per_k = report["diagnostics"]["per_k"]
+    assert per_k["k"] == [100, 200] and per_k["x"] == 0.01
+    for name in ("dxfr", "dyfr", "sigma1", "S01", "height"):
+        fig = (tmp_path / f"fig_{name}.csv").read_text().strip().split("\n")
+        assert fig[0] == "abscissa,estimate,theory"
+        rows = [line.split(",") for line in fig[1:]]
+        assert [int(r[0]) for r in rows] == per_k["k"]
+        assert [float(r[1]) for r in rows] == per_k[name]
+    dx, _ = hbar_limit(per_k["k"], per_k["dxfr"])
+    assert dx == pytest.approx(report["fr_jet"]["1,0"], rel=1e-10)
 
 
 @pytest.mark.slow
@@ -99,4 +132,4 @@ def test_polygon_command(tmp_path):
                "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "polygon_report.json").read_text())
-    assert report["hausdorff_to_reference"] < 10 * report["hausdorff_budget_6h"]
+    assert report["hausdorff_to_reference"] < 10 * report["hausdorff_budget"]

@@ -5,13 +5,11 @@ from semitoric.errors import DuplicateMu
 from semitoric.invariants import (
     FrJet,
     GMuExpansion,
-    cross_derivative_shortcut,
     d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,
     mixed_dxdy_from_d1,
     s11_from_c1,
-    s11_shortcut,
     solve_jet_order,
     solve_taylor_order,
     taylor_system_determinant,
@@ -167,27 +165,33 @@ def manufactured_spin_exp(mu, xs):
     return GMuExpansion(mu, list(zip(xs, eval_g(jet, s, mu, xs, orders=2))))
 
 
+def mixed_route(exp):
+    """(dxdy f_r(0), S_11) by the pure-mixed-jet route of the recovery:
+    fit_log_expansion at order 0, then order 1, then mixed_dxdy_from_d1
+    and s11_from_c1."""
+    c0, d0, _ = fit_log_expansion(exp, 0, [], [])
+    c1, d1, _ = fit_log_expansion(exp, 1, [c0], [d0])
+    dxdy = mixed_dxdy_from_d1(d1, exp.mu)
+    return dxdy, s11_from_c1(c1, exp.mu, SPIN_JET1, SPIN_S01, dxdy)
+
+
 def test_cross_derivative_shortcut_identity_sanity():
-    # exact samples built from the displayed coefficients -> -1/4 + O(x)
+    # exact samples built from the displayed coefficients -> -1/4
     xs = np.geomspace(2e-3, 5e-2, 10)
     for mu in (0.5, 1.0, 2.0):
-        exp = manufactured_spin_exp(mu, xs)
-        val, _ = cross_derivative_shortcut(exp, 0.0, SPIN_S01, SPIN_JET1)
+        val, _ = mixed_route(manufactured_spin_exp(mu, xs))
         assert val == pytest.approx(-0.25, abs=0.01)
 
 
 def test_shortcut_mu_independence():
     xs = np.geomspace(2e-3, 5e-2, 10)
-    vals = [cross_derivative_shortcut(manufactured_spin_exp(mu, xs), 0.0,
-                                      SPIN_S01, SPIN_JET1)[0]
-            for mu in (0.5, 1.0, 2.0)]
+    vals = [mixed_route(manufactured_spin_exp(mu, xs))[0] for mu in (0.5, 1.0, 2.0)]
     assert max(vals) - min(vals) < 0.02
 
 
 def test_s11_shortcut_roundtrip():
     xs = np.geomspace(2e-3, 5e-2, 12)
-    exp = manufactured_spin_exp(1.0, xs)
-    s11, _ = s11_shortcut(exp, 0.0, SPIN_S01, SPIN_JET1, -0.25)
+    _, s11 = mixed_route(manufactured_spin_exp(1.0, xs))
     assert s11 == pytest.approx(1 / (8 * np.pi), abs=2e-3)
 
 
