@@ -8,10 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
+from semitoric.cli import POLYGON_BUDGET
 from semitoric.invariants import detect_kinks, dh_profile
 from semitoric.pipeline import (
     ModelCounter,
     default_dh_grid,
+    default_strip,
     polygon_reference_distance,
     polygon_run,
 )
@@ -26,10 +28,11 @@ def main():
     out.mkdir(parents=True, exist_ok=True)
 
     runs = (
-        (ModelSpec(SPIN_OSCILLATOR), 25, (-0.8, 2.0)),
-        (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), 20, (-3.3, 3.1)),
+        (ModelSpec(SPIN_OSCILLATOR), 25),
+        (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), 20),
     )
-    for model, k, strip in runs:
+    for model, k in runs:
+        strip = default_strip(model)
         pts, labels, est = polygon_run(model, k, strip)
         dist, shift, vert_err = polygon_reference_distance(model, est, strip, 1.0 / k)
         path = out / f"polygon_{model.kind}_k{k}.csv"
@@ -38,7 +41,7 @@ def main():
             for u, v in est.cloud + shift:
                 f.write(f"{u:.17g},{v:.17g}\n")
         print(f"{model.kind}: Hausdorff {dist:.4f} "
-              f"(budget {6 if model.kind == SPIN_OSCILLATOR else 8}/k), "
+              f"(budget {POLYGON_BUDGET[model.kind]:g}/k), "
               f"max vertex error {max(vert_err):.4f} -> {path}")
 
         kdh = 200

@@ -23,7 +23,6 @@ from .lattice import (
 from .models import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
-    JointPoint,
     JointSpectrum,
     ModelSpec,
     TridiagonalBlock,

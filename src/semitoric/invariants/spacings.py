@@ -49,16 +49,14 @@ class LabelledSpectrum:
         self.hbar = cloud.hbar
         self.origin = origin   # per-k estimate of the focus-focus value
         self._ladders: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        cols: dict[int, list] = {}
-        for i, (j, l) in labelling.assignment.items():
-            cols.setdefault(j, []).append((l, cloud.points[i, 1], cloud.points[i, 0]))
-        for j, rows in cols.items():
-            rows.sort()
-            ls = np.array([r[0] for r in rows], dtype=int)
-            ys = np.array([r[1] for r in rows])
+        pts, lab, _ = labelling.arrays(cloud)
+        order = np.lexsort((lab[:, 1], lab[:, 0]))
+        js, starts = np.unique(lab[order, 0], return_index=True)
+        split = [np.split(a[order], starts[1:]) for a in (lab[:, 1], pts[:, 1], pts[:, 0])]
+        for j, ls, ys, xs in zip(js.tolist(), *split):
             if np.any(np.diff(ys) <= 0):
                 raise MissingNeighbor(f"column {j} is not monotone in ell")
-            self._ladders[j] = (ls, ys, float(np.mean([r[2] for r in rows])))
+            self._ladders[j] = (ls, ys, float(np.mean(xs)))
 
     @property
     def columns(self):
@@ -110,16 +108,10 @@ class LabelledSpectrum:
         mids = 0.5 * (ys0[1:] + ys0[:-1])
         sp = np.diff(ys0)
         s_t = _interp3(mids, sp, y)
-        l_by_pos = {int(l): float(yy) for l, yy in zip(ls1, ys1)}
-        dpos, dval = [], []
-        for l, yy in zip(ls0, ys0):
-            partner = l_by_pos.get(int(l))
-            if partner is not None:
-                dpos.append(yy)
-                dval.append(yy - partner)
-        if len(dpos) < 2:
+        _, i0, i1 = np.intersect1d(ls0, ls1, assume_unique=True, return_indices=True)
+        if len(i0) < 2:
             raise MissingNeighbor("columns share fewer than 2 labels")
-        d_t = _interp3(np.array(dpos), np.array(dval), y)
+        d_t = _interp3(ys0[i0], ys0[i0] - ys1[i1], y)
         ratio = d_t / self.hbar
         a2 = self.hbar / s_t
         return A1A2Sample((x0, y), self.k, ratio, a2, d_t / s_t)

@@ -67,7 +67,6 @@ HALF_LATTICE = "half-lattice"
 class PointCloud:
     k: int
     points: np.ndarray                    # (n, 2)
-    region: Rect | None = None
     true_labels: np.ndarray | None = None  # (n, 2) int; synthetic ground truth only
 
     @property
@@ -92,7 +91,7 @@ class PointCloud:
     def restrict(self, region: Rect) -> "PointCloud":
         m = region.contains(self.points)
         tl = self.true_labels[m] if self.true_labels is not None else None
-        return PointCloud(self.k, self.points[m], region, tl)
+        return PointCloud(self.k, self.points[m], tl)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,7 @@ def synth_lattice(chart: ChartSpec, k: int) -> PointCloud:
             if dom.contains(xi)[0]:
                 labels.append((a, b))
                 pts.append(np.asarray(chart.g0(xi), float) + h * np.asarray(chart.g1(xi), float))
-    cloud = PointCloud(k, np.array(pts), None, np.array(labels, dtype=int))
+    cloud = PointCloud(k, np.array(pts), np.array(labels, dtype=int))
     cloud.check_separation()
     return cloud
 
@@ -221,8 +220,8 @@ class Labelling:
         return {lab: i for i, lab in self.assignment.items()}
 
     def arrays(self, cloud: PointCloud):
-        idx = np.fromiter(self.assignment.keys(), dtype=int)
-        lab = np.array([self.assignment[i] for i in idx], dtype=int)
+        idx = np.fromiter(self.assignment.keys(), dtype=int, count=len(self.assignment))
+        lab = np.array(list(self.assignment.values()), dtype=int)
         return cloud.points[idx], lab, idx
 
     def compose_affine(self, a_matrix, kappa) -> "Labelling":
@@ -317,19 +316,21 @@ def label_regular(cloud: PointCloud, basis: AffineBasis, region: Rect | None = N
 def _columns(pts: np.ndarray, h: float):
     """Cluster points into x-columns (gap threshold a fraction of hbar)."""
     order = np.argsort(pts[:, 0], kind="stable")
-    xs = pts[order, 0]
-    starts = [0]
-    for i in range(1, len(xs)):
-        if xs[i] - xs[i - 1] > TOL.column_gap * h:
-            starts.append(i)
-    bounds = starts + [len(xs)]
-    cols = []
-    for c in range(len(starts)):
-        idx = order[bounds[c]:bounds[c + 1]]
-        idx = idx[np.argsort(pts[idx, 1])]
-        cols.append(idx)
+    starts = np.flatnonzero(np.diff(pts[order, 0]) > TOL.column_gap * h) + 1
+    cols = [idx[np.argsort(pts[idx, 1])] for idx in np.split(order, starts)]
     colx = np.array([pts[c, 0].mean() for c in cols])
     return cols, colx
+
+
+def _column_labels(cols, c0: int, anchor, orig=None) -> dict[int, tuple[int, int]]:
+    """(column - c0, rank in column + anchor[column]) for every point of the
+    columns, keyed by point index (mapped through orig when given)."""
+    sizes = [len(c) for c in cols]
+    idx = np.concatenate(cols)
+    j = np.repeat(np.arange(len(cols)) - c0, sizes)
+    l = np.arange(len(idx)) - np.repeat(np.cumsum(sizes) - sizes - anchor, sizes)
+    keys = idx if orig is None else orig[idx]
+    return dict(zip(keys.tolist(), zip(j.tolist(), l.tolist())))
 
 
 def _match_columns(A: np.ndarray, B: np.ndarray, drift):
@@ -409,11 +410,7 @@ def label_semitoric(cloud: PointCloud, seed_x: float | None = None,
                     )
                 anchor[cn] = anchor[c] - o
             c = cn
-    out: dict[int, tuple[int, int]] = {}
-    for c in range(ncol):
-        for rank, i in enumerate(cols[c]):
-            out[int(i)] = (c - c0, rank + int(anchor[c]))
-    return Labelling(out, REGULAR)
+    return Labelling(_column_labels(cols, c0, anchor), REGULAR)
 
 
 # ---------------------------------------------------------------------------
@@ -460,23 +457,15 @@ def label_half_lattice(cloud: PointCloud, c, b0: Rect | None = None) -> Labellin
     # the domain crosses a corner
     sub = PointCloud(cloud.k, pts)
     trans = label_semitoric(sub, seed_x=float(mu[0]))
-    lmin: dict[int, int] = {}
-    for i, (j, l) in trans.assignment.items():
-        lmin[j] = min(lmin.get(j, l), l)
-    js = sorted(lmin)
-    steps = {lmin[b] - lmin[a] for a, b in zip(js, js[1:])}
-    if len(steps) > 1:
+    _, lab, _ = trans.arrays(sub)
+    order = np.argsort(lab[:, 0], kind="stable")
+    _, starts = np.unique(lab[order, 0], return_index=True)
+    lmin = np.minimum.reduceat(lab[order, 1], starts)
+    if len(np.unique(np.diff(lmin))) > 1:
         raise Disconnected("bottom row is not a lattice line (domain not admissible)")
     # map back to original indices when restricted
-    if b0 is None:
-        orig = np.arange(len(pts))
-    else:
-        orig = np.where(b0.contains(cloud.points))[0]
-    out: dict[int, tuple[int, int]] = {}
-    for ci, idx in enumerate(cols):
-        for rank, i in enumerate(idx):
-            out[int(orig[i])] = (ci - c00, rank)
-    return Labelling(out, HALF_LATTICE)
+    orig = None if b0 is None else np.flatnonzero(b0.contains(cloud.points))
+    return Labelling(_column_labels(cols, c00, 0, orig), HALF_LATTICE)
 
 
 def detect_boundary(clouds: dict[int, PointCloud], side: str = "lower") -> np.ndarray:

@@ -40,7 +40,6 @@ __all__ = [
     "COUPLED_ANGULAR_MOMENTA",
     "ModelSpec",
     "TridiagonalBlock",
-    "JointPoint",
     "JointSpectrum",
     "build_blocks",
     "joint_spectrum",
@@ -106,31 +105,40 @@ class TridiagonalBlock:
 
 
 @dataclass(frozen=True)
-class JointPoint:
-    x: float
-    y: float
-    block_id: int
-    index_in_block: int
-
-
-@dataclass(frozen=True)
 class JointSpectrum:
+    """Joint eigenvalues as parallel arrays sorted by (block, idx): point i is
+    (x[i], y[i]), eigenvalue number idx[i] (ascending) of block block[i]."""
+
     k: int
-    points: tuple
-    window: Rect | None = None
+    x: np.ndarray
+    y: np.ndarray
+    block: np.ndarray
+    idx: np.ndarray
 
     def as_array(self) -> np.ndarray:
-        return np.array([(p.x, p.y) for p in self.points], dtype=float).reshape(-1, 2)
+        return np.column_stack((self.x, self.y))
 
     def columns(self) -> dict[int, np.ndarray]:
         """block_id -> ascending eigenvalue array (one exact-x column each)."""
-        cols: dict[int, list] = {}
-        for p in self.points:
-            cols.setdefault(p.block_id, []).append(p.y)
-        return {b: np.array(sorted(ys)) for b, ys in cols.items()}
+        ids, starts = np.unique(self.block, return_index=True)
+        return dict(zip(ids.tolist(), np.split(self.y, starts[1:])))
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self.x)
+
+
+def _spectrum(k: int, columns, ylo: float = -np.inf, yhi: float = np.inf) -> JointSpectrum:
+    """Spectrum from per-column triples (x, block id, ascending eigenvalues);
+    y is cut to [ylo, yhi] after idx has counted each whole column."""
+    xs, ids, evs = zip(*columns)
+    sizes = [len(ev) for ev in evs]
+    y = np.concatenate(evs)
+    idx = np.arange(len(y)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    keep = (ylo <= y) & (y <= yhi)
+    x, block = np.repeat(xs, sizes)[keep], np.repeat(ids, sizes)[keep]
+    y, idx = y[keep], idx[keep]
+    order = np.lexsort((idx, block))
+    return JointSpectrum(k, x[order], y[order], block[order], idx[order])
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +225,13 @@ def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> Join
         rsum = model.r1 + model.r2
         window = Rect(-rsum, rsum, -2.0, 2.0)
     blocks = build_blocks(model, k, (window.xmin, window.xmax))
-    pts = []
+    columns = []
     for b in blocks:
         ev = b.eigenvalues()
         if np.any(np.diff(ev) <= 0):
             raise CommutatorViolation(f"non-simple spectrum in block {b.block_id}")
-        for i, y in enumerate(ev):
-            if window.ymin <= y <= window.ymax:
-                pts.append(JointPoint(b.j_value, float(y), b.block_id, i))
-    pts.sort(key=lambda p: (p.block_id, p.index_in_block))
-    return JointSpectrum(k, tuple(pts), window)
+        columns.append((b.j_value, b.block_id, ev))
+    return _spectrum(k, columns, window.ymin, window.ymax)
 
 
 # ---------------------------------------------------------------------------
@@ -302,18 +307,13 @@ def dense_oracle_spectrum(model: ModelSpec, k: int, n_max: int = 60) -> JointSpe
         raise CommutatorViolation(f"interior commutator norm {bound:.3e}")
     w, V = np.linalg.eigh(J)
     # cluster J eigenvalues
-    pts = []
     splits = np.where(np.diff(w) > 1e-8)[0] + 1
-    groups = np.split(np.arange(len(w)), splits)
-    for g in groups:
+    columns = []
+    for g in np.split(np.arange(len(w)), splits):
         jv = float(np.mean(w[g]))
-        block_id = _nearest_block_id(model, k, jv)
         Hs = V[:, g].T @ H @ V[:, g]
-        ev = np.sort(np.linalg.eigvalsh(Hs))
-        for i, y in enumerate(ev):
-            pts.append(JointPoint(jv, float(y), block_id, i))
-    pts.sort(key=lambda p: (p.block_id, p.index_in_block))
-    return JointSpectrum(k, tuple(pts), None)
+        columns.append((jv, _nearest_block_id(model, k, jv), np.sort(np.linalg.eigvalsh(Hs))))
+    return _spectrum(k, columns)
 
 
 def _nearest_block_id(model: ModelSpec, k: int, jv: float) -> int:
@@ -325,10 +325,13 @@ def _nearest_block_id(model: ModelSpec, k: int, jv: float) -> int:
 # ---------------------------------------------------------------------------
 # export
 
+def _rows(spec: JointSpectrum):
+    return zip(spec.x.tolist(), spec.y.tolist(), spec.block.tolist(), spec.idx.tolist())
+
+
 def spectrum_to_csv(spec: JointSpectrum) -> str:
     lines = ["k,x,y,block,idx"]
-    for p in spec.points:
-        lines.append(f"{spec.k},{p.x:.17g},{p.y:.17g},{p.block_id},{p.index_in_block}")
+    lines += [f"{spec.k},{x:.17g},{y:.17g},{b},{i}" for x, y, b, i in _rows(spec)]
     return "\n".join(lines) + "\n"
 
 
@@ -336,10 +339,7 @@ def spectrum_to_json(spec: JointSpectrum) -> str:
     return json.dumps(
         {
             "k": spec.k,
-            "points": [
-                {"x": p.x, "y": p.y, "block": p.block_id, "idx": p.index_in_block}
-                for p in spec.points
-            ],
+            "points": [{"x": x, "y": y, "block": b, "idx": i} for x, y, b, i in _rows(spec)],
         },
         indent=2,
     )

@@ -34,7 +34,6 @@ from .invariants import (
     sample_polygon_region,
     solve_jet_order,
     solve_taylor_order,
-    twisting_and_privileged,
 )
 from .lattice import PointCloud, label_semitoric
 from .models import (
@@ -107,7 +106,7 @@ def column_ladder(model: ModelSpec, k: int, x: float, y_window=None):
 def labelled_window(model: ModelSpec, k: int, window: Rect,
                     seed_x: float | None = None) -> LabelledSpectrum:
     spec = joint_spectrum(model, k, window)
-    cloud = PointCloud(k, spec.as_array(), window)
+    cloud = PointCloud(k, spec.as_array())
     lab = label_semitoric(cloud, seed_x=window.xmax if seed_x is None else seed_x)
     return LabelledSpectrum(cloud, lab)
 
@@ -182,7 +181,6 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     probes.validate()
     origin, other_kinks, _ = locate_critical_values(model)
     family = build_probe_family(model, origin, probes)
-    any_k = probes.k_list[-1]
 
     x_probe = min(probes.x_schedule)
     dxfr, dyfr, grad_info = recover_fr_gradient(family, origin, x_probe, probes.mu)
@@ -190,7 +188,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     s0 = jet1.slope_s0
 
     sigma1, sig_info = recover_sigma1(family, origin, s0, probes.x_schedule)
-    p, _ = twisting_and_privileged(sigma1, family[any_k].labelling)
+    p = int(np.floor(sigma1))   # twisting number
     sigma1_priv = sigma1 - p
 
     s01, s01_info = recover_S01(family, origin, s0, dyfr, probes.x_schedule)
@@ -313,7 +311,7 @@ def polygon_run(model: ModelSpec, k: int, strip=None):
             if len(col):
                 for yc in (col[:, 1].min(), col[:, 1].max()):
                     keep &= np.hypot(pts[:, 0] - xc, pts[:, 1] - yc) > eps
-    cloud = PointCloud(k, pts[keep], window)
+    cloud = PointCloud(k, pts[keep])
     lab = label_semitoric(cloud, seed_x=strip[1] - 0.1 * (strip[1] - strip[0]))
     points, labels, _ = lab.arrays(cloud)
     est = polygon_recover(points, labels, h, [x0] + list(corner_xs), strip)

@@ -35,7 +35,6 @@ from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
     default_dh_grid,
-    locate_critical_values,
     polygon_reference_distance,
     polygon_run,
     recover_all,
@@ -182,9 +181,11 @@ def test_criterion_4_coupled_invariants(coupled_report):
 
 # -- criterion 5: focus-focus location ----------------------------------------
 
-def test_criterion_5_focus_focus_location():
-    for model, ref in ((SPIN, (1.0, 0.0)), (COUPLED, (-1.5, 0.0))):
-        (x0, y0), _, _ = locate_critical_values(model, k_locate=200)
+def test_criterion_5_focus_focus_location(spin_report, coupled_report):
+    # the fixtures located it with locate_critical_values(model, k_locate=200)
+    for model, rep, ref in ((SPIN, spin_report, (1.0, 0.0)),
+                            (COUPLED, coupled_report, (-1.5, 0.0))):
+        x0, y0 = rep["focus_focus"]
         report(5, f"{model.kind} x0", abs(x0 - ref[0]), 0.05)
         report(5, f"{model.kind} y0", abs(y0 - ref[1]), 0.05)
 
@@ -222,8 +223,8 @@ def test_criterion_7_polygon():
 
 # -- criterion 8: convergence rate ---------------------------------------------
 
-def test_criterion_8_convergence_rate():
-    origin, _, _ = locate_critical_values(SPIN)
+def test_criterion_8_convergence_rate(spin_report):
+    origin = tuple(spin_report["focus_focus"])
     ks = [100, 200, 300, 400, 500]
     _, errs = sigma1_error_curve(SPIN, origin, 0.0, 0.01, ks, 0.0)
     slope = loglog_slope(ks, errs)

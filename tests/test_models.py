@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+import hypothesis.strategies as st
 
 from semitoric import (
     COUPLED_ANGULAR_MOMENTA,
@@ -40,7 +42,7 @@ def test_coupled_t0_constant_lines():
     # H = (1-t) z1 term only: eigenvalues take at most 2*k*r1 distinct values
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.0)
     spec = joint_spectrum(model, 2)
-    ys = np.unique(np.round([p.y for p in spec.points], 12))
+    ys = np.unique(np.round(spec.y, 12))
     assert len(ys) <= round(2 * 2 * model.r1)
 
 
@@ -67,13 +69,25 @@ def test_spin_k15_window():
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_oracle_equivalence_coupled(k):
-    spec = joint_spectrum(COUPLED, k)
-    oracle = dense_oracle_spectrum(COUPLED, k)
+@settings(deadline=None)
+@given(twice_r1=st.integers(1, 6), twice_r2=st.integers(1, 6), t=st.floats(0.0, 1.0))
+@example(twice_r1=2, twice_r2=5, t=0.5)
+def test_oracle_equivalence_coupled(k, twice_r1, twice_r2, t):
+    # half-integer spins 1/2 <= r1 < r2 <= 3, any coupling t
+    assume(twice_r1 < twice_r2)
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=twice_r1 / 2, r2=twice_r2 / 2, t=t)
+    spec = joint_spectrum(model, k)
+    oracle = dense_oracle_spectrum(model, k)
     a, b = spec.columns(), oracle.columns()
     assert set(a) == set(b)
     err = max(np.abs(a[i] - b[i]).max() for i in a)
     assert err < 1e-10
+    assert len(spec) == (2 * k * model.r1) * (2 * k * model.r2)
+    # (block, idx) strictly ascending, idx = 0 .. size-1 within each block
+    db, di = np.diff(spec.block), np.diff(spec.idx)
+    assert np.all((db > 0) | ((db == 0) & (di > 0)))
+    _, starts, sizes = np.unique(spec.block, return_index=True, return_counts=True)
+    assert np.array_equal(spec.idx, np.arange(len(spec)) - np.repeat(starts, sizes))
 
 
 @pytest.mark.parametrize("k", [1, 2])
@@ -132,4 +146,4 @@ def test_exports():
     assert data["k"] == 2 and len(data["points"]) == len(spec)
     # round trip at full precision
     x0 = float(lines[1].split(",")[1])
-    assert x0 == spec.points[0].x
+    assert x0 == spec.x[0]
