@@ -23,6 +23,7 @@ from .lattice import (
 from .models import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
+    BlockSequence,
     JointSpectrum,
     ModelSpec,
     TridiagonalBlock,

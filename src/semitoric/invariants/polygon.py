@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.spatial import cKDTree
 
 from ..errors import EdgeFitFailure
 from ..models import SPIN_OSCILLATOR, ModelSpec
@@ -34,6 +32,9 @@ def hausdorff(set_a, set_b, optimize_translation: bool = False):
     With optimize_translation, minimized over translations of set_a
     (coarse centroid start + Nelder-Mead); returns (distance, shift).
     """
+    from scipy.optimize import minimize
+    from scipy.spatial import cKDTree
+
     A = np.atleast_2d(np.asarray(set_a, dtype=float))
     B = np.atleast_2d(np.asarray(set_b, dtype=float))
     tb = cKDTree(B)

@@ -26,7 +26,6 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .config import TOL
 from .errors import (
@@ -63,6 +62,12 @@ REGULAR = "regular"
 HALF_LATTICE = "half-lattice"
 
 
+def _kdtree(points):
+    from scipy.spatial import cKDTree
+
+    return cKDTree(points)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     k: int
@@ -76,7 +81,7 @@ class PointCloud:
     def min_separation(self) -> float:
         if len(self.points) < 2:
             return np.inf
-        d, _ = cKDTree(self.points).query(self.points, k=2)
+        d, _ = _kdtree(self.points).query(self.points, k=2)
         return float(d[:, 1].min())
 
     def check_separation(self) -> float:
@@ -107,7 +112,7 @@ class ChartSpec:
         xs = np.linspace(self.domain.xmin, self.domain.xmax, grid)
         ys = np.linspace(self.domain.ymin, self.domain.ymax, grid)
         pts = np.array([self.g0(np.array([x, y])) for x in xs for y in ys])
-        d, _ = cKDTree(pts).query(pts, k=2)
+        d, _ = _kdtree(pts).query(pts, k=2)
         cell = max(
             (self.domain.xmax - self.domain.xmin) / (grid - 1),
             (self.domain.ymax - self.domain.ymin) / (grid - 1),
@@ -176,7 +181,7 @@ def select_affine_basis(cloud: PointCloud, c) -> AffineBasis:
     pts = cloud.points
     if len(pts) < 3:
         raise TooSparse("need at least 3 points")
-    tree = cKDTree(pts)
+    tree = _kdtree(pts)
     i0 = int(tree.query(np.asarray(c, float))[1])
     kq = min(len(pts), 13)
     _, nbr = tree.query(pts[i0], k=kq)
@@ -249,7 +254,7 @@ def label_regular(cloud: PointCloud, basis: AffineBasis, region: Rect | None = N
     inside = region.contains(pts) if region is not None else np.ones(len(pts), bool)
     if inside.sum() < TOL.min_region_points:
         raise TooSparse(f"only {int(inside.sum())} points in region")
-    tree = cKDTree(pts)
+    tree = _kdtree(pts)
     labels: dict[int, tuple[int, int]] = {}
     by_label: dict[tuple[int, int], int] = {}
     frames: dict[int, np.ndarray] = {}

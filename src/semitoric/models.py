@@ -22,7 +22,9 @@ exactly (the coupling only moves (l1,l2) -> (l1±1, l2∓1)).
 
 from __future__ import annotations
 
+import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +42,7 @@ __all__ = [
     "COUPLED_ANGULAR_MOMENTA",
     "ModelSpec",
     "TridiagonalBlock",
+    "BlockSequence",
     "JointSpectrum",
     "build_blocks",
     "joint_spectrum",
@@ -144,20 +147,44 @@ def _spectrum(k: int, columns, ylo: float = -np.inf, yhi: float = np.inf) -> Joi
 # ---------------------------------------------------------------------------
 # block construction
 
-def _spin_block(k: int, m: int) -> TridiagonalBlock:
-    lmin = max(0, -m)
-    ls = np.arange(lmin, 2 * k)
+def _dims(model: ModelSpec, k: int) -> tuple[int, int]:
+    """Coupled sphere dimensions (n1, n2) = (2 k r1, 2 k r2)."""
+    return round(2 * k * model.r1), round(2 * k * model.r2)
+
+
+def _chain_bounds(model: ModelSpec, k: int, ids):
+    """First and last chain index of each block id (scalar or array): the
+    sphere index l of the spin-oscillator, l1 of coupled (l2 = s - l1)."""
+    if model.kind == SPIN_OSCILLATOR:
+        return np.maximum(0, -ids), 2 * k - 1
+    n1, n2 = _dims(model, k)
+    return np.maximum(0, ids - (n2 - 1)), np.minimum(n1 - 1, ids)
+
+
+def _chain(model: ModelSpec, k: int, block_id: int) -> np.ndarray:
+    lo, hi = _chain_bounds(model, k, block_id)
+    return np.arange(lo, hi + 1)
+
+
+def _j_value(model: ModelSpec, k: int, block_id):
+    """J eigenvalue of each block id (scalar or array)."""
+    if model.kind == SPIN_OSCILLATOR:
+        return 1.0 + block_id / k
+    return model.r1 + model.r2 - (1 + block_id) / k
+
+
+def _spin_block(model: ModelSpec, k: int, m: int) -> TridiagonalBlock:
+    ls = _chain(model, k, m)
     diag = np.zeros(len(ls))
     off = np.sqrt((ls[:-1] + m + 1) / k) * np.sqrt(
         (ls[:-1] + 1) * (2 * k - 1 - ls[:-1])
     ) / (2 * np.sqrt(2) * k)
-    return TridiagonalBlock(m, 1.0 + m / k, diag, off)
+    return TridiagonalBlock(m, _j_value(model, k, m), diag, off)
 
 
 def _coupled_block(model: ModelSpec, k: int, s: int) -> TridiagonalBlock:
-    n1 = round(2 * k * model.r1)
-    n2 = round(2 * k * model.r2)
-    l1 = np.arange(max(0, s - (n2 - 1)), min(n1 - 1, s) + 1)
+    n1, n2 = _dims(model, k)
+    l1 = _chain(model, k, s)
     l2 = s - l1
     t = model.t
     pref = t * (1 + n1) * (1 + n2) / (n1 * n2)
@@ -166,7 +193,27 @@ def _coupled_block(model: ModelSpec, k: int, s: int) -> TridiagonalBlock:
     off = pref * 2.0 / (n1 * n2) * np.sqrt(
         (l1[:-1] + 1) * (n1 - 1 - l1[:-1]) * l2[:-1] * (n2 - l2[:-1])
     )
-    return TridiagonalBlock(s, model.r1 + model.r2 - (1 + s) / k, diag, off)
+    return TridiagonalBlock(s, _j_value(model, k, s), diag, off)
+
+
+class BlockSequence(Sequence):
+    """The J-blocks of one window, in ascending block id.  ``sizes`` holds
+    the block dimensions in closed form; a block's matrix is built only when
+    the block is accessed."""
+
+    def __init__(self, model: ModelSpec, k: int, ids: range):
+        self.model, self.k, self.ids = model, k, ids
+        lo, hi = _chain_bounds(model, k, np.asarray(ids))
+        self.sizes = hi - lo + 1
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return BlockSequence(self.model, self.k, self.ids[i])
+        build = _spin_block if self.model.kind == SPIN_OSCILLATOR else _coupled_block
+        return build(self.model, self.k, self.ids[i])
 
 
 def _block_id_range(model: ModelSpec, k: int, j_window) -> range:
@@ -177,43 +224,45 @@ def _block_id_range(model: ModelSpec, k: int, j_window) -> range:
         lo = max(int(np.ceil((xlo - 1) * k - 1e-9)), -(2 * k - 1))
         hi = int(np.floor((xhi - 1) * k + 1e-9))
         return range(lo, hi + 1)
-    smax = round(2 * k * model.r1) + round(2 * k * model.r2) - 2
+    smax = sum(_dims(model, k)) - 2
     rsum = model.r1 + model.r2
     lo = max(int(np.ceil((rsum - xhi) * k - 1 - 1e-9)), 0)
     hi = min(int(np.floor((rsum - xlo) * k - 1 + 1e-9)), smax)
     return range(lo, hi + 1)
 
 
-def build_blocks(model: ModelSpec, k: int, j_window) -> list[TridiagonalBlock]:
+def build_blocks(model: ModelSpec, k: int, j_window) -> BlockSequence:
     """Every J-eigenspace block whose j_value lies in [j_window[0], j_window[1]]."""
     model.check_dimensions(k)
     ids = _block_id_range(model, k, j_window)
     if len(ids) == 0:
         raise EmptyWindow(f"no block intersects j_window {j_window}")
-    if model.kind == SPIN_OSCILLATOR:
-        blocks = [_spin_block(k, m) for m in ids]
-    else:
-        blocks = [_coupled_block(model, k, s) for s in ids]
-        _check_block_j_consistency(model, k, blocks)
-    return blocks
+    if model.kind == COUPLED_ANGULAR_MOMENTA:
+        _check_block_j_consistency(model, k)
+    return BlockSequence(model, k, ids)
 
 
-def _check_block_j_consistency(model: ModelSpec, k: int, blocks) -> None:
-    """All basis states of a block must share one J eigenvalue (to 1e-12 rel).
+@functools.lru_cache(maxsize=None)
+def _check_block_j_consistency(model: ModelSpec, k: int) -> None:
+    """All basis states of a coupled block must share one J eigenvalue (to
+    1e-12 rel); checked once per (model, k), over every block of that k.
 
-    Recomputed from the per-factor Z eigenvalues, not from the block label.
+    Recomputed from the per-factor Z eigenvalues, not from the block label:
+    state (l1, l2) lies in block s = l1 + l2, so row l1 covers blocks
+    l1 .. l1 + n2 - 1.
     """
-    n1 = round(2 * k * model.r1)
-    n2 = round(2 * k * model.r2)
-    scale = model.r1 + model.r2
-    for b in blocks:
-        s = b.block_id
-        l1 = np.arange(max(0, s - (n2 - 1)), min(n1 - 1, s) + 1)
-        jv = model.r1 * (n1 - 1 - 2 * l1) / n1 + model.r2 * (n2 - 1 - 2 * (s - l1)) / n2
-        if np.max(np.abs(jv - b.j_value)) > TOL.block_j_rel * scale:
-            raise CommutatorViolation(
-                f"block {s}: J eigenvalue spread {np.max(np.abs(jv - b.j_value)):.3e}"
-            )
+    n1, n2 = _dims(model, k)
+    z1 = model.r1 * (n1 - 1 - 2 * np.arange(n1)) / n1
+    z2 = model.r2 * (n2 - 1 - 2 * np.arange(n2)) / n2
+    j_value = _j_value(model, k, np.arange(n1 + n2 - 1))
+    spread = np.zeros(n1 + n2 - 1)
+    for l1 in range(n1):
+        row = spread[l1:l1 + n2]
+        np.maximum(row, np.abs(z1[l1] + z2 - j_value[l1:l1 + n2]), out=row)
+    bad = np.flatnonzero(spread > TOL.block_j_rel * (model.r1 + model.r2))
+    if bad.size:
+        s = int(bad[0])
+        raise CommutatorViolation(f"block {s}: J eigenvalue spread {spread[s]:.3e}")
 
 
 def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> JointSpectrum:
@@ -278,8 +327,7 @@ def _sphere_ops_dense(n: int):
 
 
 def _coupled_dense(model: ModelSpec, k: int):
-    n1 = round(2 * k * model.r1)
-    n2 = round(2 * k * model.r2)
+    n1, n2 = _dims(model, k)
     X1, Y1, Z1 = _sphere_ops_dense(n1)
     X2, Y2, Z2 = _sphere_ops_dense(n2)
     I1, I2 = np.eye(n1), np.eye(n2)

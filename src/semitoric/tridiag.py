@@ -9,7 +9,6 @@ reference. Both return all eigenvalues ascending, accurate to
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .config import TOL
 from .errors import NumericalFailure
@@ -87,7 +86,9 @@ def eigs_sym_tridiagonal(diag, offdiag, method="auto"):
     if len(d) == 1:
         return d.copy()
     if method == "auto":
-        return sla.eigvalsh_tridiagonal(d, e)
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        return eigvalsh_tridiagonal(d, e)
     if method == "sturm":
         rad = spectral_radius_bound(d, e) + 1.0
         return _bisect_eigs(d, e, 0, len(d) - 1, -rad, rad)
@@ -100,7 +101,9 @@ def eigs_in_window(diag, offdiag, lo, hi, method="auto"):
     if len(d) == 1:
         return d[(d > lo) & (d <= hi)]
     if method == "auto":
-        return sla.eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, hi))
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        return eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, hi))
     n_lo = sturm_count_below(d, e, lo)
     n_hi = sturm_count_below(d, e, hi)
     if n_hi <= n_lo:

@@ -1,10 +1,26 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import semitoric
 import semitoric.pipeline
 from semitoric.cli import main
 from semitoric.invariants import hbar_limit
+
+
+def test_cli_startup_imports_no_scipy():
+    # scipy is imported by the functions that use it, so starting the CLI
+    # pays only for numpy
+    code = ("import sys, semitoric.cli; semitoric.cli.build_parser(); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(semitoric.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_spectrum_deterministic(tmp_path):

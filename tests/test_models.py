@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -16,7 +17,10 @@ from semitoric import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from semitoric.errors import DimensionMismatch, EmptyWindow
+from semitoric import models
+from semitoric.errors import CommutatorViolation, DimensionMismatch, EmptyWindow
+from semitoric.pipeline import ModelCounter
+from semitoric.tridiag import sturm_count_below
 
 SPIN = ModelSpec(SPIN_OSCILLATOR)
 COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
@@ -88,6 +92,75 @@ def test_oracle_equivalence_coupled(k, twice_r1, twice_r2, t):
     assert np.all((db > 0) | ((db == 0) & (di > 0)))
     _, starts, sizes = np.unique(spec.block, return_index=True, return_counts=True)
     assert np.array_equal(spec.idx, np.arange(len(spec)) - np.repeat(starts, sizes))
+
+
+@st.composite
+def small_models(draw):
+    """(model, k, full x-range): a coupled model with half-integer spins
+    1/2 <= r1 < r2 <= 3 and k <= 3, or the spin-oscillator with k <= 5."""
+    if draw(st.booleans()):
+        return SPIN, draw(st.integers(1, 5)), (-1.5, 3.5)
+    twice_r1 = draw(st.integers(1, 5))
+    twice_r2 = draw(st.integers(twice_r1 + 1, 6))
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=twice_r1 / 2, r2=twice_r2 / 2,
+                      t=draw(st.floats(0.0, 1.0)))
+    rsum = model.r1 + model.r2
+    return model, draw(st.integers(1, 3)), (-rsum, rsum)
+
+
+@settings(deadline=None)
+@given(mk=small_models(), lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0))
+def test_closed_form_sizes_and_unbounded_count(mk, lo, width):
+    model, k, (xmin, xmax) = mk
+    xlo = xmin + lo * (xmax - xmin)
+    xhi = xlo + width * (xmax - xlo)
+    spec = joint_spectrum(model, k, Rect(xmin, xmax, -np.inf, np.inf))
+    # no column within rounding of a window edge
+    assume(np.min(np.abs(np.unique(spec.x)[:, None] - [xlo, xhi])) > 1e-6)
+    expected = int(np.sum((xlo <= spec.x) & (spec.x <= xhi)))
+    assert ModelCounter(model, [k]).count(k, xlo, xhi) == expected
+    try:
+        blocks = build_blocks(model, k, (xlo, xhi))
+    except EmptyWindow:
+        assert expected == 0
+        return
+    assert blocks.sizes.tolist() == [b.size for b in blocks]
+
+
+@settings(deadline=None)
+@given(mk=small_models(), lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0),
+       ylo=st.one_of(st.just(-np.inf), st.floats(-2.0, 2.0)),
+       yhi=st.one_of(st.just(np.inf), st.floats(-2.0, 2.0)))
+def test_sturm_counts_match_lapack(mk, lo, width, ylo, yhi):
+    model, k, (xmin, xmax) = mk
+    xlo = xmin + lo * (xmax - xmin)
+    xhi = xlo + width * (xmax - xlo)
+    assume(ylo <= yhi)
+    try:
+        blocks = build_blocks(model, k, (xlo, xhi))
+    except EmptyWindow:
+        return
+    expected = 0
+    for b in blocks:
+        ev = b.eigenvalues()
+        # no eigenvalue within rounding of a y edge
+        assume(np.min(np.abs(ev[:, None] - [ylo, yhi])) > 1e-9)
+        below = np.searchsorted(ev, [ylo, yhi])
+        for y, n in zip((ylo, yhi), below):
+            if np.isfinite(y):
+                assert sturm_count_below(b.diag, b.offdiag, y) == n
+        expected += int(below[1] - below[0])
+    assert ModelCounter(model, [k]).count(k, xlo, xhi, ylo, yhi) == expected
+
+
+def test_j_check_guards_count_only_windows(monkeypatch):
+    # below the rounding floor of the J eigenvalues: coupled k = 3 has a
+    # spread of 4.4e-16 in block 0, which lies outside the counted window,
+    # yet the check covers every block of the k before any count is returned
+    monkeypatch.setattr(models, "TOL", dataclasses.replace(models.TOL, block_j_rel=0.0))
+    models._check_block_j_consistency.cache_clear()
+    with pytest.raises(CommutatorViolation, match="block 0"):
+        ModelCounter(COUPLED, [3]).count(3, -1.0, 1.0)
 
 
 @pytest.mark.parametrize("k", [1, 2])
