@@ -19,7 +19,14 @@ from .config import RunConfig
 from .errors import ConfigurationError, LabellingError, NumericalFailure, SemitoricError
 from .geometry import Rect
 from .invariants import detect_kinks, dh_profile
-from .lattice import label_half_lattice, label_regular, select_affine_basis, synth_lattice
+from .lattice import (
+    PointCloud,
+    label_half_lattice,
+    label_regular,
+    label_semitoric,
+    select_affine_basis,
+    synth_lattice,
+)
 from .models import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
@@ -32,7 +39,6 @@ from .pipeline import (
     ModelCounter,
     default_dh_grid,
     default_strip,
-    labelled_window,
     polygon_reference_distance,
     polygon_run,
     recover_all,
@@ -53,11 +59,11 @@ FIGURES = (("dxfr", "dx_fr"), ("dyfr", "dy_fr"), ("sigma1", "sigma1_priv"),
 POLYGON_BUDGET = {SPIN_OSCILLATOR: 6.0, COUPLED_ANGULAR_MOMENTA: 8.0}
 
 
-def _model_from_args(args) -> ModelSpec:
-    kind = MODEL_NAMES.get(args.model)
+def _model(cfg: RunConfig) -> ModelSpec:
+    kind = MODEL_NAMES.get(cfg.model)
     if kind is None:
-        raise ConfigurationError(f"unknown model {args.model!r}")
-    return ModelSpec(kind, r1=args.r1, r2=args.r2, t=args.t)
+        raise ConfigurationError(f"unknown model {cfg.model!r}")
+    return ModelSpec(kind, r1=cfg.r1, r2=cfg.r2, t=cfg.t)
 
 
 def _config_from_args(args) -> RunConfig:
@@ -104,7 +110,7 @@ def _write(path: Path, text: str) -> None:
 
 def cmd_spectrum(args) -> int:
     cfg = _config_from_args(args)
-    model = ModelSpec(MODEL_NAMES[cfg.model], r1=cfg.r1, r2=cfg.r2, t=cfg.t)
+    model = _model(cfg)
     if not cfg.probes.k_list:
         raise ConfigurationError("empty k list")
     out = _outdir(cfg)
@@ -119,13 +125,13 @@ def cmd_spectrum(args) -> int:
 
 def cmd_label(args) -> int:
     cfg = _config_from_args(args)
-    model = ModelSpec(MODEL_NAMES[cfg.model], r1=cfg.r1, r2=cfg.r2, t=cfg.t)
+    model = _model(cfg)
     out = _outdir(cfg)
     lo, hi = default_strip(model)
     for k in cfg.probes.k_list:
-        ls = labelled_window(model, k, Rect(lo, hi, -2.6, 2.6))
+        cloud = PointCloud(k, joint_spectrum(model, k, Rect(lo, hi, -2.6, 2.6)).as_array())
+        pts, labs, _ = label_semitoric(cloud, seed_x=hi).arrays(cloud)
         lines = ["k,x,y,j,l"]
-        pts, labs, _ = ls.labelling.arrays(ls.cloud)
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         for i in order:
             lines.append(f"{k},{pts[i,0]:.17g},{pts[i,1]:.17g},{labs[i,0]},{labs[i,1]}")
@@ -135,7 +141,7 @@ def cmd_label(args) -> int:
 
 def cmd_invariants(args) -> int:
     cfg = _config_from_args(args)
-    model = ModelSpec(MODEL_NAMES[cfg.model], r1=cfg.r1, r2=cfg.r2, t=cfg.t)
+    model = _model(cfg)
     out = _outdir(cfg)
     report = recover_all(model, cfg)
     _write(out / "invariants.json", json.dumps(report, indent=2, sort_keys=True))
@@ -158,7 +164,7 @@ def _write_figures(out: Path, model: ModelSpec, report: dict) -> None:
 
 def cmd_polygon(args) -> int:
     cfg = _config_from_args(args)
-    model = ModelSpec(MODEL_NAMES[cfg.model], r1=cfg.r1, r2=cfg.r2, t=cfg.t)
+    model = _model(cfg)
     out = _outdir(cfg)
     k = cfg.probes.k_list[-1]
     strip = default_strip(model)
@@ -181,7 +187,7 @@ def cmd_polygon(args) -> int:
 
 def cmd_dh(args) -> int:
     cfg = _config_from_args(args)
-    model = ModelSpec(MODEL_NAMES[cfg.model], r1=cfg.r1, r2=cfg.r2, t=cfg.t)
+    model = _model(cfg)
     out = _outdir(cfg)
     k = cfg.probes.k_list[-1]
     delta = args.delta if args.delta is not None else 0.25

@@ -55,6 +55,12 @@ class ProbeConfig:
             raise ValueError("x_schedule must be strictly decreasing and positive")
         if not 0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
+        # the recovery fits each mu's log expansion through at least 6 x
+        # values, and its order-1 jet and Taylor solves take n + 2 = 3 mus
+        if len(self.x_taylor) < 6:
+            raise ValueError("x_taylor needs at least 6 values")
+        if len(self.mu_list) != 3 or len(set(self.mu_list)) != 3:
+            raise ValueError("mu_list must hold 3 distinct values")
 
 
 @dataclass
@@ -77,24 +83,39 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":
-        """Read a config file; an unreadable file or a key that names no
-        field raises ConfigurationError."""
+        """Read a config file; an unreadable file, a key that names no field
+        or a value of the wrong JSON type raises ConfigurationError."""
         try:
             raw = json.loads(Path(path).read_text())
         except OSError as e:
             raise ConfigurationError(f"cannot read config {path}: {e.strerror}") from e
-        _check_keys(cls, raw, "config")
+        _check_fields(cls, raw, "config")
         probes = raw.pop("probes", {})
-        _check_keys(ProbeConfig, probes, "probes")
+        _check_fields(ProbeConfig, probes, "probes")
         return cls(probes=ProbeConfig(**probes), **raw)
 
 
-def _check_keys(kind, raw, where: str) -> None:
+# JSON type of each field annotation (bool, a JSON type of its own, is no number)
+_JSON_TYPES = {"str": str, "int": int, "float": (int, float), "ProbeConfig": dict}
+
+
+def _is_json(value, annotation: str) -> bool:
+    if annotation.startswith("list["):
+        return isinstance(value, list) and all(_is_json(v, annotation[5:-1]) for v in value)
+    return not isinstance(value, bool) and isinstance(value, _JSON_TYPES[annotation])
+
+
+def _check_fields(kind, raw, where: str) -> None:
     if not isinstance(raw, dict):
         raise ConfigurationError(f"{where} must be a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(kind)})
+    types = {f.name: f.type for f in fields(kind)}
+    unknown = sorted(set(raw) - set(types))
     if unknown:
         raise ConfigurationError(f"unknown {where} key(s): {', '.join(unknown)}")
+    for name, value in raw.items():
+        if not _is_json(value, types[name]):
+            raise ConfigurationError(
+                f"{where} key {name!r} must be {types[name]}, got {json.dumps(value)}")
 
 
 TOL = Tolerances()

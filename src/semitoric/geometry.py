@@ -39,12 +39,6 @@ class Rect:
             min(self.ymax, other.ymax),
         )
 
-    def shrink(self, margin: float) -> "Rect":
-        return Rect(
-            self.xmin + margin, self.xmax - margin,
-            self.ymin + margin, self.ymax - margin,
-        )
-
     @property
     def empty(self) -> bool:
         return self.xmax <= self.xmin or self.ymax <= self.ymin

@@ -52,14 +52,6 @@ class FrJet:
         """Tangent slope of the radial curve: -dx f_r / dy f_r."""
         return -self.dx / self.dy
 
-    def directional(self, mu: float, order: int) -> float:
-        """d^order/dx^order of f_r(x, mu x) at 0, divided by order!."""
-        return sum(
-            self.derivs.get((a, order - a), 0.0) * mu ** (order - a)
-            / (math.factorial(a) * math.factorial(order - a))
-            for a in range(order + 1)
-        )
-
 
 @dataclass
 class TaylorInvariant:

@@ -26,29 +26,13 @@ __all__ = [
 ]
 
 
-def hausdorff(set_a, set_b, optimize_translation: bool = False):
-    """Two-sided Hausdorff distance between finite point sets.
-
-    With optimize_translation, minimized over translations of set_a
-    (coarse centroid start + Nelder-Mead); returns (distance, shift).
-    """
-    from scipy.optimize import minimize
+def hausdorff(set_a, set_b) -> float:
+    """Two-sided Hausdorff distance between finite point sets."""
     from scipy.spatial import cKDTree
 
     A = np.atleast_2d(np.asarray(set_a, dtype=float))
     B = np.atleast_2d(np.asarray(set_b, dtype=float))
-    tb = cKDTree(B)
-
-    def dist(shift):
-        ta = cKDTree(A + shift)
-        return max(tb.query(A + shift)[0].max(), ta.query(B)[0].max())
-
-    if not optimize_translation:
-        return dist(np.zeros(2)), np.zeros(2)
-    t0 = B.mean(axis=0) - A.mean(axis=0)
-    res = minimize(dist, t0, method="Nelder-Mead",
-                   options={"xatol": 1e-4, "fatol": 1e-4, "maxiter": 400})
-    return float(res.fun), res.x
+    return max(cKDTree(B).query(A)[0].max(), cKDTree(A).query(B)[0].max())
 
 
 @dataclass

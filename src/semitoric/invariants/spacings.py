@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import MissingNeighbor
-from ..lattice import Labelling, PointCloud
 
 __all__ = ["A1A2Sample", "LabelledSpectrum"]
 
@@ -39,49 +38,42 @@ class A1A2Sample:
 
 
 class LabelledSpectrum:
-    """A point cloud together with an integer labelling, column-indexed."""
+    """Eigenvalue ladders of the columns of a joint spectrum, labelled (j, l).
 
-    def __init__(self, cloud: PointCloud, labelling: Labelling,
-                 origin: tuple[float, float] | None = None):
-        self.cloud = cloud
-        self.labelling = labelling
-        self.k = cloud.k
-        self.hbar = cloud.hbar
+    ``column_x`` maps each column label j to the column's abscissa; columns
+    adjacent in x carry adjacent labels.  ``ladder(j)`` returns the
+    ascending row labels l of column j and their heights; it is called the
+    first time an estimator reads column j, and its result is kept.
+    """
+
+    def __init__(self, k: int, column_x, ladder, origin: tuple[float, float] | None = None):
+        self.k = k
+        self.hbar = 1.0 / k
+        self.column_x = dict(sorted(column_x.items()))  # nearest_column ties go to the smaller j
         self.origin = origin   # per-k estimate of the focus-focus value
-        self._ladders: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        pts, lab, _ = labelling.arrays(cloud)
-        order = np.lexsort((lab[:, 1], lab[:, 0]))
-        js, starts = np.unique(lab[order, 0], return_index=True)
-        split = [np.split(a[order], starts[1:]) for a in (lab[:, 1], pts[:, 1], pts[:, 0])]
-        for j, ls, ys, xs in zip(js.tolist(), *split):
+        self._solve = ladder
+        self._ladders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def ladder(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        """(ascending l, heights) of column j."""
+        if j not in self._ladders:
+            if j not in self.column_x:
+                raise MissingNeighbor(f"no column j={j}")
+            ls, ys = self._solve(j)
             if np.any(np.diff(ys) <= 0):
                 raise MissingNeighbor(f"column {j} is not monotone in ell")
-            self._ladders[j] = (ls, ys, float(np.mean(xs)))
-
-    @property
-    def columns(self):
-        return self._ladders
-
-    def column_x(self, j: int) -> float:
-        return self._ladders[j][2]
+            self._ladders[j] = (ls, ys)
+        return self._ladders[j]
 
     def nearest_column(self, x: float) -> int:
-        return min(self._ladders, key=lambda j: abs(self._ladders[j][2] - x))
+        return min(self.column_x, key=lambda j: abs(self.column_x[j] - x))
 
     def energy(self, j: int, l: int) -> float:
-        if j not in self._ladders:
-            raise MissingNeighbor(f"no column j={j}")
-        ls, ys, _ = self._ladders[j]
+        ls, ys = self.ladder(j)
         pos = np.searchsorted(ls, l)
         if pos >= len(ls) or ls[pos] != l:
             raise MissingNeighbor(f"label ({j},{l}) absent")
         return float(ys[pos])
-
-    def anchor_near(self, c) -> tuple[int, int]:
-        """Label of the point nearest the probe (column first, then height)."""
-        j = self.nearest_column(c[0])
-        ls, ys, _ = self._ladders[j]
-        return j, int(ls[np.argmin(np.abs(ys - c[1]))])
 
     # -- estimators --------------------------------------------------------
 
@@ -94,16 +86,15 @@ class LabelledSpectrum:
         e10 = self.energy(j + 1, l)
         ratio = (e00 - e10) / self.hbar
         a2 = self.hbar / (e01 - e00)
-        return A1A2Sample((self.column_x(j), e00), self.k, ratio, a2, ratio * a2)
+        return A1A2Sample((self.column_x[j], e00), self.k, ratio, a2, ratio * a2)
 
     def a1a2_interpolated(self, c) -> A1A2Sample:
         """Same functionals evaluated at the exact probe height c[1] by local
         quadratic interpolation of spacings and row differences."""
         j = self.nearest_column(c[0])
-        if j + 1 not in self._ladders:
-            raise MissingNeighbor(f"no column j={j + 1}")
-        ls0, ys0, x0 = self._ladders[j]
-        ls1, ys1, _ = self._ladders[j + 1]
+        ls0, ys0 = self.ladder(j)
+        ls1, ys1 = self.ladder(j + 1)
+        x0 = self.column_x[j]
         y = float(c[1])
         mids = 0.5 * (ys0[1:] + ys0[:-1])
         sp = np.diff(ys0)

@@ -36,7 +36,7 @@ import numpy as np
 from ..config import TOL
 from ..errors import DuplicateMu, IllConditioned
 from .extrap import hbar_limit
-from .jets import FrJet
+from .jets import FrJet, _origin_of
 from .spacings import LabelledSpectrum
 
 __all__ = [
@@ -171,9 +171,8 @@ def g_mu_sample(family: dict[int, LabelledSpectrum], origin, mu: float,
     for x in sorted(x_schedule, reverse=True):
         vals = []
         for k in ks:
-            spec = family[k]
-            x0, y0 = spec.origin if getattr(spec, "origin", None) is not None else origin
-            s = spec.a1a2_interpolated((x0 + x, y0 + mu * x))
+            x0, y0 = _origin_of(family[k], origin)
+            s = family[k].a1a2_interpolated((x0 + x, y0 + mu * x))
             vals.append(s.a1 + mu * s.a2)
         samples.append((x, hbar_limit(ks, vals)[0]))
     return GMuExpansion(mu, samples)

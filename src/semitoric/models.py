@@ -45,6 +45,7 @@ __all__ = [
     "BlockSequence",
     "JointSpectrum",
     "build_blocks",
+    "block_spectrum",
     "joint_spectrum",
     "dense_oracle_spectrum",
     "spectrum_to_csv",
@@ -75,13 +76,6 @@ class ModelSpec:
             for r in (self.r1, self.r2):
                 if abs(2 * k * r - round(2 * k * r)) > 1e-9:
                     raise DimensionMismatch(f"2*k*r = {2 * k * r} is not an integer")
-
-    def focus_focus_value(self) -> tuple[float, float]:
-        """Known critical value, for reference output only (the recovery
-        pipeline estimates its own)."""
-        if self.kind == SPIN_OSCILLATOR:
-            return (1.0, 0.0)
-        return (self.r1 - self.r2, 0.0)
 
 
 @dataclass(frozen=True)
@@ -197,14 +191,15 @@ def _coupled_block(model: ModelSpec, k: int, s: int) -> TridiagonalBlock:
 
 
 class BlockSequence(Sequence):
-    """The J-blocks of one window, in ascending block id.  ``sizes`` holds
-    the block dimensions in closed form; a block's matrix is built only when
-    the block is accessed."""
+    """The J-blocks of one window, in ascending block id.  ``sizes`` and
+    ``j_values`` hold the block dimensions and J eigenvalues in closed form;
+    a block's matrix is built only when the block is accessed."""
 
     def __init__(self, model: ModelSpec, k: int, ids: range):
         self.model, self.k, self.ids = model, k, ids
         lo, hi = _chain_bounds(model, k, np.asarray(ids))
         self.sizes = hi - lo + 1
+        self.j_values = _j_value(model, k, np.asarray(ids))
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -265,6 +260,19 @@ def _check_block_j_consistency(model: ModelSpec, k: int) -> None:
         raise CommutatorViolation(f"block {s}: J eigenvalue spread {spread[s]:.3e}")
 
 
+def block_spectrum(blocks: BlockSequence, ylo: float = -np.inf,
+                   yhi: float = np.inf) -> JointSpectrum:
+    """Joint eigenvalues of the given blocks, each solved in full; y is cut
+    to [ylo, yhi] after idx has counted the whole block."""
+    columns = []
+    for b in blocks:
+        ev = b.eigenvalues()
+        if np.any(np.diff(ev) <= 0):
+            raise CommutatorViolation(f"non-simple spectrum in block {b.block_id}")
+        columns.append((b.j_value, b.block_id, ev))
+    return _spectrum(blocks.k, columns, ylo, yhi)
+
+
 def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> JointSpectrum:
     """All joint eigenvalues (x, y) with x in the window's x-range; y filtered
     to the window's y-range but indexed by position in the full block spectrum."""
@@ -274,13 +282,7 @@ def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> Join
         rsum = model.r1 + model.r2
         window = Rect(-rsum, rsum, -2.0, 2.0)
     blocks = build_blocks(model, k, (window.xmin, window.xmax))
-    columns = []
-    for b in blocks:
-        ev = b.eigenvalues()
-        if np.any(np.diff(ev) <= 0):
-            raise CommutatorViolation(f"non-simple spectrum in block {b.block_id}")
-        columns.append((b.j_value, b.block_id, ev))
-    return _spectrum(k, columns, window.ymin, window.ymax)
+    return block_spectrum(blocks, window.ymin, window.ymax)
 
 
 # ---------------------------------------------------------------------------

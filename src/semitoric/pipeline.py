@@ -2,8 +2,9 @@
 
 The recovery is self-contained: the focus-focus value is located from the
 spectrum (Duistermaat-Heckman kinks, then the log-peak of inverse level
-spacings), probe neighborhoods to its right are labelled by column
-transport, and every invariant is extracted by the double-limit schedules.
+spacings), probe neighborhoods to its right are labelled by (J-block,
+position in the block), and every invariant is extracted by the
+double-limit schedules.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .models import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
     ModelSpec,
+    block_spectrum,
     build_blocks,
     joint_spectrum,
 )
@@ -48,7 +50,6 @@ from .tridiag import sturm_count_below
 __all__ = [
     "ModelCounter",
     "column_ladder",
-    "labelled_window",
     "build_probe_family",
     "locate_critical_values",
     "recover_all",
@@ -107,14 +108,6 @@ def column_ladder(model: ModelSpec, k: int, x: float, y_window=None):
     return b.j_value, b.eigenvalues(y_window)
 
 
-def labelled_window(model: ModelSpec, k: int, window: Rect,
-                    seed_x: float | None = None) -> LabelledSpectrum:
-    spec = joint_spectrum(model, k, window)
-    cloud = PointCloud(k, spec.as_array())
-    lab = label_semitoric(cloud, seed_x=window.xmax if seed_x is None else seed_x)
-    return LabelledSpectrum(cloud, lab)
-
-
 def refine_origin(model: ModelSpec, k: int, origin) -> tuple[float, float]:
     """Per-k estimate of the focus-focus value: exact column abscissa plus
     the spacing-minimum ordinate at this k.  Probes measure offsets from the
@@ -131,8 +124,7 @@ def refine_origin(model: ModelSpec, k: int, origin) -> tuple[float, float]:
 
 
 def build_probe_family(model: ModelSpec, origin, probes: ProbeConfig) -> dict[int, LabelledSpectrum]:
-    """Labelled spectra covering all radial probes, one consistent labelling
-    per k (a single transport sweep keeps the action choice fixed).
+    """Labelled spectra covering all radial probes, one per k.
 
     Each LabelledSpectrum carries its own per-k refinement of the
     focus-focus value in the .origin attribute.
@@ -150,10 +142,24 @@ def build_probe_family(model: ModelSpec, origin, probes: ProbeConfig) -> dict[in
             ox + 0.45 * x_min, ox + reach + 4.0 / k,
             oy - 1.3 * reach - pad, oy + 1.3 * reach + pad,
         )
-        ls = labelled_window(model, k, window)
-        ls.origin = (ox, oy)
-        family[k] = ls
+        family[k] = _block_labelled(model, k, window, (ox, oy))
     return family
+
+
+def _block_labelled(model: ModelSpec, k: int, window: Rect, origin) -> LabelledSpectrum:
+    """The window's columns labelled (j, l) = (sign * block id, idx), a
+    lattice label since J's spectrum is an exact hbar-lattice of columns;
+    sign makes j grow with x.  A column is solved when first read."""
+    blocks = build_blocks(model, k, (window.xmin, window.xmax))
+    sign = 1 if model.kind == SPIN_OSCILLATOR else -1
+
+    def ladder(j):
+        i = blocks.ids.index(sign * j)
+        spec = block_spectrum(blocks[i:i + 1], window.ymin, window.ymax)
+        return spec.idx, spec.y
+
+    js = sign * np.asarray(blocks.ids)
+    return LabelledSpectrum(k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder, origin)
 
 
 def locate_critical_values(model: ModelSpec, k_locate: int = 200,
@@ -337,8 +343,7 @@ def polygon_reference_distance(model: ModelSpec, est, strip, h: float):
     tx = est.x_translation
 
     def dist(ty):
-        d, _ = hausdorff(est.cloud + np.array([tx, ty]), theory)
-        return d
+        return hausdorff(est.cloud + np.array([tx, ty]), theory)
 
     y0 = float(np.median(theory[:, 1])) - float(np.median(est.cloud[:, 1]))
     res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0, y0 + 2 * h),

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import semitoric
+import semitoric.models
 import semitoric.pipeline
 from semitoric.cli import main
 from semitoric.invariants import hbar_limit
@@ -60,7 +61,15 @@ def test_bad_schedule_exits_2(tmp_path):
     {"model": "coupled", "k_list": [2]},
     {"model": "coupled", "probes": {"hbar_fit_order": 7}},
     None,
-], ids=["unknown-key", "unknown-probes-key", "missing-file"])
+    {"model": "coupled-angular-momenta", "r1": "x"},
+    {"probes": {"x_schedule": [0.02, "a"]}},
+    {"probes": {"k_list": "abc"}},
+    {"probes": {"x_taylor": [0.02, 0.01]}},
+    {"probes": {"mu_list": [1.0, 1.0, 2.0]}},
+    {"model": "spin"},
+], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
+        "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
+        "unknown-model"])
 def test_bad_config_file_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -104,14 +113,21 @@ def test_config_file_and_flag_override(tmp_path):
 
 @pytest.mark.slow
 def test_invariants_command_small(tmp_path, monkeypatch):
-    builds = []
+    families, solves = [], []
     build = semitoric.pipeline.build_probe_family
+    solve = semitoric.models.eigs_sym_tridiagonal
 
     def counted(*args, **kwargs):
-        builds.append(args)
-        return build(*args, **kwargs)
+        solves.clear()
+        families.append(build(*args, **kwargs))
+        return families[-1]
+
+    def counted_solve(*args, **kwargs):
+        solves.append(args)
+        return solve(*args, **kwargs)
 
     monkeypatch.setattr(semitoric.pipeline, "build_probe_family", counted)
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", counted_solve)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "model": "spin-oscillator", "r1": 1.0, "r2": 2.5, "t": 0.5,
@@ -128,7 +144,9 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     report = json.loads((tmp_path / "invariants.json").read_text())
     for key in ("focus_focus", "fr_jet", "sigma1_0", "twisting_p", "S", "quadratic_mixed"):
         assert key in report
-    assert len(builds) == 1
+    assert len(families) == 1
+    # a probe column is solved only when an estimator reads it
+    assert len(solves) < sum(len(sp.column_x) for sp in families[0].values())
     # the figures are the per-k samples behind the reported limits
     per_k = report["diagnostics"]["per_k"]
     assert per_k["k"] == [100, 200] and per_k["x"] == 0.01

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
+from semitoric.config import ProbeConfig
 from semitoric.errors import MissingNeighbor, SignError
-from semitoric.lattice import Labelling, PointCloud
+from semitoric.lattice import Labelling, PointCloud, label_semitoric
 from semitoric.invariants import (
     FrJet,
     LabelledSpectrum,
@@ -13,21 +15,17 @@ from semitoric.invariants import (
     recover_sigma1,
     twisting_and_privileged,
 )
+from semitoric.pipeline import build_probe_family
 
 
 def grid_spectrum(k, alpha, beta, x_range=(-0.4, 0.4), y_range=(-0.4, 0.4)):
     """Labelled lattice with chart G0(xi) = (xi1, alpha xi1 + beta xi2):
     the inverse Jacobian has a1 = -alpha/beta, a2 = 1/beta."""
     h = 1.0 / k
-    pts, lab = [], {}
-    i = 0
-    for j in range(int(x_range[0] / h), int(x_range[1] / h) + 1):
-        for l in range(int(y_range[0] / h), int(y_range[1] / h) + 1):
-            pts.append((h * j, alpha * h * j + beta * h * l))
-            lab[i] = (j, l)
-            i += 1
-    cloud = PointCloud(k, np.array(pts))
-    return LabelledSpectrum(cloud, Labelling(lab))
+    js = range(int(x_range[0] / h), int(x_range[1] / h) + 1)
+    ls = np.arange(int(y_range[0] / h), int(y_range[1] / h) + 1)
+    return LabelledSpectrum(k, {j: h * j for j in js},
+                            lambda j: (ls, alpha * h * j + beta * h * ls))
 
 
 def test_identity_chart_a1_a2():
@@ -50,9 +48,31 @@ def test_linear_chart_inverse_jacobian(alpha, beta):
 
 def test_missing_neighbor():
     ls = grid_spectrum(10, 0.0, 1.0)
-    top = max(l for _, l in ls.labelling.assignment.values())
+    top = ls.ladder(0)[0].max()
     with pytest.raises(MissingNeighbor):
         ls.a1a2_anchored((0, top))
+
+
+@pytest.mark.parametrize("model,origin", [
+    (ModelSpec(SPIN_OSCILLATOR), (1.0, 0.0)),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), (-1.5, 0.0)),
+], ids=["spin-oscillator", "coupled"])
+def test_block_labels_are_column_transport_labels(model, origin):
+    # J's spectrum is an exact hbar-lattice of columns, so the probe family's
+    # (sign * block, idx) labels are the column-transport labels of the same
+    # points up to one translation
+    family = build_probe_family(model, origin, ProbeConfig(k_list=[40, 80]))
+    for k, sp in family.items():
+        ladders = {j: sp.ladder(j) for j in sp.column_x}
+        pts = np.concatenate([np.column_stack((np.full(len(ys), sp.column_x[j]), ys))
+                              for j, (_, ys) in ladders.items()])
+        labels = np.concatenate([np.column_stack((np.full(len(ls), j), ls))
+                                 for j, (ls, _) in ladders.items()])
+        cloud = PointCloud(k, pts)
+        _, transport, idx = label_semitoric(cloud, seed_x=pts[:, 0].max()).arrays(cloud)
+        shift = transport - labels[idx]
+        assert len(shift) > 300
+        assert (shift == shift[0]).all()
 
 
 # -- manufactured spectra with a prescribed normal form ----------------------
