@@ -55,10 +55,13 @@ class ProbeConfig:
             raise ValueError("x_schedule must be strictly decreasing and positive")
         if not 0 < self.delta < 0.5:
             raise ValueError("delta must lie in (0, 1/2)")
-        # the recovery fits each mu's log expansion through at least 6 x
-        # values, and its order-1 jet and Taylor solves take n + 2 = 3 mus
-        if len(self.x_taylor) < 6:
-            raise ValueError("x_taylor needs at least 6 values")
+        # the gradient scale 2 pi / ln(mu) is undefined at mu <= 0 and mu = 1
+        if not (self.mu > 0 and self.mu != 1):
+            raise ValueError("mu must be positive and different from 1")
+        # the recovery fits each mu's log expansion in ln x through at least
+        # 6 x values, and its order-1 jet and Taylor solves take n + 2 = 3 mus
+        if len(self.x_taylor) < 6 or min(self.x_taylor) <= 0:
+            raise ValueError("x_taylor needs at least 6 values, all positive")
         if len(self.mu_list) != 3 or len(set(self.mu_list)) != 3:
             raise ValueError("mu_list must hold 3 distinct values")
 

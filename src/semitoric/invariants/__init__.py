@@ -10,10 +10,10 @@ from .extrap import circle_distance, hbar_limit, loglog_slope, x_limit
 from .jets import (
     FrJet,
     TaylorInvariant,
+    probe_samples,
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,
-    twisting_and_privileged,
 )
 from .polygon import (
     PolygonEstimate,

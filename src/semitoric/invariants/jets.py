@@ -8,22 +8,20 @@ over the k family, then send x -> 0 along the schedule.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ActionDiscontinuity, SignError
-from ..lattice import Labelling
 from .extrap import hbar_limit, x_limit
-from .spacings import LabelledSpectrum
+from .spacings import A1A2Sample, LabelledSpectrum
 
 __all__ = [
     "FrJet",
     "TaylorInvariant",
+    "probe_samples",
     "recover_fr_gradient",
     "recover_sigma1",
-    "twisting_and_privileged",
     "recover_S01",
 ]
 
@@ -75,8 +73,16 @@ class TaylorInvariant:
         return self.s_coeffs.get((0, 1), float("nan"))
 
 
-def _origin_of(spec: LabelledSpectrum, fallback) -> tuple[float, float]:
-    return spec.origin if getattr(spec, "origin", None) is not None else fallback
+def probe_samples(family: dict[int, LabelledSpectrum], origin, dx: float,
+                  dy: float) -> list[A1A2Sample]:
+    """a1a2_interpolated at the offset (dx, dy) from each k's own origin
+    (``origin`` where a spectrum carries none), in ascending k."""
+    out = []
+    for k in sorted(family):
+        spec = family[k]
+        x0, y0 = spec.origin if getattr(spec, "origin", None) is not None else origin
+        out.append(spec.a1a2_interpolated((x0 + dx, y0 + dy)))
+    return out
 
 
 def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x,
@@ -95,13 +101,10 @@ def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x,
     per_x_1, per_x_2 = [], []
     slopes, per_k = {}, {}
     for xx in xs:
-        d1, d2 = [], []
-        for k in ks:
-            x0, y0 = _origin_of(family[k], origin)
-            near = family[k].a1a2_interpolated((x0 + xx, y0))
-            far = family[k].a1a2_interpolated((x0 + mu * xx, y0))
-            d1.append(near.a1 - far.a1)
-            d2.append(near.a2 - far.a2)
+        pairs = list(zip(probe_samples(family, origin, xx, 0.0),
+                         probe_samples(family, origin, mu * xx, 0.0)))
+        d1 = [near.a1 - far.a1 for near, far in pairs]
+        d2 = [near.a2 - far.a2 for near, far in pairs]
         lim1, info1 = hbar_limit(ks, d1)
         lim2, info2 = hbar_limit(ks, d2)
         per_x_1.append(scale * lim1)
@@ -122,12 +125,7 @@ def _sigma_tilde(family, origin, s0, x):
     with detection (and unipotent correction) of integer action jumps;
     returns (limit, hbar slope, corrected per-k values)."""
     ks = sorted(family)
-    vals = []
-    for k in ks:
-        x0, y0 = _origin_of(family[k], origin)
-        s = family[k].a1a2_interpolated((x0 + x, y0 + s0 * x))
-        vals.append(s.a1 + s0 * s.a2)
-    vals = np.array(vals)
+    vals = np.array([s.a1 + s0 * s.a2 for s in probe_samples(family, origin, x, s0 * x)])
     med = np.median(vals)
     jumps = np.round(vals - med)
     if np.any(jumps != 0):
@@ -167,15 +165,6 @@ def recover_sigma1(family: dict[int, LabelledSpectrum], origin, s0: float,
     return val, info
 
 
-def twisting_and_privileged(sigma1_0: float, labelling: Labelling) -> tuple[int, Labelling]:
-    """p = floor(sigma1(0)); the privileged relabelling is (j,l) -> (j, l - p*j)."""
-    p = math.floor(sigma1_0)
-    if p == 0:
-        return 0, labelling
-    priv = labelling.compose_affine([[1, 0], [-p, 1]], (0, 0))
-    return p, priv
-
-
 def recover_S01(family: dict[int, LabelledSpectrum], origin, s0: float,
                 dy_fr: float, x_schedule) -> tuple[float, dict]:
     """S_{0,1} = lim lim ( hbar / (dy f_r(0) (E_(j,l+1)-E_(j,l))) + ln(x)/2pi ).
@@ -189,11 +178,8 @@ def recover_S01(family: dict[int, LabelledSpectrum], origin, s0: float,
     per_x = []
     slopes, per_k = {}, {}
     for x in xs:
-        vals = []
-        for k in ks:
-            x0, y0 = _origin_of(family[k], origin)
-            s = family[k].a1a2_interpolated((x0 + x, y0 + s0 * x))
-            vals.append(s.a2 / dy_fr + np.log(x) / (2 * np.pi))
+        vals = [s.a2 / dy_fr + np.log(x) / (2 * np.pi)
+                for s in probe_samples(family, origin, x, s0 * x)]
         lim, inf = hbar_limit(ks, vals)
         per_x.append(lim)
         slopes[x] = inf["slope"]

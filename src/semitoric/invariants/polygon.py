@@ -27,12 +27,15 @@ __all__ = [
 
 
 def hausdorff(set_a, set_b) -> float:
-    """Two-sided Hausdorff distance between finite point sets."""
+    """Two-sided Hausdorff distance between finite point sets.  ``set_b``
+    may be given as a ``cKDTree`` of its points, so that a caller measuring
+    many sets against the same one builds its tree once."""
     from scipy.spatial import cKDTree
 
     A = np.atleast_2d(np.asarray(set_a, dtype=float))
-    B = np.atleast_2d(np.asarray(set_b, dtype=float))
-    return max(cKDTree(B).query(A)[0].max(), cKDTree(A).query(B)[0].max())
+    if not isinstance(set_b, cKDTree):
+        set_b = cKDTree(np.atleast_2d(np.asarray(set_b, dtype=float)))
+    return max(set_b.query(A)[0].max(), cKDTree(A).query(set_b.data)[0].max())
 
 
 @dataclass

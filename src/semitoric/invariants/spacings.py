@@ -90,7 +90,7 @@ class LabelledSpectrum:
 
     def a1a2_interpolated(self, c) -> A1A2Sample:
         """Same functionals evaluated at the exact probe height c[1] by local
-        quadratic interpolation of spacings and row differences."""
+        cubic interpolation of spacings and row differences."""
         j = self.nearest_column(c[0])
         ls0, ys0 = self.ladder(j)
         ls1, ys1 = self.ladder(j + 1)
@@ -98,19 +98,23 @@ class LabelledSpectrum:
         y = float(c[1])
         mids = 0.5 * (ys0[1:] + ys0[:-1])
         sp = np.diff(ys0)
-        s_t = _interp3(mids, sp, y)
+        s_t = _interp_cubic(mids, sp, y)
         _, i0, i1 = np.intersect1d(ls0, ls1, assume_unique=True, return_indices=True)
         if len(i0) < 2:
             raise MissingNeighbor("columns share fewer than 2 labels")
-        d_t = _interp3(ys0[i0], ys0[i0] - ys1[i1], y)
+        d_t = _interp_cubic(ys0[i0], ys0[i0] - ys1[i1], y)
         ratio = d_t / self.hbar
         a2 = self.hbar / s_t
         return A1A2Sample((x0, y), self.k, ratio, a2, d_t / s_t)
 
 
-def _interp3(xs, ys, x):
-    if len(xs) < 3:
-        return float(np.interp(x, xs, ys))
-    i = np.argsort(np.abs(xs - x))[:3]
-    return float(np.polyval(np.polyfit(xs[i], ys[i], 2), x))
+def _interp_cubic(xs, ys, x):
+    """Value at x of the cubic through the two ascending nodes below x and
+    the two above it (the four end nodes near an end of xs; fewer nodes,
+    a lower degree).  The stencil depends on where x lies among the nodes,
+    not on distance ranks, so the interpolant is continuous in x: nodes
+    symmetric about x leave no tie for rounding noise in x to break."""
+    i = min(max(int(np.searchsorted(xs, x)) - 2, 0), max(len(xs) - 4, 0))
+    xs, ys = xs[i:i + 4], ys[i:i + 4]
+    return float(np.polyfit(xs - x, ys, len(xs) - 1)[-1])
 

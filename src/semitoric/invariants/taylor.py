@@ -36,7 +36,7 @@ import numpy as np
 from ..config import TOL
 from ..errors import DuplicateMu, IllConditioned
 from .extrap import hbar_limit
-from .jets import FrJet, _origin_of
+from .jets import FrJet, probe_samples
 from .spacings import LabelledSpectrum
 
 __all__ = [
@@ -169,11 +169,7 @@ def g_mu_sample(family: dict[int, LabelledSpectrum], origin, mu: float,
     ks = sorted(family)
     samples = []
     for x in sorted(x_schedule, reverse=True):
-        vals = []
-        for k in ks:
-            x0, y0 = _origin_of(family[k], origin)
-            s = family[k].a1a2_interpolated((x0 + x, y0 + mu * x))
-            vals.append(s.a1 + mu * s.a2)
+        vals = [s.a1 + mu * s.a2 for s in probe_samples(family, origin, x, mu * x)]
         samples.append((x, hbar_limit(ks, vals)[0]))
     return GMuExpansion(mu, samples)
 

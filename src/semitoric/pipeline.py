@@ -27,6 +27,7 @@ from .invariants import (
     hausdorff,
     locate_focus_focus,
     polygon_recover,
+    probe_samples,
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,
@@ -130,32 +131,26 @@ def build_probe_family(model: ModelSpec, origin, probes: ProbeConfig) -> dict[in
     focus-focus value in the .origin attribute.
     """
     all_x = list(probes.x_schedule) + list(probes.x_taylor or [])
-    x_max = max(all_x)
-    x_min = min(all_x)
-    mu_max = max([probes.mu] + list(probes.mu_list))
-    reach = mu_max * x_max
+    reach = max([probes.mu] + list(probes.mu_list)) * max(all_x)
     family = {}
     for k in probes.k_list:
         ox, oy = refine_origin(model, k, origin)
-        pad = 18.0 / k
-        window = Rect(
-            ox + 0.45 * x_min, ox + reach + 4.0 / k,
-            oy - 1.3 * reach - pad, oy + 1.3 * reach + pad,
-        )
-        family[k] = _block_labelled(model, k, window, (ox, oy))
+        x_window = (ox + 0.45 * min(all_x), ox + reach + 4.0 / k)
+        family[k] = _block_labelled(model, k, x_window, (ox, oy))
     return family
 
 
-def _block_labelled(model: ModelSpec, k: int, window: Rect, origin) -> LabelledSpectrum:
+def _block_labelled(model: ModelSpec, k: int, x_window, origin) -> LabelledSpectrum:
     """The window's columns labelled (j, l) = (sign * block id, idx), a
     lattice label since J's spectrum is an exact hbar-lattice of columns;
-    sign makes j grow with x.  A column is solved when first read."""
-    blocks = build_blocks(model, k, (window.xmin, window.xmax))
+    sign makes j grow with x.  A column's ladder is its whole block
+    spectrum, solved when the column is first read."""
+    blocks = build_blocks(model, k, x_window)
     sign = 1 if model.kind == SPIN_OSCILLATOR else -1
 
     def ladder(j):
         i = blocks.ids.index(sign * j)
-        spec = block_spectrum(blocks[i:i + 1], window.ymin, window.ymax)
+        spec = block_spectrum(blocks[i:i + 1])
         return spec.idx, spec.y
 
     js = sign * np.asarray(blocks.ids)
@@ -338,12 +333,14 @@ def polygon_reference_distance(model: ModelSpec, est, strip, h: float):
     plateau created by the exclusion holes.
     """
     from scipy.optimize import minimize_scalar
+    from scipy.spatial import cKDTree
 
     theory = sample_polygon_region(model, strip, 0.35 * h)
+    theory_tree = cKDTree(theory)
     tx = est.x_translation
 
     def dist(ty):
-        return hausdorff(est.cloud + np.array([tx, ty]), theory)
+        return hausdorff(est.cloud + np.array([tx, ty]), theory_tree)
 
     y0 = float(np.median(theory[:, 1])) - float(np.median(est.cloud[:, 1]))
     res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0, y0 + 2 * h),
@@ -385,11 +382,5 @@ def sigma1_error_curve(model: ModelSpec, origin, s0: float, x: float,
 
     probes = ProbeConfig(k_list=list(ks), x_schedule=[x], mu_list=[])
     family = build_probe_family(model, origin, probes)
-    ests, errs = [], []
-    for k in probes.k_list:
-        x0, y0 = family[k].origin
-        s = family[k].a1a2_interpolated((x0 + x, y0 + s0 * x))
-        est = s.a1 + s0 * s.a2
-        ests.append(est)
-        errs.append(circle_distance(est, target))
-    return np.array(ests), np.array(errs)
+    ests = np.array([s.a1 + s0 * s.a2 for s in probe_samples(family, origin, x, s0 * x)])
+    return ests, np.array([circle_distance(est, target) for est in ests])

@@ -55,13 +55,13 @@ def sturm_count_below(diag, offdiag, y):
     return count
 
 
-def _bisect_eigs(d, e, i_lo, i_hi, lo, hi):
-    """Eigenvalues with indices i_lo..i_hi (0-based, ascending) by bisection."""
-    rad = max(spectral_radius_bound(d, e), 1.0)
-    tol = TOL.eig_rel * rad
+def _bisect_eigs(d, e):
+    """All eigenvalues, ascending, by Sturm-count bisection."""
+    rad = spectral_radius_bound(d, e)
+    tol = TOL.eig_rel * max(rad, 1.0)
     out = []
-    for i in range(i_lo, i_hi + 1):
-        a, b = lo, hi
+    for i in range(len(d)):
+        a, b = -rad - 1.0, rad + 1.0
         it = 0
         while b - a > tol:
             it += 1
@@ -90,22 +90,11 @@ def eigs_sym_tridiagonal(diag, offdiag, method="auto"):
 
         return eigvalsh_tridiagonal(d, e)
     if method == "sturm":
-        rad = spectral_radius_bound(d, e) + 1.0
-        return _bisect_eigs(d, e, 0, len(d) - 1, -rad, rad)
+        return _bisect_eigs(d, e)
     raise ValueError(f"unknown method {method!r}")
 
 
-def eigs_in_window(diag, offdiag, lo, hi, method="auto"):
-    """Eigenvalues in (lo, hi], ascending. Cheap when the window is narrow."""
-    d, e = _as_tridiag(diag, offdiag)
-    if len(d) == 1:
-        return d[(d > lo) & (d <= hi)]
-    if method == "auto":
-        from scipy.linalg import eigvalsh_tridiagonal
-
-        return eigvalsh_tridiagonal(d, e, select="v", select_range=(lo, hi))
-    n_lo = sturm_count_below(d, e, lo)
-    n_hi = sturm_count_below(d, e, hi)
-    if n_hi <= n_lo:
-        return np.empty(0)
-    return _bisect_eigs(d, e, n_lo, n_hi - 1, lo, hi)
+def eigs_in_window(diag, offdiag, lo, hi):
+    """Eigenvalues in (lo, hi], ascending: the full solve, cut to the window."""
+    ev = eigs_sym_tridiagonal(diag, offdiag)
+    return ev[(ev > lo) & (ev <= hi)]

@@ -67,15 +67,27 @@ def test_bad_schedule_exits_2(tmp_path):
     {"probes": {"x_taylor": [0.02, 0.01]}},
     {"probes": {"mu_list": [1.0, 1.0, 2.0]}},
     {"model": "spin"},
+    {"probes": {"mu": 1.0}},
+    {"probes": {"mu": -2.0}},
+    {"probes": {"mu": 0.0}},
+    {"probes": {"x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, -0.01]}},
+    {"probes": {"x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, 0.0]}},
 ], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
         "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
-        "unknown-model"])
+        "unknown-model", "mu-one", "negative-mu", "zero-mu", "negative-x-taylor",
+        "zero-x-taylor"])
 def test_bad_config_file_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
         path.write_text(json.dumps(config))
     rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_mu_one_flag_exits_2_before_solving(tmp_path, capsys):
+    rc = main(["invariants", "--model", "coupled", "--mu", "1", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "mu must be positive and different from 1" in capsys.readouterr().err
 
 
 def test_dh_command(tmp_path):

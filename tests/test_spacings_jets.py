@@ -2,18 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
 from semitoric.config import ProbeConfig
 from semitoric.errors import MissingNeighbor, SignError
-from semitoric.lattice import Labelling, PointCloud, label_semitoric
+from semitoric.lattice import PointCloud, label_semitoric
 from semitoric.invariants import (
     FrJet,
     LabelledSpectrum,
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,
-    twisting_and_privileged,
 )
 from semitoric.pipeline import build_probe_family
 
@@ -44,6 +45,54 @@ def test_linear_chart_inverse_jacobian(alpha, beta):
     si = ls.a1a2_interpolated((2.5 / 50, 0.01))
     assert si.a2 == pytest.approx(1.0 / beta, rel=1e-8)
     assert si.a1 == pytest.approx(-alpha / beta, rel=1e-6, abs=1e-9)
+
+
+def two_columns(ys0, ys1, k=10):
+    """Columns j = 0, 1 with the given ladders, labelled l = 0, 1, ..."""
+    return LabelledSpectrum(k, {0: 0.0, 1: 1.0 / k},
+                            lambda j: (np.arange(len(ys0)), (ys0, ys1)[j]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(0.05, 1.0), min_size=3, max_size=12),
+       st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.floats(0.0, 1.0))
+def test_interpolation_reproduces_cubics(gaps, coeffs, t):
+    # column 1 sits below column 0 by p(height) for a cubic p, so the row
+    # difference interpolated at y must be p(y) exactly; |p'| <= 0.6 on
+    # [-1, 1] keeps column 1 ascending
+    nodes = np.concatenate([[0.0], np.cumsum(gaps)])
+    nodes = 2.0 * nodes / nodes[-1] - 1.0
+    p = np.polynomial.Polynomial(0.1 * np.asarray(coeffs))
+    y = -1.0 + 2.0 * t
+    spec = two_columns(nodes, nodes - p(nodes))
+    s = spec.a1a2_interpolated((0.0, y))
+    assert s.ratio_a1_a2 * spec.hbar == pytest.approx(p(y), abs=1e-9)
+
+
+def test_interpolation_has_no_tie_on_symmetric_nodes():
+    # the nodes are exactly symmetric about y = 1 in floating point, so a
+    # stencil chosen by distance to y would be picked by y's last bit
+    y = 1.0
+    ys0 = y + np.array([-2.5, -1.5, -0.75, -0.25, 0.25, 0.75, 1.5, 2.5])
+    spec = two_columns(ys0, ys0 - 0.05 * np.sin(ys0))
+    at = spec.a1a2_interpolated((0.0, y))
+    for step in (np.inf, -np.inf):
+        near = spec.a1a2_interpolated((0.0, np.nextafter(y, step)))
+        assert near.a1 == pytest.approx(at.a1, abs=1e-12)
+        assert near.a2 == pytest.approx(at.a2, abs=1e-12)
+
+
+def test_spin_probe_ignores_subulp_noise_in_height():
+    # every spin-oscillator column is symmetric under H -> -H, so its ladder
+    # is symmetric about the probe height y = 0
+    family = build_probe_family(ModelSpec(SPIN_OSCILLATOR), (1.0, 0.0),
+                                ProbeConfig(k_list=[200], x_schedule=[0.01]))
+    sp = family[200]
+    x = sp.origin[0] + 0.01
+    a1 = [sp.a1a2_interpolated((x, y)).a1 for y in (0.0, 1e-18, -1e-18)]
+    assert a1[1] == pytest.approx(a1[0], abs=1e-12)
+    assert a1[2] == pytest.approx(a1[0], abs=1e-12)
 
 
 def test_missing_neighbor():
@@ -165,17 +214,6 @@ def test_gradient_sign_error():
 def test_frjet_orientation():
     with pytest.raises(SignError):
         FrJet({(0, 1): -1.0})
-
-
-def test_twisting_floor_arithmetic():
-    lab = Labelling({0: (0, 0), 1: (1, 0), 2: (0, 1), 3: (2, 3)})
-    p, priv = twisting_and_privileged(2.3, lab)
-    assert p == 2
-    assert priv.assignment[3] == (2, 3 - 2 * 2)
-    p, priv = twisting_and_privileged(-0.4, lab)
-    assert p == -1 and (-0.4 - p) == pytest.approx(0.6)
-    p, same = twisting_and_privileged(0.1536, lab)
-    assert p == 0 and same.assignment == lab.assignment
 
 
 def test_relabelling_covariance_manufactured():
