@@ -84,8 +84,6 @@ def _config_from_args(args) -> RunConfig:
         cfg.probes.x_schedule = sorted(args.x, reverse=True)
     if getattr(args, "mu", None) is not None:
         cfg.probes.mu = args.mu
-    if getattr(args, "delta", None) is not None:
-        cfg.probes.delta = args.delta
     if getattr(args, "out", None):
         cfg.output_dir = args.out
     try:
@@ -193,7 +191,7 @@ def cmd_dh(args) -> int:
     delta = args.delta if args.delta is not None else 0.25
     counter = ModelCounter(model, [k])
     grid = default_dh_grid(model, k)
-    profile = dh_profile(counter, k, delta, cfg.probes.c_width, grid)
+    profile = dh_profile(counter, k, delta, 1.0, grid)
     kinks = detect_kinks(profile)
     lines = ["abscissa,estimate,theory"]
     for xx, val in profile.samples:
@@ -249,9 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
         q.add_argument("--x", type=float, action="append",
                        help="probe offset; repeat for a schedule")
         q.add_argument("--mu", type=float, default=None)
-        q.add_argument("--delta", type=float, default=None)
         q.add_argument("--out", default=None)
         q.add_argument("--config", default=None, help="JSON RunConfig file")
+        if name == "dh":
+            q.add_argument("--delta", type=float, default=None,
+                           help="strip half-width exponent, in (0, 1/2); default 0.25")
         if name == "synth":
             q.add_argument("--half", action="store_true")
     return p

@@ -44,8 +44,6 @@ class ProbeConfig:
     )
     mu: float = 2.0
     mu_list: list[float] = field(default_factory=lambda: [1.0, 1.5, 2.0])
-    delta: float = 0.4              # height-invariant strip exponent, in (0, 1/2)
-    c_width: float = 1.0
 
     def validate(self) -> None:
         if not self.k_list or sorted(self.k_list) != list(self.k_list):
@@ -53,8 +51,6 @@ class ProbeConfig:
         xs = self.x_schedule
         if not xs or any(b >= a for a, b in zip(xs, xs[1:])) or min(xs) <= 0:
             raise ValueError("x_schedule must be strictly decreasing and positive")
-        if not 0 < self.delta < 0.5:
-            raise ValueError("delta must lie in (0, 1/2)")
         # the gradient scale 2 pi / ln(mu) is undefined at mu <= 0 and mu = 1
         if not (self.mu > 0 and self.mu != 1):
             raise ValueError("mu must be positive and different from 1")

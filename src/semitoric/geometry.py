@@ -39,7 +39,3 @@ class Rect:
             min(self.ymax, other.ymax),
         )
 
-    @property
-    def empty(self) -> bool:
-        return self.xmax <= self.xmin or self.ymax <= self.ymin
-

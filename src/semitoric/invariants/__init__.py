@@ -1,6 +1,7 @@
 from .counting import (
     CloudCounter,
     DHProfile,
+    column_height,
     detect_kinks,
     dh_profile,
     height_invariant,

@@ -9,7 +9,9 @@ eigenvalues in [x - c hbar^delta, x + c hbar^delta] x R,
 
 the Duistermaat-Heckman density.  Counting only below the focus-focus
 ordinate and centering at its abscissa gives the height invariant S_{0,0},
-the sub-critical reduced volume.
+the sub-critical reduced volume.  J's spectrum is an exact hbar-lattice of
+columns, so column_height counts the one column at x0 instead: hbar times
+its count below y0 tends to S_{0,0} with no strip width to choose.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NoPeak, WindowTooNarrow
+from .extrap import hbar_limit
 
 __all__ = [
     "CloudCounter",
     "DHProfile",
     "height_invariant",
+    "column_height",
     "dh_profile",
     "detect_kinks",
     "locate_focus_focus",
@@ -55,12 +59,13 @@ class DHProfile:
 
 
 def height_invariant(counter, x0: float, y0: float, delta: float = 0.4,
-                     c_width: float = 1.0, ks=None) -> tuple[float, dict]:
+                     c_width: float = 1.0) -> tuple[float, dict]:
     """S_{0,0} = lim (hbar^(2-delta) / 2c) #{spectrum in strip, y <= y0},
-    extrapolated over the k family with the known hbar^delta error shape."""
+    extrapolated over the k family with the known hbar^delta error shape:
+    the paper's route, which does not use the column lattice."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
-    ks = list(counter.ks if ks is None else ks)
+    ks = list(counter.ks)
     raw = []
     for k in ks:
         hb = 1.0 / k
@@ -72,16 +77,25 @@ def height_invariant(counter, x0: float, y0: float, delta: float = 0.4,
     hb = 1.0 / np.asarray(ks, dtype=float)
     A = np.vstack([np.ones_like(hb), hb ** delta]).T
     coef, *_ = np.linalg.lstsq(A, np.asarray(raw), rcond=None)
-    rate = _fit_rate(ks, np.abs(np.asarray(raw) - coef[0]))
-    return float(coef[0]), {"raw": dict(zip(ks, raw)), "rate": rate}
+    return float(coef[0]), {"raw": dict(zip(ks, raw))}
 
 
-def _fit_rate(ks, errs):
-    keep = np.asarray(errs) > 0
-    if keep.sum() < 2:
-        return float("nan")
-    return float(-np.polyfit(np.log(np.asarray(ks, float)[keep]),
-                             np.log(np.asarray(errs)[keep]), 1)[0])
+def column_height(counter, origins) -> tuple[float, dict]:
+    """S_{0,0} = lim hbar #{column at x0, y <= y0} over origins {k: (x0, y0)},
+    x0 a column abscissa; [x0 - 0.45 hbar, x0 + 0.45 hbar] holds that column
+    alone.  info carries the per-k n_k / k ("raw") and the hbar_limit slope
+    (None when fewer than two samples differ from the limit)."""
+    ks = sorted(origins)
+    raw = []
+    for k in ks:
+        x0, y0 = origins[k]
+        n = counter.count(k, x0 - 0.45 / k, x0 + 0.45 / k, -np.inf, y0)
+        if n < 10:
+            raise WindowTooNarrow(f"k={k}: column at x={x0} holds only {n} points below y0")
+        raw.append(n / k)
+    lim, info = hbar_limit(ks, raw)
+    slope = info["slope"] if np.isfinite(info["slope"]) else None
+    return lim, {"raw": dict(zip(ks, raw)), "slope": slope}
 
 
 def dh_profile(counter, k: int, delta: float, c_width: float, x_grid) -> DHProfile:
@@ -122,9 +136,12 @@ def detect_kinks(profile: DHProfile, half_window: float = 0.35,
     return [float(np.mean(c)) for c in merged]
 
 
-def locate_focus_focus(ladder_provider, k: int, x_candidates,
-                       peak_factor: float = 1.8,
-                       refine_steps: int = 4) -> list[tuple[float, float]]:
+_PEAK_FACTOR = 1.8    # least ratio of the hbar/spacing peak to its column median
+_REFINE_STEPS = 4     # columns scanned on each side of a kink candidate
+
+
+def locate_focus_focus(ladder_provider, k: int,
+                       x_candidates) -> list[tuple[float, float]]:
     """Classify candidate abscissae by the log-divergence of inverse level
     spacings in the vertical line above them.
 
@@ -132,7 +149,8 @@ def locate_focus_focus(ladder_provider, k: int, x_candidates,
     for the spectral column nearest x.  A focus-focus value shows an interior
     peak of hbar/spacing growing like -C ln|y - y0|; elliptic candidates do
     not.  Kink candidates are only accurate to the profile resolution, so
-    the refine_steps neighboring columns are scanned for the strongest peak.
+    the _REFINE_STEPS neighboring columns on each side are scanned for the
+    strongest peak.
     Returns the located values; raises NoPeak if none qualifies.
     """
     hb = 1.0 / k
@@ -140,7 +158,7 @@ def locate_focus_focus(ladder_provider, k: int, x_candidates,
     for xc in x_candidates:
         best = None
         # nearest columns first so ties keep the candidate abscissa
-        for step in sorted(range(-refine_steps, refine_steps + 1), key=abs):
+        for step in sorted(range(-_REFINE_STEPS, _REFINE_STEPS + 1), key=abs):
             x_act, ev = ladder_provider(k, xc + step * hb)
             if len(ev) < 8:
                 continue
@@ -151,7 +169,7 @@ def locate_focus_focus(ladder_provider, k: int, x_candidates,
             if not (ev[0] + 0.05 * span < mids[i] < ev[-1] - 0.05 * span):
                 continue
             score = inv[i] / np.median(inv)
-            if score < peak_factor:
+            if score < _PEAK_FACTOR:
                 continue
             if best is None or score > best[0]:
                 best = (score, x_act, _refine_peak(mids, inv, i))

@@ -31,18 +31,14 @@ def hbar_limit(ks, vals, order: int = 2):
     return float(coef[0]), {"coeffs": coef, "rms": rms, "slope": slope}
 
 
-def x_limit(xs, vals, with_linear: bool = True):
-    """Fit vals ~ a + b*x*ln(x) (+ c*x); return (a, info). Falls back to the
+def x_limit(xs, vals):
+    """Fit vals ~ a + b*x*ln(x) + c*x; return (a, info). Falls back to the
     smallest-x value when the schedule is too short to fit."""
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    ncol = 3 if with_linear else 2
-    if len(xs) < ncol:
+    if len(xs) < 3:
         return float(vals[np.argmin(xs)]), {"fit": None}
-    cols = [np.ones_like(xs), xs * np.log(xs)]
-    if with_linear:
-        cols.append(xs)
-    A = np.vstack(cols).T
+    A = np.vstack([np.ones_like(xs), xs * np.log(xs), xs]).T
     cond = np.linalg.cond(A)
     if cond > TOL.max_condition:
         raise IllConditioned(f"x-limit design matrix condition {cond:.2e}")

@@ -85,39 +85,31 @@ def probe_samples(family: dict[int, LabelledSpectrum], origin, dx: float,
     return out
 
 
-def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x,
+def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x: float,
                         mu: float = 2.0) -> tuple[float, float, dict]:
     """(dx f_r(0), dy f_r(0), info) from probes at horizontal offsets x and mu*x.
 
     dx f_r(0) ~ 2*pi*(a1(x,0) - a1(mu*x,0)) / ln(mu), same for dy with a2;
-    the error budget is O(x ln x) + O(hbar).  x may be a schedule, in which
-    case the O(x ln x) bias is fitted out.  info carries, per x, the
-    empirical hbar-convergence slopes, the hbar limits and the per-k
-    samples (already scaled) they were fitted to.
+    the error budget is O(x ln x) + O(hbar).  info carries, keyed by x, the
+    empirical hbar-convergence slopes and the per-k samples (already
+    scaled) the hbar limits were fitted to.
     """
     ks = sorted(family)
-    xs = [float(x)] if np.isscalar(x) else sorted(x, reverse=True)
+    x = float(x)
     scale = 2 * np.pi / np.log(mu)
-    per_x_1, per_x_2 = [], []
-    slopes, per_k = {}, {}
-    for xx in xs:
-        pairs = list(zip(probe_samples(family, origin, xx, 0.0),
-                         probe_samples(family, origin, mu * xx, 0.0)))
-        d1 = [near.a1 - far.a1 for near, far in pairs]
-        d2 = [near.a2 - far.a2 for near, far in pairs]
-        lim1, info1 = hbar_limit(ks, d1)
-        lim2, info2 = hbar_limit(ks, d2)
-        per_x_1.append(scale * lim1)
-        per_x_2.append(scale * lim2)
-        slopes[xx] = (info1["slope"], info2["slope"])
-        per_k[xx] = ([float(scale * v) for v in d1], [float(scale * v) for v in d2])
-    dxfr = x_limit(xs, per_x_1)[0]
-    dyfr = x_limit(xs, per_x_2)[0]
+    pairs = list(zip(probe_samples(family, origin, x, 0.0),
+                     probe_samples(family, origin, mu * x, 0.0)))
+    d1 = [near.a1 - far.a1 for near, far in pairs]
+    d2 = [near.a2 - far.a2 for near, far in pairs]
+    lim1, info1 = hbar_limit(ks, d1)
+    lim2, info2 = hbar_limit(ks, d2)
+    dxfr, dyfr = float(scale * lim1), float(scale * lim2)
     if dyfr <= 0:
         raise SignError(f"recovered dy f_r(0) = {dyfr:.4f} <= 0")
-    return dxfr, dyfr, {"hbar_slopes": slopes,
-                        "per_x": dict(zip(xs, zip(per_x_1, per_x_2))),
-                        "per_k": per_k}
+    return dxfr, dyfr, {
+        "hbar_slopes": {x: (info1["slope"], info2["slope"])},
+        "per_k": {x: ([float(scale * v) for v in d1], [float(scale * v) for v in d2])},
+    }
 
 
 def _sigma_tilde(family, origin, s0, x):

@@ -25,6 +25,8 @@ __all__ = [
     "sample_polygon_region",
 ]
 
+_EDGE_MARGIN = 0.15    # edge fits keep this far from cuts, corners and the strip ends
+
 
 def hausdorff(set_a, set_b) -> float:
     """Two-sided Hausdorff distance between finite point sets.  ``set_b``
@@ -48,11 +50,11 @@ class PolygonEstimate:
 
 
 def polygon_recover(points: np.ndarray, labels: np.ndarray, hbar: float,
-                    critical_xs, strip, edge_margin: float = 0.15) -> PolygonEstimate:
+                    critical_xs, strip) -> PolygonEstimate:
     """Fit polygon edges to the labelled cloud.
 
     points, labels: matching (n,2) arrays; critical_xs: abscissae of cuts and
-    corners (fits keep edge_margin away from them); strip: (xlo, xhi).
+    corners (fits keep _EDGE_MARGIN away from them); strip: (xlo, xhi).
     """
     labels = np.asarray(labels, dtype=float)
     cloud = hbar * labels
@@ -75,7 +77,7 @@ def polygon_recover(points: np.ndarray, labels: np.ndarray, hbar: float,
     edges = []
     for lo, hi in zip(seg_bounds, seg_bounds[1:]):
         js = [j for j in cols
-              if lo + edge_margin <= col_x[j] <= hi - edge_margin]
+              if lo + _EDGE_MARGIN <= col_x[j] <= hi - _EDGE_MARGIN]
         if len(js) < 5:
             raise EdgeFitFailure(
                 f"only {len(js)} columns available on segment [{lo:.2f}, {hi:.2f}]"

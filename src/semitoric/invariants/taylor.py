@@ -29,7 +29,7 @@ values are read through the composite (x, y) -> (x, f_r(x, y)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,8 +159,6 @@ def d_n_from_jet(jet: FrJet, mu: float, n: int) -> float:
 class GMuExpansion:
     mu: float
     x_samples: list                        # [(x, g value after hbar limit)]
-    c: list = field(default_factory=list)  # recovered c_0, c_1, ...
-    d: list = field(default_factory=list)
 
 
 def g_mu_sample(family: dict[int, LabelledSpectrum], origin, mu: float,

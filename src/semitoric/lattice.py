@@ -242,18 +242,17 @@ class Labelling:
 # ---------------------------------------------------------------------------
 # generic breadth-first parallel transport
 
-def label_regular(cloud: PointCloud, basis: AffineBasis, region: Rect | None = None,
-                  strict: bool = True) -> Labelling:
+def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     """Label by discrete parallel transport from the affine basis.
 
     To assign (n+1, m) the search looks within a fraction of the shortest
     local step of lambda_(n,m) + (lambda_(n,m) - lambda_(n-1,m)); frames are
     refreshed from already-labelled neighbors so curvature is tracked.
+    Every point must be reached (Disconnected otherwise).
     """
     pts = cloud.points
-    inside = region.contains(pts) if region is not None else np.ones(len(pts), bool)
-    if inside.sum() < TOL.min_region_points:
-        raise TooSparse(f"only {int(inside.sum())} points in region")
+    if len(pts) < TOL.min_region_points:
+        raise TooSparse(f"only {len(pts)} points")
     tree = _kdtree(pts)
     labels: dict[int, tuple[int, int]] = {}
     by_label: dict[tuple[int, int], int] = {}
@@ -266,11 +265,9 @@ def label_regular(cloud: PointCloud, basis: AffineBasis, region: Rect | None = N
 
     f0 = np.array([basis.v1, basis.v2], float)
     put(basis.lam00, (0, 0), f0)
-    if inside[basis.lam10]:
-        put(basis.lam10, (1, 0), f0)
-    if inside[basis.lam01]:
-        put(basis.lam01, (0, 1), f0)
-    q = deque(i for i in (basis.lam00, basis.lam10, basis.lam01) if i in labels)
+    put(basis.lam10, (1, 0), f0)
+    put(basis.lam01, (0, 1), f0)
+    q = deque((basis.lam00, basis.lam10, basis.lam01))
     ambiguous = 0
     while q:
         i = q.popleft()
@@ -287,8 +284,7 @@ def label_regular(cloud: PointCloud, basis: AffineBasis, region: Rect | None = N
                         f"transport inconsistency at label {nl} (hbar too large?)"
                     )
                 continue
-            cand = [c for c in tree.query_ball_point(target, radius)
-                    if c not in labels and inside[c]]
+            cand = [c for c in tree.query_ball_point(target, radius) if c not in labels]
             if not cand:
                 continue
             ranked = sorted((np.linalg.norm(pts[c] - target), c) for c in cand)
@@ -309,14 +305,17 @@ def label_regular(cloud: PointCloud, basis: AffineBasis, region: Rect | None = N
                     nf[0] = pts[j] - pts[prev]
             put(j, nl, nf)
             q.append(j)
-    missed = int(inside.sum()) - len(labels)
-    if strict and missed > 0:
+    missed = len(pts) - len(labels)
+    if missed > 0:
         raise Disconnected(f"{missed} points unreachable ({ambiguous} ambiguous searches)")
     return Labelling(dict(labels), REGULAR)
 
 
 # ---------------------------------------------------------------------------
 # semitoric column transport
+
+_MIN_VOTE = 0.6    # least row-match confidence accepted between neighbouring columns
+
 
 def _columns(pts: np.ndarray, h: float):
     """Cluster points into x-columns (gap threshold a fraction of hbar)."""
@@ -379,8 +378,7 @@ def _match_columns(A: np.ndarray, B: np.ndarray, drift):
     return o, table, confidence
 
 
-def label_semitoric(cloud: PointCloud, seed_x: float | None = None,
-                    min_vote: float = 0.6) -> Labelling:
+def label_semitoric(cloud: PointCloud, seed_x: float | None = None) -> Labelling:
     """Column-sweep transport for semitoric clouds (x already on an hbar grid).
 
     j counts columns, ell counts within a column; the ell anchor of each
@@ -408,7 +406,7 @@ def label_semitoric(cloud: PointCloud, seed_x: float | None = None,
             if o is None:
                 anchor[cn] = anchor[c]
             else:
-                if frac < min_vote:
+                if frac < _MIN_VOTE:
                     raise AmbiguousNeighbor(
                         f"row match between columns {c} and {cn} got only "
                         f"{frac:.0%} agreement"

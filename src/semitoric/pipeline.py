@@ -4,7 +4,7 @@ The recovery is self-contained: the focus-focus value is located from the
 spectrum (Duistermaat-Heckman kinks, then the log-peak of inverse level
 spacings), probe neighborhoods to its right are labelled by (J-block,
 position in the block), and every invariant is extracted by the
-double-limit schedules.
+double-limit schedules; the height is a count on the critical column.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from .invariants import (
     FrJet,
     TaylorInvariant,
     LabelledSpectrum,
+    column_height,
     mixed_dxdy_from_d1,
     detect_kinks,
     dh_profile,
     fit_log_expansion,
     g_mu_sample,
-    height_invariant,
     hausdorff,
     locate_focus_focus,
     polygon_recover,
@@ -80,7 +80,7 @@ def default_dh_grid(model: ModelSpec, k: int) -> np.ndarray:
 class ModelCounter:
     """Eigenvalue counts in strips, with no eigensolve: an unbounded-y strip
     sums the closed-form block sizes, and only a finite y-range (the height
-    invariant) builds the blocks for Sturm counts."""
+    count on the critical column) builds the blocks for Sturm counts."""
 
     def __init__(self, model: ModelSpec, ks):
         self.model = model
@@ -157,15 +157,16 @@ def _block_labelled(model: ModelSpec, k: int, x_window, origin) -> LabelledSpect
     return LabelledSpectrum(k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder, origin)
 
 
-def locate_critical_values(model: ModelSpec, k_locate: int = 200,
-                           delta: float = 0.25, c_width: float = 1.0):
-    """DH kinks -> candidate abscissae -> log-peak classification.
+def locate_critical_values(model: ModelSpec):
+    """DH kinks -> candidate abscissae -> log-peak classification, at
+    k = 200 with strips of half-width hbar^0.25.
 
     Returns (focus (x0, y0), other kink abscissae, DHProfile).
     """
+    k_locate = 200
     counter = ModelCounter(model, [k_locate])
     grid = default_dh_grid(model, k_locate)
-    profile = dh_profile(counter, k_locate, delta, c_width, grid)
+    profile = dh_profile(counter, k_locate, 0.25, 1.0, grid)
     kinks = detect_kinks(profile)
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
@@ -198,10 +199,8 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
 
     s01, s01_info = recover_S01(family, origin, s0, dyfr, probes.x_schedule)
 
-    counter = ModelCounter(model, probes.k_list)
-    s00, height_info = height_invariant(
-        counter, origin[0], origin[1], probes.delta, probes.c_width
-    )
+    s00, height_info = column_height(ModelCounter(model, probes.k_list),
+                                     {k: spec.origin for k, spec in family.items()})
 
     # order-1 log expansion over the mu list -> quadratic jet and S coefficients.
     # (c0, d0) are refit from the same samples rather than assembled from the
@@ -221,7 +220,6 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
         exp = g_mu_sample(family, origin, mu, xs_mu)
         c0, d0, info0 = fit_log_expansion(exp, 0, [], [])
         c1, d1, info1 = fit_log_expansion(exp, 1, [c0], [d0])
-        exp.c, exp.d = [c0, c1], [d0, d1]
         c1s.append(c1)
         d1s.append(d1)
         fit_conds[str(mu)] = [info0["cond"], info1["cond"]]
@@ -277,7 +275,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
                 "gradient_hbar": {f"{x}": v for x, v in grad_info["hbar_slopes"].items()},
                 "sigma1_hbar": {f"{x}": v for x, v in sig_info.get("hbar_slopes", {}).items()},
                 "s01_hbar": {f"{x}": v for x, v in s01_info.get("hbar_slopes", {}).items()},
-                "height": height_info.get("rate"),
+                "height": height_info["slope"],
             },
             "condition_numbers": {
                 "sigma1_x_fit": sig_info.get("cond"),

@@ -5,6 +5,8 @@ criterion.  The two model pipelines are executed once (module-scoped
 fixtures) and shared across criteria.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,24 @@ def test_criterion_4_coupled_invariants(coupled_report):
     report(4, "coupled sigma1^p", circle_distance(rep["S"]["1,0"], ref["sigma1_priv"]), 0.05)
     report(4, "coupled S01", abs(rep["S"]["0,1"] - ref["S01"]), 0.05)
     report(4, "coupled S00", abs(rep["S"]["0,0"] - ref["S00"]), 0.1)
+
+
+def test_spin_height_counts_exactly(spin_report):
+    # the critical column holds exactly k eigenvalues below the focus-focus
+    # ordinate at every k, so the height needs no extrapolation
+    assert spin_report["S"]["0,0"] == 1.0
+    assert spin_report["diagnostics"]["per_k"]["height"] == [1.0] * 5
+    assert spin_report["diagnostics"]["convergence_slopes"]["height"] is None
+
+
+def test_coupled_height_from_the_critical_column(coupled_report):
+    ref = reference_invariants(COUPLED)["S00"]
+    report(4, "coupled S00 from the column count", abs(coupled_report["S"]["0,0"] - ref), 1e-3)
+
+
+def test_reports_are_strict_json(spin_report, coupled_report):
+    for rep in (spin_report, coupled_report):
+        json.dumps(rep, allow_nan=False)
 
 
 # -- criterion 5: focus-focus location ----------------------------------------

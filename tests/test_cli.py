@@ -72,10 +72,12 @@ def test_bad_schedule_exits_2(tmp_path):
     {"probes": {"mu": 0.0}},
     {"probes": {"x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, -0.01]}},
     {"probes": {"x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, 0.0]}},
+    {"probes": {"delta": 0.3}},
+    {"probes": {"c_width": 2.0}},
 ], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
         "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
         "unknown-model", "mu-one", "negative-mu", "zero-mu", "negative-x-taylor",
-        "zero-x-taylor"])
+        "zero-x-taylor", "removed-delta", "removed-c-width"])
 def test_bad_config_file_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -88,6 +90,28 @@ def test_mu_one_flag_exits_2_before_solving(tmp_path, capsys):
     rc = main(["invariants", "--model", "coupled", "--mu", "1", "--out", str(tmp_path)])
     assert rc == 2
     assert "mu must be positive and different from 1" in capsys.readouterr().err
+
+
+def test_delta_flag_is_dh_only(tmp_path):
+    # the height comes from the critical column, so only the DH strips
+    # take a width exponent
+    with pytest.raises(SystemExit) as exc:
+        main(["invariants", "--delta", "0.3", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
+def test_dh_bad_delta_exits_2_before_counting(tmp_path, monkeypatch):
+    counts = []
+    count = semitoric.pipeline.ModelCounter.count
+
+    def counted(self, *args):
+        counts.append(args)
+        return count(self, *args)
+
+    monkeypatch.setattr(semitoric.pipeline.ModelCounter, "count", counted)
+    rc = main(["dh", "--model", "coupled", "--k", "60", "--delta", "0.7",
+               "--out", str(tmp_path)])
+    assert rc == 2 and counts == []
 
 
 def test_dh_command(tmp_path):

@@ -4,11 +4,14 @@ import pytest
 from semitoric.errors import NoPeak, WindowTooNarrow
 from semitoric.invariants import (
     CloudCounter,
+    column_height,
     detect_kinks,
     dh_profile,
     height_invariant,
     locate_focus_focus,
 )
+from semitoric.models import COUPLED_ANGULAR_MOMENTA, ModelSpec
+from semitoric.pipeline import ModelCounter, locate_critical_values, refine_origin
 
 
 def uniform_cloud(k, x_range, y_range):
@@ -38,6 +41,37 @@ def test_height_window_too_narrow():
     counter = CloudCounter({100: np.array([[3.0, 0.0]])})
     with pytest.raises(WindowTooNarrow):
         height_invariant(counter, 0.0, 0.0)
+
+
+def test_column_height_on_uniform_grid():
+    # one column of the grid, counted up to y0 = 0.25 from ymin = -0.6
+    ks = [100, 200, 400]
+    counter = CloudCounter({k: uniform_cloud(k, (-0.8, 0.8), (-0.6, 0.9)) for k in ks})
+    origins = {k: (np.round(0.1 * k) / k, 0.25 + 0.5 / k) for k in ks}
+    val, info = column_height(counter, origins)
+    assert info["raw"] == {k: (round(0.85 * k) + 1) / k for k in ks}
+    assert val == pytest.approx(0.85, abs=1e-9)
+
+
+def test_column_height_off_the_lattice():
+    # an abscissa between two columns counts nothing: a typed error, never 0
+    k = 100
+    counter = CloudCounter({k: uniform_cloud(k, (-0.8, 0.8), (-0.6, 0.9))})
+    with pytest.raises(WindowTooNarrow):
+        column_height(counter, {k: (0.5 / k, 0.25)})
+
+
+@pytest.mark.parametrize("r1, r2, t", [(0.5, 1.5, 0.5), (1.0, 2.0, 0.6)])
+def test_column_height_matches_strip_count(r1, r2, t):
+    # the paper's strip estimator, centred on the same focus-focus value,
+    # is the reference for the count on the critical column
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
+    ks = [100, 200, 300, 400, 500]
+    origin, _, _ = locate_critical_values(model)
+    counter = ModelCounter(model, ks)
+    column, _ = column_height(counter, {k: refine_origin(model, k, origin) for k in ks})
+    strip, _ = height_invariant(counter, *origin)
+    assert abs(column - strip) <= 0.03
 
 
 def test_dh_profile_flat_on_rectangle():
