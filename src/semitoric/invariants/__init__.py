@@ -15,6 +15,7 @@ from .jets import (
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,
+    twisting_number,
 )
 from .polygon import (
     PolygonEstimate,

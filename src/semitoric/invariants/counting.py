@@ -50,8 +50,6 @@ class CloudCounter:
 @dataclass
 class DHProfile:
     samples: np.ndarray          # (n, 2): abscissa, scaled count
-    delta: float
-    c_width: float
     k: int
 
     def value(self, x: float) -> float:
@@ -105,7 +103,7 @@ def dh_profile(counter, k: int, delta: float, c_width: float, x_grid) -> DHProfi
     w = c_width * hb ** delta
     vals = [hb ** (2 - delta) / (2 * c_width) * counter.count(k, x - w, x + w)
             for x in x_grid]
-    return DHProfile(np.column_stack([x_grid, vals]), delta, c_width, k)
+    return DHProfile(np.column_stack([x_grid, vals]), k)
 
 
 def detect_kinks(profile: DHProfile, half_window: float = 0.35,

@@ -8,6 +8,7 @@ over the k family, then send x -> 0 along the schedule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +20,7 @@ from .spacings import A1A2Sample, LabelledSpectrum
 __all__ = [
     "FrJet",
     "TaylorInvariant",
+    "twisting_number",
     "probe_samples",
     "recover_fr_gradient",
     "recover_sigma1",
@@ -51,6 +53,20 @@ class FrJet:
         return -self.dx / self.dy
 
 
+_INTEGER_SNAP = 1e-9   # a sigma1 this close to an integer n counts as n
+
+
+def twisting_number(sigma1: float) -> int:
+    """The twisting number p, the integer part of sigma1(0).
+
+    A sigma1 within 1e-9 of an integer n gives p = n: an integer sigma1 is
+    recovered with a rounding residue of either sign, and a plain floor
+    would turn a residue of -3e-14 into p = n - 1.
+    """
+    n = round(sigma1)
+    return int(n) if abs(sigma1 - n) <= _INTEGER_SNAP else math.floor(sigma1)
+
+
 @dataclass
 class TaylorInvariant:
     """sigma1(0) with its twisting number and the Taylor coefficients,
@@ -61,7 +77,7 @@ class TaylorInvariant:
     s_coeffs: dict[tuple[int, int], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not 0.0 <= self.sigma1_0 - self.twisting_p < 1.0:
+        if self.twisting_p != twisting_number(self.sigma1_0):
             raise ValueError("twisting_p must be the integer part of sigma1_0")
 
     @property

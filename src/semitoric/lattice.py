@@ -22,6 +22,7 @@ get the dedicated bottom-anchored algorithm ``label_half_lattice``.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -131,14 +132,15 @@ def synth_lattice(chart: ChartSpec, k: int) -> PointCloud:
     b_lo = int(np.floor(dom.ymin / h))
     if chart.half:
         b_lo = max(b_lo, 0)
-    labels, pts = [], []
-    for a in range(int(np.floor(dom.xmin / h)), int(np.ceil(dom.xmax / h)) + 1):
-        for b in range(b_lo, int(np.ceil(dom.ymax / h)) + 1):
-            xi = np.array([a * h, b * h])
-            if dom.contains(xi)[0]:
-                labels.append((a, b))
-                pts.append(np.asarray(chart.g0(xi), float) + h * np.asarray(chart.g1(xi), float))
-    cloud = PointCloud(k, np.array(pts), np.array(labels, dtype=int))
+    a, b = np.meshgrid(np.arange(int(np.floor(dom.xmin / h)), int(np.ceil(dom.xmax / h)) + 1),
+                       np.arange(b_lo, int(np.ceil(dom.ymax / h)) + 1), indexing="ij")
+    labels = np.column_stack([a.ravel(), b.ravel()])
+    xis = labels * h
+    keep = dom.contains(xis)
+    labels, xis = labels[keep], xis[keep]
+    # the chart maps one (2,) point at a time, so g0 and g1 stay per point
+    pts = [np.asarray(chart.g0(xi), float) + h * np.asarray(chart.g1(xi), float) for xi in xis]
+    cloud = PointCloud(k, np.array(pts), labels)
     cloud.check_separation()
     return cloud
 
@@ -230,10 +232,9 @@ class Labelling:
         return cloud.points[idx], lab, idx
 
     def compose_affine(self, a_matrix, kappa) -> "Labelling":
-        A = np.asarray(a_matrix, dtype=int)
-        kap = np.asarray(kappa, dtype=int)
-        out = {i: tuple(A @ np.array(l) + kap) for i, l in self.assignment.items()}
-        return Labelling(out, self.kind)
+        lab = np.array(list(self.assignment.values()), dtype=int).reshape(-1, 2)
+        new = lab @ np.asarray(a_matrix, dtype=int).T + np.asarray(kappa, dtype=int)
+        return Labelling(dict(zip(self.assignment, map(tuple, new.tolist()))), self.kind)
 
     def __len__(self):
         return len(self.assignment)
@@ -254,16 +255,19 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     if len(pts) < TOL.min_region_points:
         raise TooSparse(f"only {len(pts)} points")
     tree = _kdtree(pts)
+    # the transport runs on Python floats: per step it touches 2-vectors
+    # only, where numpy's per-call overhead dominates
+    P = pts.tolist()
     labels: dict[int, tuple[int, int]] = {}
     by_label: dict[tuple[int, int], int] = {}
-    frames: dict[int, np.ndarray] = {}
+    frames: dict[int, tuple[tuple[float, float], tuple[float, float]]] = {}
 
     def put(i, lab, frame):
         labels[i] = lab
         by_label[lab] = i
         frames[i] = frame
 
-    f0 = np.array([basis.v1, basis.v2], float)
+    f0 = (tuple(map(float, basis.v1)), tuple(map(float, basis.v2)))
     put(basis.lam00, (0, 0), f0)
     put(basis.lam10, (1, 0), f0)
     put(basis.lam01, (0, 1), f0)
@@ -271,38 +275,39 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     ambiguous = 0
     while q:
         i = q.popleft()
-        p = pts[i]
+        px, py = P[i]
         f = frames[i]
-        lab = labels[i]
-        radius = TOL.search_radius * min(np.linalg.norm(f[0]), np.linalg.norm(f[1]))
-        for d, vec in (((1, 0), f[0]), ((-1, 0), -f[0]), ((0, 1), f[1]), ((0, -1), -f[1])):
-            nl = (lab[0] + d[0], lab[1] + d[1])
-            target = p + vec
+        (ux, uy), (vx, vy) = f
+        la, lb = labels[i]
+        radius = TOL.search_radius * min(math.hypot(ux, uy), math.hypot(vx, vy))
+        steps = ((1, 0, ux, uy), (-1, 0, -ux, -uy), (0, 1, vx, vy), (0, -1, -vx, -vy))
+        for da, db, sx, sy in steps:
+            nl = (la + da, lb + db)
+            tx, ty = px + sx, py + sy
             if nl in by_label:
-                if np.linalg.norm(pts[by_label[nl]] - target) > 2.5 * radius:
+                qx, qy = P[by_label[nl]]
+                if math.hypot(qx - tx, qy - ty) > 2.5 * radius:
                     raise AmbiguousNeighbor(
                         f"transport inconsistency at label {nl} (hbar too large?)"
                     )
                 continue
-            cand = [c for c in tree.query_ball_point(target, radius) if c not in labels]
+            cand = [c for c in tree.query_ball_point((tx, ty), radius) if c not in labels]
             if not cand:
                 continue
-            ranked = sorted((np.linalg.norm(pts[c] - target), c) for c in cand)
+            ranked = sorted((math.hypot(P[c][0] - tx, P[c][1] - ty), c) for c in cand)
             if len(ranked) > 1 and ranked[1][0] < TOL.ambiguity_ratio * ranked[0][0]:
                 ambiguous += 1
                 continue
             j = ranked[0][1]
-            nf = f.copy()
-            if d[0]:
-                nf[0] = (pts[j] - p) * d[0]
+            jx, jy = P[j]
+            if da:
                 prev = by_label.get((nl[0], nl[1] - 1))
-                if prev is not None:
-                    nf[1] = pts[j] - pts[prev]
+                nf = (((jx - px) * da, (jy - py) * da),
+                      f[1] if prev is None else (jx - P[prev][0], jy - P[prev][1]))
             else:
-                nf[1] = (pts[j] - p) * d[1]
                 prev = by_label.get((nl[0] - 1, nl[1]))
-                if prev is not None:
-                    nf[0] = pts[j] - pts[prev]
+                nf = (f[0] if prev is None else (jx - P[prev][0], jy - P[prev][1]),
+                      ((jx - px) * db, (jy - py) * db))
             put(j, nl, nf)
             q.append(j)
     missed = len(pts) - len(labels)

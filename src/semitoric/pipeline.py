@@ -36,6 +36,7 @@ from .invariants import (
     sample_polygon_region,
     solve_jet_order,
     solve_taylor_order,
+    twisting_number,
 )
 from .lattice import PointCloud, label_semitoric
 from .models import (
@@ -194,7 +195,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     s0 = jet1.slope_s0
 
     sigma1, sig_info = recover_sigma1(family, origin, s0, probes.x_schedule)
-    p = int(np.floor(sigma1))   # twisting number
+    p = twisting_number(sigma1)
     sigma1_priv = sigma1 - p
 
     s01, s01_info = recover_S01(family, origin, s0, dyfr, probes.x_schedule)

@@ -247,3 +247,13 @@ def test_taylor_invariant_bundle():
     assert t.sigma2_0 == 0.5
     with pytest.raises(ValueError):
         TaylorInvariant(2.3, 1, {})
+    assert TaylorInvariant(-3e-14, 0, {}).sigma1_privileged == -3e-14
+
+
+@pytest.mark.parametrize("sigma1,p", [(-3e-14, 0), (2.8e-14, 0), (1 - 1e-13, 1),
+                                      (2.3, 2), (-0.5, -1), (1 - 1e-8, 0)])
+def test_twisting_number_reads_near_integers_as_integers(sigma1, p):
+    from semitoric.invariants import twisting_number
+
+    assert twisting_number(sigma1) == p
+    assert type(twisting_number(sigma1)) is int
