@@ -46,8 +46,10 @@ class ProbeConfig:
     mu_list: list[float] = field(default_factory=lambda: [1.0, 1.5, 2.0])
 
     def validate(self) -> None:
-        if not self.k_list or sorted(self.k_list) != list(self.k_list):
-            raise ValueError("k_list must be nonempty and ascending")
+        # one probe-table row per k: a repeated k would collapse in the family
+        ks = self.k_list
+        if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
+            raise ValueError("k_list must be nonempty and strictly ascending")
         xs = self.x_schedule
         if not xs or any(b >= a for a, b in zip(xs, xs[1:])) or min(xs) <= 0:
             raise ValueError("x_schedule must be strictly decreasing and positive")

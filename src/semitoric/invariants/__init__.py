@@ -7,11 +7,17 @@ from .counting import (
     height_invariant,
     locate_focus_focus,
 )
-from .extrap import circle_distance, hbar_limit, loglog_slope, x_limit
+from .extrap import (
+    circle_distance,
+    double_limit,
+    hbar_limit,
+    hbar_limits,
+    loglog_slope,
+    x_limit,
+)
 from .jets import (
     FrJet,
     TaylorInvariant,
-    probe_samples,
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,
@@ -25,9 +31,8 @@ from .polygon import (
     reference_polygon_vertices,
     sample_polygon_region,
 )
-from .spacings import A1A2Sample, LabelledSpectrum
+from .spacings import A1A2Sample, LabelledSpectrum, ray_samples
 from .taylor import (
-    GMuExpansion,
     d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,

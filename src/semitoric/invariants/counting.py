@@ -52,9 +52,6 @@ class DHProfile:
     samples: np.ndarray          # (n, 2): abscissa, scaled count
     k: int
 
-    def value(self, x: float) -> float:
-        return float(np.interp(x, self.samples[:, 0], self.samples[:, 1]))
-
 
 def height_invariant(counter, x0: float, y0: float, delta: float = 0.4,
                      c_width: float = 1.0) -> tuple[float, dict]:
@@ -92,8 +89,7 @@ def column_height(counter, origins) -> tuple[float, dict]:
             raise WindowTooNarrow(f"k={k}: column at x={x0} holds only {n} points below y0")
         raw.append(n / k)
     lim, info = hbar_limit(ks, raw)
-    slope = info["slope"] if np.isfinite(info["slope"]) else None
-    return lim, {"raw": dict(zip(ks, raw)), "slope": slope}
+    return lim, {"raw": dict(zip(ks, raw)), "slope": info["slope"]}
 
 
 def dh_profile(counter, k: int, delta: float, c_width: float, x_grid) -> DHProfile:

@@ -3,6 +3,9 @@
 The hbar limit at fixed probe is a least-squares fit in powers of hbar over
 the k schedule; the x limit fits the known error shape A + B*x*ln(x) + C*x.
 Every extraction reports an empirical convergence slope alongside the value.
+A probe table has one row per k (ascending) and one column per probe x:
+``hbar_limits`` takes the hbar limit of each column, ``double_limit`` then
+sends x -> 0.
 """
 
 from __future__ import annotations
@@ -12,14 +15,16 @@ import numpy as np
 from ..errors import IllConditioned
 from ..config import TOL
 
-__all__ = ["hbar_limit", "x_limit", "loglog_slope", "circle_distance"]
+__all__ = ["hbar_limit", "hbar_limits", "x_limit", "double_limit", "loglog_slope",
+           "circle_distance"]
 
 
 def hbar_limit(ks, vals, order: int = 2):
     """Fit vals ~ a0 + a1*hbar + ... + a_order*hbar^order; return (a0, info).
 
     info carries the fit residual and the empirical convergence order (the
-    log-log regression slope of |val_k - limit| against k)."""
+    log-log regression slope of |val_k - limit| against k; None when it is
+    not finite, as when fewer than two samples differ from the limit)."""
     ks = np.asarray(ks, dtype=float)
     vals = np.asarray(vals, dtype=float)
     order = min(order, len(ks) - 1)
@@ -28,7 +33,15 @@ def hbar_limit(ks, vals, order: int = 2):
     coef, res, *_ = np.linalg.lstsq(A, vals, rcond=None)
     rms = float(np.sqrt(res[0] / len(ks))) if len(res) else 0.0
     slope = loglog_slope(ks, vals - coef[0])
-    return float(coef[0]), {"coeffs": coef, "rms": rms, "slope": slope}
+    return float(coef[0]), {"coeffs": coef, "rms": rms,
+                            "slope": slope if np.isfinite(slope) else None}
+
+
+def hbar_limits(ks, table):
+    """hbar_limit of each column of ``table`` (one row per k in ``ks``);
+    returns (limits array, list of the columns' convergence slopes)."""
+    fits = [hbar_limit(ks, col) for col in np.asarray(table, dtype=float).T]
+    return np.array([lim for lim, _ in fits]), [info["slope"] for _, info in fits]
 
 
 def x_limit(xs, vals):
@@ -37,13 +50,32 @@ def x_limit(xs, vals):
     xs = np.asarray(xs, dtype=float)
     vals = np.asarray(vals, dtype=float)
     if len(xs) < 3:
-        return float(vals[np.argmin(xs)]), {"fit": None}
+        return float(vals[np.argmin(xs)]), {"cond": None}
     A = np.vstack([np.ones_like(xs), xs * np.log(xs), xs]).T
     cond = np.linalg.cond(A)
     if cond > TOL.max_condition:
         raise IllConditioned(f"x-limit design matrix condition {cond:.2e}")
     coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
     return float(coef[0]), {"coeffs": coef, "cond": float(cond)}
+
+
+def double_limit(ks, xs, table):
+    """hbar -> 0 in each column of ``table`` (one row per k in ``ks``, one
+    column per x in ``xs``), then x -> 0; returns (value, info).
+
+    info holds, keyed by x, the per-k samples ("per_k"), the hbar limits
+    ("per_x") and their convergence slopes ("hbar_slopes"), and the
+    x-fit condition number ("cond", None for a schedule too short to fit).
+    """
+    table = np.asarray(table, dtype=float)
+    per_x, slopes = hbar_limits(ks, table)
+    val, fit = x_limit(xs, per_x)
+    return val, {
+        "per_k": dict(zip(xs, table.T.tolist())),
+        "per_x": dict(zip(xs, per_x.tolist())),
+        "hbar_slopes": dict(zip(xs, slopes)),
+        "cond": fit["cond"],
+    }
 
 
 def loglog_slope(ks, errs):

@@ -2,8 +2,9 @@
 rotation coefficient sigma1(0), the twisting number, and S_{0,1}.
 
 All recoveries follow the same pattern: evaluate spacing functionals at
-probes offset by (x, ...) from the focus-focus value, extrapolate hbar -> 0
-over the k family, then send x -> 0 along the schedule.
+probes offset by x*(1, slope) from the focus-focus value (``ray_samples``),
+extrapolate hbar -> 0 over the k family, then send x -> 0 along the
+schedule (``double_limit``).
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ActionDiscontinuity, SignError
-from .extrap import hbar_limit, x_limit
-from .spacings import A1A2Sample, LabelledSpectrum
+from .extrap import double_limit, hbar_limits
+from .spacings import LabelledSpectrum, ray_samples
 
 __all__ = [
     "FrJet",
     "TaylorInvariant",
     "twisting_number",
-    "probe_samples",
     "recover_fr_gradient",
     "recover_sigma1",
     "recover_S01",
@@ -89,111 +89,59 @@ class TaylorInvariant:
         return self.s_coeffs.get((0, 1), float("nan"))
 
 
-def probe_samples(family: dict[int, LabelledSpectrum], origin, dx: float,
-                  dy: float) -> list[A1A2Sample]:
-    """a1a2_interpolated at the offset (dx, dy) from each k's own origin
-    (``origin`` where a spectrum carries none), in ascending k."""
-    out = []
-    for k in sorted(family):
-        spec = family[k]
-        x0, y0 = spec.origin if getattr(spec, "origin", None) is not None else origin
-        out.append(spec.a1a2_interpolated((x0 + dx, y0 + dy)))
-    return out
-
-
 def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x: float,
                         mu: float = 2.0) -> tuple[float, float, dict]:
     """(dx f_r(0), dy f_r(0), info) from probes at horizontal offsets x and mu*x.
 
     dx f_r(0) ~ 2*pi*(a1(x,0) - a1(mu*x,0)) / ln(mu), same for dy with a2;
-    the error budget is O(x ln x) + O(hbar).  info carries, keyed by x, the
-    empirical hbar-convergence slopes and the per-k samples (already
-    scaled) the hbar limits were fitted to.
+    the error budget is O(x ln x) + O(hbar).  info has the keys of
+    ``double_limit``'s, each value a (dx, dy) pair keyed by x; "per_k"
+    holds the per-k samples (already scaled) the hbar limits were fitted to.
     """
     ks = sorted(family)
     x = float(x)
     scale = 2 * np.pi / np.log(mu)
-    pairs = list(zip(probe_samples(family, origin, x, 0.0),
-                     probe_samples(family, origin, mu * x, 0.0)))
-    d1 = [near.a1 - far.a1 for near, far in pairs]
-    d2 = [near.a2 - far.a2 for near, far in pairs]
-    lim1, info1 = hbar_limit(ks, d1)
-    lim2, info2 = hbar_limit(ks, d2)
-    dxfr, dyfr = float(scale * lim1), float(scale * lim2)
+    a1, a2 = ray_samples(family, origin, 0.0, [x, mu * x])
+    diffs = np.column_stack([a1[:, 0] - a1[:, 1], a2[:, 0] - a2[:, 1]])
+    lims, slopes = hbar_limits(ks, diffs)
+    dxfr, dyfr = float(scale * lims[0]), float(scale * lims[1])
     if dyfr <= 0:
         raise SignError(f"recovered dy f_r(0) = {dyfr:.4f} <= 0")
+    d1, d2 = (scale * diffs).T.tolist()
     return dxfr, dyfr, {
-        "hbar_slopes": {x: (info1["slope"], info2["slope"])},
-        "per_k": {x: ([float(scale * v) for v in d1], [float(scale * v) for v in d2])},
+        "per_k": {x: (d1, d2)},
+        "per_x": {x: (dxfr, dyfr)},
+        "hbar_slopes": {x: tuple(slopes)},
+        "cond": None,
     }
 
 
-def _sigma_tilde(family, origin, s0, x):
-    """hbar->0 limit of a1 + s0*a2 along the radial direction at offset x,
-    with detection (and unipotent correction) of integer action jumps;
-    returns (limit, hbar slope, corrected per-k values)."""
-    ks = sorted(family)
-    vals = np.array([s.a1 + s0 * s.a2 for s in probe_samples(family, origin, x, s0 * x)])
-    med = np.median(vals)
-    jumps = np.round(vals - med)
-    if np.any(jumps != 0):
-        vals = vals - jumps  # composition with (j,l) -> (j, l+n*j) on the odd k out
-    lim, info = hbar_limit(ks, vals)
-    return lim, info["slope"], vals.tolist()
-
-
-def recover_sigma1(family: dict[int, LabelledSpectrum], origin, s0: float,
-                   x_schedule) -> tuple[float, dict]:
-    """sigma1(0) for the action variable selected by the labelling.
+def recover_sigma1(ks, xs, a1, a2, s0: float) -> tuple[float, dict]:
+    """sigma1(0) for the action variable selected by the labelling, from
+    the probe table of the ray c = (x, s0*x) (``ray_samples``).
 
     sigma_tilde_1(x) = (E_(j,l)-E_(j+1,l))/(E_(j,l+1)-E_(j,l))
-                       + hbar*s0/(E_(j,l+1)-E_(j,l))  at c = (x, s0*x),
-    extrapolated hbar -> 0 and then x -> 0.  info carries, per x, the hbar
-    limits, their slopes and the per-k values (after the integer-jump
-    correction) they were fitted to.
+                       + hbar*s0/(E_(j,l+1)-E_(j,l)) = a1 + s0*a2,
+    extrapolated hbar -> 0 and then x -> 0.  A per-k value an integer away
+    from its column's median is an integer action jump, undone by the
+    composition with (j,l) -> (j, l+n*j) on the odd k out; info (see
+    ``double_limit``) carries the per-k values after that correction.
     """
-    xs = sorted(x_schedule, reverse=True)
-    per_x, slopes, per_k = [], [], []
-    for x in xs:
-        val, slope, vals = _sigma_tilde(family, origin, s0, x)
-        per_x.append(val)
-        slopes.append(slope)
-        per_k.append(vals)
-    per_x = np.array(per_x)
+    vals = a1 + s0 * a2
+    vals = vals - np.round(vals - np.median(vals, axis=0))
+    val, info = double_limit(ks, xs, vals)
     # a jump of ~ an integer across the schedule means the action changed chart
-    steps = np.diff(per_x)
+    steps = np.diff(list(info["per_x"].values()))
     if np.any(np.abs(steps) > 0.5):
         raise ActionDiscontinuity(
             f"sigma1 probes jump by {steps[np.argmax(np.abs(steps))]:+.2f} across the x schedule"
         )
-    val, info = x_limit(xs, per_x)
-    info["per_x"] = dict(zip(xs, per_x))
-    info["hbar_slopes"] = dict(zip(xs, slopes))
-    info["per_k"] = dict(zip(xs, per_k))
     return val, info
 
 
-def recover_S01(family: dict[int, LabelledSpectrum], origin, s0: float,
-                dy_fr: float, x_schedule) -> tuple[float, dict]:
-    """S_{0,1} = lim lim ( hbar / (dy f_r(0) (E_(j,l+1)-E_(j,l))) + ln(x)/2pi ).
-
-    info carries, per x, the hbar limits, their slopes and the per-k values
-    they were fitted to."""
+def recover_S01(ks, xs, a2, dy_fr: float) -> tuple[float, dict]:
+    """S_{0,1} = lim lim ( hbar / (dy f_r(0) (E_(j,l+1)-E_(j,l))) + ln(x)/2pi )
+    from the a2 table of the ray c = (x, s0*x); info as ``double_limit``'s."""
     if dy_fr <= 0:
         raise SignError("dy f_r(0) must be positive")
-    ks = sorted(family)
-    xs = sorted(x_schedule, reverse=True)
-    per_x = []
-    slopes, per_k = {}, {}
-    for x in xs:
-        vals = [s.a2 / dy_fr + np.log(x) / (2 * np.pi)
-                for s in probe_samples(family, origin, x, s0 * x)]
-        lim, inf = hbar_limit(ks, vals)
-        per_x.append(lim)
-        slopes[x] = inf["slope"]
-        per_k[x] = [float(v) for v in vals]
-    val, info = x_limit(xs, np.array(per_x))
-    info["per_x"] = dict(zip(xs, per_x))
-    info["hbar_slopes"] = slopes
-    info["per_k"] = per_k
-    return val, info
+    return double_limit(ks, xs, a2 / dy_fr + np.log(xs) / (2 * np.pi))

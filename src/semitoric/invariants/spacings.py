@@ -10,7 +10,9 @@ where (a1, a2) decompose the action field: ham L = a1 ham J + a2 ham H.
 ``LabelledSpectrum.a1a2_anchored`` is the literal estimator at a labelled
 anchor; ``a1a2_interpolated`` evaluates the same quantities at the exact
 probe height from the local eigenvalue ladders, which removes the anchor
-jitter that otherwise dominates the hbar extrapolation.
+jitter that otherwise dominates the hbar extrapolation.  ``ray_samples``
+reads it along a ray for every k of a family into the probe table that the
+limit extractions take.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from ..errors import MissingNeighbor
 
-__all__ = ["A1A2Sample", "LabelledSpectrum"]
+__all__ = ["A1A2Sample", "LabelledSpectrum", "ray_samples"]
 
 
 @dataclass(frozen=True)
@@ -106,6 +108,24 @@ class LabelledSpectrum:
         ratio = d_t / self.hbar
         a2 = self.hbar / s_t
         return A1A2Sample((x0, y), self.k, ratio, a2, d_t / s_t)
+
+
+def ray_samples(family: dict[int, LabelledSpectrum], origin, slope: float,
+                xs) -> tuple[np.ndarray, np.ndarray]:
+    """The probe table of a ray: (a1, a2), each with one row per k of
+    ``family`` (ascending) and one column per x of ``xs``, read by
+    ``a1a2_interpolated`` at c = c0 + x*(1, slope).  c0 is each k's own
+    origin, or ``origin`` where a spectrum carries none."""
+    ks = sorted(family)
+    a1 = np.empty((len(ks), len(xs)))
+    a2 = np.empty((len(ks), len(xs)))
+    for i, k in enumerate(ks):
+        spec = family[k]
+        x0, y0 = spec.origin if spec.origin is not None else origin
+        for j, x in enumerate(xs):
+            s = spec.a1a2_interpolated((x0 + x, y0 + slope * x))
+            a1[i, j], a2[i, j] = s.a1, s.a2
+    return a1, a2
 
 
 def _interp_cubic(xs, ys, x):

@@ -29,18 +29,16 @@ values are read through the composite (x, y) -> (x, f_r(x, y)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ..config import TOL
 from ..errors import DuplicateMu, IllConditioned
-from .extrap import hbar_limit
-from .jets import FrJet, probe_samples
-from .spacings import LabelledSpectrum
+from .extrap import hbar_limits
+from .jets import FrJet
+from .spacings import LabelledSpectrum, ray_samples
 
 __all__ = [
-    "GMuExpansion",
     "g_mu_sample",
     "expansion_along_ray",
     "d_n_from_jet",
@@ -155,33 +153,23 @@ def d_n_from_jet(jet: FrJet, mu: float, n: int) -> float:
 
 # -- sampling and fitting ---------------------------------------------------
 
-@dataclass
-class GMuExpansion:
-    mu: float
-    x_samples: list                        # [(x, g value after hbar limit)]
-
-
 def g_mu_sample(family: dict[int, LabelledSpectrum], origin, mu: float,
-                x_schedule) -> GMuExpansion:
-    """g_mu(x) = a1(x, mu x) + mu a2(x, mu x), hbar -> 0 per x."""
-    ks = sorted(family)
-    samples = []
-    for x in sorted(x_schedule, reverse=True):
-        vals = [s.a1 + mu * s.a2 for s in probe_samples(family, origin, x, mu * x)]
-        samples.append((x, hbar_limit(ks, vals)[0]))
-    return GMuExpansion(mu, samples)
+                xs) -> np.ndarray:
+    """g_mu(x) = a1(x, mu x) + mu a2(x, mu x), hbar -> 0, at each x of xs."""
+    a1, a2 = ray_samples(family, origin, mu, xs)
+    return hbar_limits(sorted(family), a1 + mu * a2)[0]
 
 
-def fit_log_expansion(exp: GMuExpansion, n: int, c_known, d_known):
-    """Recover (c_n, d_n) given all lower coefficients.
+def fit_log_expansion(xs, g, n: int, c_known, d_known):
+    """Recover (c_n, d_n) of g_mu sampled as g at xs, given all lower
+    coefficients.
 
     d_n = lim (g - sum_{l<n} x^l (c_l + d_l ln x)) / (x^n ln x), then c_n;
     realized as one weighted least-squares fit on the residual with basis
     {ln x, 1, x ln x, x} (the two extra columns absorb the next order).
     """
-    xs = np.array([x for x, _ in exp.x_samples])
-    g = np.array([v for _, v in exp.x_samples])
-    resid = g.copy()
+    xs = np.asarray(xs, dtype=float)
+    resid = np.array(g, dtype=float)
     for l in range(n):
         resid -= xs ** l * (c_known[l] + d_known[l] * np.log(xs))
     resid /= xs ** n

@@ -27,7 +27,7 @@ from .invariants import (
     hausdorff,
     locate_focus_focus,
     polygon_recover,
-    probe_samples,
+    ray_samples,
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,
@@ -56,7 +56,6 @@ __all__ = [
     "locate_critical_values",
     "recover_all",
     "polygon_run",
-    "sigma1_error_curve",
     "default_strip",
     "default_dh_grid",
 ]
@@ -194,11 +193,14 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     jet1 = FrJet({(1, 0): dxfr, (0, 1): dyfr})
     s0 = jet1.slope_s0
 
-    sigma1, sig_info = recover_sigma1(family, origin, s0, probes.x_schedule)
+    # sigma1 and S01 read one probe table on the radial ray (x, s0 x)
+    ks, xs = sorted(family), list(probes.x_schedule)
+    a1, a2 = ray_samples(family, origin, s0, xs)
+    sigma1, sig_info = recover_sigma1(ks, xs, a1, a2, s0)
     p = twisting_number(sigma1)
     sigma1_priv = sigma1 - p
 
-    s01, s01_info = recover_S01(family, origin, s0, dyfr, probes.x_schedule)
+    s01, s01_info = recover_S01(ks, xs, a2, dyfr)
 
     s00, height_info = column_height(ModelCounter(model, probes.k_list),
                                      {k: spec.origin for k, spec in family.items()})
@@ -218,9 +220,10 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
         xs_mu = [x for x in probes.x_taylor if x * mu <= x_top + 1e-12]
         if len(xs_mu) < 6:
             xs_mu = sorted(probes.x_taylor)[:6]
-        exp = g_mu_sample(family, origin, mu, xs_mu)
-        c0, d0, info0 = fit_log_expansion(exp, 0, [], [])
-        c1, d1, info1 = fit_log_expansion(exp, 1, [c0], [d0])
+        xs_mu = sorted(xs_mu, reverse=True)
+        g = g_mu_sample(family, origin, mu, xs_mu)
+        c0, d0, info0 = fit_log_expansion(xs_mu, g, 0, [], [])
+        c1, d1, info1 = fit_log_expansion(xs_mu, g, 1, [c0], [d0])
         c1s.append(c1)
         d1s.append(d1)
         fit_conds[str(mu)] = [info0["cond"], info1["cond"]]
@@ -268,19 +271,19 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
                 "S01": s01_info["per_k"][x_probe],
                 "height": [height_info["raw"][k] for k in probes.k_list],
             },
-            "sigma1_per_x": {f"{x}": v for x, v in sig_info.get("per_x", {}).items()},
-            "s01_per_x": {f"{x}": v for x, v in s01_info.get("per_x", {}).items()},
+            "sigma1_per_x": {f"{x}": v for x, v in sig_info["per_x"].items()},
+            "s01_per_x": {f"{x}": v for x, v in s01_info["per_x"].items()},
             "d1_by_mu": dict(zip(map(str, mus), d1s)),
             "c1_by_mu": dict(zip(map(str, mus), c1s)),
             "convergence_slopes": {
                 "gradient_hbar": {f"{x}": v for x, v in grad_info["hbar_slopes"].items()},
-                "sigma1_hbar": {f"{x}": v for x, v in sig_info.get("hbar_slopes", {}).items()},
-                "s01_hbar": {f"{x}": v for x, v in s01_info.get("hbar_slopes", {}).items()},
+                "sigma1_hbar": {f"{x}": v for x, v in sig_info["hbar_slopes"].items()},
+                "s01_hbar": {f"{x}": v for x, v in s01_info["hbar_slopes"].items()},
                 "height": height_info["slope"],
             },
             "condition_numbers": {
-                "sigma1_x_fit": sig_info.get("cond"),
-                "s01_x_fit": s01_info.get("cond"),
+                "sigma1_x_fit": sig_info["cond"],
+                "s01_x_fit": s01_info["cond"],
                 "log_expansion_by_mu": fit_conds,
             },
         },
@@ -368,18 +371,3 @@ def _vertex_errors(fitted, reference):
                    options={"xatol": 1e-4, "fatol": 1e-4})
     shifted = F + res.x
     return [float(min(np.hypot(v[0] - r[0], v[1] - r[1]) for r in R)) for v in shifted]
-
-
-# ---------------------------------------------------------------------------
-# convergence study used by the acceptance suite
-
-def sigma1_error_curve(model: ModelSpec, origin, s0: float, x: float,
-                       ks, target: float):
-    """Per-k sigma1 estimates at fixed x and their distances (mod 1) to the
-    target; used for the empirical convergence-order check."""
-    from .invariants import circle_distance
-
-    probes = ProbeConfig(k_list=list(ks), x_schedule=[x], mu_list=[])
-    family = build_probe_family(model, origin, probes)
-    ests = np.array([s.a1 + s0 * s.a2 for s in probe_samples(family, origin, x, s0 * x)])
-    return ests, np.array([circle_distance(est, target) for est in ests])

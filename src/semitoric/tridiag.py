@@ -42,6 +42,9 @@ def spectral_radius_bound(d, e):
 def sturm_count_below(diag, offdiag, y):
     """Number of eigenvalues strictly below y (LDL^T pivot sign count)."""
     d, e = _as_tridiag(diag, offdiag)
+    # Python floats: a pivot near zero sends e^2/q to +-inf without the
+    # overflow warning numpy scalars raise, and the sign count is the same
+    d, e, y = d.tolist(), e.tolist(), float(y)
     count = 0
     q = d[0] - y
     if q < 0:

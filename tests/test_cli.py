@@ -10,7 +10,7 @@ import semitoric
 import semitoric.models
 import semitoric.pipeline
 from semitoric.cli import main
-from semitoric.invariants import hbar_limit
+from semitoric.invariants import LabelledSpectrum, hbar_limit
 
 
 def test_cli_startup_imports_no_scipy():
@@ -92,6 +92,19 @@ def test_mu_one_flag_exits_2_before_solving(tmp_path, capsys):
     assert "mu must be positive and different from 1" in capsys.readouterr().err
 
 
+def test_repeated_k_exits_2_before_solving(tmp_path, monkeypatch, capsys):
+    # a repeated k would collapse to one row of the probe table while the
+    # height kept both, so the schedule must be strictly ascending
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    rc = main(["invariants", "--model", "spin-oscillator", "--k", "100", "--k", "100",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "strictly ascending" in capsys.readouterr().err
+
+
 def test_delta_flag_is_dh_only(tmp_path):
     # the height comes from the critical column, so only the DH strips
     # take a width exponent
@@ -162,8 +175,16 @@ def test_invariants_command_small(tmp_path, monkeypatch):
         solves.append(args)
         return solve(*args, **kwargs)
 
+    probes = []
+    a1a2 = LabelledSpectrum.a1a2_interpolated
+
+    def counted_probe(self, c):
+        probes.append((self.k, float(c[0]), float(c[1])))
+        return a1a2(self, c)
+
     monkeypatch.setattr(semitoric.pipeline, "build_probe_family", counted)
     monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", counted_solve)
+    monkeypatch.setattr(LabelledSpectrum, "a1a2_interpolated", counted_probe)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "model": "spin-oscillator", "r1": 1.0, "r2": 2.5, "t": 0.5,
@@ -181,6 +202,8 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     for key in ("focus_focus", "fr_jet", "sigma1_0", "twisting_p", "S", "quadratic_mixed"):
         assert key in report
     assert len(families) == 1
+    # sigma1 and S01 share one probe table: no probe is read twice
+    assert probes and len(set(probes)) == len(probes)
     # a probe column is solved only when an estimator reads it
     assert len(solves) < sum(len(sp.column_x) for sp in families[0].values())
     # the figures are the per-k samples behind the reported limits
@@ -194,6 +217,24 @@ def test_invariants_command_small(tmp_path, monkeypatch):
         assert [float(r[1]) for r in rows] == per_k[name]
     dx, _ = hbar_limit(per_k["k"], per_k["dxfr"])
     assert dx == pytest.approx(report["fr_jet"]["1,0"], rel=1e-10)
+
+
+@pytest.mark.slow
+def test_invariants_single_k_writes_strict_json(tmp_path):
+    # with one k no convergence slope can be fitted; each is null, never
+    # a bare -Infinity that strict JSON parsers reject
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rc = main(["invariants", "--model", "spin-oscillator", "--k", "200",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "invariants.json").read_text(), parse_constant=reject)
+    slopes = report["diagnostics"]["convergence_slopes"]
+    for name in ("gradient_hbar", "sigma1_hbar", "s01_hbar"):
+        assert slopes[name] and all(v is None or v == [None, None]
+                                    for v in slopes[name].values())
+    assert slopes["height"] is None
 
 
 @pytest.mark.slow

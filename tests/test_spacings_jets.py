@@ -13,6 +13,7 @@ from semitoric.invariants import (
     FrJet,
     LabelledSpectrum,
     recover_S01,
+    ray_samples,
     recover_fr_gradient,
     recover_sigma1,
 )
@@ -188,9 +189,11 @@ def test_manufactured_sigma1_and_s01():
     jet = FrJet({(1, 0): -0.5, (0, 1): 2.5})
     fam = ManufacturedFamily(jet, s10=0.3, s01=0.65, ks=[100, 200, 300, 400])
     s0 = jet.slope_s0
-    sig, _ = recover_sigma1(fam, (0.0, 0.0), s0, [0.04, 0.03, 0.02, 0.01])
+    ks, xs = sorted(fam), [0.04, 0.03, 0.02, 0.01]
+    a1, a2 = ray_samples(fam, (0.0, 0.0), s0, xs)
+    sig, _ = recover_sigma1(ks, xs, a1, a2, s0)
     assert sig == pytest.approx(0.3, abs=5e-3)
-    s01, _ = recover_S01(fam, (0.0, 0.0), s0, 2.5, [0.04, 0.03, 0.02, 0.01])
+    s01, _ = recover_S01(ks, xs, a2, 2.5)
     assert s01 == pytest.approx(0.65, abs=5e-3)
 
 
@@ -235,7 +238,8 @@ def test_relabelling_covariance_manufactured():
 
     for n in (-2, -1, 1, 2):
         fam = {k: Sheared(base, k, n) for k in (100, 200, 300)}
-        sig, _ = recover_sigma1(fam, (0.0, 0.0), 0.0, [0.02, 0.01])
+        a1, a2 = ray_samples(fam, (0.0, 0.0), 0.0, [0.02, 0.01])
+        sig, _ = recover_sigma1(sorted(fam), [0.02, 0.01], a1, a2, 0.0)
         assert sig == pytest.approx(0.4 - n, abs=5e-3)
 
 

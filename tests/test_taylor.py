@@ -4,7 +4,6 @@ import pytest
 from semitoric.errors import DuplicateMu
 from semitoric.invariants import (
     FrJet,
-    GMuExpansion,
     d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,
@@ -93,12 +92,11 @@ def test_fit_log_expansion_manufactured():
     mu = 1.3
     xs = np.geomspace(1e-3, 1e-1, 14)
     g = eval_g(jet, s, mu, xs, orders=2)
-    exp = GMuExpansion(mu, list(zip(xs, g)))
     c_th, d_th = expansion_along_ray(jet, s, mu, 2)
-    c0, d0, _ = fit_log_expansion(exp, 0, [], [])
+    c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
     assert c0 == pytest.approx(c_th[0], abs=1e-6)
     assert d0 == pytest.approx(d_th[0], abs=1e-6)
-    c1, d1, _ = fit_log_expansion(exp, 1, [c0], [d0])
+    c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
     assert c1 == pytest.approx(c_th[1], abs=1e-3)
     assert d1 == pytest.approx(d_th[1], abs=1e-3)
 
@@ -106,10 +104,9 @@ def test_fit_log_expansion_manufactured():
 def test_fit_log_expansion_no_log_part():
     xs = np.geomspace(1e-3, 1e-1, 10)
     g = 0.7 + 0.2 * xs        # pure polynomial
-    exp = GMuExpansion(1.0, list(zip(xs, g)))
-    c0, d0, _ = fit_log_expansion(exp, 0, [], [])
+    c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
     assert d0 == pytest.approx(0.0, abs=1e-12)
-    c1, d1, _ = fit_log_expansion(exp, 1, [c0], [d0])
+    c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
     assert d1 == pytest.approx(0.0, abs=1e-10)
     assert c1 == pytest.approx(0.2, abs=1e-10)
 
@@ -159,39 +156,40 @@ SPIN_JET1 = FrJet({(1, 0): 0.0, (0, 1): 2.0})
 SPIN_S01 = 5 * np.log(2) / (2 * np.pi)
 
 
-def manufactured_spin_exp(mu, xs):
+def manufactured_spin_g(mu, xs):
     jet = FrJet({(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.25})
     s = {(1, 0): 0.0, (0, 1): SPIN_S01, (1, 1): 1 / (8 * np.pi)}
-    return GMuExpansion(mu, list(zip(xs, eval_g(jet, s, mu, xs, orders=2))))
+    return eval_g(jet, s, mu, xs, orders=2)
 
 
-def mixed_route(exp):
-    """(dxdy f_r(0), S_11) by the pure-mixed-jet route of the recovery:
-    fit_log_expansion at order 0, then order 1, then mixed_dxdy_from_d1
-    and s11_from_c1."""
-    c0, d0, _ = fit_log_expansion(exp, 0, [], [])
-    c1, d1, _ = fit_log_expansion(exp, 1, [c0], [d0])
-    dxdy = mixed_dxdy_from_d1(d1, exp.mu)
-    return dxdy, s11_from_c1(c1, exp.mu, SPIN_JET1, SPIN_S01, dxdy)
+def mixed_route(mu, xs):
+    """(dxdy f_r(0), S_11) by the pure-mixed-jet route of the recovery on
+    the manufactured g_mu: fit_log_expansion at order 0, then order 1, then
+    mixed_dxdy_from_d1 and s11_from_c1."""
+    g = manufactured_spin_g(mu, xs)
+    c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
+    c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
+    dxdy = mixed_dxdy_from_d1(d1, mu)
+    return dxdy, s11_from_c1(c1, mu, SPIN_JET1, SPIN_S01, dxdy)
 
 
 def test_cross_derivative_shortcut_identity_sanity():
     # exact samples built from the displayed coefficients -> -1/4
     xs = np.geomspace(2e-3, 5e-2, 10)
     for mu in (0.5, 1.0, 2.0):
-        val, _ = mixed_route(manufactured_spin_exp(mu, xs))
+        val, _ = mixed_route(mu, xs)
         assert val == pytest.approx(-0.25, abs=0.01)
 
 
 def test_shortcut_mu_independence():
     xs = np.geomspace(2e-3, 5e-2, 10)
-    vals = [mixed_route(manufactured_spin_exp(mu, xs))[0] for mu in (0.5, 1.0, 2.0)]
+    vals = [mixed_route(mu, xs)[0] for mu in (0.5, 1.0, 2.0)]
     assert max(vals) - min(vals) < 0.02
 
 
 def test_s11_shortcut_roundtrip():
     xs = np.geomspace(2e-3, 5e-2, 12)
-    _, s11 = mixed_route(manufactured_spin_exp(1.0, xs))
+    _, s11 = mixed_route(1.0, xs)
     assert s11 == pytest.approx(1 / (8 * np.pi), abs=2e-3)
 
 
