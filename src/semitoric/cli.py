@@ -78,7 +78,7 @@ def _config_from_args(args) -> RunConfig:
             setattr(cfg, name, v)
     if getattr(args, "k", None):
         cfg.probes.k_list = sorted(args.k)
-    if getattr(args, "k_max", None):
+    if getattr(args, "k_max", None) is not None:
         cfg.probes.k_list = [k for k in cfg.probes.k_list if k <= args.k_max]
     if getattr(args, "x", None):
         cfg.probes.x_schedule = sorted(args.x, reverse=True)
@@ -109,8 +109,6 @@ def _write(path: Path, text: str) -> None:
 def cmd_spectrum(args) -> int:
     cfg = _config_from_args(args)
     model = _model(cfg)
-    if not cfg.probes.k_list:
-        raise ConfigurationError("empty k list")
     out = _outdir(cfg)
     lo, hi = default_strip(model)
     window = Rect(lo, hi, -2.6, 2.6)

@@ -31,14 +31,12 @@ from .polygon import (
     reference_polygon_vertices,
     sample_polygon_region,
 )
-from .spacings import A1A2Sample, LabelledSpectrum, ray_samples
+from .spacings import LabelledSpectrum, ray_samples
 from .taylor import (
     d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,
     g_mu_sample,
-    mixed_dxdy_from_d1,
-    s11_from_c1,
     solve_jet_order,
     solve_taylor_order,
     taylor_system_determinant,

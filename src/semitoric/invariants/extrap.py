@@ -52,11 +52,19 @@ def x_limit(xs, vals):
     if len(xs) < 3:
         return float(vals[np.argmin(xs)]), {"cond": None}
     A = np.vstack([np.ones_like(xs), xs * np.log(xs), xs]).T
+    coef, cond = _guarded_lstsq(A, vals, "x-limit design matrix")
+    return float(coef[0]), {"coeffs": coef, "cond": cond}
+
+
+def _guarded_lstsq(A, b, what: str):
+    """Least-squares solution of A v = b and the condition number of A;
+    raises IllConditioned, its message led by ``what``, when the condition
+    number exceeds TOL.max_condition."""
     cond = np.linalg.cond(A)
     if cond > TOL.max_condition:
-        raise IllConditioned(f"x-limit design matrix condition {cond:.2e}")
-    coef, *_ = np.linalg.lstsq(A, vals, rcond=None)
-    return float(coef[0]), {"coeffs": coef, "cond": float(cond)}
+        raise IllConditioned(f"{what} condition {cond:.2e}")
+    coef, *_ = np.linalg.lstsq(A, b, rcond=None)
+    return coef, float(cond)
 
 
 def double_limit(ks, xs, table):

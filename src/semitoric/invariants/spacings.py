@@ -17,26 +17,11 @@ limit extractions take.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import MissingNeighbor
 
-__all__ = ["A1A2Sample", "LabelledSpectrum", "ray_samples"]
-
-
-@dataclass(frozen=True)
-class A1A2Sample:
-    c: tuple[float, float]       # probed value (anchor point)
-    k: int
-    ratio_a1_a2: float           # (E_(j,l) - E_(j+1,l)) / hbar
-    a2: float
-    a1: float                    # = ratio_a1_a2 * a2
-
-    def __post_init__(self):
-        if self.a2 == 0.0:
-            raise MissingNeighbor("zero vertical spacing: probe not regular")
+__all__ = ["LabelledSpectrum", "ray_samples"]
 
 
 class LabelledSpectrum:
@@ -79,24 +64,23 @@ class LabelledSpectrum:
 
     # -- estimators --------------------------------------------------------
 
-    def a1a2_anchored(self, anchor: tuple[int, int]) -> A1A2Sample:
-        """Spacing functionals at the labelled anchor (j, l); needs the three
-        labels (j,l), (j+1,l), (j,l+1) to be present."""
+    def a1a2_anchored(self, anchor: tuple[int, int]) -> tuple[float, float]:
+        """Spacing functionals (a1, a2) at the labelled anchor (j, l); needs
+        the three labels (j,l), (j+1,l), (j,l+1) to be present."""
         j, l = anchor
         e00 = self.energy(j, l)
         e01 = self.energy(j, l + 1)
         e10 = self.energy(j + 1, l)
         ratio = (e00 - e10) / self.hbar
         a2 = self.hbar / (e01 - e00)
-        return A1A2Sample((self.column_x[j], e00), self.k, ratio, a2, ratio * a2)
+        return _regular(ratio * a2, a2)
 
-    def a1a2_interpolated(self, c) -> A1A2Sample:
-        """Same functionals evaluated at the exact probe height c[1] by local
-        cubic interpolation of spacings and row differences."""
+    def a1a2_interpolated(self, c) -> tuple[float, float]:
+        """Same functionals (a1, a2) evaluated at the exact probe height c[1]
+        by local cubic interpolation of spacings and row differences."""
         j = self.nearest_column(c[0])
         ls0, ys0 = self.ladder(j)
         ls1, ys1 = self.ladder(j + 1)
-        x0 = self.column_x[j]
         y = float(c[1])
         mids = 0.5 * (ys0[1:] + ys0[:-1])
         sp = np.diff(ys0)
@@ -105,9 +89,14 @@ class LabelledSpectrum:
         if len(i0) < 2:
             raise MissingNeighbor("columns share fewer than 2 labels")
         d_t = _interp_cubic(ys0[i0], ys0[i0] - ys1[i1], y)
-        ratio = d_t / self.hbar
-        a2 = self.hbar / s_t
-        return A1A2Sample((x0, y), self.k, ratio, a2, d_t / s_t)
+        return _regular(d_t / s_t, self.hbar / s_t)
+
+
+def _regular(a1: float, a2: float) -> tuple[float, float]:
+    """(a1, a2), or MissingNeighbor when the vertical spacing is infinite."""
+    if a2 == 0.0:
+        raise MissingNeighbor("zero vertical spacing: probe not regular")
+    return a1, a2
 
 
 def ray_samples(family: dict[int, LabelledSpectrum], origin, slope: float,
@@ -123,8 +112,7 @@ def ray_samples(family: dict[int, LabelledSpectrum], origin, slope: float,
         spec = family[k]
         x0, y0 = spec.origin if spec.origin is not None else origin
         for j, x in enumerate(xs):
-            s = spec.a1a2_interpolated((x0 + x, y0 + slope * x))
-            a1[i, j], a2[i, j] = s.a1, s.a2
+            a1[i, j], a2[i, j] = spec.a1a2_interpolated((x0 + x, y0 + slope * x))
     return a1, a2
 
 

@@ -24,6 +24,11 @@ here by explicit series bookkeeping of
 
 with phi = f_r(x, mu x)/x and sigma1, sigma2 the smooth extensions whose
 values are read through the composite (x, y) -> (x, f_r(x, y)).
+
+Both order-(n+1) systems are solved by one routine that can pin some
+coefficients to known values: the purely-mixed route (dx^2 f_r(0) =
+dy^2 f_r(0) = 0 and S_{2,0} = S_{0,2} = 0, exact for the spin-oscillator)
+is the pair of solves at a single mu with those two coefficients pinned.
 """
 
 from __future__ import annotations
@@ -32,9 +37,8 @@ import math
 
 import numpy as np
 
-from ..config import TOL
-from ..errors import DuplicateMu, IllConditioned
-from .extrap import hbar_limits
+from ..errors import DuplicateMu
+from .extrap import _guarded_lstsq, hbar_limits
 from .jets import FrJet
 from .spacings import LabelledSpectrum, ray_samples
 
@@ -45,8 +49,6 @@ __all__ = [
     "fit_log_expansion",
     "solve_jet_order",
     "solve_taylor_order",
-    "mixed_dxdy_from_d1",
-    "s11_from_c1",
 ]
 
 
@@ -62,24 +64,19 @@ def _ppow(a, p, n):
         out = _pmul(out, a, n)
     return out
 
-def _plog1p(w, n):
-    """ln(1 + w) for a series with w[0] = 0."""
-    out = np.zeros(n)
-    term = np.array(w, dtype=float)
-    for m in range(1, n):
-        out += ((-1) ** (m + 1) / m) * term
-        term = _pmul(term, w, n)
-    return out
-
-def _pinv1p(w, n):
-    """1/(1 + w) for a series with w[0] = 0."""
+def _pseries(coeffs, w, n):
+    """sum_m coeffs[m] w^m for a series with w[0] = 0."""
     out = np.zeros(n)
     term = np.zeros(n)
     term[0] = 1.0
-    for _ in range(n):
-        out += term
-        term = -_pmul(term, w, n)
+    for a in coeffs:
+        out += a * term
+        term = _pmul(term, w, n)
     return out
+
+def _shift(a, p, n):
+    """x^p times the series a, truncated to n terms."""
+    return np.concatenate((np.zeros(p), a))[:n]
 
 
 def _partial_series(jet: FrJet, mu: float, dx_extra: int, dy_extra: int, n: int):
@@ -109,22 +106,22 @@ def expansion_along_ray(jet: FrJet, s_coeffs: dict, mu: float, n_orders: int):
     sig2 = np.zeros(ndeep)
     for (p, q), s in s_coeffs.items():
         if p >= 1:
-            t = _pmul(_monomial(p - 1, ndeep), _ppow(f, q, ndeep), ndeep)
-            sig1 += p * s * t
+            sig1 += p * s * _shift(_ppow(f, q, ndeep), p - 1, ndeep)
         if q >= 1:
-            t = _pmul(_monomial(p, ndeep), _ppow(f, q - 1, ndeep), ndeep)
-            sig2 += q * s * t
+            sig2 += q * s * _shift(_ppow(f, q - 1, ndeep), p, ndeep)
     A = phi[0]
     # ln(1 + phi^2) = ln(1+A^2) + log1p((phi^2 - A^2)/(1+A^2))
     phi2 = _pmul(phi, phi, ndeep)
     w = phi2.copy()
     w[0] = 0.0
     w = w / (1.0 + A * A)
-    log_term = _plog1p(w, ndeep)
+    # the series ln(1 + w) = sum_m (-1)^(m+1) w^m / m
+    log_term = _pseries([0.0] + [(-1) ** (m + 1) / m for m in range(1, ndeep)], w, ndeep)
     log_term[0] = np.log(1.0 + A * A)
     # arctan(phi) = arctan(A) + integral of phi' / (1 + phi^2)
     dphi = np.array([(m + 1) * phi[m + 1] for m in range(ndeep - 1)] + [0.0])
-    integrand = _pmul(dphi, _pinv1p(w, ndeep), ndeep) / (1.0 + A * A)
+    inv1p = _pseries([(-1.0) ** m for m in range(ndeep)], w, ndeep)   # 1/(1 + w)
+    integrand = _pmul(dphi, inv1p, ndeep) / (1.0 + A * A)
     atan = np.zeros(ndeep)
     atan[0] = np.arctan(A)
     atan[1:] = integrand[:-1] / np.arange(1, ndeep)
@@ -135,19 +132,15 @@ def expansion_along_ray(jet: FrJet, s_coeffs: dict, mu: float, n_orders: int):
     return P[:n], Q[:n]
 
 
-def _monomial(p, n):
-    out = np.zeros(n)
-    if p < n:
-        out[p] = 1.0
-    return out
+def _jet_row(n: int, mu: float) -> list[float]:
+    """Weights of d_x^l d_y^(n+1-l) f_r(0), l = 0..n+1, in -2 pi n! d_n(mu)."""
+    return [math.comb(n + 1, l) * mu ** (n + 1 - l) for l in range(n + 2)]
 
 
 def d_n_from_jet(jet: FrJet, mu: float, n: int) -> float:
     """Closed form of the x^n ln x coefficient of g_mu."""
-    total = sum(
-        math.comb(n + 1, l) * mu ** (n + 1 - l) * jet.derivs.get((l, n + 1 - l), 0.0)
-        for l in range(n + 2)
-    )
+    total = sum(w * jet.derivs.get((l, n + 1 - l), 0.0)
+                for l, w in enumerate(_jet_row(n, mu)))
     return -total / (2 * np.pi * math.factorial(n))
 
 
@@ -178,57 +171,64 @@ def fit_log_expansion(xs, g, n: int, c_known, d_known):
         cols += [xs * np.log(xs), xs]
     A = np.vstack(cols).T
     W = np.diag(xs ** n)      # downweight small x where hbar residue blows up
-    cond = np.linalg.cond(W @ A)
-    if cond > TOL.max_condition:
-        raise IllConditioned(f"log-basis fit condition {cond:.2e}")
-    coef, *_ = np.linalg.lstsq(W @ A, W @ resid, rcond=None)
+    coef, cond = _guarded_lstsq(W @ A, W @ resid, "log-basis fit")
     d_n, c_n = float(coef[0]), float(coef[1])
-    return c_n, d_n, {"cond": float(cond)}
+    return c_n, d_n, {"cond": cond}
 
 
-def solve_jet_order(n: int, mus, d_values) -> dict[tuple[int, int], float]:
-    """Order-(n+1) derivatives of f_r from d_n at n+2 distinct mu values:
-    invert (binom(n+1, j) mu_i^(n+1-j)) v = -2 pi n! d."""
+def _solve_order(n: int, mus, values, row, rhs, fixed, what: str):
+    """The order-(n+1) coefficients v_(l, n+1-l), l = 0..n+1, from one
+    equation row(mu) . v = rhs(mu, value) per (mu, value) pair.  The
+    coefficients in ``fixed`` keep their given values (their columns move
+    to the right-hand side), and one distinct mu is needed per remaining
+    unknown."""
     mus = np.asarray(mus, dtype=float)
     if len(set(mus.tolist())) != len(mus):
         raise DuplicateMu("mu values must be pairwise distinct")
-    if len(mus) != n + 2:
-        raise ValueError(f"need exactly {n + 2} mu values for order {n}")
-    D = np.array([[math.comb(n + 1, j) * m ** (n + 1 - j) for j in range(n + 2)]
-                  for m in mus])
-    cond = np.linalg.cond(D)
-    if cond > TOL.max_condition:
-        raise IllConditioned(f"jet system condition {cond:.2e}")
-    rhs = -2 * np.pi * math.factorial(n) * np.asarray(d_values, dtype=float)
-    v = np.linalg.solve(D, rhs)
-    return {(j, n + 1 - j): float(v[j]) for j in range(n + 2)}
+    keys = [(l, n + 1 - l) for l in range(n + 2)]
+    fixed = fixed or {}
+    if not set(fixed) < set(keys):
+        raise ValueError(f"fixed coefficients must be of order {n + 1} and leave one free")
+    free = [i for i, key in enumerate(keys) if key not in fixed]
+    pinned = [i for i, key in enumerate(keys) if key in fixed]
+    if len(mus) != len(free):
+        raise ValueError(f"need exactly {len(free)} mu values for order {n} "
+                         f"with {len(fixed)} coefficients fixed")
+    M = np.array([row(m) for m in mus])
+    b = np.array([rhs(m, v) for m, v in zip(mus, values)])
+    b = b - M[:, pinned] @ np.array([fixed[keys[i]] for i in pinned], dtype=float)
+    v, _ = _guarded_lstsq(M[:, free], b, what)
+    solved = {**fixed, **{keys[i]: x for i, x in zip(free, v)}}
+    return {key: float(solved[key]) for key in keys}
 
 
-def solve_taylor_order(n: int, mus, c_values, jet: FrJet,
-                       s_known: dict) -> dict[tuple[int, int], float]:
-    """Order-(n+1) Taylor coefficients from c_n at n+2 distinct mu values.
+def solve_jet_order(n: int, mus, d_values, fixed=None) -> dict[tuple[int, int], float]:
+    """Order-(n+1) derivatives of f_r from d_n at distinct mu values:
+    solve (binom(n+1, j) mu_i^(n+1-j)) v = -2 pi n! d.  Derivatives given
+    in ``fixed`` are pinned; the others need one mu each."""
+    scale = -2 * np.pi * math.factorial(n)
+    return _solve_order(n, mus, d_values, lambda m: _jet_row(n, m),
+                        lambda m, d: scale * d, fixed, "jet system")
+
+
+def solve_taylor_order(n: int, mus, c_values, jet: FrJet, s_known: dict,
+                       fixed=None) -> dict[tuple[int, int], float]:
+    """Order-(n+1) Taylor coefficients from c_n at distinct mu values.
 
     The unknowns enter linearly with matrix (n+1) * A_i^(n+1-l), a scaled
     Vandermonde in A_i = dx f_r(0) + mu_i dy f_r(0) with determinant
-    (n+1)^(n+2) * (dy f_r(0))^((n+1)(n+2)/2) * prod_(i>j) (mu_i - mu_j),
-    used as the conditioning check.
+    (n+1)^(n+2) * (dy f_r(0))^((n+1)(n+2)/2) * prod_(i>j) (mu_i - mu_j)
+    when no coefficient is pinned.  Coefficients given in ``fixed`` are
+    pinned; the others need one mu each.
     """
-    mus = np.asarray(mus, dtype=float)
-    if len(set(mus.tolist())) != len(mus):
-        raise DuplicateMu("mu values must be pairwise distinct")
-    if len(mus) != n + 2:
-        raise ValueError(f"need exactly {n + 2} mu values for order {n}")
-    Avals = jet.dx + mus * jet.dy
-    M = np.array([[(n + 1) * a ** (n + 1 - l) for l in range(n + 2)] for a in Avals])
-    cond = np.linalg.cond(M)
-    if cond > TOL.max_condition:
-        raise IllConditioned(f"Taylor system condition {cond:.2e}")
-    rhs = []
-    for m, c in zip(mus, c_values):
-        c_tilde = expansion_along_ray(jet, s_known, m, n + 1)[0][n]
-        rhs.append(c - c_tilde)
-    v = np.linalg.solve(M, np.asarray(rhs))
-    return {(l, n + 1 - l): float(v[l]) for l in range(n + 2)}
+    def row(m):
+        a = jet.dx + m * jet.dy
+        return [(n + 1) * a ** (n + 1 - l) for l in range(n + 2)]
+
+    def rhs(m, c):
+        return c - expansion_along_ray(jet, s_known, m, n + 1)[0][n]
+
+    return _solve_order(n, mus, c_values, row, rhs, fixed, "Taylor system")
 
 
 def taylor_system_determinant(n: int, mus, dy_fr: float) -> float:
@@ -239,21 +239,3 @@ def taylor_system_determinant(n: int, mus, dy_fr: float) -> float:
         for j in range(i):
             vdm *= mus[i] - mus[j]
     return (n + 1) ** (n + 2) * dy_fr ** ((n + 1) * (n + 2) // 2) * vdm
-
-
-# -- pure-mixed-jet route (exact for the spin-oscillator) -------------------
-
-def mixed_dxdy_from_d1(d1: float, mu: float) -> float:
-    """dxdy f_r(0) from a fitted d_1 when dx^2 f_r(0) = dy^2 f_r(0) = 0:
-    d_1 = -mu dxdy f_r(0) / pi."""
-    return -np.pi * d1 / mu
-
-
-def s11_from_c1(c1: float, mu: float, jet1: FrJet, s01: float,
-                dxdy: float) -> float:
-    """S_{1,1} from a fitted c_1 when S_{2,0} = S_{0,2} = 0 and the quadratic
-    jet is purely mixed: c_1 - c~_1 = 2 A S_{1,1}, A = dx f_r + mu dy f_r,
-    c~_1 = mu dxdy f_r(0) (2 S_{0,1} - (1 + ln(1 + A^2)) / 2 pi)."""
-    A = jet1.dx + mu * jet1.dy
-    c1_tilde = mu * dxdy * (2 * s01 - (1 + np.log(1 + A * A)) / (2 * np.pi))
-    return (c1 - c1_tilde) / (2 * A)

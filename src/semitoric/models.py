@@ -296,17 +296,7 @@ def _spin_dense(k: int, n_max: int):
         W[n + 1, n] = np.sqrt((n + 1) / k)
         D[n, n + 1] = np.sqrt((n + 1) / k)
     Nop = np.diag([(n + 0.5) / k for n in range(nb)])
-    X = np.zeros((ns, ns))
-    Y = np.zeros((ns, ns), dtype=complex)
-    Z = np.zeros((ns, ns))
-    for l in range(ns):
-        Z[l, l] = (2 * (k - l) - 1) / (2 * k)
-        if l >= 1:
-            X[l - 1, l] += np.sqrt(l * (2 * k - l)) / (2 * k)
-            Y[l - 1, l] += 1j * np.sqrt(l * (2 * k - l)) / (2 * k)
-        if l <= ns - 2:
-            X[l + 1, l] += np.sqrt((l + 1) * (2 * k - 1 - l)) / (2 * k)
-            Y[l + 1, l] += -1j * np.sqrt((l + 1) * (2 * k - 1 - l)) / (2 * k)
+    X, Y, Z = _sphere_ops_dense(ns)
     J = np.kron(Nop, np.eye(ns)) + np.kron(np.eye(nb), Z)
     H = (np.kron(W + D, X) + (1j * np.kron(W - D, Y)).real) / (2 * np.sqrt(2))
     interior = np.array([n <= n_max - 2 for n in range(nb) for _ in range(ns)])

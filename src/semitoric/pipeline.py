@@ -19,7 +19,6 @@ from .invariants import (
     TaylorInvariant,
     LabelledSpectrum,
     column_height,
-    mixed_dxdy_from_d1,
     detect_kinks,
     dh_profile,
     fit_log_expansion,
@@ -32,7 +31,6 @@ from .invariants import (
     recover_fr_gradient,
     recover_sigma1,
     reference_polygon_vertices,
-    s11_from_c1,
     sample_polygon_region,
     solve_jet_order,
     solve_taylor_order,
@@ -235,12 +233,15 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
         (1, 1): s2[(1, 1)], (2, 0): s2[(2, 0)], (0, 2): s2[(0, 2)],
     })
 
-    # dedicated order-1 route under the purely-mixed-jet hypothesis (exact for
-    # the spin-oscillator); far better conditioned than the 3-mu solve
+    # the same order-1 solves at the one mu nearest 1 under the purely-mixed
+    # hypothesis, dx^2 f_r = dy^2 f_r = S20 = S02 = 0 (exact for the
+    # spin-oscillator); far better conditioned than the 3-mu solve
     mu_star = min(mus, key=lambda m: abs(m - 1.0))
     i_star = mus.index(mu_star)
-    dxdy_mixed = mixed_dxdy_from_d1(d1s[i_star], mu_star)
-    s11_mixed = s11_from_c1(c1s[i_star], mu_star, jet1, s01, dxdy_mixed)
+    pure = {(2, 0): 0.0, (0, 2): 0.0}
+    jet2_mixed = solve_jet_order(1, [mu_star], [d1s[i_star]], fixed=pure)
+    s2_mixed = solve_taylor_order(1, [mu_star], [c1s[i_star]],
+                                  FrJet({**jet1.derivs, **jet2_mixed}), s_known, fixed=pure)
 
     report = {
         "model": model.kind,
@@ -255,8 +256,8 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
         "twisting_p": taylor.twisting_p,
         "S": {f"{l},{m}": v for (l, m), v in sorted(taylor.s_coeffs.items())},
         "quadratic_mixed": {
-            "dxdy_fr": dxdy_mixed,
-            "S11": s11_mixed,
+            "dxdy_fr": jet2_mixed[(1, 1)],
+            "S11": s2_mixed[(1, 1)],
             "mu": mu_star,
         },
         "diagnostics": {

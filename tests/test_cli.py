@@ -105,6 +105,18 @@ def test_repeated_k_exits_2_before_solving(tmp_path, monkeypatch, capsys):
     assert "strictly ascending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("k_max", ["0", "10"])
+def test_k_max_below_every_k_exits_2(tmp_path, monkeypatch, k_max):
+    # --k-max 0 filters out every k like --k-max 10 does, so both leave an
+    # empty schedule
+    counts = []
+    monkeypatch.setattr(semitoric.pipeline.ModelCounter, "count",
+                        lambda self, *args: counts.append(args))
+    rc = main(["dh", "--model", "coupled", "--k", "20", "--k-max", k_max,
+               "--out", str(tmp_path)])
+    assert rc == 2 and counts == []
+
+
 def test_delta_flag_is_dh_only(tmp_path):
     # the height comes from the critical column, so only the DH strips
     # take a width exponent

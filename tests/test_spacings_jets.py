@@ -32,20 +32,20 @@ def grid_spectrum(k, alpha, beta, x_range=(-0.4, 0.4), y_range=(-0.4, 0.4)):
 
 def test_identity_chart_a1_a2():
     ls = grid_spectrum(20, 0.0, 1.0)
-    s = ls.a1a2_anchored((0, 0))
-    assert s.a1 == pytest.approx(0.0, abs=1e-12)
-    assert s.a2 == pytest.approx(1.0, abs=1e-12)
+    a1, a2 = ls.a1a2_anchored((0, 0))
+    assert a1 == pytest.approx(0.0, abs=1e-12)
+    assert a2 == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("alpha,beta", [(0.7, 1.3), (-0.4, 0.8)])
 def test_linear_chart_inverse_jacobian(alpha, beta):
     ls = grid_spectrum(50, alpha, beta)
-    s = ls.a1a2_anchored((2, -1))
-    assert s.a2 == pytest.approx(1.0 / beta, rel=1e-9)
-    assert s.a1 == pytest.approx(-alpha / beta, rel=1e-9)
-    si = ls.a1a2_interpolated((2.5 / 50, 0.01))
-    assert si.a2 == pytest.approx(1.0 / beta, rel=1e-8)
-    assert si.a1 == pytest.approx(-alpha / beta, rel=1e-6, abs=1e-9)
+    a1, a2 = ls.a1a2_anchored((2, -1))
+    assert a2 == pytest.approx(1.0 / beta, rel=1e-9)
+    assert a1 == pytest.approx(-alpha / beta, rel=1e-9)
+    a1, a2 = ls.a1a2_interpolated((2.5 / 50, 0.01))
+    assert a2 == pytest.approx(1.0 / beta, rel=1e-8)
+    assert a1 == pytest.approx(-alpha / beta, rel=1e-6, abs=1e-9)
 
 
 def two_columns(ys0, ys1, k=10):
@@ -67,8 +67,8 @@ def test_interpolation_reproduces_cubics(gaps, coeffs, t):
     p = np.polynomial.Polynomial(0.1 * np.asarray(coeffs))
     y = -1.0 + 2.0 * t
     spec = two_columns(nodes, nodes - p(nodes))
-    s = spec.a1a2_interpolated((0.0, y))
-    assert s.ratio_a1_a2 * spec.hbar == pytest.approx(p(y), abs=1e-9)
+    a1, a2 = spec.a1a2_interpolated((0.0, y))
+    assert a1 / a2 * spec.hbar == pytest.approx(p(y), abs=1e-9)
 
 
 def test_interpolation_has_no_tie_on_symmetric_nodes():
@@ -80,8 +80,7 @@ def test_interpolation_has_no_tie_on_symmetric_nodes():
     at = spec.a1a2_interpolated((0.0, y))
     for step in (np.inf, -np.inf):
         near = spec.a1a2_interpolated((0.0, np.nextafter(y, step)))
-        assert near.a1 == pytest.approx(at.a1, abs=1e-12)
-        assert near.a2 == pytest.approx(at.a2, abs=1e-12)
+        assert near == pytest.approx(at, abs=1e-12)
 
 
 def test_spin_probe_ignores_subulp_noise_in_height():
@@ -91,7 +90,7 @@ def test_spin_probe_ignores_subulp_noise_in_height():
                                 ProbeConfig(k_list=[200], x_schedule=[0.01]))
     sp = family[200]
     x = sp.origin[0] + 0.01
-    a1 = [sp.a1a2_interpolated((x, y)).a1 for y in (0.0, 1e-18, -1e-18)]
+    a1 = [sp.a1a2_interpolated((x, y))[0] for y in (0.0, 1e-18, -1e-18)]
     assert a1[1] == pytest.approx(a1[0], abs=1e-12)
     assert a1[2] == pytest.approx(a1[0], abs=1e-12)
 
@@ -101,6 +100,10 @@ def test_missing_neighbor():
     top = ls.ladder(0)[0].max()
     with pytest.raises(MissingNeighbor):
         ls.a1a2_anchored((0, top))
+    # an infinite vertical spacing gives a2 = 0: the probe is not regular
+    gap = two_columns(np.array([0.0, np.inf]), np.array([-0.1, np.inf]))
+    with pytest.raises(MissingNeighbor, match="zero vertical spacing"):
+        gap.a1a2_anchored((0, 0))
 
 
 @pytest.mark.parametrize("model,origin", [
@@ -163,8 +166,7 @@ class _ManufacturedSpectrum:
         # O(hbar) imperfection so the extrapolation has work to do
         a1 += 0.3 / self.k
         a2 -= 0.2 / self.k
-        from semitoric.invariants.spacings import A1A2Sample
-        return A1A2Sample(c, self.k, a1 / a2 if a2 else 0.0, a2, a1)
+        return a1, a2
 
 
 JET01 = FrJet({(1, 0): 0.0, (0, 1): 1.0})
@@ -202,11 +204,9 @@ def test_gradient_sign_error():
 
     class FlippedSpectrum(_ManufacturedSpectrum):
         def a1a2_interpolated(self, c):
-            s = super().a1a2_interpolated(c)
-            from semitoric.invariants.spacings import A1A2Sample
+            a1, a2 = super().a1a2_interpolated(c)
             # wrong-sign logarithm: recovered dy f_r comes out negative
-            a2 = 2 * self.fam.s01 - s.a2
-            return A1A2Sample(s.c, s.k, s.a1 / a2, a2, s.a1)
+            return a1, 2 * self.fam.s01 - a2
 
     base = ManufacturedFamily(jet, s10=0.0, s01=0.5, ks=[100, 200])
     fam = {k: FlippedSpectrum(base, k) for k in (100, 200)}
@@ -231,10 +231,8 @@ def test_relabelling_covariance_manufactured():
             self.n = n
 
         def a1a2_interpolated(self, c):
-            s = super().a1a2_interpolated(c)
-            from semitoric.invariants.spacings import A1A2Sample
-            a1 = s.a1 - self.n
-            return A1A2Sample(s.c, s.k, a1 / s.a2, s.a2, a1)
+            a1, a2 = super().a1a2_interpolated(c)
+            return a1 - self.n, a2
 
     for n in (-2, -1, 1, 2):
         fam = {k: Sheared(base, k, n) for k in (100, 200, 300)}

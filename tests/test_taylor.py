@@ -1,17 +1,16 @@
 import numpy as np
 import pytest
 
-from semitoric.errors import DuplicateMu
+from semitoric.errors import DuplicateMu, IllConditioned
 from semitoric.invariants import (
     FrJet,
     d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,
-    mixed_dxdy_from_d1,
-    s11_from_c1,
     solve_jet_order,
     solve_taylor_order,
     taylor_system_determinant,
+    x_limit,
 )
 
 RNG = np.random.default_rng(2024)
@@ -162,15 +161,40 @@ def manufactured_spin_g(mu, xs):
     return eval_g(jet, s, mu, xs, orders=2)
 
 
+# the purely-mixed hypothesis: dx^2 f_r(0) = dy^2 f_r(0) = 0, S_20 = S_02 = 0
+PURE = {(2, 0): 0.0, (0, 2): 0.0}
+
+
+def pinned_route(mu, d1, c1, jet1, s_known):
+    """(dxdy f_r(0), S_11) from d_1 and c_1 at one mu: the order-1 jet and
+    Taylor solves with the pure coefficients pinned, as in the recovery."""
+    jet2 = solve_jet_order(1, [mu], [d1], fixed=PURE)
+    s2 = solve_taylor_order(1, [mu], [c1], FrJet({**jet1.derivs, **jet2}), s_known,
+                            fixed=PURE)
+    return jet2[(1, 1)], s2[(1, 1)]
+
+
+def closed_form_dxdy(d1, mu):
+    """Reference oracle, derived by hand: d_1 = -mu dxdy f_r(0) / pi."""
+    return -np.pi * d1 / mu
+
+
+def closed_form_s11(c1, mu, jet1, s01, dxdy):
+    """Reference oracle, derived by hand: c_1 - c~_1 = 2 A S_11 with
+    A = dx f_r + mu dy f_r, c~_1 = mu dxdy f_r(0) (2 S_01 - (1 + ln(1 + A^2)) / 2 pi)."""
+    A = jet1.dx + mu * jet1.dy
+    c1_tilde = mu * dxdy * (2 * s01 - (1 + np.log(1 + A * A)) / (2 * np.pi))
+    return (c1 - c1_tilde) / (2 * A)
+
+
 def mixed_route(mu, xs):
-    """(dxdy f_r(0), S_11) by the pure-mixed-jet route of the recovery on
-    the manufactured g_mu: fit_log_expansion at order 0, then order 1, then
-    mixed_dxdy_from_d1 and s11_from_c1."""
+    """(dxdy f_r(0), S_11) by the purely-mixed route of the recovery on the
+    manufactured g_mu: fit_log_expansion at order 0, then order 1, then the
+    pinned solves."""
     g = manufactured_spin_g(mu, xs)
     c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
     c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
-    dxdy = mixed_dxdy_from_d1(d1, mu)
-    return dxdy, s11_from_c1(c1, mu, SPIN_JET1, SPIN_S01, dxdy)
+    return pinned_route(mu, d1, c1, SPIN_JET1, {(1, 0): 0.0, (0, 1): SPIN_S01})
 
 
 def test_cross_derivative_shortcut_identity_sanity():
@@ -194,11 +218,66 @@ def test_s11_shortcut_roundtrip():
 
 
 def test_mixed_helpers_consistency():
+    # exact (c_1, d_1) of a purely mixed jet give back dxdy f_r and S_11
     jet = FrJet({(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.25})
     s = {(1, 0): 0.1, (0, 1): SPIN_S01, (1, 1): 1 / (8 * np.pi)}
     mu = 1.2
     c, d = expansion_along_ray(jet, s, mu, 2)
-    assert mixed_dxdy_from_d1(d[1], mu) == pytest.approx(-0.25, rel=1e-12)
     jet1 = FrJet({(1, 0): 0.0, (0, 1): 2.0})
-    s11 = s11_from_c1(c[1], mu, jet1, SPIN_S01, -0.25)
+    s_known = {(1, 0): 0.1, (0, 1): SPIN_S01}
+    dxdy, s11 = pinned_route(mu, d[1], c[1], jet1, s_known)
+    assert dxdy == pytest.approx(-0.25, rel=1e-12)
     assert s11 == pytest.approx(1 / (8 * np.pi), rel=1e-10)
+
+
+def test_pinned_route_matches_closed_forms():
+    # the generic solves with S_20, S_02 and the pure second derivatives
+    # pinned reduce to the hand-derived closed forms, also for dx f_r != 0
+    # and sigma1 != 0
+    rng = np.random.default_rng(31)
+    for _ in range(50):
+        dx = float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
+        jet1 = FrJet({(1, 0): dx, (0, 1): float(rng.uniform(0.3, 3.0))})
+        dxdy, s01, sigma1 = (float(v) for v in rng.normal(size=3))
+        mu = float(rng.uniform(0.3, 3.0))
+        c1, d1 = (float(v) for v in rng.normal(size=2))
+        s_known = {(1, 0): sigma1, (0, 1): s01}
+        got_dxdy, _ = pinned_route(mu, d1, c1, jet1, s_known)
+        assert got_dxdy == pytest.approx(closed_form_dxdy(d1, mu), rel=1e-12, abs=1e-12)
+        # S_11 read with a given dxdy, as the closed form takes it
+        s2 = solve_taylor_order(1, [mu], [c1], FrJet({**jet1.derivs, **PURE, (1, 1): dxdy}),
+                                s_known, fixed=PURE)
+        assert s2[(2, 0)] == 0.0 and s2[(0, 2)] == 0.0
+        want = closed_form_s11(c1, mu, jet1, s01, dxdy)
+        assert s2[(1, 1)] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("solve", ["jet", "taylor"])
+def test_fixed_count_must_match_mu_count(solve):
+    jet = FrJet({(1, 0): -0.3, (0, 1): 2.0, (1, 1): 0.5})
+    call = {"jet": lambda mus, fixed: solve_jet_order(1, mus, [0.1] * len(mus), fixed=fixed),
+            "taylor": lambda mus, fixed: solve_taylor_order(1, mus, [0.1] * len(mus), jet,
+                                                            {(0, 1): 0.4}, fixed=fixed)}[solve]
+    with pytest.raises(ValueError, match="need exactly 1 mu values"):
+        call([1.5, 2.0], PURE)
+    with pytest.raises(ValueError, match="need exactly 3 mu values"):
+        call([1.5], None)
+    with pytest.raises(ValueError, match="of order 2"):
+        call([1.5], {(1, 0): 0.0, (2, 0): 0.0})
+
+
+NEAR = 1.0 + 1e-6 * np.arange(3)        # distinct but almost equal mu values
+
+
+@pytest.mark.parametrize("fit,prefix", [
+    (lambda: x_limit(0.01 * (1 + 1e-9 * np.arange(3)), [1.0, 2.0, 3.0]),
+     "x-limit design matrix condition"),
+    (lambda: fit_log_expansion(0.01 * (1 + 1e-9 * np.arange(6)), np.arange(6.0), 0, [], []),
+     "log-basis fit condition"),
+    (lambda: solve_jet_order(1, NEAR, [0.1, 0.2, 0.3]), "jet system condition"),
+    (lambda: solve_taylor_order(1, NEAR, [0.1, 0.2, 0.3], FrJet({(0, 1): 1.0}), {}),
+     "Taylor system condition"),
+], ids=["x_limit", "fit_log_expansion", "jet", "taylor"])
+def test_ill_conditioned_fits_raise(fit, prefix):
+    with pytest.raises(IllConditioned, match=prefix):
+        fit()
