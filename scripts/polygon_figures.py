@@ -47,7 +47,7 @@ def main():
         kdh = 200
         counter = ModelCounter(model, [kdh])
         grid = default_dh_grid(model, kdh)
-        prof = dh_profile(counter, kdh, 0.25, 1.0, grid)
+        prof = dh_profile(counter, kdh, 0.25, grid)
         path = out / f"dh_{model.kind}_k{kdh}.csv"
         with path.open("w") as f:
             f.write("x,estimate,reference\n")

@@ -86,10 +86,7 @@ def _config_from_args(args) -> RunConfig:
         cfg.probes.mu = args.mu
     if getattr(args, "out", None):
         cfg.output_dir = args.out
-    try:
-        cfg.validate()
-    except ValueError as e:
-        raise ConfigurationError(str(e)) from e
+    cfg.validate()
     return cfg
 
 
@@ -189,7 +186,7 @@ def cmd_dh(args) -> int:
     delta = args.delta if args.delta is not None else 0.25
     counter = ModelCounter(model, [k])
     grid = default_dh_grid(model, k)
-    profile = dh_profile(counter, k, delta, 1.0, grid)
+    profile = dh_profile(counter, k, delta, grid)
     kinks = detect_kinks(profile)
     lines = ["abscissa,estimate,theory"]
     for xx, val in profile.samples:
@@ -259,7 +256,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, ValueError) as e:
+    except ValueError as e:   # ConfigurationError is a ValueError
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except NumericalFailure as e:

@@ -49,19 +49,19 @@ class ProbeConfig:
         # one probe-table row per k: a repeated k would collapse in the family
         ks = self.k_list
         if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
-            raise ValueError("k_list must be nonempty and strictly ascending")
+            raise ConfigurationError("k_list must be nonempty and strictly ascending")
         xs = self.x_schedule
         if not xs or any(b >= a for a, b in zip(xs, xs[1:])) or min(xs) <= 0:
-            raise ValueError("x_schedule must be strictly decreasing and positive")
+            raise ConfigurationError("x_schedule must be strictly decreasing and positive")
         # the gradient scale 2 pi / ln(mu) is undefined at mu <= 0 and mu = 1
         if not (self.mu > 0 and self.mu != 1):
-            raise ValueError("mu must be positive and different from 1")
+            raise ConfigurationError("mu must be positive and different from 1")
         # the recovery fits each mu's log expansion in ln x through at least
         # 6 x values, and its order-1 jet and Taylor solves take n + 2 = 3 mus
         if len(self.x_taylor) < 6 or min(self.x_taylor) <= 0:
-            raise ValueError("x_taylor needs at least 6 values, all positive")
+            raise ConfigurationError("x_taylor needs at least 6 values, all positive")
         if len(self.mu_list) != 3 or len(set(self.mu_list)) != 3:
-            raise ValueError("mu_list must hold 3 distinct values")
+            raise ConfigurationError("mu_list must hold 3 distinct values")
 
 
 @dataclass

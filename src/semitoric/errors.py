@@ -10,8 +10,9 @@ class SemitoricError(Exception):
     """Base class for all package errors."""
 
 
-class ConfigurationError(SemitoricError):
-    pass
+class ConfigurationError(SemitoricError, ValueError):
+    """Bad input to the program: a window, schedule, model parameter or
+    config file; a ValueError too, so callers that catch that still do."""
 
 
 class DimensionMismatch(ConfigurationError):

@@ -2,10 +2,10 @@
 location of the focus-focus critical value.
 
 Weyl-type counting in vertical strips of width ~ hbar^delta recovers the
-reduced symplectic volume: with N_hbar(x, delta, c) the number of joint
-eigenvalues in [x - c hbar^delta, x + c hbar^delta] x R,
+reduced symplectic volume: with N_hbar(x, delta) the number of joint
+eigenvalues in [x - hbar^delta, x + hbar^delta] x R,
 
-    (hbar^(2-delta) / 2c) N_hbar(x, delta, c)  ->  rho_J(x),
+    (hbar^(2-delta) / 2) N_hbar(x, delta)  ->  rho_J(x),
 
 the Duistermaat-Heckman density.  Counting only below the focus-focus
 ordinate and centering at its abscissa gives the height invariant S_{0,0},
@@ -53,9 +53,8 @@ class DHProfile:
     k: int
 
 
-def height_invariant(counter, x0: float, y0: float, delta: float = 0.4,
-                     c_width: float = 1.0) -> tuple[float, dict]:
-    """S_{0,0} = lim (hbar^(2-delta) / 2c) #{spectrum in strip, y <= y0},
+def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple[float, dict]:
+    """S_{0,0} = lim (hbar^(2-delta) / 2) #{spectrum in strip, y <= y0},
     extrapolated over the k family with the known hbar^delta error shape:
     the paper's route, which does not use the column lattice."""
     if not 0 < delta < 0.5:
@@ -64,11 +63,11 @@ def height_invariant(counter, x0: float, y0: float, delta: float = 0.4,
     raw = []
     for k in ks:
         hb = 1.0 / k
-        w = c_width * hb ** delta
+        w = hb ** delta
         n = counter.count(k, x0 - w, x0 + w, -np.inf, y0)
         if n < 10:
             raise WindowTooNarrow(f"k={k}: strip contains only {n} points")
-        raw.append(hb ** (2 - delta) / (2 * c_width) * n)
+        raw.append(hb ** (2 - delta) / 2 * n)
     hb = 1.0 / np.asarray(ks, dtype=float)
     A = np.vstack([np.ones_like(hb), hb ** delta]).T
     coef, *_ = np.linalg.lstsq(A, np.asarray(raw), rcond=None)
@@ -92,13 +91,12 @@ def column_height(counter, origins) -> tuple[float, dict]:
     return lim, {"raw": dict(zip(ks, raw)), "slope": info["slope"]}
 
 
-def dh_profile(counter, k: int, delta: float, c_width: float, x_grid) -> DHProfile:
+def dh_profile(counter, k: int, delta: float, x_grid) -> DHProfile:
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     hb = 1.0 / k
-    w = c_width * hb ** delta
-    vals = [hb ** (2 - delta) / (2 * c_width) * counter.count(k, x - w, x + w)
-            for x in x_grid]
+    w = hb ** delta
+    vals = [hb ** (2 - delta) / 2 * counter.count(k, x - w, x + w) for x in x_grid]
     return DHProfile(np.column_stack([x_grid, vals]), k)
 
 

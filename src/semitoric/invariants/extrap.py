@@ -19,15 +19,16 @@ __all__ = ["hbar_limit", "hbar_limits", "x_limit", "double_limit", "loglog_slope
            "circle_distance"]
 
 
-def hbar_limit(ks, vals, order: int = 2):
-    """Fit vals ~ a0 + a1*hbar + ... + a_order*hbar^order; return (a0, info).
+def hbar_limit(ks, vals):
+    """Fit vals ~ a0 + a1*hbar + a2*hbar^2 (degree len(ks) - 1 for fewer
+    than three ks); return (a0, info).
 
     info carries the fit residual and the empirical convergence order (the
     log-log regression slope of |val_k - limit| against k; None when it is
     not finite, as when fewer than two samples differ from the limit)."""
     ks = np.asarray(ks, dtype=float)
     vals = np.asarray(vals, dtype=float)
-    order = min(order, len(ks) - 1)
+    order = min(2, len(ks) - 1)
     hb = 1.0 / ks
     A = np.vstack([hb ** i for i in range(order + 1)]).T
     coef, res, *_ = np.linalg.lstsq(A, vals, rcond=None)

@@ -89,7 +89,7 @@ class TaylorInvariant:
         return self.s_coeffs.get((0, 1), float("nan"))
 
 
-def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x: float,
+def recover_fr_gradient(family: dict[int, LabelledSpectrum], x: float,
                         mu: float = 2.0) -> tuple[float, float, dict]:
     """(dx f_r(0), dy f_r(0), info) from probes at horizontal offsets x and mu*x.
 
@@ -101,7 +101,7 @@ def recover_fr_gradient(family: dict[int, LabelledSpectrum], origin, x: float,
     ks = sorted(family)
     x = float(x)
     scale = 2 * np.pi / np.log(mu)
-    a1, a2 = ray_samples(family, origin, 0.0, [x, mu * x])
+    a1, a2 = ray_samples(family, 0.0, [x, mu * x])
     diffs = np.column_stack([a1[:, 0] - a1[:, 1], a2[:, 0] - a2[:, 1]])
     lims, slopes = hbar_limits(ks, diffs)
     dxfr, dyfr = float(scale * lims[0]), float(scale * lims[1])

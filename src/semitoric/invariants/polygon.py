@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _EDGE_MARGIN = 0.15    # edge fits keep this far from cuts, corners and the strip ends
+_MIN_SLOPE_GAP = 0.2   # edges whose slopes differ by less meet at no vertex
 
 
 def hausdorff(set_a, set_b) -> float:
@@ -91,7 +92,7 @@ def polygon_recover(points: np.ndarray, labels: np.ndarray, hbar: float,
     return PolygonEstimate(cloud, vertices, True, edges, tx)
 
 
-def _edge_intersections(edges, strip, min_slope_gap: float = 0.2):
+def _edge_intersections(edges, strip):
     by_chain = {"top": [], "bottom": []}
     for e in edges:
         by_chain[e["chain"]].append(e)
@@ -101,22 +102,22 @@ def _edge_intersections(edges, strip, min_slope_gap: float = 0.2):
     for chain in ("top", "bottom"):
         es = by_chain[chain]
         for e1, e2 in zip(es, es[1:]):
-            v = _cross(e1, e2, min_slope_gap)
+            v = _cross(e1, e2)
             if v is not None:
                 verts.append(v)
     # polygon endpoints: where the two chains meet beyond the strip ends
     for pick in (0, -1):
         if by_chain["top"] and by_chain["bottom"]:
-            v = _cross(by_chain["top"][pick], by_chain["bottom"][pick], min_slope_gap)
+            v = _cross(by_chain["top"][pick], by_chain["bottom"][pick])
             if v is not None and strip[0] - 0.6 <= v[0] <= strip[1] + 0.6:
                 verts.append(v)
     verts.sort()
     return verts
 
 
-def _cross(e1, e2, min_slope_gap):
+def _cross(e1, e2):
     ds = e1["slope"] - e2["slope"]
-    if abs(ds) < min_slope_gap:
+    if abs(ds) < _MIN_SLOPE_GAP:
         return None
     x = (e2["intercept"] - e1["intercept"]) / ds
     return (float(x), float(e1["slope"] * x + e1["intercept"]))

@@ -99,18 +99,18 @@ def _regular(a1: float, a2: float) -> tuple[float, float]:
     return a1, a2
 
 
-def ray_samples(family: dict[int, LabelledSpectrum], origin, slope: float,
+def ray_samples(family: dict[int, LabelledSpectrum], slope: float,
                 xs) -> tuple[np.ndarray, np.ndarray]:
     """The probe table of a ray: (a1, a2), each with one row per k of
     ``family`` (ascending) and one column per x of ``xs``, read by
-    ``a1a2_interpolated`` at c = c0 + x*(1, slope).  c0 is each k's own
-    origin, or ``origin`` where a spectrum carries none."""
+    ``a1a2_interpolated`` at c = c0 + x*(1, slope), c0 being each k's own
+    ``origin``."""
     ks = sorted(family)
     a1 = np.empty((len(ks), len(xs)))
     a2 = np.empty((len(ks), len(xs)))
     for i, k in enumerate(ks):
         spec = family[k]
-        x0, y0 = spec.origin if spec.origin is not None else origin
+        x0, y0 = spec.origin
         for j, x in enumerate(xs):
             a1[i, j], a2[i, j] = spec.a1a2_interpolated((x0 + x, y0 + slope * x))
     return a1, a2

@@ -146,10 +146,9 @@ def d_n_from_jet(jet: FrJet, mu: float, n: int) -> float:
 
 # -- sampling and fitting ---------------------------------------------------
 
-def g_mu_sample(family: dict[int, LabelledSpectrum], origin, mu: float,
-                xs) -> np.ndarray:
+def g_mu_sample(family: dict[int, LabelledSpectrum], mu: float, xs) -> np.ndarray:
     """g_mu(x) = a1(x, mu x) + mu a2(x, mu x), hbar -> 0, at each x of xs."""
-    a1, a2 = ray_samples(family, origin, mu, xs)
+    a1, a2 = ray_samples(family, mu, xs)
     return hbar_limits(sorted(family), a1 + mu * a2)[0]
 
 
@@ -159,7 +158,8 @@ def fit_log_expansion(xs, g, n: int, c_known, d_known):
 
     d_n = lim (g - sum_{l<n} x^l (c_l + d_l ln x)) / (x^n ln x), then c_n;
     realized as one weighted least-squares fit on the residual with basis
-    {ln x, 1, x ln x, x} (the two extra columns absorb the next order).
+    {ln x, 1, x ln x, x} (the two extra columns absorb the next order), or
+    {ln x, 1} alone for fewer than 5 x values.
     """
     xs = np.asarray(xs, dtype=float)
     resid = np.array(g, dtype=float)

@@ -109,7 +109,9 @@ class ChartSpec:
     domain: Rect
     half: bool = False
 
-    def check_injective(self, grid: int = 25) -> None:
+    def check_injective(self) -> None:
+        """Raise InjectivityFailure if g0 folds a 25 x 25 grid on the domain."""
+        grid = 25
         xs = np.linspace(self.domain.xmin, self.domain.xmax, grid)
         ys = np.linspace(self.domain.ymin, self.domain.ymax, grid)
         pts = np.array([self.g0(np.array([x, y])) for x in xs for y in ys])
@@ -331,15 +333,14 @@ def _columns(pts: np.ndarray, h: float):
     return cols, colx
 
 
-def _column_labels(cols, c0: int, anchor, orig=None) -> dict[int, tuple[int, int]]:
+def _column_labels(cols, c0: int, anchor) -> dict[int, tuple[int, int]]:
     """(column - c0, rank in column + anchor[column]) for every point of the
-    columns, keyed by point index (mapped through orig when given)."""
+    columns, keyed by point index."""
     sizes = [len(c) for c in cols]
     idx = np.concatenate(cols)
     j = np.repeat(np.arange(len(cols)) - c0, sizes)
     l = np.arange(len(idx)) - np.repeat(np.cumsum(sizes) - sizes - anchor, sizes)
-    keys = idx if orig is None else orig[idx]
-    return dict(zip(keys.tolist(), zip(j.tolist(), l.tolist())))
+    return dict(zip(idx.tolist(), zip(j.tolist(), l.tolist())))
 
 
 def _match_columns(A: np.ndarray, B: np.ndarray, drift):
@@ -395,12 +396,18 @@ def label_semitoric(cloud: PointCloud, seed_x: float | None = None) -> Labelling
         raise TooSparse(f"only {len(pts)} points")
     h = cloud.hbar
     cols, colx = _columns(pts, h)
+    c0 = len(cols) - 1 if seed_x is None else int(np.argmin(np.abs(colx - seed_x)))
+    anchor = _column_anchors(pts, cols, colx, h, c0)
+    return Labelling(_column_labels(cols, c0, anchor), REGULAR)
+
+
+def _column_anchors(pts, cols, colx, h: float, c0: int) -> np.ndarray:
+    """The ell of each column's lowest point, chained outwards from column
+    c0 (anchor 0) by drift-carried row matches between neighbours."""
     ncol = len(cols)
-    gaps = np.diff(colx)
-    if np.any(gaps > 1.6 * h):
+    if np.any(np.diff(colx) > 1.6 * h):
         raise Disconnected("column chain has a gap wider than 1.6*hbar")
     ys = [pts[c, 1] for c in cols]
-    c0 = ncol - 1 if seed_x is None else int(np.argmin(np.abs(colx - seed_x)))
     anchor = np.zeros(ncol, dtype=int)
     for step in (+1, -1):
         drift = None
@@ -418,13 +425,13 @@ def label_semitoric(cloud: PointCloud, seed_x: float | None = None) -> Labelling
                     )
                 anchor[cn] = anchor[c] - o
             c = cn
-    return Labelling(_column_labels(cols, c0, anchor), REGULAR)
+    return anchor
 
 
 # ---------------------------------------------------------------------------
 # half-lattice labelling
 
-def label_half_lattice(cloud: PointCloud, c, b0: Rect | None = None) -> Labelling:
+def label_half_lattice(cloud: PointCloud, c) -> Labelling:
     """Bottom-anchored labelling near a transversally elliptic value.
 
     Steps: nearest point mu to c (ties broken lexicographically); the lowest
@@ -432,7 +439,7 @@ def label_half_lattice(cloud: PointCloud, c, b0: Rect | None = None) -> Labellin
     the next one up is lambda_(0,1); the lowest point of the strip shifted by
     (hbar, 0) is lambda_(1,0); then transport restricted to ell >= 0.
     """
-    pts = cloud.points if b0 is None else cloud.points[b0.contains(cloud.points)]
+    pts = cloud.points
     if len(pts) < TOL.min_region_points:
         raise TooSparse(f"only {len(pts)} points")
     h = cloud.hbar
@@ -460,33 +467,23 @@ def label_half_lattice(cloud: PointCloud, c, b0: Rect | None = None) -> Labellin
     c00 = int(col_of[lam00])
     if cols[c00][0] != lam00:
         raise EmptyStrip("lambda_(0,0) is not the lowest point of its column")
-    # admissibility cross-check: in transport coordinates the bottom row must
-    # be a straight lattice line (affine in the column index); a kink means
-    # the domain crosses a corner
-    sub = PointCloud(cloud.k, pts)
-    trans = label_semitoric(sub, seed_x=float(mu[0]))
-    _, lab, _ = trans.arrays(sub)
-    order = np.argsort(lab[:, 0], kind="stable")
-    _, starts = np.unique(lab[order, 0], return_index=True)
-    lmin = np.minimum.reduceat(lab[order, 1], starts)
-    if len(np.unique(np.diff(lmin))) > 1:
+    # admissibility cross-check: in column-transport coordinates (seeded at
+    # the column nearest mu) the bottom row, the column anchors, must be a
+    # straight lattice line (affine in the column index); a kink means the
+    # domain crosses a corner
+    anchor = _column_anchors(pts, cols, colx, h, int(np.argmin(np.abs(colx - mu[0]))))
+    if len(np.unique(np.diff(anchor))) > 1:
         raise Disconnected("bottom row is not a lattice line (domain not admissible)")
-    # map back to original indices when restricted
-    orig = None if b0 is None else np.flatnonzero(b0.contains(cloud.points))
-    return Labelling(_column_labels(cols, c00, 0, orig), HALF_LATTICE)
+    return Labelling(_column_labels(cols, c00, 0), HALF_LATTICE)
 
 
-def detect_boundary(clouds: dict[int, PointCloud], side: str = "lower") -> np.ndarray:
-    """Accumulation-set boundary estimate: per-column extremal points of the
+def detect_boundary(clouds: dict[int, PointCloud]) -> np.ndarray:
+    """Accumulation-set boundary estimate: per-column lowest points of the
     largest-k cloud, as a polyline sorted by x."""
     k = max(clouds)
     cloud = clouds[k]
     cols, colx = _columns(cloud.points, cloud.hbar)
-    out = []
-    for ci, idx in enumerate(cols):
-        yy = cloud.points[idx, 1]
-        out.append((colx[ci], yy.min() if side == "lower" else yy.max()))
-    return np.array(out)
+    return np.array([(x, cloud.points[idx, 1].min()) for x, idx in zip(colx, cols)])
 
 
 # ---------------------------------------------------------------------------

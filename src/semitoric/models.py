@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TOL
-from .errors import CommutatorViolation, DimensionMismatch, EmptyWindow
+from .errors import CommutatorViolation, ConfigurationError, DimensionMismatch, EmptyWindow
 from .geometry import Rect
 from .tridiag import eigs_in_window, eigs_sym_tridiagonal
 
@@ -62,12 +62,12 @@ class ModelSpec:
 
     def __post_init__(self):
         if self.kind not in (SPIN_OSCILLATOR, COUPLED_ANGULAR_MOMENTA):
-            raise ValueError(f"unknown model kind {self.kind!r}")
+            raise ConfigurationError(f"unknown model kind {self.kind!r}")
         if self.kind == COUPLED_ANGULAR_MOMENTA:
             if not (self.r2 > self.r1 > 0):
-                raise ValueError("coupled angular momenta require r2 > r1 > 0")
+                raise ConfigurationError("coupled angular momenta require r2 > r1 > 0")
             if not 0.0 <= self.t <= 1.0:
-                raise ValueError("coupling parameter t must lie in [0, 1]")
+                raise ConfigurationError("coupling parameter t must lie in [0, 1]")
 
     def check_dimensions(self, k: int) -> None:
         if k < 1:

@@ -159,12 +159,12 @@ def locate_critical_values(model: ModelSpec):
     """DH kinks -> candidate abscissae -> log-peak classification, at
     k = 200 with strips of half-width hbar^0.25.
 
-    Returns (focus (x0, y0), other kink abscissae, DHProfile).
+    Returns (focus (x0, y0), other kink abscissae).
     """
     k_locate = 200
     counter = ModelCounter(model, [k_locate])
     grid = default_dh_grid(model, k_locate)
-    profile = dh_profile(counter, k_locate, 0.25, 1.0, grid)
+    profile = dh_profile(counter, k_locate, 0.25, grid)
     kinks = detect_kinks(profile)
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
@@ -175,7 +175,7 @@ def locate_critical_values(model: ModelSpec):
     found = locate_focus_focus(ladder, k_locate, kinks)
     x0, y0 = found[0]
     others = [x for x in kinks if abs(x - x0) > 0.1]
-    return (x0, y0), others, profile
+    return (x0, y0), others
 
 
 def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
@@ -183,17 +183,17 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     config = config or RunConfig(model=model.kind, r1=model.r1, r2=model.r2, t=model.t)
     probes = config.probes
     probes.validate()
-    origin, other_kinks, _ = locate_critical_values(model)
+    origin, other_kinks = locate_critical_values(model)
     family = build_probe_family(model, origin, probes)
 
     x_probe = min(probes.x_schedule)
-    dxfr, dyfr, grad_info = recover_fr_gradient(family, origin, x_probe, probes.mu)
+    dxfr, dyfr, grad_info = recover_fr_gradient(family, x_probe, probes.mu)
     jet1 = FrJet({(1, 0): dxfr, (0, 1): dyfr})
     s0 = jet1.slope_s0
 
     # sigma1 and S01 read one probe table on the radial ray (x, s0 x)
     ks, xs = sorted(family), list(probes.x_schedule)
-    a1, a2 = ray_samples(family, origin, s0, xs)
+    a1, a2 = ray_samples(family, s0, xs)
     sigma1, sig_info = recover_sigma1(ks, xs, a1, a2, s0)
     p = twisting_number(sigma1)
     sigma1_priv = sigma1 - p
@@ -219,7 +219,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
         if len(xs_mu) < 6:
             xs_mu = sorted(probes.x_taylor)[:6]
         xs_mu = sorted(xs_mu, reverse=True)
-        g = g_mu_sample(family, origin, mu, xs_mu)
+        g = g_mu_sample(family, mu, xs_mu)
         c0, d0, info0 = fit_log_expansion(xs_mu, g, 0, [], [])
         c1, d1, info1 = fit_log_expansion(xs_mu, g, 1, [c0], [d0])
         c1s.append(c1)
@@ -306,7 +306,7 @@ def polygon_run(model: ModelSpec, k: int, strip=None):
     strip = default_strip(model) if strip is None else strip
     h = 1.0 / k
     eps = max(3 * h, 0.35 * np.sqrt(h))
-    origin, corner_xs, _ = locate_critical_values(model)
+    origin, corner_xs = locate_critical_values(model)
     x0, y0 = origin
     ymax = 1.2 if model.kind == COUPLED_ANGULAR_MOMENTA else 2.6
     window = Rect(strip[0], strip[1], -ymax, ymax)

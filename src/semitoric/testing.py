@@ -16,13 +16,16 @@ __all__ = ["random_chart"]
 
 _DOMAIN = Rect(-0.55, 0.55, -0.55, 0.55)
 _HALF_DOMAIN = Rect(-0.55, 0.55, 0.0, 0.9)
+_NONLINEARITY = 0.22   # bound on the random quadratic and sine coefficients
+_MIN_DET = 0.35        # least Jacobian determinant of g0 over the domain
+_MARGIN_GRID = 15      # the determinant is sampled on this many x and y values
 
 
-def _jacobian_margin(g0, dom: Rect, grid: int = 15) -> float:
+def _jacobian_margin(g0, dom: Rect) -> float:
     eps = 1e-6
     dets = []
-    for x in np.linspace(dom.xmin, dom.xmax, grid):
-        for y in np.linspace(dom.ymin, dom.ymax, grid):
+    for x in np.linspace(dom.xmin, dom.xmax, _MARGIN_GRID):
+        for y in np.linspace(dom.ymin, dom.ymax, _MARGIN_GRID):
             p = np.array([x, y])
             dx = (np.asarray(g0(p + [eps, 0])) - np.asarray(g0(p - [eps, 0]))) / (2 * eps)
             dy = (np.asarray(g0(p + [0, eps])) - np.asarray(g0(p - [0, eps]))) / (2 * eps)
@@ -30,8 +33,7 @@ def _jacobian_margin(g0, dom: Rect, grid: int = 15) -> float:
     return float(np.min(dets))
 
 
-def random_chart(rng: np.random.Generator, half: bool = False,
-                 nonlinearity: float = 0.22, min_det: float = 0.35) -> ChartSpec:
+def random_chart(rng: np.random.Generator, half: bool = False) -> ChartSpec:
     """Orientation-preserving nonlinear chart with a safe Jacobian margin.
 
     Half charts keep the semitoric structure (first component is xi_1 up to
@@ -40,7 +42,7 @@ def random_chart(rng: np.random.Generator, half: bool = False,
     """
     dom = _HALF_DOMAIN if half else _DOMAIN
     for _ in range(200):
-        a = rng.uniform(-nonlinearity, nonlinearity, 6)
+        a = rng.uniform(-_NONLINEARITY, _NONLINEARITY, 6)
         shift = rng.uniform(-0.5, 0.5, 2)
         if half:
             n_shear = rng.integers(-1, 2)
@@ -62,7 +64,7 @@ def random_chart(rng: np.random.Generator, half: bool = False,
                     a[0] * xi[0] ** 2 + a[1] * xi[1] ** 2 + a[2] * np.sin(2 * xi[0]),
                     a[3] * xi[0] * xi[1] + a[4] * xi[1] ** 2 + a[5] * np.sin(2 * xi[1]),
                 ])
-        if _jacobian_margin(g0, dom) < min_det:
+        if _jacobian_margin(g0, dom) < _MIN_DET:
             continue
         g1_vec = rng.uniform(-0.3, 0.3, 2)
         if half:

@@ -216,7 +216,7 @@ def test_criterion_6_dh_profile():
     k, delta = 200, 0.25
     counter = ModelCounter(COUPLED, [k])
     grid = default_dh_grid(COUPLED, k)
-    profile = dh_profile(counter, k, delta, 1.0, grid)
+    profile = dh_profile(counter, k, delta, grid)
     rho = np.array([reference_rho(COUPLED, x) for x in grid])
     kinks_theory = [-3.5, -1.5, 1.5, 3.5]   # slope changes of rho_J incl. support ends
     mask = np.ones(len(grid), dtype=bool)
@@ -246,7 +246,7 @@ def test_criterion_7_polygon():
 def sigma1_per_k(model, origin, s0, x, ks):
     """Per-k sigma1 estimates a1 + s0 a2 at the single probe (x, s0 x)."""
     probes = ProbeConfig(k_list=ks, x_schedule=[x], mu_list=[])
-    a1, a2 = ray_samples(build_probe_family(model, origin, probes), origin, s0, [x])
+    a1, a2 = ray_samples(build_probe_family(model, origin, probes), s0, [x])
     return (a1 + s0 * a2)[:, 0]
 
 
@@ -281,7 +281,7 @@ def test_criterion_9_relabelling_covariance():
     ks, xs = probes.k_list, probes.x_schedule
 
     def sigma1(fam):
-        a1, a2 = ray_samples(fam, (-1.5, 0.0), s0, xs)
+        a1, a2 = ray_samples(fam, s0, xs)
         return recover_sigma1(ks, xs, a1, a2, s0)[0]
 
     base = sigma1(family)
@@ -313,7 +313,7 @@ def test_criterion_9_mu_independence():
                          x_taylor=[0.01], mu_list=[])
     probes.mu = 4.0    # window wide enough for all mus below
     family = build_probe_family(COUPLED, (-1.5, 0.0), probes)
-    grads = [recover_fr_gradient(family, (-1.5, 0.0), 0.01, mu)
+    grads = [recover_fr_gradient(family, 0.01, mu)
              for mu in (2.0, 3.0, 4.0)]
     spread_dx = max(g[0] for g in grads) - min(g[0] for g in grads)
     spread_dy = max(g[1] for g in grads) - min(g[1] for g in grads)
@@ -357,10 +357,10 @@ def test_criterion_9_d0_consistency():
                          x_schedule=[0.01], x_taylor=[0.04, 0.03, 0.02, 0.01],
                          mu_list=[1.0, 2.0, 4.0], mu=4.0)
     family = build_probe_family(SPIN, (1.0, 0.0), probes)
-    dx, dy, _ = recover_fr_gradient(family, (1.0, 0.0), 0.01, 2.0)
+    dx, dy, _ = recover_fr_gradient(family, 0.01, 2.0)
     worst = 0.0
     for mu in (1.0, 2.0, 4.0):
-        g = g_mu_sample(family, (1.0, 0.0), mu, probes.x_taylor)
+        g = g_mu_sample(family, mu, probes.x_taylor)
         _, d0, _ = fit_log_expansion(probes.x_taylor, g, 0, [], [])
         worst = max(worst, abs(d0 - (-(dx + mu * dy) / (2 * np.pi))))
     report(9, "d0(mu) vs gradient, mu in {1,2,4}", worst, 0.05)
@@ -381,9 +381,9 @@ def test_criterion_9_height_splits_reduced_volume():
             def count(self, k, xlo, xhi, ylo=-np.inf, yhi=np.inf):
                 return counter.count(k, xlo, xhi, 0.0, np.inf)
 
-        below, _ = height_invariant(counter, x0, 0.0, 0.4, 1.0)
-        above, _ = height_invariant(Above(), x0, 0.0, 0.4, 1.0)
-        rho = dh_profile(counter, ks[-1], 0.4, 1.0, [x0]).samples[0, 1]
+        below, _ = height_invariant(counter, x0, 0.0, 0.4)
+        above, _ = height_invariant(Above(), x0, 0.0, 0.4)
+        rho = dh_profile(counter, ks[-1], 0.4, [x0]).samples[0, 1]
         report(9, f"{model.kind} height below+above vs rho_J(x0)",
                abs(below + above - rho) / rho, 0.05)
 

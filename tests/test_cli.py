@@ -9,7 +9,10 @@ import pytest
 import semitoric
 import semitoric.models
 import semitoric.pipeline
+from semitoric import SPIN_OSCILLATOR, ModelSpec
 from semitoric.cli import main
+from semitoric.config import ProbeConfig, RunConfig
+from semitoric.errors import ConfigurationError
 from semitoric.invariants import LabelledSpectrum, hbar_limit
 
 
@@ -103,6 +106,18 @@ def test_repeated_k_exits_2_before_solving(tmp_path, monkeypatch, capsys):
                "--out", str(tmp_path)])
     assert rc == 2
     assert "strictly ascending" in capsys.readouterr().err
+
+
+def test_recover_all_raises_configuration_error_before_solving(monkeypatch):
+    # a library caller gets the typed error (still a ValueError), not a bare
+    # ValueError, and no eigensolve runs first
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    config = RunConfig(probes=ProbeConfig(k_list=[200, 100]))
+    with pytest.raises(ConfigurationError, match="strictly ascending"):
+        semitoric.pipeline.recover_all(ModelSpec(SPIN_OSCILLATOR), config)
 
 
 @pytest.mark.parametrize("k_max", ["0", "10"])

@@ -31,7 +31,7 @@ def test_height_on_uniform_grid():
     # flat density: the scaled sub-level count converges to (y0 - ymin)
     ks = [100, 150, 200, 250, 300]
     counter = CloudCounter({k: uniform_cloud(k, (-0.8, 0.8), (-0.6, 0.9)) for k in ks})
-    val, info = height_invariant(counter, 0.0, 0.25, delta=0.4, c_width=1.0)
+    val, info = height_invariant(counter, 0.0, 0.25, delta=0.4)
     # grid edge terms scale like hbar^0.6, not the fitted hbar^0.4 shape
     assert val == pytest.approx(0.85, abs=0.05)
     assert set(info["raw"]) == set(ks)
@@ -67,7 +67,7 @@ def test_column_height_matches_strip_count(r1, r2, t):
     # is the reference for the count on the critical column
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
     ks = [100, 200, 300, 400, 500]
-    origin, _, _ = locate_critical_values(model)
+    origin, _ = locate_critical_values(model)
     counter = ModelCounter(model, ks)
     column, _ = column_height(counter, {k: refine_origin(model, k, origin) for k in ks})
     strip, _ = height_invariant(counter, *origin)
@@ -77,7 +77,7 @@ def test_column_height_matches_strip_count(r1, r2, t):
 def test_dh_profile_flat_on_rectangle():
     k = 200
     counter = CloudCounter({k: uniform_cloud(k, (-1.0, 1.0), (-0.4, 0.8))})
-    prof = dh_profile(counter, k, 0.25, 1.0, np.linspace(-0.6, 0.6, 25))
+    prof = dh_profile(counter, k, 0.25, np.linspace(-0.6, 0.6, 25))
     assert np.abs(prof.samples[:, 1] - 1.2).max() < 0.02
     assert detect_kinks(prof, half_window=0.3, min_jump=0.3) == []
 
@@ -92,7 +92,7 @@ def test_dh_kinks_on_trapezoid():
         top = min(0.5 + max(x + 0.5, 0.0), 1.0)
         pts.extend((x, y) for y in np.arange(0.0, top + h / 2, h))
     counter = CloudCounter({k: np.array(pts)})
-    prof = dh_profile(counter, k, 0.25, 1.0, np.arange(-1.0, 1.0, 0.02))
+    prof = dh_profile(counter, k, 0.25, np.arange(-1.0, 1.0, 0.02))
     kinks = detect_kinks(prof, half_window=0.25, min_jump=0.3)
     assert len(kinks) == 2
     assert abs(kinks[0] + 0.5) < 0.1 and abs(kinks[1] - 0.0) < 0.1

@@ -168,7 +168,7 @@ def test_detect_boundary_identity_half():
     chart = ChartSpec(lambda xi: xi.copy(), lambda xi: np.zeros(2),
                       Rect(-0.5, 0.5, 0.0, 0.9), half=True)
     clouds = {k: synth_lattice(chart, k) for k in (20, 40)}
-    poly = detect_boundary(clouds, side="lower")
+    poly = detect_boundary(clouds)
     assert np.abs(poly[:, 1]).max() < 1e-12   # the x axis
 
 
@@ -177,7 +177,7 @@ def test_detect_boundary_nonlinear_half():
     chart = random_chart(rng, half=True)
     k = 50
     clouds = {k: synth_lattice(chart, k)}
-    poly = detect_boundary(clouds, side="lower")
+    poly = detect_boundary(clouds)
     for x, y in poly:
         edge = np.asarray(chart.g0(np.array([0.0, 0.0])), float)
         # boundary point at the same abscissa: solve g0(xi1, 0) ~ x by scan
@@ -448,6 +448,25 @@ def test_known_defects_raise_as_the_references(seed, index, half, k):
         want = _regular_outcome(label_regular_reference, ref)
     assert isinstance(want, tuple)
     assert got == want
+
+
+def test_known_half_lattice_defect_is_the_admissibility_check():
+    # the chart is admissible, yet its column anchors are not affine in the
+    # column index; a fix of this known defect changes this test
+    chart = _nth_chart(18, 0, True)
+    anchor = np.asarray(chart.g0(np.array([0.0, 0.25])), float)
+    with pytest.raises(Disconnected) as err:
+        label_half_lattice(synth_lattice(chart, 50), anchor)
+    assert str(err.value) == "bottom row is not a lattice line (domain not admissible)"
+
+
+def test_label_regular_needs_the_cross_frame_refresh():
+    # with a new point's frame taken from its parent alone, and not also from
+    # its labelled neighbour, transport on this chart ends in AmbiguousNeighbor
+    cloud = synth_lattice(_nth_chart(10, 2, False), 50)
+    lab = label_regular(cloud, select_affine_basis(cloud, cloud.points.mean(axis=0)))
+    assert len(lab) == len(cloud.points)
+    affine_map_between(lab, cloud.true_labels)
 
 
 def test_compose_affine_matches_per_label_map():

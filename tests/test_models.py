@@ -18,7 +18,12 @@ from semitoric import (
     spectrum_to_json,
 )
 from semitoric import models
-from semitoric.errors import CommutatorViolation, DimensionMismatch, EmptyWindow
+from semitoric.errors import (
+    CommutatorViolation,
+    ConfigurationError,
+    DimensionMismatch,
+    EmptyWindow,
+)
 from semitoric.pipeline import ModelCounter
 from semitoric.tridiag import sturm_count_below
 
@@ -207,6 +212,11 @@ def test_model_validation():
         ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=2.5, r2=1.0)
     with pytest.raises(ValueError):
         ModelSpec("pendulum")
+
+
+def test_bad_model_parameters_raise_configuration_error():
+    with pytest.raises(ConfigurationError, match="r2 > r1 > 0"):
+        ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=3.0, r2=2.5)
 
 
 def test_exports():

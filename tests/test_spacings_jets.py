@@ -174,7 +174,7 @@ JET01 = FrJet({(1, 0): 0.0, (0, 1): 1.0})
 
 def test_manufactured_gradient_01():
     fam = ManufacturedFamily(JET01, s10=0.25, s01=0.4, ks=[100, 200, 300, 400])
-    dx, dy, _ = recover_fr_gradient(fam, (0.0, 0.0), 0.01, mu=2.0)
+    dx, dy, _ = recover_fr_gradient(fam, 0.01, mu=2.0)
     assert dx == pytest.approx(0.0, abs=2e-3)
     assert dy == pytest.approx(1.0, abs=5e-3)
 
@@ -182,7 +182,7 @@ def test_manufactured_gradient_01():
 def test_manufactured_gradient_generic():
     jet = FrJet({(1, 0): -0.5, (0, 1): 2.5})
     fam = ManufacturedFamily(jet, s10=0.1, s01=0.7, ks=[100, 200, 300, 400])
-    dx, dy, _ = recover_fr_gradient(fam, (0.0, 0.0), 0.01, mu=2.0)
+    dx, dy, _ = recover_fr_gradient(fam, 0.01, mu=2.0)
     assert dx == pytest.approx(-0.5, abs=2e-2)
     assert dy == pytest.approx(2.5, abs=2e-2)
 
@@ -192,7 +192,7 @@ def test_manufactured_sigma1_and_s01():
     fam = ManufacturedFamily(jet, s10=0.3, s01=0.65, ks=[100, 200, 300, 400])
     s0 = jet.slope_s0
     ks, xs = sorted(fam), [0.04, 0.03, 0.02, 0.01]
-    a1, a2 = ray_samples(fam, (0.0, 0.0), s0, xs)
+    a1, a2 = ray_samples(fam, s0, xs)
     sig, _ = recover_sigma1(ks, xs, a1, a2, s0)
     assert sig == pytest.approx(0.3, abs=5e-3)
     s01, _ = recover_S01(ks, xs, a2, 2.5)
@@ -211,7 +211,7 @@ def test_gradient_sign_error():
     base = ManufacturedFamily(jet, s10=0.0, s01=0.5, ks=[100, 200])
     fam = {k: FlippedSpectrum(base, k) for k in (100, 200)}
     with pytest.raises(SignError):
-        recover_fr_gradient(fam, (0.0, 0.0), 0.01, mu=2.0)
+        recover_fr_gradient(fam, 0.01, mu=2.0)
 
 
 def test_frjet_orientation():
@@ -236,7 +236,7 @@ def test_relabelling_covariance_manufactured():
 
     for n in (-2, -1, 1, 2):
         fam = {k: Sheared(base, k, n) for k in (100, 200, 300)}
-        a1, a2 = ray_samples(fam, (0.0, 0.0), 0.0, [0.02, 0.01])
+        a1, a2 = ray_samples(fam, 0.0, [0.02, 0.01])
         sig, _ = recover_sigma1(sorted(fam), [0.02, 0.01], a1, a2, 0.0)
         assert sig == pytest.approx(0.4 - n, abs=5e-3)
 
