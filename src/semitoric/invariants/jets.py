@@ -97,6 +97,7 @@ def recover_fr_gradient(family: dict[int, LabelledSpectrum], x: float,
     the error budget is O(x ln x) + O(hbar).  info has the keys of
     ``double_limit``'s, each value a (dx, dy) pair keyed by x; "per_k"
     holds the per-k samples (already scaled) the hbar limits were fitted to.
+    Every spectrum of ``family`` must carry an ``origin`` (see ``ray_samples``).
     """
     ks = sorted(family)
     x = float(x)

@@ -104,7 +104,7 @@ def ray_samples(family: dict[int, LabelledSpectrum], slope: float,
     """The probe table of a ray: (a1, a2), each with one row per k of
     ``family`` (ascending) and one column per x of ``xs``, read by
     ``a1a2_interpolated`` at c = c0 + x*(1, slope), c0 being each k's own
-    ``origin``."""
+    ``origin``; every spectrum of ``family`` must carry one."""
     ks = sorted(family)
     a1 = np.empty((len(ks), len(xs)))
     a2 = np.empty((len(ks), len(xs)))

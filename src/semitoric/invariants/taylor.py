@@ -147,7 +147,9 @@ def d_n_from_jet(jet: FrJet, mu: float, n: int) -> float:
 # -- sampling and fitting ---------------------------------------------------
 
 def g_mu_sample(family: dict[int, LabelledSpectrum], mu: float, xs) -> np.ndarray:
-    """g_mu(x) = a1(x, mu x) + mu a2(x, mu x), hbar -> 0, at each x of xs."""
+    """g_mu(x) = a1(x, mu x) + mu a2(x, mu x), hbar -> 0, at each x of xs,
+    (x, mu x) taken from each spectrum's ``origin``, which every spectrum of
+    ``family`` must carry."""
     a1, a2 = ray_samples(family, mu, xs)
     return hbar_limits(sorted(family), a1 + mu * a2)[0]
 
@@ -158,18 +160,14 @@ def fit_log_expansion(xs, g, n: int, c_known, d_known):
 
     d_n = lim (g - sum_{l<n} x^l (c_l + d_l ln x)) / (x^n ln x), then c_n;
     realized as one weighted least-squares fit on the residual with basis
-    {ln x, 1, x ln x, x} (the two extra columns absorb the next order), or
-    {ln x, 1} alone for fewer than 5 x values.
+    {ln x, 1, x ln x, x} (the two extra columns absorb the next order).
     """
     xs = np.asarray(xs, dtype=float)
     resid = np.array(g, dtype=float)
     for l in range(n):
         resid -= xs ** l * (c_known[l] + d_known[l] * np.log(xs))
     resid /= xs ** n
-    cols = [np.log(xs), np.ones_like(xs)]
-    if len(xs) >= 5:
-        cols += [xs * np.log(xs), xs]
-    A = np.vstack(cols).T
+    A = np.vstack([np.log(xs), np.ones_like(xs), xs * np.log(xs), xs]).T
     W = np.diag(xs ** n)      # downweight small x where hbar residue blows up
     coef, cond = _guarded_lstsq(W @ A, W @ resid, "log-basis fit")
     d_n, c_n = float(coef[0]), float(coef[1])
