@@ -189,7 +189,7 @@ def cmd_dh(args) -> int:
     profile = dh_profile(counter, k, delta, grid)
     kinks = detect_kinks(profile)
     lines = ["abscissa,estimate,theory"]
-    for xx, val in profile.samples:
+    for xx, val in profile:
         lines.append(f"{xx:.17g},{val:.17g},{reference_rho(model, xx):.17g}")
     _write(out / f"dh_profile_k{k}.csv", "\n".join(lines) + "\n")
     _write(out / "dh_report.json", json.dumps(

@@ -46,10 +46,13 @@ class ProbeConfig:
     mu_list: list[float] = field(default_factory=lambda: [1.0, 1.5, 2.0])
 
     def validate(self) -> None:
-        # one probe-table row per k: a repeated k would collapse in the family
+        # one probe-table row per k: a repeated k would collapse in the family;
+        # hbar = 1/k needs k >= 1
         ks = self.k_list
         if not ks or any(b <= a for a, b in zip(ks, ks[1:])):
             raise ConfigurationError("k_list must be nonempty and strictly ascending")
+        if ks[0] < 1:
+            raise ConfigurationError(f"k values must be at least 1, got {ks[0]}")
         xs = self.x_schedule
         if not xs or any(b >= a for a, b in zip(xs, xs[1:])) or min(xs) <= 0:
             raise ConfigurationError("x_schedule must be strictly decreasing and positive")

@@ -1,6 +1,5 @@
 from .counting import (
     CloudCounter,
-    DHProfile,
     column_height,
     detect_kinks,
     dh_profile,
@@ -17,7 +16,6 @@ from .extrap import (
 )
 from .jets import (
     FrJet,
-    TaylorInvariant,
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,

@@ -16,8 +16,6 @@ its count below y0 tends to S_{0,0} with no strip width to choose.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import NoPeak, WindowTooNarrow
@@ -25,7 +23,6 @@ from .extrap import hbar_limit
 
 __all__ = [
     "CloudCounter",
-    "DHProfile",
     "height_invariant",
     "column_height",
     "dh_profile",
@@ -47,16 +44,11 @@ class CloudCounter:
                           & (p[:, 1] >= ylo) & (p[:, 1] <= yhi)))
 
 
-@dataclass
-class DHProfile:
-    samples: np.ndarray          # (n, 2): abscissa, scaled count
-    k: int
-
-
 def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple[float, dict]:
     """S_{0,0} = lim (hbar^(2-delta) / 2) #{spectrum in strip, y <= y0},
     extrapolated over the k family with the known hbar^delta error shape:
-    the paper's route, which does not use the column lattice."""
+    the paper's route, which does not use the column lattice.  info carries
+    the scaled counts in the order of ``counter.ks`` ("raw")."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     ks = list(counter.ks)
@@ -71,14 +63,15 @@ def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple
     hb = 1.0 / np.asarray(ks, dtype=float)
     A = np.vstack([np.ones_like(hb), hb ** delta]).T
     coef, *_ = np.linalg.lstsq(A, np.asarray(raw), rcond=None)
-    return float(coef[0]), {"raw": dict(zip(ks, raw))}
+    return float(coef[0]), {"raw": raw}
 
 
 def column_height(counter, origins) -> tuple[float, dict]:
     """S_{0,0} = lim hbar #{column at x0, y <= y0} over origins {k: (x0, y0)},
     x0 a column abscissa; [x0 - 0.45 hbar, x0 + 0.45 hbar] holds that column
-    alone.  info carries the per-k n_k / k ("raw") and the hbar_limit slope
-    (None when fewer than two samples differ from the limit)."""
+    alone.  info carries the n_k / k in ascending k ("raw") and the
+    hbar_limit slope (None when fewer than two samples differ from the
+    limit)."""
     ks = sorted(origins)
     raw = []
     for k in ks:
@@ -88,23 +81,25 @@ def column_height(counter, origins) -> tuple[float, dict]:
             raise WindowTooNarrow(f"k={k}: column at x={x0} holds only {n} points below y0")
         raw.append(n / k)
     lim, info = hbar_limit(ks, raw)
-    return lim, {"raw": dict(zip(ks, raw)), "slope": info["slope"]}
+    return lim, {"raw": raw, "slope": info["slope"]}
 
 
-def dh_profile(counter, k: int, delta: float, x_grid) -> DHProfile:
+def dh_profile(counter, k: int, delta: float, x_grid) -> np.ndarray:
+    """The (n, 2) array of abscissae x_grid and the scaled strip counts
+    (hbar^(2-delta) / 2) N_hbar(x, delta), which tend to rho_J(x)."""
     if not 0 < delta < 0.5:
         raise ValueError("delta must lie in (0, 1/2)")
     hb = 1.0 / k
     w = hb ** delta
     vals = [hb ** (2 - delta) / 2 * counter.count(k, x - w, x + w) for x in x_grid]
-    return DHProfile(np.column_stack([x_grid, vals]), k)
+    return np.column_stack([x_grid, vals])
 
 
-def detect_kinks(profile: DHProfile, half_window: float = 0.35,
+def detect_kinks(profile: np.ndarray, half_window: float = 0.35,
                  min_jump: float = 0.3) -> list[float]:
     """Abscissae where the piecewise-linear profile changes slope: two-sided
     line fits, local maxima of the slope jump above min_jump."""
-    xg, rho = profile.samples[:, 0], profile.samples[:, 1]
+    xg, rho = profile[:, 0], profile[:, 1]
     jumps = []
     for x in xg:
         left = (xg >= x - half_window) & (xg < x)

@@ -34,8 +34,7 @@ def hbar_limit(ks, vals):
     coef, res, *_ = np.linalg.lstsq(A, vals, rcond=None)
     rms = float(np.sqrt(res[0] / len(ks))) if len(res) else 0.0
     slope = loglog_slope(ks, vals - coef[0])
-    return float(coef[0]), {"coeffs": coef, "rms": rms,
-                            "slope": slope if np.isfinite(slope) else None}
+    return float(coef[0]), {"rms": rms, "slope": slope if np.isfinite(slope) else None}
 
 
 def hbar_limits(ks, table):
@@ -54,7 +53,7 @@ def x_limit(xs, vals):
         return float(vals[np.argmin(xs)]), {"cond": None}
     A = np.vstack([np.ones_like(xs), xs * np.log(xs), xs]).T
     coef, cond = _guarded_lstsq(A, vals, "x-limit design matrix")
-    return float(coef[0]), {"coeffs": coef, "cond": cond}
+    return float(coef[0]), {"cond": cond}
 
 
 def _guarded_lstsq(A, b, what: str):
@@ -72,19 +71,13 @@ def double_limit(ks, xs, table):
     """hbar -> 0 in each column of ``table`` (one row per k in ``ks``, one
     column per x in ``xs``), then x -> 0; returns (value, info).
 
-    info holds, keyed by x, the per-k samples ("per_k"), the hbar limits
-    ("per_x") and their convergence slopes ("hbar_slopes"), and the
-    x-fit condition number ("cond", None for a schedule too short to fit).
+    info holds the hbar limits ("per_x", an array aligned with xs), their
+    convergence slopes ("hbar_slopes", a list aligned with xs) and the x-fit
+    condition number ("cond", None for a schedule too short to fit).
     """
-    table = np.asarray(table, dtype=float)
     per_x, slopes = hbar_limits(ks, table)
     val, fit = x_limit(xs, per_x)
-    return val, {
-        "per_k": dict(zip(xs, table.T.tolist())),
-        "per_x": dict(zip(xs, per_x.tolist())),
-        "hbar_slopes": dict(zip(xs, slopes)),
-        "cond": fit["cond"],
-    }
+    return val, {"per_x": per_x, "hbar_slopes": slopes, "cond": fit["cond"]}
 
 
 def loglog_slope(ks, errs):

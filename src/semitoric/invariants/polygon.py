@@ -9,7 +9,7 @@ abscissae and the vertices are read off the pairwise edge intersections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,8 +45,6 @@ def hausdorff(set_a, set_b) -> float:
 class PolygonEstimate:
     cloud: np.ndarray                      # hbar * labels
     fitted_vertices: list
-    translation_freedom: bool = True
-    edges: list = field(default_factory=list)
     x_translation: float = 0.0             # exact column alignment to momentum x
 
 
@@ -62,65 +60,47 @@ def polygon_recover(points: np.ndarray, labels: np.ndarray, hbar: float,
     # everything below lives in the hbar*label frame; the momentum abscissae
     # (criticals, strip) are carried over by the exact column translation
     tx = float(np.median(points[:, 0] - cloud[:, 0]))
-    cols: dict[int, list] = {}
-    for (j, l) in labels:
-        cols.setdefault(int(round(j)), []).append(l)
-    col_x = {}
-    col_lo = {}
-    col_hi = {}
-    for j, ls in cols.items():
-        col_x[j] = hbar * j
-        col_lo[j] = hbar * min(ls)
-        col_hi[j] = hbar * max(ls)
+    # each column's abscissa and its lowest and highest label
+    j = np.rint(labels[:, 0])
+    order = np.lexsort((labels[:, 1], j))
+    col_j, first, size = np.unique(j[order], return_index=True, return_counts=True)
+    col_x = hbar * col_j
+    col_lo = hbar * labels[order, 1][first]
+    col_hi = hbar * labels[order, 1][first + size - 1]
     crit = sorted(c - tx for c in critical_xs)
     strip = (strip[0] - tx, strip[1] - tx)
     seg_bounds = [strip[0]] + [c for c in crit if strip[0] < c < strip[1]] + [strip[1]]
-    edges = []
+    top, bottom = [], []
     for lo, hi in zip(seg_bounds, seg_bounds[1:]):
-        js = [j for j in cols
-              if lo + _EDGE_MARGIN <= col_x[j] <= hi - _EDGE_MARGIN]
-        if len(js) < 5:
+        on = (col_x >= lo + _EDGE_MARGIN) & (col_x <= hi - _EDGE_MARGIN)
+        if on.sum() < 5:
             raise EdgeFitFailure(
-                f"only {len(js)} columns available on segment [{lo:.2f}, {hi:.2f}]"
+                f"only {on.sum()} columns available on segment [{lo:.2f}, {hi:.2f}]"
             )
-        xs = np.array([col_x[j] for j in js])
-        for chain, vals in (("bottom", col_lo), ("top", col_hi)):
-            slope, intercept = np.polyfit(xs, [vals[j] for j in js], 1)
-            edges.append({"chain": chain, "x_range": (lo, hi),
-                          "slope": float(slope), "intercept": float(intercept)})
-    vertices = _edge_intersections(edges, strip)
-    return PolygonEstimate(cloud, vertices, True, edges, tx)
+        top.append(np.polyfit(col_x[on], col_hi[on], 1))
+        bottom.append(np.polyfit(col_x[on], col_lo[on], 1))
+    return PolygonEstimate(cloud, _edge_intersections(top, bottom, strip), tx)
 
 
-def _edge_intersections(edges, strip):
-    by_chain = {"top": [], "bottom": []}
-    for e in edges:
-        by_chain[e["chain"]].append(e)
-    for chain in by_chain.values():
-        chain.sort(key=lambda e: e["x_range"][0])
-    verts = []
-    for chain in ("top", "bottom"):
-        es = by_chain[chain]
-        for e1, e2 in zip(es, es[1:]):
-            v = _cross(e1, e2)
-            if v is not None:
-                verts.append(v)
-    # polygon endpoints: where the two chains meet beyond the strip ends
+def _edge_intersections(top, bottom, strip):
+    """Vertices of the two chains of (slope, intercept) edges, each chain
+    ordered by abscissa: the crossings of consecutive edges, and where the
+    chains meet each other beyond the strip ends."""
+    verts = [v for chain in (top, bottom) for v in map(_cross, chain, chain[1:])
+             if v is not None]
     for pick in (0, -1):
-        if by_chain["top"] and by_chain["bottom"]:
-            v = _cross(by_chain["top"][pick], by_chain["bottom"][pick])
-            if v is not None and strip[0] - 0.6 <= v[0] <= strip[1] + 0.6:
-                verts.append(v)
-    verts.sort()
-    return verts
+        v = _cross(top[pick], bottom[pick])
+        if v is not None and strip[0] - 0.6 <= v[0] <= strip[1] + 0.6:
+            verts.append(v)
+    return sorted(verts)
 
 
 def _cross(e1, e2):
-    ds = e1["slope"] - e2["slope"]
-    if abs(ds) < _MIN_SLOPE_GAP:
+    (s1, i1), (s2, i2) = e1, e2
+    if abs(s1 - s2) < _MIN_SLOPE_GAP:
         return None
-    x = (e2["intercept"] - e1["intercept"]) / ds
-    return (float(x), float(e1["slope"] * x + e1["intercept"]))
+    x = (i2 - i1) / (s1 - s2)
+    return (float(x), float(s1 * x + i1))
 
 
 # -- reference polygons of the two model systems ----------------------------

@@ -556,7 +556,6 @@ class GlobalLabelling:
     transitions: dict                            # (i, j) -> ChartTransition
     merged: Labelling
     cloud: PointCloud
-    nu_freedom: bool = True                      # integer translation undetermined
 
     def phi_samples(self):
         """Sampled cartographic map: (points, hbar * labels)."""

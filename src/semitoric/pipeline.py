@@ -16,7 +16,6 @@ from .errors import EmptyWindow, NoPeak
 from .geometry import Rect
 from .invariants import (
     FrJet,
-    TaylorInvariant,
     LabelledSpectrum,
     column_height,
     detect_kinks,
@@ -186,18 +185,18 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     origin, other_kinks = locate_critical_values(model)
     family = build_probe_family(model, origin, probes)
 
-    x_probe = min(probes.x_schedule)
+    # the gradient is read at the smallest offset, the last of the
+    # decreasing schedule; the figures show the per-k samples there
+    ks, xs = sorted(family), list(probes.x_schedule)
+    x_probe = xs[-1]
     dxfr, dyfr, grad_info = recover_fr_gradient(family, x_probe, probes.mu)
     jet1 = FrJet({(1, 0): dxfr, (0, 1): dyfr})
     s0 = jet1.slope_s0
 
     # sigma1 and S01 read one probe table on the radial ray (x, s0 x)
-    ks, xs = sorted(family), list(probes.x_schedule)
     a1, a2 = ray_samples(family, s0, xs)
     sigma1, sig_info = recover_sigma1(ks, xs, a1, a2, s0)
     p = twisting_number(sigma1)
-    sigma1_priv = sigma1 - p
-
     s01, s01_info = recover_S01(ks, xs, a2, dyfr)
 
     s00, height_info = column_height(ModelCounter(model, probes.k_list),
@@ -228,10 +227,6 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     jet2 = solve_jet_order(1, mus, d1s)
     full_jet = FrJet({**jet1.derivs, **jet2})
     s2 = solve_taylor_order(1, mus, c1s, full_jet, s_known)
-    taylor = TaylorInvariant(sigma1, p, {
-        (0, 0): s00, (0, 1): s01, (1, 0): sigma1_priv,
-        (1, 1): s2[(1, 1)], (2, 0): s2[(2, 0)], (0, 2): s2[(0, 2)],
-    })
 
     # the same order-1 solves at the one mu nearest 1 under the purely-mixed
     # hypothesis, dx^2 f_r = dy^2 f_r = S20 = S02 = 0 (exact for the
@@ -243,7 +238,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     s2_mixed = solve_taylor_order(1, [mu_star], [c1s[i_star]],
                                   FrJet({**jet1.derivs, **jet2_mixed}), s_known, fixed=pure)
 
-    report = {
+    return {
         "model": model.kind,
         "focus_focus": [origin[0], origin[1]],
         "other_critical_abscissae": other_kinks,
@@ -252,9 +247,10 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
             "2,0": jet2[(2, 0)], "1,1": jet2[(1, 1)], "0,2": jet2[(0, 2)],
         },
         "radial_slope": s0,
-        "sigma1_0": taylor.sigma1_0,
-        "twisting_p": taylor.twisting_p,
-        "S": {f"{l},{m}": v for (l, m), v in sorted(taylor.s_coeffs.items())},
+        "sigma1_0": sigma1,
+        "twisting_p": p,
+        "S": {"0,0": s00, "0,1": s01, "0,2": s2[(0, 2)],
+              "1,0": sigma1 - p, "1,1": s2[(1, 1)], "2,0": s2[(2, 0)]},
         "quadratic_mixed": {
             "dxdy_fr": jet2_mixed[(1, 1)],
             "S11": s2_mixed[(1, 1)],
@@ -264,22 +260,22 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
             # the per-k samples behind the hbar -> 0 limits at the smallest
             # probe offset; the CLI writes them as the fig_*.csv rows
             "per_k": {
-                "k": list(probes.k_list),
+                "k": ks,
                 "x": x_probe,
-                "dxfr": grad_info["per_k"][x_probe][0],
-                "dyfr": grad_info["per_k"][x_probe][1],
-                "sigma1": sig_info["per_k"][x_probe],
-                "S01": s01_info["per_k"][x_probe],
-                "height": [height_info["raw"][k] for k in probes.k_list],
+                "dxfr": grad_info["per_k"][:, 0].tolist(),
+                "dyfr": grad_info["per_k"][:, 1].tolist(),
+                "sigma1": sig_info["per_k"][:, -1].tolist(),
+                "S01": s01_info["per_k"][:, -1].tolist(),
+                "height": height_info["raw"],
             },
-            "sigma1_per_x": {f"{x}": v for x, v in sig_info["per_x"].items()},
-            "s01_per_x": {f"{x}": v for x, v in s01_info["per_x"].items()},
+            "sigma1_per_x": _by_x(xs, sig_info["per_x"].tolist()),
+            "s01_per_x": _by_x(xs, s01_info["per_x"].tolist()),
             "d1_by_mu": dict(zip(map(str, mus), d1s)),
             "c1_by_mu": dict(zip(map(str, mus), c1s)),
             "convergence_slopes": {
-                "gradient_hbar": {f"{x}": v for x, v in grad_info["hbar_slopes"].items()},
-                "sigma1_hbar": {f"{x}": v for x, v in sig_info["hbar_slopes"].items()},
-                "s01_hbar": {f"{x}": v for x, v in s01_info["hbar_slopes"].items()},
+                "gradient_hbar": _by_x([x_probe], [grad_info["hbar_slopes"]]),
+                "sigma1_hbar": _by_x(xs, sig_info["hbar_slopes"]),
+                "s01_hbar": _by_x(xs, s01_info["hbar_slopes"]),
                 "height": height_info["slope"],
             },
             "condition_numbers": {
@@ -289,7 +285,11 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
             },
         },
     }
-    return report
+
+
+def _by_x(xs, values) -> dict:
+    """A per-x series as the report holds it: keyed by the offset's text."""
+    return {f"{x}": v for x, v in zip(xs, values)}
 
 
 # ---------------------------------------------------------------------------

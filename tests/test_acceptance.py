@@ -222,7 +222,7 @@ def test_criterion_6_dh_profile():
     mask = np.ones(len(grid), dtype=bool)
     for c in kinks_theory:
         mask &= np.abs(grid - c) >= 0.3
-    sup_err = np.abs(profile.samples[:, 1] - rho)[mask].max()
+    sup_err = np.abs(profile[:, 1] - rho)[mask].max()
     report(6, "DH sup error away from kinks", sup_err, 0.08)
     kinks = detect_kinks(profile)
     for target in (-1.5, 1.5):
@@ -383,7 +383,7 @@ def test_criterion_9_height_splits_reduced_volume():
 
         below, _ = height_invariant(counter, x0, 0.0, 0.4)
         above, _ = height_invariant(Above(), x0, 0.0, 0.4)
-        rho = dh_profile(counter, ks[-1], 0.4, [x0]).samples[0, 1]
+        rho = dh_profile(counter, ks[-1], 0.4, [x0])[0, 1]
         report(9, f"{model.kind} height below+above vs rho_J(x0)",
                abs(below + above - rho) / rho, 0.05)
 

@@ -108,6 +108,20 @@ def test_repeated_k_exits_2_before_solving(tmp_path, monkeypatch, capsys):
     assert "strictly ascending" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ks", [["0"], ["-5", "100"]], ids=["zero", "negative"])
+@pytest.mark.parametrize("command", ["invariants", "polygon", "dh", "synth"])
+def test_k_below_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, command, ks):
+    # hbar = 1/k: a k below 1 is a configuration error, never a traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    flags = [arg for k in ks for arg in ("--k", k)]
+    rc = main([command, "--model", "coupled", *flags, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "k values must be at least 1" in capsys.readouterr().err
+
+
 def test_recover_all_raises_configuration_error_before_solving(monkeypatch):
     # a library caller gets the typed error (still a ValueError), not a bare
     # ValueError, and no eigensolve runs first

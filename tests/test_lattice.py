@@ -9,10 +9,12 @@ from semitoric import Rect
 from semitoric.config import TOL
 from semitoric.errors import (
     AmbiguousNeighbor,
+    CocycleViolation,
     Disconnected,
     EmptyStrip,
     Inconsistent,
     InjectivityFailure,
+    NonSimplyConnected,
     TooSparse,
 )
 from semitoric.lattice import (
@@ -289,6 +291,54 @@ def test_global_labelling_json_export():
     assert data["charts"][0]["region"] == [-1, 0.1, -1, 1]
     (t,) = data["transitions"]
     assert t["pair"] == [0, 1] and t["A"] == [[1, 0], [0, 1]] and t["kappa"] == [0, 0]
+
+
+def _ring_cover(a_matrix, kappa):
+    """The identity grid under three charts that overlap pairwise: A on the
+    left, B bottom right and C top right.  C is labelled piecewise: its
+    points over A keep the true labels and those over B take the map
+    (a_matrix, kappa).  C leaves out the triple overlap, so each piece alone
+    fixes C's transition to its neighbour and only the cycle A-B-C sees both."""
+    cloud = synth_lattice(IDENTITY, 12)
+    lab = _grid_labelling(cloud)
+    pts, x = cloud.points, cloud.points[:, 0]
+
+    def part(mask):
+        return {i: l for i, l in lab.assignment.items() if mask[i]}
+
+    a, b, c = Rect(-1, 0.1, -1, 1), Rect(-0.1, 1, -1, 0.1), Rect(-0.1, 1, -0.1, 1)
+    in_c = c.contains(pts) & ~Rect(-0.1, 0.1, -0.1, 0.1).contains(pts)
+    over_b = Labelling(part(in_c & (x > 0.1))).compose_affine(a_matrix, kappa)
+    c_lab = Labelling({**part(in_c & (x < 0.1)), **over_b.assignment})
+    return cloud, [(a, Labelling(part(a.contains(pts)))),
+                   (b, Labelling(part(b.contains(pts)))), (c, c_lab)]
+
+
+def test_glue_three_chart_cycle():
+    cloud, charts = _ring_cover(np.eye(2, dtype=int), (0, 0))
+    glob = glue_global(cloud, charts)
+    assert sorted(glob.transitions) == [(0, 1), (0, 2), (1, 2)]
+    assert glob.merged.assignment == _grid_labelling(cloud).assignment
+
+
+@pytest.mark.parametrize("a_matrix, kappa, error, match", [
+    ([[1, 0], [0, 1]], (1, 0), CocycleViolation, "translation mismatch"),
+    ([[1, 0], [1, 1]], (0, 0), NonSimplyConnected, "nontrivial holonomy"),
+], ids=["translation", "matrix"])
+def test_glue_cycle_holonomy_raises(a_matrix, kappa, error, match):
+    cloud, charts = _ring_cover(np.array(a_matrix), kappa)
+    with pytest.raises(error, match=match):
+        glue_global(cloud, charts)
+
+
+def test_glue_point_with_two_labels_raises():
+    # a label A carries outside its region escapes every overlap check
+    cloud, charts = _ring_cover(np.eye(2, dtype=int), (0, 0))
+    region, lab = charts[0]
+    stray = int(np.argmax(cloud.points.sum(axis=1)))     # top-right corner, in C only
+    charts[0] = (region, Labelling({**lab.assignment, stray: (100, 100)}))
+    with pytest.raises(CocycleViolation, match="received two labels"):
+        glue_global(cloud, charts)
 
 
 def test_separation_invariant():

@@ -12,6 +12,7 @@ from semitoric.lattice import PointCloud, label_semitoric
 from semitoric.invariants import (
     FrJet,
     LabelledSpectrum,
+    hbar_limit,
     recover_S01,
     ray_samples,
     recover_fr_gradient,
@@ -182,9 +183,12 @@ def test_manufactured_gradient_01():
 def test_manufactured_gradient_generic():
     jet = FrJet({(1, 0): -0.5, (0, 1): 2.5})
     fam = ManufacturedFamily(jet, s10=0.1, s01=0.7, ks=[100, 200, 300, 400])
-    dx, dy, _ = recover_fr_gradient(fam, 0.01, mu=2.0)
+    dx, dy, info = recover_fr_gradient(fam, 0.01, mu=2.0)
     assert dx == pytest.approx(-0.5, abs=2e-2)
     assert dy == pytest.approx(2.5, abs=2e-2)
+    # one row per k of the (dx, dy) samples the hbar limits were fitted to
+    assert info["per_k"].shape == (4, 2) and len(info["hbar_slopes"]) == 2
+    assert hbar_limit(sorted(fam), info["per_k"][:, 1])[0] == pytest.approx(dy, rel=1e-12)
 
 
 def test_manufactured_sigma1_and_s01():
@@ -193,10 +197,16 @@ def test_manufactured_sigma1_and_s01():
     s0 = jet.slope_s0
     ks, xs = sorted(fam), [0.04, 0.03, 0.02, 0.01]
     a1, a2 = ray_samples(fam, s0, xs)
-    sig, _ = recover_sigma1(ks, xs, a1, a2, s0)
+    sig, sig_info = recover_sigma1(ks, xs, a1, a2, s0)
     assert sig == pytest.approx(0.3, abs=5e-3)
-    s01, _ = recover_S01(ks, xs, a2, 2.5)
+    s01, s01_info = recover_S01(ks, xs, a2, 2.5)
     assert s01 == pytest.approx(0.65, abs=5e-3)
+    # the k x x tables fitted, and per-x series aligned with xs
+    for info in (sig_info, s01_info):
+        assert info["per_k"].shape == (len(ks), len(xs))
+        assert len(info["per_x"]) == len(info["hbar_slopes"]) == len(xs)
+        assert info["per_x"][-1] == pytest.approx(
+            hbar_limit(ks, info["per_k"][:, -1])[0], rel=1e-12)
 
 
 def test_gradient_sign_error():
@@ -239,17 +249,6 @@ def test_relabelling_covariance_manufactured():
         a1, a2 = ray_samples(fam, 0.0, [0.02, 0.01])
         sig, _ = recover_sigma1(sorted(fam), [0.02, 0.01], a1, a2, 0.0)
         assert sig == pytest.approx(0.4 - n, abs=5e-3)
-
-
-def test_taylor_invariant_bundle():
-    from semitoric.invariants import TaylorInvariant
-
-    t = TaylorInvariant(2.3, 2, {(0, 1): 0.5, (0, 0): 1.0})
-    assert t.sigma1_privileged == pytest.approx(0.3)
-    assert t.sigma2_0 == 0.5
-    with pytest.raises(ValueError):
-        TaylorInvariant(2.3, 1, {})
-    assert TaylorInvariant(-3e-14, 0, {}).sigma1_privileged == -3e-14
 
 
 @pytest.mark.parametrize("sigma1,p", [(-3e-14, 0), (2.8e-14, 0), (1 - 1e-13, 1),
