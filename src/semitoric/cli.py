@@ -256,7 +256,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as e:   # ConfigurationError is a ValueError
+    except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2
     except NumericalFailure as e:

@@ -10,6 +10,8 @@ import json
 from dataclasses import dataclass, field, fields, asdict
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ConfigurationError
 
 
@@ -53,6 +55,10 @@ class ProbeConfig:
             raise ConfigurationError("k_list must be nonempty and strictly ascending")
         if ks[0] < 1:
             raise ConfigurationError(f"k values must be at least 1, got {ks[0]}")
+        # inf and nan pass the ordering and sign checks below
+        for name in ("x_schedule", "x_taylor", "mu", "mu_list"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigurationError(f"{name} values must be finite")
         xs = self.x_schedule
         if not xs or any(b >= a for a, b in zip(xs, xs[1:])) or min(xs) <= 0:
             raise ConfigurationError("x_schedule must be strictly decreasing and positive")
@@ -93,6 +99,8 @@ class RunConfig:
             raw = json.loads(Path(path).read_text())
         except OSError as e:
             raise ConfigurationError(f"cannot read config {path}: {e.strerror}") from e
+        except ValueError as e:   # malformed JSON or bytes that are not text
+            raise ConfigurationError(f"cannot parse config {path}: {e}") from e
         _check_fields(cls, raw, "config")
         probes = raw.pop("probes", {})
         _check_fields(ProbeConfig, probes, "probes")

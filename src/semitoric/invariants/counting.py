@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import NoPeak, WindowTooNarrow
+from ..errors import ConfigurationError, NoPeak, WindowTooNarrow
 from .extrap import hbar_limit
 
 __all__ = [
@@ -50,7 +50,7 @@ def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple
     the paper's route, which does not use the column lattice.  info carries
     the scaled counts in the order of ``counter.ks`` ("raw")."""
     if not 0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
+        raise ConfigurationError("delta must lie in (0, 1/2)")
     ks = list(counter.ks)
     raw = []
     for k in ks:
@@ -88,7 +88,7 @@ def dh_profile(counter, k: int, delta: float, x_grid) -> np.ndarray:
     """The (n, 2) array of abscissae x_grid and the scaled strip counts
     (hbar^(2-delta) / 2) N_hbar(x, delta), which tend to rho_J(x)."""
     if not 0 < delta < 0.5:
-        raise ValueError("delta must lie in (0, 1/2)")
+        raise ConfigurationError("delta must lie in (0, 1/2)")
     hb = 1.0 / k
     w = hb ** delta
     vals = [hb ** (2 - delta) / 2 * counter.count(k, x - w, x + w) for x in x_grid]

@@ -225,9 +225,6 @@ class Labelling:
         if self.kind == HALF_LATTICE and any(l < 0 for _, l in labs):
             raise Inconsistent("half-lattice labels must have ell >= 0")
 
-    def by_label(self) -> dict[tuple[int, int], int]:
-        return {lab: i for i, lab in self.assignment.items()}
-
     def arrays(self, cloud: PointCloud):
         idx = np.fromiter(self.assignment.keys(), dtype=int, count=len(self.assignment))
         lab = np.array(list(self.assignment.values()), dtype=int)
@@ -502,6 +499,12 @@ class ChartTransition:
     def apply(self, lab: Labelling) -> Labelling:
         return lab.compose_affine(self.a_matrix, self.kappa)
 
+    def inverse(self) -> "ChartTransition":
+        (a, b), (c, d) = np.asarray(self.a_matrix).tolist()
+        A = np.array([[d, -b], [-c, a]])    # the adjugate: det A = +1
+        kap = -(A @ np.array(self.kappa))
+        return ChartTransition(A, (int(kap[0]), int(kap[1])))
+
     def compose(self, other: "ChartTransition") -> "ChartTransition":
         A = np.asarray(self.a_matrix) @ np.asarray(other.a_matrix)
         kap = np.asarray(self.a_matrix) @ np.array(other.kappa) + np.array(self.kappa)
@@ -517,7 +520,8 @@ class ChartTransition:
 def transition(lab1: Labelling, lab2: Labelling, cloud: PointCloud,
                overlap: Rect | None = None) -> ChartTransition:
     """The unique (A, kappa), A in SL(2,Z), with lab2 = A∘lab1 + kappa on the
-    overlap. Exact integer arithmetic; verified on every common point."""
+    overlap: one least-squares solve of [L1 | 1] M = L2 over all common
+    points, rounded to integers and verified exactly on every one of them."""
     common = sorted(set(lab1.assignment) & set(lab2.assignment))
     if overlap is not None:
         inside = overlap.contains(cloud.points)
@@ -526,28 +530,14 @@ def transition(lab1: Labelling, lab2: Labelling, cloud: PointCloud,
         raise Inconsistent("need at least 3 common points")
     L1 = np.array([lab1.assignment[i] for i in common], dtype=np.int64)
     L2 = np.array([lab2.assignment[i] for i in common], dtype=np.int64)
-    d1 = L1 - L1[0]
-    A = None
-    for i in range(1, len(common)):
-        for j in range(i + 1, min(i + 50, len(common))):
-            det = d1[i, 0] * d1[j, 1] - d1[i, 1] * d1[j, 0]
-            if det != 0:
-                D1 = np.array([d1[i], d1[j]]).T
-                D2 = np.array([L2[i] - L2[0], L2[j] - L2[0]]).T
-                adj = np.array([[D1[1, 1], -D1[0, 1]], [-D1[1, 0], D1[0, 0]]])
-                num = D2 @ adj
-                if np.any(num % det != 0):
-                    raise Inconsistent("no integer matrix fits the label differences")
-                A = num // det
-                break
-        if A is not None:
-            break
-    if A is None:
+    X = np.column_stack([L1, np.ones(len(common), dtype=np.int64)])
+    M, _, rank, _ = np.linalg.lstsq(X, L2, rcond=None)
+    if rank < 3:
         raise Inconsistent("common points are collinear in label space")
-    kap = L2[0] - A @ L1[0]
-    if np.any((L1 @ A.T) + kap != L2):
+    M = np.rint(M).astype(np.int64)
+    if np.any(X @ M != L2):
         raise Inconsistent("affine map fails on some common point")
-    return ChartTransition(A.astype(int), (int(kap[0]), int(kap[1])))
+    return ChartTransition(M[:2].T, (int(M[2, 0]), int(M[2, 1])))
 
 
 @dataclass
@@ -602,35 +592,27 @@ def glue_global(cloud: PointCloud, charts: list[tuple[Rect, Labelling]]) -> Glob
                 )
             except Inconsistent:
                 continue
-    # BFS over the chart graph
+    # breadth-first over the chart graph: G_j = G_i ∘ t^-1 along an edge (i, j)
     to_global: dict[int, ChartTransition] = {
         0: ChartTransition(np.eye(2, dtype=int), (0, 0))
     }
     q = deque([0])
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for (i, j) in edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    tree_edges = set()
     while q:
-        i = q.popleft()
-        for j in adj[i]:
-            if j in to_global:
-                continue
-            t_ij = edges[(i, j)] if (i, j) in edges else _invert(edges[(j, i)])
-            # labels of chart j expressed in chart i's frame, then global
-            to_global[j] = to_global[i].compose(_invert(t_ij))
-            tree_edges.add((min(i, j), max(i, j)))
-            q.append(j)
+        c = q.popleft()
+        for (i, j), t in edges.items():
+            if c == i and j not in to_global:
+                to_global[j] = to_global[i].compose(t.inverse())
+                q.append(j)
+            elif c == j and i not in to_global:
+                to_global[i] = to_global[j].compose(t)
+                q.append(i)
     if len(to_global) < n:
         raise Disconnected("chart cover is not connected")
-    # cocycle check on non-tree edges
+    # cocycle check on every edge; a tree edge closes exactly
     for (i, j), t in edges.items():
-        if (i, j) in tree_edges:
-            continue
-        loop = _invert(to_global[j]).compose(to_global[i]).compose(_invert(t))
+        loop = to_global[j].inverse().compose(to_global[i]).compose(t.inverse())
         if not loop.is_identity():
-            if _nontrivial_matrix(loop):
+            if not np.array_equal(loop.a_matrix, np.eye(2, dtype=int)):
                 raise NonSimplyConnected(
                     f"cycle through charts {i},{j} has nontrivial holonomy"
                 )
@@ -645,14 +627,3 @@ def glue_global(cloud: PointCloud, charts: list[tuple[Rect, Labelling]]) -> Glob
                 raise CocycleViolation(f"point {idx} received two labels")
             merged[idx] = l
     return GlobalLabelling(glued, edges, Labelling(merged, REGULAR), cloud)
-
-
-def _invert(t: ChartTransition) -> ChartTransition:
-    A = np.asarray(t.a_matrix)
-    Ainv = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=int)
-    kap = -(Ainv @ np.array(t.kappa))
-    return ChartTransition(Ainv, (int(kap[0]), int(kap[1])))
-
-
-def _nontrivial_matrix(t: ChartTransition) -> bool:
-    return not np.array_equal(np.asarray(t.a_matrix), np.eye(2, dtype=int))

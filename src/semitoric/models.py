@@ -64,8 +64,8 @@ class ModelSpec:
         if self.kind not in (SPIN_OSCILLATOR, COUPLED_ANGULAR_MOMENTA):
             raise ConfigurationError(f"unknown model kind {self.kind!r}")
         if self.kind == COUPLED_ANGULAR_MOMENTA:
-            if not (self.r2 > self.r1 > 0):
-                raise ConfigurationError("coupled angular momenta require r2 > r1 > 0")
+            if not (np.isfinite(self.r2) and self.r2 > self.r1 > 0):
+                raise ConfigurationError("coupled angular momenta require finite r2 > r1 > 0")
             if not 0.0 <= self.t <= 1.0:
                 raise ConfigurationError("coupling parameter t must lie in [0, 1]")
 

@@ -346,7 +346,7 @@ def polygon_reference_distance(model: ModelSpec, est, strip, h: float):
         return hausdorff(est.cloud + np.array([tx, ty]), theory_tree)
 
     y0 = float(np.median(theory[:, 1])) - float(np.median(est.cloud[:, 1]))
-    res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0, y0 + 2 * h),
+    res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0 + 2 * h),
                           method="brent", options={"xtol": 1e-4})
     shift = np.array([tx, float(res.x)])
     vert_err = _vertex_errors(est.fitted_vertices, reference_polygon_vertices(model))

@@ -4,9 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import semitoric
+import semitoric.cli
 import semitoric.models
 import semitoric.pipeline
 from semitoric import SPIN_OSCILLATOR, ModelSpec
@@ -14,6 +16,7 @@ from semitoric.cli import main
 from semitoric.config import ProbeConfig, RunConfig
 from semitoric.errors import ConfigurationError
 from semitoric.invariants import LabelledSpectrum, hbar_limit
+from semitoric.lattice import Labelling, PointCloud, transition
 
 
 def test_cli_startup_imports_no_scipy():
@@ -122,6 +125,57 @@ def test_k_below_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, comma
     assert "k values must be at least 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, config", [
+    (["invariants", "--x", "inf"], None),
+    (["invariants", "--x", "nan"], None),
+    (["invariants", "--mu", "inf"], None),
+    (["invariants"], b'{"probes": {"mu": Infinity}}'),
+    (["invariants"], b'{"probes": {"mu": '),
+    (["invariants"], b'\xff\xfe{}'),
+    (["spectrum", "--model", "coupled", "--r1", "0.5", "--r2", "inf", "--k", "4"], None),
+    (["polygon", "--model", "coupled", "--r1", "0.5", "--r2", "inf", "--k", "10"], None),
+], ids=["x-inf", "x-nan", "mu-inf", "config-mu-infinity", "config-malformed",
+        "config-not-text", "spectrum-r2-inf", "polygon-r2-inf"])
+def test_bad_number_or_config_exits_2_before_solving(tmp_path, monkeypatch, capsys,
+                                                     argv, config):
+    # inf and nan pass every ordering check, so they are rejected as such
+    # before the first eigensolve, not met later as an overflow
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    if config is not None:
+        (tmp_path / "run.json").write_bytes(config)
+        argv = [*argv, "--config", str(tmp_path / "run.json")]
+    rc = main([*argv, "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("configuration error: ")
+
+
+def test_plain_value_error_is_not_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # exit 2 is kept for typed configuration errors; any other ValueError is
+    # a fault of the program and keeps its traceback
+    def broken(*args, **kwargs):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(semitoric.cli, "dh_profile", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["dh", "--model", "coupled", "--k", "20", "--out", str(tmp_path)])
+    assert "configuration error" not in capsys.readouterr().err
+
+
+def test_numerical_failure_exits_3(tmp_path, capsys):
+    rc = main(["invariants", "--model", "spin-oscillator", "--k", "3", "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: recovered dy f_r(0)")
+
+
+def test_labelling_failure_exits_4(tmp_path, capsys):
+    rc = main(["synth", "--k", "3", "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == "labelling failure: only 9 points\n"
+
+
 def test_recover_all_raises_configuration_error_before_solving(monkeypatch):
     # a library caller gets the typed error (still a ValueError), not a bare
     # ValueError, and no eigensolve runs first
@@ -183,6 +237,17 @@ def test_synth_command(tmp_path):
     lines = (tmp_path / "synth_k25.csv").read_text().strip().split("\n")
     assert lines[0] == "k,x,y,j,l,true_j,true_l"
     assert len(lines) > 100
+
+
+def test_synth_half_lattice_command(tmp_path):
+    rc = main(["synth", "--k", "25", "--half", "--out", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / "synth_k25.csv", delimiter=",", skiprows=1)
+    cloud = PointCloud(25, rows[:, 1:3])
+    got = Labelling(dict(enumerate(map(tuple, rows[:, 3:5].astype(int).tolist()))))
+    truth = Labelling(dict(enumerate(map(tuple, rows[:, 5:7].astype(int).tolist()))))
+    assert len(rows) > 100
+    transition(truth, got, cloud)    # one GA+(2,Z) map from the truth, or raise
 
 
 def test_config_file_and_flag_override(tmp_path):
@@ -285,3 +350,14 @@ def test_polygon_command(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "polygon_report.json").read_text())
     assert report["hausdorff_to_reference"] < 10 * report["hausdorff_budget"]
+
+
+@pytest.mark.parametrize("model, k", [("coupled", "10"), ("spin-oscillator", "12")])
+def test_polygon_within_budget_where_the_distance_is_not_lowest_at_the_start(
+        tmp_path, model, k):
+    # at these k the Hausdorff distance is lower off the median-aligned start
+    # shift than at it, which a three-point Brent bracket refuses
+    rc = main(["polygon", "--model", model, "--k", k, "--out", str(tmp_path)])
+    assert rc == 0
+    report = json.loads((tmp_path / "polygon_report.json").read_text())
+    assert report["hausdorff_to_reference"] <= report["hausdorff_budget"]

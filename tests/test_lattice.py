@@ -218,9 +218,19 @@ def test_transition_inconsistent():
     cloud = synth_lattice(IDENTITY, 12)
     lab1 = _grid_labelling(cloud)
     broken = dict(lab1.assignment)
-    broken[0] = (broken[0][0] + 5, broken[0][1])
-    with pytest.raises(Inconsistent):
+    # far outside the grid, so the broken labelling stays injective
+    broken[0] = (broken[0][0] + 500, broken[0][1])
+    with pytest.raises(Inconsistent, match="fails on some common point"):
         transition(lab1, Labelling(broken), cloud)
+
+
+def test_transition_collinear_overlap():
+    # one label row fixes no affine map of the plane
+    cloud = synth_lattice(IDENTITY, 12)
+    lab = _grid_labelling(cloud)
+    row = Labelling({i: l for i, l in lab.assignment.items() if l[1] == 0})
+    with pytest.raises(Inconsistent, match="collinear"):
+        transition(row, lab, cloud)
 
 
 @settings(max_examples=30, deadline=None)
@@ -238,6 +248,7 @@ def test_transition_roundtrip_random_sl2(n, k1, k2, seed):
     t = transition(lab1, lab2, cloud)
     assert np.array_equal(t.a_matrix, A)
     assert tuple(t.kappa) == (k1, k2)
+    assert t.compose(t.inverse()).is_identity() and t.inverse().compose(t).is_identity()
 
 
 def test_glue_two_charts_and_order_independence():

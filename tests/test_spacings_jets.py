@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
 from semitoric.config import ProbeConfig
-from semitoric.errors import MissingNeighbor, SignError
+from semitoric.errors import ActionDiscontinuity, MissingNeighbor, SignError
 from semitoric.lattice import PointCloud, label_semitoric
 from semitoric.invariants import (
     FrJet,
@@ -207,6 +207,20 @@ def test_manufactured_sigma1_and_s01():
         assert len(info["per_x"]) == len(info["hbar_slopes"]) == len(xs)
         assert info["per_x"][-1] == pytest.approx(
             hbar_limit(ks, info["per_k"][:, -1])[0], rel=1e-12)
+
+
+
+def test_sigma1_column_an_integer_off_raises_action_discontinuity():
+    # the per-column median correction undoes an integer jump at one k; a
+    # whole x column an integer above the others keeps its offset, so the
+    # action changed chart across the schedule
+    jet = FrJet({(1, 0): -0.5, (0, 1): 2.5})
+    fam = ManufacturedFamily(jet, s10=0.3, s01=0.65, ks=[100, 200, 300])
+    xs = [0.04, 0.03, 0.02, 0.01]
+    a1, a2 = ray_samples(fam, jet.slope_s0, xs)
+    a1[:, 1] += 1.0
+    with pytest.raises(ActionDiscontinuity, match="jump by"):
+        recover_sigma1(sorted(fam), xs, a1, a2, jet.slope_s0)
 
 
 def test_gradient_sign_error():
