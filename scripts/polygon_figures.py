@@ -13,7 +13,6 @@ from semitoric.invariants import detect_kinks, dh_profile
 from semitoric.pipeline import (
     ModelCounter,
     default_dh_grid,
-    default_strip,
     polygon_reference_distance,
     polygon_run,
 )
@@ -32,9 +31,8 @@ def main():
         (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), 20),
     )
     for model, k in runs:
-        strip = default_strip(model)
-        pts, labels, est = polygon_run(model, k, strip)
-        dist, shift, vert_err = polygon_reference_distance(model, est, strip, 1.0 / k)
+        est = polygon_run(model, k)
+        dist, shift, vert_err = polygon_reference_distance(model, est, k)
         path = out / f"polygon_{model.kind}_k{k}.csv"
         with path.open("w") as f:
             f.write("u,v\n")

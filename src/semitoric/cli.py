@@ -160,9 +160,8 @@ def cmd_polygon(args) -> int:
     model = _model(cfg)
     out = _outdir(cfg)
     k = cfg.probes.k_list[-1]
-    strip = default_strip(model)
-    points, labels, est = polygon_run(model, k, strip)
-    dist, shift, vert_err = polygon_reference_distance(model, est, strip, 1.0 / k)
+    est = polygon_run(model, k)
+    dist, shift, vert_err = polygon_reference_distance(model, est, k)
     lines = ["u,v"]
     for u, v in est.cloud[np.lexsort((est.cloud[:, 1], est.cloud[:, 0]))]:
         lines.append(f"{u:.17g},{v:.17g}")

@@ -62,13 +62,19 @@ class ProbeConfig:
         xs = self.x_schedule
         if not xs or any(b >= a for a, b in zip(xs, xs[1:])) or min(xs) <= 0:
             raise ConfigurationError("x_schedule must be strictly decreasing and positive")
-        # the gradient scale 2 pi / ln(mu) is undefined at mu <= 0 and mu = 1
-        if not (self.mu > 0 and self.mu != 1):
-            raise ConfigurationError("mu must be positive and different from 1")
         # the recovery fits each mu's log expansion in ln x through at least
         # 6 x values, and its order-1 jet and Taylor solves take n + 2 = 3 mus
         if len(self.x_taylor) < 6 or min(self.x_taylor) <= 0:
             raise ConfigurationError("x_taylor needs at least 6 values, all positive")
+        # the gradient scale 2 pi / ln(mu) is undefined at mu <= 0 and mu = 1
+        if not (self.mu > 0 and self.mu != 1):
+            raise ConfigurationError("mu must be positive and different from 1")
+        # the gradient probe's second offset mu x must stay within the span of
+        # offsets the recovery already reads
+        lo, hi = min(xs), max(self.x_taylor)
+        if not lo <= self.mu * lo <= hi:
+            raise ConfigurationError(
+                f"mu * min(x_schedule) = {self.mu * lo:g} must lie in [{lo:g}, {hi:g}]")
         if len(self.mu_list) != 3 or len(set(self.mu_list)) != 3:
             raise ConfigurationError("mu_list must hold 3 distinct values")
 

@@ -5,6 +5,7 @@ from .counting import (
     dh_profile,
     height_invariant,
     locate_focus_focus,
+    smallest_gap_midpoint,
 )
 from .extrap import (
     circle_distance,

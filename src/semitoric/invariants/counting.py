@@ -28,6 +28,7 @@ __all__ = [
     "dh_profile",
     "detect_kinks",
     "locate_focus_focus",
+    "smallest_gap_midpoint",
 ]
 
 
@@ -98,21 +99,22 @@ def dh_profile(counter, k: int, delta: float, x_grid) -> np.ndarray:
 def detect_kinks(profile: np.ndarray, half_window: float = 0.35,
                  min_jump: float = 0.3) -> list[float]:
     """Abscissae where the piecewise-linear profile changes slope: two-sided
-    line fits, local maxima of the slope jump above min_jump."""
+    line fits, local maxima of the slope jump above min_jump.  Only
+    abscissae whose two half-windows lie inside the grid are scored, and a
+    maximum needs a scored neighbour on each side, so the grid ends, where
+    the profile beyond the grid is unknown, are never reported."""
     xg, rho = profile[:, 0], profile[:, 1]
+    scored = np.flatnonzero((xg - half_window >= xg[0] - 1e-9)
+                            & (xg + half_window <= xg[-1] + 1e-9))
     jumps = []
-    for x in xg:
+    for x in xg[scored]:
         left = (xg >= x - half_window) & (xg < x)
         right = (xg > x) & (xg <= x + half_window)
-        if left.sum() < 3 or right.sum() < 3:
-            jumps.append(0.0)
-            continue
         sl = np.polyfit(xg[left], rho[left], 1)[0]
         sr = np.polyfit(xg[right], rho[right], 1)[0]
         jumps.append(abs(sr - sl))
-    jumps = np.asarray(jumps)
-    hits = [i for i in range(1, len(xg) - 1)
-            if jumps[i] > min_jump and jumps[i] >= jumps[i - 1] and jumps[i] >= jumps[i + 1]]
+    hits = [i for i, a, b, c in zip(scored[1:], jumps, jumps[1:], jumps[2:])
+            if b > min_jump and b >= a and b >= c]
     merged: list[list[float]] = []
     step = xg[1] - xg[0] if len(xg) > 1 else 1.0
     for i in hits:
@@ -127,21 +129,27 @@ _PEAK_FACTOR = 1.8    # least ratio of the hbar/spacing peak to its column media
 _REFINE_STEPS = 4     # columns scanned on each side of a kink candidate
 
 
-def locate_focus_focus(ladder_provider, k: int,
-                       x_candidates) -> list[tuple[float, float]]:
-    """Classify candidate abscissae by the log-divergence of inverse level
-    spacings in the vertical line above them.
+def smallest_gap_midpoint(ev) -> tuple[int, float]:
+    """(i, y): the smallest gap ev[i+1] - ev[i] of an ascending ladder and
+    its midpoint.  Above a focus-focus value the levels accumulate like
+    -ln|y - y0|, so y is the column's estimate of the ordinate y0."""
+    i = int(np.argmin(np.diff(ev)))
+    return i, float(0.5 * (ev[i] + ev[i + 1]))
+
+
+def locate_focus_focus(ladder_provider, k: int, x_candidates) -> tuple[float, float]:
+    """The first candidate abscissa whose vertical line shows the
+    log-divergence of inverse level spacings of a focus-focus value.
 
     ladder_provider(k, x) must return (x_actual, ascending eigenvalue array)
     for the spectral column nearest x.  A focus-focus value shows an interior
     peak of hbar/spacing growing like -C ln|y - y0|; elliptic candidates do
     not.  Kink candidates are only accurate to the profile resolution, so
-    the _REFINE_STEPS neighboring columns on each side are scanned for the
-    strongest peak.
-    Returns the located values; raises NoPeak if none qualifies.
+    the _REFINE_STEPS neighboring columns on each side are scanned and the
+    strongest peak gives (x_actual, smallest_gap_midpoint).  Raises NoPeak
+    if no candidate qualifies.
     """
     hb = 1.0 / k
-    found = []
     for xc in x_candidates:
         best = None
         # nearest columns first so ties keep the candidate abscissa
@@ -149,39 +157,14 @@ def locate_focus_focus(ladder_provider, k: int,
             x_act, ev = ladder_provider(k, xc + step * hb)
             if len(ev) < 8:
                 continue
-            mids = 0.5 * (ev[1:] + ev[:-1])
-            inv = hb / np.diff(ev)
-            i = int(np.argmax(inv))
+            i, y = smallest_gap_midpoint(ev)
             span = ev[-1] - ev[0]
-            if not (ev[0] + 0.05 * span < mids[i] < ev[-1] - 0.05 * span):
+            if not (ev[0] + 0.05 * span < y < ev[-1] - 0.05 * span):
                 continue
+            inv = hb / np.diff(ev)
             score = inv[i] / np.median(inv)
-            if score < _PEAK_FACTOR:
-                continue
-            if best is None or score > best[0]:
-                best = (score, x_act, _refine_peak(mids, inv, i))
+            if score >= _PEAK_FACTOR and (best is None or score > best[0]):
+                best = (score, float(x_act), y)
         if best is not None:
-            found.append((float(best[1]), float(best[2])))
-    if not found:
-        raise NoPeak("no interior spacing peak among the candidates")
-    return found
-
-
-def _refine_peak(mids, inv, i):
-    """Least-squares fit of inv ~ -C ln|y - y0| + D, scanning y0 inside the
-    minimal gap around the raw peak."""
-    lo, hi = max(0, i - 8), min(len(mids), i + 9)
-    y, v = mids[lo:hi], inv[lo:hi]
-    gap_lo = mids[i - 1] if i - 1 >= 0 else mids[i]
-    gap_hi = mids[i + 1] if i + 1 < len(mids) else mids[i]
-    best = (np.inf, mids[i])
-    for y0 in np.linspace(gap_lo, gap_hi, 41):
-        r = np.abs(y - y0)
-        keep = r > 1e-12
-        if keep.sum() < 4:
-            continue
-        A = np.vstack([np.log(r[keep]), np.ones(int(keep.sum()))]).T
-        coef, res, *_ = np.linalg.lstsq(A, v[keep], rcond=None)
-        if coef[0] < 0 and len(res) and res[0] < best[0]:
-            best = (float(res[0]), float(y0))
-    return best[1]
+            return best[1:]
+    raise NoPeak("no interior spacing peak among the candidates")

@@ -29,8 +29,9 @@ class LabelledSpectrum:
 
     ``column_x`` maps each column label j to the column's abscissa; columns
     adjacent in x carry adjacent labels.  ``ladder(j)`` returns the
-    ascending row labels l of column j and their heights; it is called the
-    first time an estimator reads column j, and its result is kept.
+    ascending row labels l of column j and their strictly ascending
+    heights; it is called the first time an estimator reads column j, and
+    its result is kept.
     """
 
     def __init__(self, k: int, column_x, ladder, origin: tuple[float, float] | None = None):
@@ -46,10 +47,7 @@ class LabelledSpectrum:
         if j not in self._ladders:
             if j not in self.column_x:
                 raise MissingNeighbor(f"no column j={j}")
-            ls, ys = self._solve(j)
-            if np.any(np.diff(ys) <= 0):
-                raise MissingNeighbor(f"column {j} is not monotone in ell")
-            self._ladders[j] = (ls, ys)
+            self._ladders[j] = self._solve(j)
         return self._ladders[j]
 
     def nearest_column(self, x: float) -> int:

@@ -432,9 +432,9 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
     """Bottom-anchored labelling near a transversally elliptic value.
 
     Steps: nearest point mu to c (ties broken lexicographically); the lowest
-    point of the hbar^(3/2)-wide vertical strip through mu is lambda_(0,0);
-    the next one up is lambda_(0,1); the lowest point of the strip shifted by
-    (hbar, 0) is lambda_(1,0); then transport restricted to ell >= 0.
+    point of mu's column is lambda_(0,0); the next one up is lambda_(0,1);
+    lambda_(1,0) needs a column one hbar to the right (within
+    hbar^(3/2) / 2 of x(mu) + hbar); then transport restricted to ell >= 0.
     """
     pts = cloud.points
     if len(pts) < TOL.min_region_points:
@@ -444,31 +444,17 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
     d2 = np.sum((pts - cpt) ** 2, axis=1)
     near = np.where(d2 <= d2.min() + 1e-18)[0]
     mu_i = near[np.lexsort((pts[near, 1], pts[near, 0]))[0]]
-    mu = pts[mu_i]
-    w = 0.5 * h ** 1.5
-    s0 = np.where(np.abs(pts[:, 0] - mu[0]) <= w)[0]
-    if len(s0) == 0:
-        raise EmptyStrip("strip S0 empty")
-    s0 = s0[np.argsort(pts[s0, 1])]
-    lam00 = s0[0]
-    if len(s0) < 2:
-        raise EmptyStrip("strip S0 has no point above lambda_(0,0)")
-    s1 = np.where(np.abs(pts[:, 0] - (mu[0] + h)) <= w)[0]
-    if len(s1) == 0:
-        raise EmptyStrip("strip S1 empty")
-
     cols, colx = _columns(pts, h)
-    col_of = np.empty(len(pts), dtype=int)
-    for ci, idx in enumerate(cols):
-        col_of[idx] = ci
-    c00 = int(col_of[lam00])
-    if cols[c00][0] != lam00:
-        raise EmptyStrip("lambda_(0,0) is not the lowest point of its column")
+    c00 = next(ci for ci, idx in enumerate(cols) if mu_i in idx)
+    if len(cols[c00]) < 2:
+        raise EmptyStrip("column of mu has no point above lambda_(0,0)")
+    if not np.any(np.abs(colx - (pts[mu_i, 0] + h)) <= 0.5 * h ** 1.5):
+        raise EmptyStrip("no column one hbar to the right of mu")
     # admissibility cross-check: in column-transport coordinates (seeded at
-    # the column nearest mu) the bottom row, the column anchors, must be a
+    # mu's column) the bottom row, the column anchors, must be a
     # straight lattice line (affine in the column index); a kink means the
     # domain crosses a corner
-    anchor = _column_anchors(pts, cols, colx, h, int(np.argmin(np.abs(colx - mu[0]))))
+    anchor = _column_anchors(pts, cols, colx, h, c00)
     if len(np.unique(np.diff(anchor))) > 1:
         raise Disconnected("bottom row is not a lattice line (domain not admissible)")
     return Labelling(_column_labels(cols, c00, 0), HALF_LATTICE)

@@ -96,9 +96,16 @@ class TridiagonalBlock:
         return len(self.diag)
 
     def eigenvalues(self, y_window=None) -> np.ndarray:
+        """Ascending eigenvalues, those in (lo, hi] when y_window is given;
+        CommutatorViolation when two coincide, since H must have a simple
+        spectrum on each J-eigenspace."""
         if y_window is None:
-            return eigs_sym_tridiagonal(self.diag, self.offdiag)
-        return eigs_in_window(self.diag, self.offdiag, y_window[0], y_window[1])
+            ev = eigs_sym_tridiagonal(self.diag, self.offdiag)
+        else:
+            ev = eigs_in_window(self.diag, self.offdiag, y_window[0], y_window[1])
+        if np.any(np.diff(ev) <= 0):
+            raise CommutatorViolation(f"non-simple spectrum in block {self.block_id}")
+        return ev
 
 
 @dataclass(frozen=True)
@@ -205,8 +212,6 @@ class BlockSequence(Sequence):
         return len(self.ids)
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return BlockSequence(self.model, self.k, self.ids[i])
         build = _spin_block if self.model.kind == SPIN_OSCILLATOR else _coupled_block
         return build(self.model, self.k, self.ids[i])
 
@@ -264,12 +269,7 @@ def block_spectrum(blocks: BlockSequence, ylo: float = -np.inf,
                    yhi: float = np.inf) -> JointSpectrum:
     """Joint eigenvalues of the given blocks, each solved in full; y is cut
     to [ylo, yhi] after idx has counted the whole block."""
-    columns = []
-    for b in blocks:
-        ev = b.eigenvalues()
-        if np.any(np.diff(ev) <= 0):
-            raise CommutatorViolation(f"non-simple spectrum in block {b.block_id}")
-        columns.append((b.j_value, b.block_id, ev))
+    columns = [(b.j_value, b.block_id, b.eigenvalues()) for b in blocks]
     return _spectrum(blocks.k, columns, ylo, yhi)
 
 

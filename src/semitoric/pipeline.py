@@ -1,7 +1,7 @@
 """End-to-end orchestration: model -> labelled spectra -> invariants.
 
 The recovery is self-contained: the focus-focus value is located from the
-spectrum (Duistermaat-Heckman kinks, then the log-peak of inverse level
+spectrum (Duistermaat-Heckman kinks, then the peak of inverse level
 spacings), probe neighborhoods to its right are labelled by (J-block,
 position in the block), and every invariant is extracted by the
 double-limit schedules; the height is a count on the critical column.
@@ -17,6 +17,7 @@ from .geometry import Rect
 from .invariants import (
     FrJet,
     LabelledSpectrum,
+    PolygonEstimate,
     column_height,
     detect_kinks,
     dh_profile,
@@ -31,6 +32,7 @@ from .invariants import (
     recover_sigma1,
     reference_polygon_vertices,
     sample_polygon_region,
+    smallest_gap_midpoint,
     solve_jet_order,
     solve_taylor_order,
     twisting_number,
@@ -40,7 +42,6 @@ from .models import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
     ModelSpec,
-    block_spectrum,
     build_blocks,
     joint_spectrum,
 )
@@ -108,17 +109,16 @@ def column_ladder(model: ModelSpec, k: int, x: float, y_window=None):
 
 def refine_origin(model: ModelSpec, k: int, origin) -> tuple[float, float]:
     """Per-k estimate of the focus-focus value: exact column abscissa plus
-    the spacing-minimum ordinate at this k.  Probes measure offsets from the
-    estimated singular value, and a1 responds to an ordinate error like
-    e2/(2 pi x), so the error must shrink like hbar for the extrapolations
-    to converge: a one-off estimate would leave a floor."""
+    the smallest-gap midpoint of its ladder at this k.  Probes measure
+    offsets from the estimated singular value, and a1 responds to an
+    ordinate error like e2/(2 pi x), so the error must shrink like hbar for
+    the extrapolations to converge: a one-off estimate would leave a
+    floor."""
     x0, y0 = origin
     x_act, ev = column_ladder(model, k, x0, (y0 - 0.45, y0 + 0.45))
     if len(ev) < 4:
         return (float(x_act), float(y0))
-    gaps = np.diff(ev)
-    i = int(np.argmin(gaps))
-    return (float(x_act), float(0.5 * (ev[i] + ev[i + 1])))
+    return (float(x_act), smallest_gap_midpoint(ev)[1])
 
 
 def build_probe_family(model: ModelSpec, origin, probes: ProbeConfig) -> dict[int, LabelledSpectrum]:
@@ -146,16 +146,15 @@ def _block_labelled(model: ModelSpec, k: int, x_window, origin) -> LabelledSpect
     sign = 1 if model.kind == SPIN_OSCILLATOR else -1
 
     def ladder(j):
-        i = blocks.ids.index(sign * j)
-        spec = block_spectrum(blocks[i:i + 1])
-        return spec.idx, spec.y
+        ev = blocks[blocks.ids.index(sign * j)].eigenvalues()
+        return np.arange(len(ev)), ev
 
     js = sign * np.asarray(blocks.ids)
     return LabelledSpectrum(k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder, origin)
 
 
 def locate_critical_values(model: ModelSpec):
-    """DH kinks -> candidate abscissae -> log-peak classification, at
+    """DH kinks -> candidate abscissae -> spacing-peak classification, at
     k = 200 with strips of half-width hbar^0.25.
 
     Returns (focus (x0, y0), other kink abscissae).
@@ -168,11 +167,7 @@ def locate_critical_values(model: ModelSpec):
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
 
-    def ladder(k, x):
-        return column_ladder(model, k, x)
-
-    found = locate_focus_focus(ladder, k_locate, kinks)
-    x0, y0 = found[0]
+    x0, y0 = locate_focus_focus(lambda k, x: column_ladder(model, k, x), k_locate, kinks)
     others = [x for x in kinks if abs(x - x0) > 0.1]
     return (x0, y0), others
 
@@ -295,15 +290,16 @@ def _by_x(xs, values) -> dict:
 # ---------------------------------------------------------------------------
 # polygon pipeline
 
-def polygon_run(model: ModelSpec, k: int, strip=None):
-    """Quantum cartographic cloud on the strip and the fitted polygon.
+def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
+    """Quantum cartographic cloud on the model's default strip and the
+    fitted polygon.
 
     The critical values are located from the spectrum first.  Exclusions: a
     vertical band of half-width eps above the focus-focus value (the cut)
     and balls of radius eps at the column ends over every other critical
     abscissa (corners), eps = max(3 hbar, 0.35 sqrt(hbar)).
     """
-    strip = default_strip(model) if strip is None else strip
+    strip = default_strip(model)
     h = 1.0 / k
     eps = max(3 * h, 0.35 * np.sqrt(h))
     origin, corner_xs = locate_critical_values(model)
@@ -322,13 +318,13 @@ def polygon_run(model: ModelSpec, k: int, strip=None):
     cloud = PointCloud(k, pts[keep])
     lab = label_semitoric(cloud, seed_x=strip[1] - 0.1 * (strip[1] - strip[0]))
     points, labels, _ = lab.arrays(cloud)
-    est = polygon_recover(points, labels, h, [x0] + list(corner_xs), strip)
-    return points, labels, est
+    return polygon_recover(points, labels, h, [x0] + list(corner_xs), strip)
 
 
-def polygon_reference_distance(model: ModelSpec, est, strip, h: float):
-    """Translation-optimized Hausdorff distance of the cloud against the
-    reference polygon clipped to the strip, plus vertex errors.
+def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
+    """Translation-optimized Hausdorff distance of polygon_run's cloud at
+    this k against the reference polygon clipped to the default strip, plus
+    vertex errors.
 
     The x component of the translation is the exact column alignment (the
     abscissae are an exact hbar grid), so only the vertical freedom (the
@@ -338,7 +334,8 @@ def polygon_reference_distance(model: ModelSpec, est, strip, h: float):
     from scipy.optimize import minimize_scalar
     from scipy.spatial import cKDTree
 
-    theory = sample_polygon_region(model, strip, 0.35 * h)
+    h = 1.0 / k
+    theory = sample_polygon_region(model, default_strip(model), 0.35 * h)
     theory_tree = cKDTree(theory)
     tx = est.x_translation
 

@@ -233,10 +233,9 @@ def test_criterion_6_dh_profile():
 # -- criterion 7: polygon ------------------------------------------------------
 
 def test_criterion_7_polygon():
-    for model, k, strip, mult in ((SPIN, 25, (-0.8, 2.0), 6),
-                                  (COUPLED, 20, (-3.3, 3.1), 8)):
-        points, labels, est = polygon_run(model, k, strip)
-        dist, _, vert_err = polygon_reference_distance(model, est, strip, 1.0 / k)
+    for model, k, mult in ((SPIN, 25, 6), (COUPLED, 20, 8)):
+        est = polygon_run(model, k)
+        dist, _, vert_err = polygon_reference_distance(model, est, k)
         report(7, f"{model.kind} Hausdorff", dist, mult / k)
         report(7, f"{model.kind} vertices", max(vert_err), 0.1)
 

@@ -98,6 +98,20 @@ def test_mu_one_flag_exits_2_before_solving(tmp_path, capsys):
     assert "mu must be positive and different from 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mu", ["1e-300", "0.5", "13", "1e300"])
+def test_mu_far_from_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, mu):
+    # the probe offset mu * min(x_schedule) must lie in [0.01, 0.12], the
+    # offsets the recovery reads: 1e-300 used to give dy f_r = 0.001 against
+    # 2 with exit 0, and 1e300 an OverflowError after the locate stage
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    rc = main(["invariants", "--mu", mu, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "mu * min(x_schedule)" in capsys.readouterr().err
+
+
 def test_repeated_k_exits_2_before_solving(tmp_path, monkeypatch, capsys):
     # a repeated k would collapse to one row of the probe table while the
     # height kept both, so the schedule must be strictly ascending

@@ -10,8 +10,16 @@ from semitoric.invariants import (
     height_invariant,
     locate_focus_focus,
 )
-from semitoric.models import COUPLED_ANGULAR_MOMENTA, ModelSpec
-from semitoric.pipeline import ModelCounter, locate_critical_values, refine_origin
+from semitoric.models import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
+from semitoric.pipeline import (
+    ModelCounter,
+    default_dh_grid,
+    locate_critical_values,
+    refine_origin,
+)
+
+SPIN = ModelSpec(SPIN_OSCILLATOR)
+COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
 
 
 def uniform_cloud(k, x_range, y_range):
@@ -114,10 +122,46 @@ def test_locate_focus_focus_peak():
     def provider(k_, x):
         return x, synthetic_log_ladder(k_)
 
-    found = locate_focus_focus(provider, k, [0.3])
-    (x0, y0), = found
+    x0, y0 = locate_focus_focus(provider, k, [0.3])
     assert x0 == pytest.approx(0.3)
     assert y0 == pytest.approx(0.12, abs=0.02)
+
+
+def test_locate_focus_focus_stops_at_the_first_peak():
+    # the first candidate with a peak is the answer: its 2 * 4 + 1 columns
+    # are scanned and the candidate after it is never solved
+    k = 200
+    calls = []
+
+    def provider(k_, x):
+        calls.append(x)
+        if abs(x - 0.3) < 0.1:
+            return x, synthetic_log_ladder(k_)
+        return x, np.linspace(-1, 1, 180)
+
+    x0, _ = locate_focus_focus(provider, k, [0.3, 0.0])
+    assert x0 == pytest.approx(0.3)
+    assert len(calls) == 9
+
+
+@pytest.mark.parametrize("model", [SPIN, COUPLED], ids=["spin", "coupled"])
+def test_located_ordinate_is_the_k200_refinement(model):
+    # one formula for the focus-focus ordinate: the locate stage at k = 200
+    # reads the same smallest-gap midpoint as the per-k refinement
+    origin, _ = locate_critical_values(model)
+    assert origin[1] == refine_origin(model, 200, origin)[1]
+
+
+@pytest.mark.parametrize("model, expected", [(SPIN, [1.0]), (COUPLED, [-1.5, 1.5])],
+                         ids=["spin", "coupled"])
+def test_dh_kinks_exclude_the_grid_ends(model, expected):
+    # the first and last abscissae with full half-windows are no kinks:
+    # spin-oscillator -0.89 and coupled +-3.38 used to be reported
+    k = 200
+    profile = dh_profile(ModelCounter(model, [k]), k, 0.25, default_dh_grid(model, k))
+    kinks = detect_kinks(profile)
+    assert len(kinks) == len(expected)
+    assert np.abs(np.subtract(kinks, expected)).max() < 0.1
 
 
 def test_locate_focus_focus_no_peak():

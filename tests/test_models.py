@@ -185,7 +185,7 @@ def test_block_enumeration_order_independent():
     assert np.array_equal(s1, s2)
     blocks = build_blocks(COUPLED, 3, (-3.6, 3.6))
     ev_fwd = np.sort(np.concatenate([b.eigenvalues() for b in blocks]))
-    ev_rev = np.sort(np.concatenate([b.eigenvalues() for b in blocks[::-1]]))
+    ev_rev = np.sort(np.concatenate([b.eigenvalues() for b in reversed(blocks)]))
     assert np.abs(ev_fwd - ev_rev).max() < 1e-12
 
 
