@@ -44,7 +44,7 @@ def main():
 
         kdh = 200
         counter = ModelCounter(model, [kdh])
-        grid = default_dh_grid(model, kdh)
+        grid = default_dh_grid(model)
         prof = dh_profile(counter, kdh, 0.25, grid)
         path = out / f"dh_{model.kind}_k{kdh}.csv"
         with path.open("w") as f:

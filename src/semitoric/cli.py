@@ -18,7 +18,6 @@ import numpy as np
 from .config import RunConfig
 from .errors import ConfigurationError, LabellingError, NumericalFailure, SemitoricError
 from .geometry import Rect
-from .invariants import detect_kinks, dh_profile
 from .lattice import (
     PointCloud,
     label_half_lattice,
@@ -39,6 +38,8 @@ from .pipeline import (
     ModelCounter,
     default_dh_grid,
     default_strip,
+    detect_kinks,
+    dh_profile,
     polygon_reference_distance,
     polygon_run,
     recover_all,
@@ -184,7 +185,7 @@ def cmd_dh(args) -> int:
     k = cfg.probes.k_list[-1]
     delta = args.delta if args.delta is not None else 0.25
     counter = ModelCounter(model, [k])
-    grid = default_dh_grid(model, k)
+    grid = default_dh_grid(model)
     profile = dh_profile(counter, k, delta, grid)
     kinks = detect_kinks(profile)
     lines = ["abscissa,estimate,theory"]

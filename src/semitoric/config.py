@@ -77,6 +77,12 @@ class ProbeConfig:
                 f"mu * min(x_schedule) = {self.mu * lo:g} must lie in [{lo:g}, {hi:g}]")
         if len(self.mu_list) != 3 or len(set(self.mu_list)) != 3:
             raise ConfigurationError("mu_list must hold 3 distinct values")
+        # each g_mu probe (x, mu x) must stay within the x_taylor span
+        lo, hi = min(self.x_taylor), max(self.x_taylor)
+        for m in self.mu_list:
+            if abs(m) * lo > hi:
+                raise ConfigurationError(f"mu_list entry {m:g}: |mu| * min(x_taylor) = "
+                                         f"{abs(m) * lo:g} must be at most {hi:g}")
 
 
 @dataclass

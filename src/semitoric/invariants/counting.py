@@ -11,7 +11,8 @@ the Duistermaat-Heckman density.  Counting only below the focus-focus
 ordinate and centering at its abscissa gives the height invariant S_{0,0},
 the sub-critical reduced volume.  J's spectrum is an exact hbar-lattice of
 columns, so column_height counts the one column at x0 instead: hbar times
-its count below y0 tends to S_{0,0} with no strip width to choose.
+its count below y0 tends to S_{0,0} with no strip width to choose.  The
+strip route (height_invariant, dh_profile, detect_kinks) is the reference.
 """
 
 from __future__ import annotations
@@ -67,17 +68,19 @@ def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple
     return float(coef[0]), {"raw": raw}
 
 
-def column_height(counter, origins) -> tuple[float, dict]:
-    """S_{0,0} = lim hbar #{column at x0, y <= y0} over origins {k: (x0, y0)},
-    x0 a column abscissa; [x0 - 0.45 hbar, x0 + 0.45 hbar] holds that column
-    alone.  info carries the n_k / k in ascending k ("raw") and the
-    hbar_limit slope (None when fewer than two samples differ from the
-    limit)."""
-    ks = sorted(origins)
+def column_height(family) -> tuple[float, dict]:
+    """S_{0,0} = lim hbar #{column at x0, y < y0} over a probe family
+    {k: LabelledSpectrum}, read off the ladder of the column at each
+    spectrum's origin (x0, y0).  info carries the n_k / k in ascending k
+    ("raw") and the hbar_limit slope (None when fewer than two samples
+    differ from the limit)."""
+    ks = sorted(family)
     raw = []
     for k in ks:
-        x0, y0 = origins[k]
-        n = counter.count(k, x0 - 0.45 / k, x0 + 0.45 / k, -np.inf, y0)
+        spec = family[k]
+        x0, y0 = spec.origin
+        _, ev = spec.ladder(spec.nearest_column(x0))
+        n = int(np.searchsorted(ev, y0))
         if n < 10:
             raise WindowTooNarrow(f"k={k}: column at x={x0} holds only {n} points below y0")
         raw.append(n / k)
@@ -126,7 +129,6 @@ def detect_kinks(profile: np.ndarray, half_window: float = 0.35,
 
 
 _PEAK_FACTOR = 1.8    # least ratio of the hbar/spacing peak to its column median
-_REFINE_STEPS = 4     # columns scanned on each side of a kink candidate
 
 
 def smallest_gap_midpoint(ev) -> tuple[int, float]:
@@ -144,27 +146,21 @@ def locate_focus_focus(ladder_provider, k: int, x_candidates) -> tuple[float, fl
     ladder_provider(k, x) must return (x_actual, ascending eigenvalue array)
     for the spectral column nearest x.  A focus-focus value shows an interior
     peak of hbar/spacing growing like -C ln|y - y0|; elliptic candidates do
-    not.  Kink candidates are only accurate to the profile resolution, so
-    the _REFINE_STEPS neighboring columns on each side are scanned and the
-    strongest peak gives (x_actual, smallest_gap_midpoint).  Raises NoPeak
+    not.  Each candidate is an exact column abscissa, so only its own column
+    is read: a peak at least _PEAK_FACTOR times the median inside the middle
+    90% of the ladder gives (x_actual, smallest_gap_midpoint).  Raises NoPeak
     if no candidate qualifies.
     """
     hb = 1.0 / k
     for xc in x_candidates:
-        best = None
-        # nearest columns first so ties keep the candidate abscissa
-        for step in sorted(range(-_REFINE_STEPS, _REFINE_STEPS + 1), key=abs):
-            x_act, ev = ladder_provider(k, xc + step * hb)
-            if len(ev) < 8:
-                continue
-            i, y = smallest_gap_midpoint(ev)
-            span = ev[-1] - ev[0]
-            if not (ev[0] + 0.05 * span < y < ev[-1] - 0.05 * span):
-                continue
-            inv = hb / np.diff(ev)
-            score = inv[i] / np.median(inv)
-            if score >= _PEAK_FACTOR and (best is None or score > best[0]):
-                best = (score, float(x_act), y)
-        if best is not None:
-            return best[1:]
+        x_act, ev = ladder_provider(k, xc)
+        if len(ev) < 8:
+            continue
+        i, y = smallest_gap_midpoint(ev)
+        span = ev[-1] - ev[0]
+        if not (ev[0] + 0.05 * span < y < ev[-1] - 0.05 * span):
+            continue
+        inv = hb / np.diff(ev)
+        if inv[i] / np.median(inv) >= _PEAK_FACTOR:
+            return float(x_act), y
     raise NoPeak("no interior spacing peak among the candidates")

@@ -32,7 +32,7 @@ import numpy as np
 from .config import TOL
 from .errors import CommutatorViolation, ConfigurationError, DimensionMismatch, EmptyWindow
 from .geometry import Rect
-from .tridiag import eigs_in_window, eigs_sym_tridiagonal
+from .tridiag import eigs_sym_tridiagonal
 
 SPIN_OSCILLATOR = "spin-oscillator"
 COUPLED_ANGULAR_MOMENTA = "coupled-angular-momenta"
@@ -95,14 +95,10 @@ class TridiagonalBlock:
     def size(self) -> int:
         return len(self.diag)
 
-    def eigenvalues(self, y_window=None) -> np.ndarray:
-        """Ascending eigenvalues, those in (lo, hi] when y_window is given;
-        CommutatorViolation when two coincide, since H must have a simple
-        spectrum on each J-eigenspace."""
-        if y_window is None:
-            ev = eigs_sym_tridiagonal(self.diag, self.offdiag)
-        else:
-            ev = eigs_in_window(self.diag, self.offdiag, y_window[0], y_window[1])
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues; CommutatorViolation when two coincide,
+        since H must have a simple spectrum on each J-eigenspace."""
+        ev = eigs_sym_tridiagonal(self.diag, self.offdiag)
         if np.any(np.diff(ev) <= 0):
             raise CommutatorViolation(f"non-simple spectrum in block {self.block_id}")
         return ev

@@ -1,10 +1,11 @@
 """End-to-end orchestration: model -> labelled spectra -> invariants.
 
 The recovery is self-contained: the focus-focus value is located from the
-spectrum (Duistermaat-Heckman kinks, then the peak of inverse level
-spacings), probe neighborhoods to its right are labelled by (J-block,
-position in the block), and every invariant is extracted by the
-double-limit schedules; the height is a count on the critical column.
+spectrum (Duistermaat-Heckman kinks read off J's exact column sizes, then
+the peak of inverse level spacings), the critical column and the probe
+neighborhoods to its right are labelled by (J-block, position in the
+block), and every invariant is extracted by the double-limit schedules;
+the height is a count on the critical column.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ __all__ = [
     "polygon_run",
     "default_strip",
     "default_dh_grid",
+    "dh_profile",
+    "detect_kinks",
 ]
 
 
@@ -66,7 +69,7 @@ def default_strip(model: ModelSpec) -> tuple[float, float]:
     return (-r + 0.2, r - 0.4)
 
 
-def default_dh_grid(model: ModelSpec, k: int) -> np.ndarray:
+def default_dh_grid(model: ModelSpec) -> np.ndarray:
     if model.kind == SPIN_OSCILLATOR:
         lo, hi = -0.95, 2.5
     else:
@@ -76,9 +79,10 @@ def default_dh_grid(model: ModelSpec, k: int) -> np.ndarray:
 
 
 class ModelCounter:
-    """Eigenvalue counts in strips, with no eigensolve: an unbounded-y strip
-    sums the closed-form block sizes, and only a finite y-range (the height
-    count on the critical column) builds the blocks for Sturm counts."""
+    """Eigenvalue counts in strips, for the paper's strip route (dh_profile,
+    height_invariant): an unbounded-y strip sums the closed-form block sizes
+    with no eigensolve, and a finite y-range builds the blocks for Sturm
+    counts."""
 
     def __init__(self, model: ModelSpec, ks):
         self.model = model
@@ -99,45 +103,37 @@ class ModelCounter:
         return total
 
 
-def column_ladder(model: ModelSpec, k: int, x: float, y_window=None):
+def column_ladder(model: ModelSpec, k: int, x: float):
     """(x_actual, ascending eigenvalues) of the spectral column nearest x."""
     h = 1.0 / k
     blocks = build_blocks(model, k, (x - 0.55 * h, x + 0.55 * h))
     b = min(blocks, key=lambda bb: abs(bb.j_value - x))
-    return b.j_value, b.eigenvalues(y_window)
-
-
-def refine_origin(model: ModelSpec, k: int, origin) -> tuple[float, float]:
-    """Per-k estimate of the focus-focus value: exact column abscissa plus
-    the smallest-gap midpoint of its ladder at this k.  Probes measure
-    offsets from the estimated singular value, and a1 responds to an
-    ordinate error like e2/(2 pi x), so the error must shrink like hbar for
-    the extrapolations to converge: a one-off estimate would leave a
-    floor."""
-    x0, y0 = origin
-    x_act, ev = column_ladder(model, k, x0, (y0 - 0.45, y0 + 0.45))
-    if len(ev) < 4:
-        return (float(x_act), float(y0))
-    return (float(x_act), smallest_gap_midpoint(ev)[1])
+    return b.j_value, b.eigenvalues()
 
 
 def build_probe_family(model: ModelSpec, origin, probes: ProbeConfig) -> dict[int, LabelledSpectrum]:
-    """Labelled spectra covering all radial probes, one per k.
+    """Labelled spectra covering the critical column and all radial probes,
+    one per k.
 
-    Each LabelledSpectrum carries its own per-k refinement of the
-    focus-focus value in the .origin attribute.
+    Each .origin is that k's focus-focus value: the critical column's
+    abscissa and the smallest-gap midpoint of its ladder.  Probes measure
+    offsets from it, and a1 responds to an ordinate error like e2/(2 pi x),
+    so the error must shrink like hbar for the extrapolations to converge:
+    the one-off located ordinate would leave a floor.
     """
+    x0 = origin[0]
     all_x = list(probes.x_schedule) + list(probes.x_taylor or [])
     reach = max([probes.mu] + list(probes.mu_list)) * max(all_x)
     family = {}
     for k in probes.k_list:
-        ox, oy = refine_origin(model, k, origin)
-        x_window = (ox + 0.45 * min(all_x), ox + reach + 4.0 / k)
-        family[k] = _block_labelled(model, k, x_window, (ox, oy))
+        spec = _block_labelled(model, k, (x0 - 0.45 / k, x0 + reach + 4.0 / k))
+        j0 = spec.nearest_column(x0)
+        spec.origin = (spec.column_x[j0], smallest_gap_midpoint(spec.ladder(j0)[1])[1])
+        family[k] = spec
     return family
 
 
-def _block_labelled(model: ModelSpec, k: int, x_window, origin) -> LabelledSpectrum:
+def _block_labelled(model: ModelSpec, k: int, x_window) -> LabelledSpectrum:
     """The window's columns labelled (j, l) = (sign * block id, idx), a
     lattice label since J's spectrum is an exact hbar-lattice of columns;
     sign makes j grow with x.  A column's ladder is its whole block
@@ -150,20 +146,21 @@ def _block_labelled(model: ModelSpec, k: int, x_window, origin) -> LabelledSpect
         return np.arange(len(ev)), ev
 
     js = sign * np.asarray(blocks.ids)
-    return LabelledSpectrum(k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder, origin)
+    return LabelledSpectrum(k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder)
 
 
 def locate_critical_values(model: ModelSpec):
-    """DH kinks -> candidate abscissae -> spacing-peak classification, at
-    k = 200 with strips of half-width hbar^0.25.
+    """DH kinks -> candidate columns -> spacing-peak classification, at
+    k = 200.  The column sizes are exact integers and the DH density is
+    piecewise linear, so its kinks are the columns where the sizes' second
+    difference is nonzero.
 
     Returns (focus (x0, y0), other kink abscissae).
     """
     k_locate = 200
-    counter = ModelCounter(model, [k_locate])
-    grid = default_dh_grid(model, k_locate)
-    profile = dh_profile(counter, k_locate, 0.25, grid)
-    kinks = detect_kinks(profile)
+    grid = default_dh_grid(model)
+    blocks = build_blocks(model, k_locate, (grid[0], grid[-1]))
+    kinks = sorted(blocks.j_values[1:-1][np.diff(blocks.sizes, 2) != 0].tolist())
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
 
@@ -194,8 +191,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     p = twisting_number(sigma1)
     s01, s01_info = recover_S01(ks, xs, a2, dyfr)
 
-    s00, height_info = column_height(ModelCounter(model, probes.k_list),
-                                     {k: spec.origin for k, spec in family.items()})
+    s00, height_info = column_height(family)
 
     # order-1 log expansion over the mu list -> quadratic jet and S coefficients.
     # (c0, d0) are refit from the same samples rather than assembled from the

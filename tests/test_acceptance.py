@@ -215,7 +215,7 @@ def test_criterion_5_focus_focus_location(spin_report, coupled_report):
 def test_criterion_6_dh_profile():
     k, delta = 200, 0.25
     counter = ModelCounter(COUPLED, [k])
-    grid = default_dh_grid(COUPLED, k)
+    grid = default_dh_grid(COUPLED)
     profile = dh_profile(counter, k, delta, grid)
     rho = np.array([reference_rho(COUPLED, x) for x in grid])
     kinks_theory = [-3.5, -1.5, 1.5, 3.5]   # slope changes of rho_J incl. support ends

@@ -80,10 +80,13 @@ def test_bad_schedule_exits_2(tmp_path):
     {"probes": {"x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, 0.0]}},
     {"probes": {"delta": 0.3}},
     {"probes": {"c_width": 2.0}},
+    {"probes": {"mu_list": [1.0, 1.5, 1e300]}},
+    {"probes": {"mu_list": [1.0, 1.5, -1e300]}},
 ], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
         "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
         "unknown-model", "mu-one", "negative-mu", "zero-mu", "negative-x-taylor",
-        "zero-x-taylor", "removed-delta", "removed-c-width"])
+        "zero-x-taylor", "removed-delta", "removed-c-width", "huge-mu-list-entry",
+        "huge-negative-mu-list-entry"])
 def test_bad_config_file_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:

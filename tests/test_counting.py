@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from semitoric.config import ProbeConfig
 from semitoric.errors import NoPeak, WindowTooNarrow
 from semitoric.invariants import (
     CloudCounter,
+    LabelledSpectrum,
     column_height,
     detect_kinks,
     dh_profile,
@@ -13,9 +15,9 @@ from semitoric.invariants import (
 from semitoric.models import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
 from semitoric.pipeline import (
     ModelCounter,
+    build_probe_family,
     default_dh_grid,
     locate_critical_values,
-    refine_origin,
 )
 
 SPIN = ModelSpec(SPIN_OSCILLATOR)
@@ -51,33 +53,46 @@ def test_height_window_too_narrow():
         height_invariant(counter, 0.0, 0.0)
 
 
+def uniform_columns(k, x_range, y_range, origin):
+    """A LabelledSpectrum of the uniform grid's columns, j = round(x k)."""
+    h = 1.0 / k
+    js = range(round(x_range[0] * k), round(x_range[1] * k) + 1)
+    ys = np.arange(y_range[0], y_range[1] + h / 2, h)
+    return LabelledSpectrum(k, {j: j * h for j in js},
+                            lambda j: (np.arange(len(ys)), ys), origin)
+
+
 def test_column_height_on_uniform_grid():
     # one column of the grid, counted up to y0 = 0.25 from ymin = -0.6
     ks = [100, 200, 400]
-    counter = CloudCounter({k: uniform_cloud(k, (-0.8, 0.8), (-0.6, 0.9)) for k in ks})
-    origins = {k: (np.round(0.1 * k) / k, 0.25 + 0.5 / k) for k in ks}
-    val, info = column_height(counter, origins)
+    family = {k: uniform_columns(k, (-0.8, 0.8), (-0.6, 0.9),
+                                 (np.round(0.1 * k) / k, 0.25 + 0.5 / k)) for k in ks}
+    val, info = column_height(family)
     assert info["raw"] == [(round(0.85 * k) + 1) / k for k in ks]
     assert val == pytest.approx(0.85, abs=1e-9)
-
-
-def test_column_height_off_the_lattice():
-    # an abscissa between two columns counts nothing: a typed error, never 0
-    k = 100
-    counter = CloudCounter({k: uniform_cloud(k, (-0.8, 0.8), (-0.6, 0.9))})
+    # a column with fewer than 10 points below y0 is a typed error, never a
+    # height near 0
+    low = {100: uniform_columns(100, (-0.8, 0.8), (-0.6, 0.9), (0.1, -0.555))}
     with pytest.raises(WindowTooNarrow):
-        column_height(counter, {k: (0.5 / k, 0.25)})
+        column_height(low)
 
 
 @pytest.mark.parametrize("r1, r2, t", [(0.5, 1.5, 0.5), (1.0, 2.0, 0.6)])
 def test_column_height_matches_strip_count(r1, r2, t):
-    # the paper's strip estimator, centred on the same focus-focus value,
-    # is the reference for the count on the critical column
+    # the family's count on each k's critical column is the Sturm count of
+    # the same column below the same ordinate, and its limit agrees with
+    # the paper's strip estimator centred on the located focus-focus value
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
     ks = [100, 200, 300, 400, 500]
     origin, _ = locate_critical_values(model)
+    family = build_probe_family(model, origin, ProbeConfig(k_list=ks))
+    column, info = column_height(family)
     counter = ModelCounter(model, ks)
-    column, _ = column_height(counter, {k: refine_origin(model, k, origin) for k in ks})
+    sturm = []
+    for k in ks:
+        x0, y0 = family[k].origin
+        sturm.append(counter.count(k, x0 - 0.45 / k, x0 + 0.45 / k, -np.inf, y0) / k)
+    assert info["raw"] == sturm
     strip, _ = height_invariant(counter, *origin)
     assert abs(column - strip) <= 0.03
 
@@ -128,8 +143,8 @@ def test_locate_focus_focus_peak():
 
 
 def test_locate_focus_focus_stops_at_the_first_peak():
-    # the first candidate with a peak is the answer: its 2 * 4 + 1 columns
-    # are scanned and the candidate after it is never solved
+    # the first candidate with a peak is the answer: its one column is read
+    # and the candidate after it is never solved
     k = 200
     calls = []
 
@@ -141,27 +156,41 @@ def test_locate_focus_focus_stops_at_the_first_peak():
 
     x0, _ = locate_focus_focus(provider, k, [0.3, 0.0])
     assert x0 == pytest.approx(0.3)
-    assert len(calls) == 9
+    assert calls == [0.3]
 
 
 @pytest.mark.parametrize("model", [SPIN, COUPLED], ids=["spin", "coupled"])
 def test_located_ordinate_is_the_k200_refinement(model):
     # one formula for the focus-focus ordinate: the locate stage at k = 200
-    # reads the same smallest-gap midpoint as the per-k refinement
+    # reads the same smallest-gap midpoint as the probe family's k = 200
+    # critical column
     origin, _ = locate_critical_values(model)
-    assert origin[1] == refine_origin(model, 200, origin)[1]
+    family = build_probe_family(model, origin, ProbeConfig(k_list=[200]))
+    assert family[200].origin == origin
 
 
-@pytest.mark.parametrize("model, expected", [(SPIN, [1.0]), (COUPLED, [-1.5, 1.5])],
-                         ids=["spin", "coupled"])
-def test_dh_kinks_exclude_the_grid_ends(model, expected):
-    # the first and last abscissae with full half-windows are no kinks:
-    # spin-oscillator -0.89 and coupled +-3.38 used to be reported
+RADII = [(1.0, 2.5), (0.5, 1.5), (1.0, 2.0)]
+
+
+@pytest.mark.parametrize("model", [SPIN] + [
+    ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=0.5) for r1, r2 in RADII
+], ids=["spin", "coupled", "coupled-0.5-1.5", "coupled-1-2"])
+def test_dh_kinks_exclude_the_grid_ends(model):
+    # the located kinks are exact columns: J = 1 for the spin-oscillator and
+    # J = r1 - r2, r2 - r1 for coupled angular momenta; the paper's strip
+    # route finds them to its resolution and reports no grid end (spin
+    # -0.89 and coupled +-3.38 used to be)
+    origin, others = locate_critical_values(model)
+    kinks = sorted([origin[0], *others])
+    if model.kind == SPIN_OSCILLATOR:
+        assert kinks == [1.0]
+    else:
+        assert kinks == [model.r1 - model.r2, model.r2 - model.r1]
     k = 200
-    profile = dh_profile(ModelCounter(model, [k]), k, 0.25, default_dh_grid(model, k))
-    kinks = detect_kinks(profile)
-    assert len(kinks) == len(expected)
-    assert np.abs(np.subtract(kinks, expected)).max() < 0.1
+    profile = dh_profile(ModelCounter(model, [k]), k, 0.25, default_dh_grid(model))
+    strip = detect_kinks(profile)
+    assert len(strip) == len(kinks)
+    assert np.abs(np.subtract(strip, kinks)).max() < 0.1
 
 
 def test_locate_focus_focus_no_peak():
@@ -172,3 +201,8 @@ def test_locate_focus_focus_no_peak():
 
     with pytest.raises(NoPeak):
         locate_focus_focus(provider, k, [0.0])
+    # at (1/2, 3/2, 0.75) the critical column x0 = r1 - r2 = -1 shows no
+    # qualifying peak at k = 200; a scan of neighbouring columns used to
+    # return x0 = -0.99 instead, two columns off
+    with pytest.raises(NoPeak):
+        locate_critical_values(ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.75))
