@@ -70,11 +70,33 @@ def test_column_height_on_uniform_grid():
     val, info = column_height(family)
     assert info["raw"] == [(round(0.85 * k) + 1) / k for k in ks]
     assert val == pytest.approx(0.85, abs=1e-9)
-    # a column with fewer than 10 points below y0 is a typed error, never a
-    # height near 0
-    low = {100: uniform_columns(100, (-0.8, 0.8), (-0.6, 0.9), (0.1, -0.555))}
+
+
+def test_column_height_off_the_lattice():
+    # an abscissa between two columns reads the nearest column, never an
+    # empty count, and a column with fewer than 10 points below y0 is a
+    # typed error, never a height near 0
+    ks = [100, 200]
+
+    def family(dx, y0):
+        # column j's ladder is the uniform one raised by j / k, so each
+        # column holds one point fewer below y0 than the column before it
+        fam = {}
+        for k in ks:
+            h = 1.0 / k
+            ys = np.arange(-0.6, 0.9 + h / 2, h)
+            fam[k] = LabelledSpectrum(k, {j: j * h for j in range(-80, 81)},
+                                      lambda j, ys=ys, h=h: (np.arange(len(ys)), ys + j * h),
+                                      (0.1 + dx / k, y0))
+        return fam
+
+    _, on = column_height(family(0.0, 0.25))
+    _, off = column_height(family(0.4, 0.25))
+    _, next_column = column_height(family(1.0, 0.25))
+    assert off["raw"] == on["raw"]
+    assert next_column["raw"] == [n - 1 / k for n, k in zip(on["raw"], ks)]
     with pytest.raises(WindowTooNarrow):
-        column_height(low)
+        column_height(family(0.5, -0.555))
 
 
 @pytest.mark.parametrize("r1, r2, t", [(0.5, 1.5, 0.5), (1.0, 2.0, 0.6)])
