@@ -15,7 +15,6 @@ from .lattice import (
     label_half_lattice,
     label_regular,
     label_semitoric,
-    detect_boundary,
     select_affine_basis,
     synth_lattice,
     transition,
@@ -28,7 +27,6 @@ from .models import (
     ModelSpec,
     TridiagonalBlock,
     build_blocks,
-    dense_oracle_spectrum,
     joint_spectrum,
     spectrum_to_csv,
     spectrum_to_json,

@@ -93,7 +93,10 @@ def _config_from_args(args) -> RunConfig:
 
 def _outdir(cfg) -> Path:
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:   # a regular file in the way, or no permission
+        raise ConfigurationError(f"cannot create output directory {out}: {e.strerror}") from e
     return out
 
 

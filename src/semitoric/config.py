@@ -7,7 +7,7 @@ here so that tests and the CLI share one source of truth.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +18,7 @@ from .errors import ConfigurationError
 @dataclass(frozen=True)
 class Tolerances:
     # spectral
-    eig_rel: float = 1e-12          # eigenvalue accuracy, relative to spectral radius
     block_j_rel: float = 1e-12      # J-eigenvalue spread allowed inside one block
-    commutator: float = 1e-10       # dense-oracle [J,H] bound on interior states
     # lattice detection
     separation_eps0: float = 0.05   # min pairwise separation >= eps0 * hbar^N0
     separation_n0: float = 1.0
@@ -30,7 +28,6 @@ class Tolerances:
     min_region_points: int = 10     # refuse labelling below this (TooSparse)
     # fits
     max_condition: float = 1e9
-    bisection_max_iter: int = 200
 
 
 @dataclass
@@ -70,8 +67,11 @@ class ProbeConfig:
         if not (self.mu > 0 and self.mu != 1):
             raise ConfigurationError("mu must be positive and different from 1")
         # the gradient probe's second offset mu x must stay within the span of
-        # offsets the recovery already reads
+        # offsets the recovery already reads, which needs that span nonempty
         lo, hi = min(xs), max(self.x_taylor)
+        if lo > hi:
+            raise ConfigurationError(
+                f"min(x_schedule) = {lo:g} must be at most max(x_taylor) = {hi:g}")
         if not lo <= self.mu * lo <= hi:
             raise ConfigurationError(
                 f"mu * min(x_schedule) = {self.mu * lo:g} must lie in [{lo:g}, {hi:g}]")
@@ -87,7 +87,7 @@ class ProbeConfig:
 
 @dataclass
 class RunConfig:
-    """Full CLI run description; JSON round-trippable."""
+    """Full CLI run description, read from a JSON file by ``from_json``."""
 
     model: str = "spin-oscillator"
     r1: float = 1.0
@@ -98,10 +98,10 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # numpy's generator seeds take no negative integer
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
         self.probes.validate()
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":

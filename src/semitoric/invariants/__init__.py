@@ -1,5 +1,4 @@
 from .counting import (
-    CloudCounter,
     column_height,
     detect_kinks,
     dh_profile,
@@ -8,7 +7,6 @@ from .counting import (
     smallest_gap_midpoint,
 )
 from .extrap import (
-    circle_distance,
     double_limit,
     hbar_limit,
     hbar_limits,
@@ -32,13 +30,11 @@ from .polygon import (
 )
 from .spacings import LabelledSpectrum, ray_samples
 from .taylor import (
-    d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,
     g_mu_sample,
     solve_jet_order,
     solve_taylor_order,
-    taylor_system_determinant,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -23,7 +23,6 @@ from ..errors import ConfigurationError, NoPeak, WindowTooNarrow
 from .extrap import hbar_limit
 
 __all__ = [
-    "CloudCounter",
     "height_invariant",
     "column_height",
     "dh_profile",
@@ -31,19 +30,6 @@ __all__ = [
     "locate_focus_focus",
     "smallest_gap_midpoint",
 ]
-
-
-class CloudCounter:
-    """Counter backed by explicit point arrays {k: (n,2) array}."""
-
-    def __init__(self, clouds: dict[int, np.ndarray]):
-        self.clouds = {k: np.asarray(p, dtype=float) for k, p in clouds.items()}
-        self.ks = sorted(clouds)
-
-    def count(self, k, xlo, xhi, ylo=-np.inf, yhi=np.inf) -> int:
-        p = self.clouds[k]
-        return int(np.sum((p[:, 0] >= xlo) & (p[:, 0] <= xhi)
-                          & (p[:, 1] >= ylo) & (p[:, 1] <= yhi)))
 
 
 def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple[float, dict]:

@@ -15,8 +15,7 @@ import numpy as np
 from ..errors import IllConditioned
 from ..config import TOL
 
-__all__ = ["hbar_limit", "hbar_limits", "x_limit", "double_limit", "loglog_slope",
-           "circle_distance"]
+__all__ = ["hbar_limit", "hbar_limits", "x_limit", "double_limit", "loglog_slope"]
 
 
 def hbar_limit(ks, vals):
@@ -88,8 +87,3 @@ def loglog_slope(ks, errs):
     if keep.sum() < 2:
         return -np.inf
     return float(np.polyfit(np.log(ks[keep]), np.log(errs[keep]), 1)[0])
-
-
-def circle_distance(a: float, b: float) -> float:
-    """Distance between a and b in R/Z."""
-    return abs((a - b + 0.5) % 1.0 - 0.5)

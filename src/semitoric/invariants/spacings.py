@@ -7,12 +7,11 @@ value c, the spacings satisfy
     hbar / (E_(j,l+1) - E_(j,l))            -> a2(c),
 
 where (a1, a2) decompose the action field: ham L = a1 ham J + a2 ham H.
-``LabelledSpectrum.a1a2_anchored`` is the literal estimator at a labelled
-anchor; ``a1a2_interpolated`` evaluates the same quantities at the exact
-probe height from the local eigenvalue ladders, which removes the anchor
-jitter that otherwise dominates the hbar extrapolation.  ``ray_samples``
-reads it along a ray for every k of a family into the probe table that the
-limit extractions take.
+``LabelledSpectrum.a1a2_interpolated`` evaluates them at the exact probe
+height from the local eigenvalue ladders, not at a labelled eigenvalue
+near it, which removes the anchor jitter that would otherwise dominate the
+hbar extrapolation.  ``ray_samples`` reads it along a ray for every k of a
+family into the probe table that the limit extractions take.
 """
 
 from __future__ import annotations
@@ -53,29 +52,10 @@ class LabelledSpectrum:
     def nearest_column(self, x: float) -> int:
         return min(self.column_x, key=lambda j: abs(self.column_x[j] - x))
 
-    def energy(self, j: int, l: int) -> float:
-        ls, ys = self.ladder(j)
-        pos = np.searchsorted(ls, l)
-        if pos >= len(ls) or ls[pos] != l:
-            raise MissingNeighbor(f"label ({j},{l}) absent")
-        return float(ys[pos])
-
-    # -- estimators --------------------------------------------------------
-
-    def a1a2_anchored(self, anchor: tuple[int, int]) -> tuple[float, float]:
-        """Spacing functionals (a1, a2) at the labelled anchor (j, l); needs
-        the three labels (j,l), (j+1,l), (j,l+1) to be present."""
-        j, l = anchor
-        e00 = self.energy(j, l)
-        e01 = self.energy(j, l + 1)
-        e10 = self.energy(j + 1, l)
-        ratio = (e00 - e10) / self.hbar
-        a2 = self.hbar / (e01 - e00)
-        return _regular(ratio * a2, a2)
-
     def a1a2_interpolated(self, c) -> tuple[float, float]:
-        """Same functionals (a1, a2) evaluated at the exact probe height c[1]
-        by local cubic interpolation of spacings and row differences."""
+        """Spacing functionals (a1, a2) at the probe c, evaluated at the
+        exact height c[1] by local cubic interpolation of the spacings and
+        row differences of the column nearest c[0] and the next one."""
         j = self.nearest_column(c[0])
         ls0, ys0 = self.ladder(j)
         ls1, ys1 = self.ladder(j + 1)
@@ -87,14 +67,7 @@ class LabelledSpectrum:
         if len(i0) < 2:
             raise MissingNeighbor("columns share fewer than 2 labels")
         d_t = _interp_cubic(ys0[i0], ys0[i0] - ys1[i1], y)
-        return _regular(d_t / s_t, self.hbar / s_t)
-
-
-def _regular(a1: float, a2: float) -> tuple[float, float]:
-    """(a1, a2), or MissingNeighbor when the vertical spacing is infinite."""
-    if a2 == 0.0:
-        raise MissingNeighbor("zero vertical spacing: probe not regular")
-    return a1, a2
+        return d_t / s_t, self.hbar / s_t
 
 
 def ray_samples(family: dict[int, LabelledSpectrum], slope: float,

@@ -45,7 +45,6 @@ from .spacings import LabelledSpectrum, ray_samples
 __all__ = [
     "g_mu_sample",
     "expansion_along_ray",
-    "d_n_from_jet",
     "fit_log_expansion",
     "solve_jet_order",
     "solve_taylor_order",
@@ -137,13 +136,6 @@ def _jet_row(n: int, mu: float) -> list[float]:
     return [math.comb(n + 1, l) * mu ** (n + 1 - l) for l in range(n + 2)]
 
 
-def d_n_from_jet(jet: FrJet, mu: float, n: int) -> float:
-    """Closed form of the x^n ln x coefficient of g_mu."""
-    total = sum(w * jet.derivs.get((l, n + 1 - l), 0.0)
-                for l, w in enumerate(_jet_row(n, mu)))
-    return -total / (2 * np.pi * math.factorial(n))
-
-
 # -- sampling and fitting ---------------------------------------------------
 
 def g_mu_sample(family: dict[int, LabelledSpectrum], mu: float, xs) -> np.ndarray:
@@ -227,13 +219,3 @@ def solve_taylor_order(n: int, mus, c_values, jet: FrJet, s_known: dict,
         return c - expansion_along_ray(jet, s_known, m, n + 1)[0][n]
 
     return _solve_order(n, mus, c_values, row, rhs, fixed, "Taylor system")
-
-
-def taylor_system_determinant(n: int, mus, dy_fr: float) -> float:
-    """Closed form of det of the solve_taylor_order matrix."""
-    mus = np.asarray(mus, dtype=float)
-    vdm = 1.0
-    for i in range(len(mus)):
-        for j in range(i):
-            vdm *= mus[i] - mus[j]
-    return (n + 1) ** (n + 2) * dy_fr ** ((n + 1) * (n + 2) // 2) * vdm

@@ -53,7 +53,6 @@ __all__ = [
     "label_regular",
     "label_semitoric",
     "label_half_lattice",
-    "detect_boundary",
     "transition",
     "glue_global",
     "lagrange_reduce",
@@ -460,15 +459,6 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
     return Labelling(_column_labels(cols, c00, 0), HALF_LATTICE)
 
 
-def detect_boundary(clouds: dict[int, PointCloud]) -> np.ndarray:
-    """Accumulation-set boundary estimate: per-column lowest points of the
-    largest-k cloud, as a polyline sorted by x."""
-    k = max(clouds)
-    cloud = clouds[k]
-    cols, colx = _columns(cloud.points, cloud.hbar)
-    return np.array([(x, cloud.points[idx, 1].min()) for x, idx in zip(colx, cols)])
-
-
 # ---------------------------------------------------------------------------
 # transitions and gluing
 
@@ -528,35 +518,8 @@ def transition(lab1: Labelling, lab2: Labelling, cloud: PointCloud,
 
 @dataclass
 class GlobalLabelling:
-    charts: list                                 # (Rect, Labelling) after gluing
     transitions: dict                            # (i, j) -> ChartTransition
-    merged: Labelling
-    cloud: PointCloud
-
-    def phi_samples(self):
-        """Sampled cartographic map: (points, hbar * labels)."""
-        pts, lab, _ = self.merged.arrays(self.cloud)
-        return pts, lab * self.cloud.hbar
-
-    def to_json(self) -> str:
-        import json
-
-        charts = []
-        for region, lab in self.charts:
-            charts.append({
-                "region": [region.xmin, region.xmax, region.ymin, region.ymax],
-                "labels": [
-                    {"index": i, "j": int(j), "l": int(l)}
-                    for i, (j, l) in sorted(lab.assignment.items())
-                ],
-            })
-        transitions = [
-            {"pair": [i, j],
-             "A": np.asarray(t.a_matrix, dtype=int).tolist(),
-             "kappa": list(t.kappa)}
-            for (i, j), t in sorted(self.transitions.items())
-        ]
-        return json.dumps({"charts": charts, "transitions": transitions}, indent=2)
+    merged: Labelling                            # every chart's labels in chart 0's frame
 
 
 def glue_global(cloud: PointCloud, charts: list[tuple[Rect, Labelling]]) -> GlobalLabelling:
@@ -612,4 +575,4 @@ def glue_global(cloud: PointCloud, charts: list[tuple[Rect, Labelling]]) -> Glob
             if idx in merged and merged[idx] != l:
                 raise CocycleViolation(f"point {idx} received two labels")
             merged[idx] = l
-    return GlobalLabelling(glued, edges, Labelling(merged, REGULAR), cloud)
+    return GlobalLabelling(edges, Labelling(merged, REGULAR))

@@ -1,23 +1,17 @@
 """Real symmetric tridiagonal eigenvalue tools.
 
-Two routes behind one contract: a LAPACK-backed fast path (implicit
-QL/QR) and an in-house Sturm-sequence bisection used as the deterministic
-reference. Both return all eigenvalues ascending, accurate to
-``eig_rel * spectral_radius``.
+Every eigenvalue comes from one LAPACK solve (implicit QL/QR) of the whole
+matrix; the Sturm count of the eigenvalues below a height needs no solve.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .config import TOL
-from .errors import NumericalFailure
-
 __all__ = [
     "eigs_sym_tridiagonal",
     "eigs_in_window",
     "sturm_count_below",
-    "spectral_radius_bound",
 ]
 
 
@@ -29,14 +23,6 @@ def _as_tridiag(diag, offdiag):
     if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
         raise ValueError("non-finite matrix entries")
     return d, e
-
-
-def spectral_radius_bound(d, e):
-    """Gershgorin bound on |eigenvalues|."""
-    if len(d) == 1:
-        return abs(d[0])
-    pad = np.concatenate([[0.0], np.abs(e)]) + np.concatenate([np.abs(e), [0.0]])
-    return float(np.max(np.abs(d) + pad))
 
 
 def sturm_count_below(diag, offdiag, y):
@@ -58,43 +44,15 @@ def sturm_count_below(diag, offdiag, y):
     return count
 
 
-def _bisect_eigs(d, e):
-    """All eigenvalues, ascending, by Sturm-count bisection."""
-    rad = spectral_radius_bound(d, e)
-    tol = TOL.eig_rel * max(rad, 1.0)
-    out = []
-    for i in range(len(d)):
-        a, b = -rad - 1.0, rad + 1.0
-        it = 0
-        while b - a > tol:
-            it += 1
-            if it > TOL.bisection_max_iter:
-                raise NumericalFailure("Sturm bisection did not converge")
-            m = 0.5 * (a + b)
-            if sturm_count_below(d, e, m) <= i:
-                a = m
-            else:
-                b = m
-        out.append(0.5 * (a + b))
-    return np.array(out)
-
-
-def eigs_sym_tridiagonal(diag, offdiag, method="auto"):
-    """All eigenvalues of the symmetric tridiagonal matrix, ascending.
-
-    method: "auto" (LAPACK implicit QL/QR), or "sturm" for the bisection
-    reference implementation.
-    """
+def eigs_sym_tridiagonal(diag, offdiag):
+    """All eigenvalues of the symmetric tridiagonal matrix, ascending
+    (LAPACK implicit QL/QR)."""
     d, e = _as_tridiag(diag, offdiag)
     if len(d) == 1:
         return d.copy()
-    if method == "auto":
-        from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg import eigvalsh_tridiagonal
 
-        return eigvalsh_tridiagonal(d, e)
-    if method == "sturm":
-        return _bisect_eigs(d, e)
-    raise ValueError(f"unknown method {method!r}")
+    return eigvalsh_tridiagonal(d, e)
 
 
 def eigs_in_window(diag, offdiag, lo, hi):

@@ -82,11 +82,12 @@ def test_bad_schedule_exits_2(tmp_path):
     {"probes": {"c_width": 2.0}},
     {"probes": {"mu_list": [1.0, 1.5, 1e300]}},
     {"probes": {"mu_list": [1.0, 1.5, -1e300]}},
+    {"seed": -1},
 ], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
         "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
         "unknown-model", "mu-one", "negative-mu", "zero-mu", "negative-x-taylor",
         "zero-x-taylor", "removed-delta", "removed-c-width", "huge-mu-list-entry",
-        "huge-negative-mu-list-entry"])
+        "huge-negative-mu-list-entry", "negative-seed"])
 def test_bad_config_file_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -140,6 +141,40 @@ def test_k_below_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, comma
     rc = main([command, "--model", "coupled", *flags, "--out", str(tmp_path)])
     assert rc == 2
     assert "k values must be at least 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("command",
+                         ["spectrum", "label", "invariants", "polygon", "dh", "synth"])
+def test_out_not_a_directory_exits_2_before_solving(tmp_path, monkeypatch, capsys,
+                                                    command, under):
+    # --out naming a regular file, or a path under one, is a configuration
+    # error, not a FileExistsError or NotADirectoryError traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / "x" if under else afile
+    rc = main([command, "--k", "2", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(
+        f"configuration error: cannot create output directory {out}: ")
+    assert afile.read_text() == "kept\n"
+
+
+def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, capsys):
+    # an x_schedule offset above every x_taylor offset leaves no span for the
+    # gradient probe; the message says so instead of printing an empty interval
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    rc = main(["invariants", "--x", "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "configuration error: min(x_schedule) = 0.5 must be at most max(x_taylor) = 0.12\n")
 
 
 @pytest.mark.parametrize("argv, config", [

@@ -4,7 +4,6 @@ import pytest
 from semitoric.config import ProbeConfig
 from semitoric.errors import NoPeak, WindowTooNarrow
 from semitoric.invariants import (
-    CloudCounter,
     LabelledSpectrum,
     column_height,
     detect_kinks,
@@ -22,6 +21,20 @@ from semitoric.pipeline import (
 
 SPIN = ModelSpec(SPIN_OSCILLATOR)
 COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
+
+
+class CloudCounter:
+    """Counter backed by explicit point arrays {k: (n,2) array}: the count
+    interface of ModelCounter over a cloud the test writes down."""
+
+    def __init__(self, clouds: dict[int, np.ndarray]):
+        self.clouds = {k: np.asarray(p, dtype=float) for k, p in clouds.items()}
+        self.ks = sorted(clouds)
+
+    def count(self, k, xlo, xhi, ylo=-np.inf, yhi=np.inf) -> int:
+        p = self.clouds[k]
+        return int(np.sum((p[:, 0] >= xlo) & (p[:, 0] <= xhi)
+                          & (p[:, 1] >= ylo) & (p[:, 1] <= yhi)))
 
 
 def uniform_cloud(k, x_range, y_range):

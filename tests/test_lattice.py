@@ -23,7 +23,6 @@ from semitoric.lattice import (
     Labelling,
     PointCloud,
     _kdtree,
-    detect_boundary,
     glue_global,
     label_half_lattice,
     label_regular,
@@ -166,29 +165,6 @@ def test_half_lattice_empty_strip():
         label_half_lattice(cloud, (0.5, 0.0))
 
 
-def test_detect_boundary_identity_half():
-    chart = ChartSpec(lambda xi: xi.copy(), lambda xi: np.zeros(2),
-                      Rect(-0.5, 0.5, 0.0, 0.9), half=True)
-    clouds = {k: synth_lattice(chart, k) for k in (20, 40)}
-    poly = detect_boundary(clouds)
-    assert np.abs(poly[:, 1]).max() < 1e-12   # the x axis
-
-
-def test_detect_boundary_nonlinear_half():
-    rng = np.random.default_rng(11)
-    chart = random_chart(rng, half=True)
-    k = 50
-    clouds = {k: synth_lattice(chart, k)}
-    poly = detect_boundary(clouds)
-    for x, y in poly:
-        edge = np.asarray(chart.g0(np.array([0.0, 0.0])), float)
-        # boundary point at the same abscissa: solve g0(xi1, 0) ~ x by scan
-        xi1 = np.linspace(chart.domain.xmin, chart.domain.xmax, 801)
-        pts = np.array([chart.g0(np.array([a, 0.0])) for a in xi1])
-        yb = np.interp(x, pts[:, 0], pts[:, 1])
-        assert abs(y - yb) < 2.0 / k
-
-
 # -- transitions and gluing --------------------------------------------------
 
 def _grid_labelling(cloud):
@@ -283,25 +259,6 @@ def test_glue_single_chart_identity():
     lab = _grid_labelling(cloud)
     glob = glue_global(cloud, [(Rect(-1, 1, -1, 1), lab)])
     assert glob.merged.assignment == lab.assignment
-    pts, phi = glob.phi_samples()
-    assert np.allclose(phi, cloud.points, atol=1e-12)   # identity chart: Phi = id
-
-
-def test_global_labelling_json_export():
-    import json
-
-    cloud = synth_lattice(IDENTITY, 12)
-    lab = _grid_labelling(cloud)
-    r1 = Rect(-1, 0.1, -1, 1)
-    r2 = Rect(-0.1, 1, -1, 1)
-    charts = [(r, Labelling({i: l for i, l in lab.assignment.items()
-                             if r.contains(cloud.points[i])[0]})) for r in (r1, r2)]
-    glob = glue_global(cloud, charts)
-    data = json.loads(glob.to_json())
-    assert len(data["charts"]) == 2
-    assert data["charts"][0]["region"] == [-1, 0.1, -1, 1]
-    (t,) = data["transitions"]
-    assert t["pair"] == [0, 1] and t["A"] == [[1, 0], [0, 1]] and t["kappa"] == [0, 0]
 
 
 def _ring_cover(a_matrix, kappa):

@@ -33,7 +33,7 @@ def grid_spectrum(k, alpha, beta, x_range=(-0.4, 0.4), y_range=(-0.4, 0.4)):
 
 def test_identity_chart_a1_a2():
     ls = grid_spectrum(20, 0.0, 1.0)
-    a1, a2 = ls.a1a2_anchored((0, 0))
+    a1, a2 = ls.a1a2_interpolated((0.0, 0.013))
     assert a1 == pytest.approx(0.0, abs=1e-12)
     assert a2 == pytest.approx(1.0, abs=1e-12)
 
@@ -41,9 +41,6 @@ def test_identity_chart_a1_a2():
 @pytest.mark.parametrize("alpha,beta", [(0.7, 1.3), (-0.4, 0.8)])
 def test_linear_chart_inverse_jacobian(alpha, beta):
     ls = grid_spectrum(50, alpha, beta)
-    a1, a2 = ls.a1a2_anchored((2, -1))
-    assert a2 == pytest.approx(1.0 / beta, rel=1e-9)
-    assert a1 == pytest.approx(-alpha / beta, rel=1e-9)
     a1, a2 = ls.a1a2_interpolated((2.5 / 50, 0.01))
     assert a2 == pytest.approx(1.0 / beta, rel=1e-8)
     assert a1 == pytest.approx(-alpha / beta, rel=1e-6, abs=1e-9)
@@ -97,14 +94,16 @@ def test_spin_probe_ignores_subulp_noise_in_height():
 
 
 def test_missing_neighbor():
+    # the last column has no right neighbour to difference against
     ls = grid_spectrum(10, 0.0, 1.0)
-    top = ls.ladder(0)[0].max()
-    with pytest.raises(MissingNeighbor):
-        ls.a1a2_anchored((0, top))
-    # an infinite vertical spacing gives a2 = 0: the probe is not regular
-    gap = two_columns(np.array([0.0, np.inf]), np.array([-0.1, np.inf]))
-    with pytest.raises(MissingNeighbor, match="zero vertical spacing"):
-        gap.a1a2_anchored((0, 0))
+    last = max(ls.column_x)
+    with pytest.raises(MissingNeighbor, match=f"no column j={last + 1}"):
+        ls.a1a2_interpolated((ls.column_x[last], 0.0))
+    # columns labelled l = 0..3 and l = 3..6 share one row: no row difference
+    apart = LabelledSpectrum(10, {0: 0.0, 1: 0.1},
+                             lambda j: (np.arange(4) + 3 * j, np.linspace(-1.0, 1.0, 4)))
+    with pytest.raises(MissingNeighbor, match="fewer than 2 labels"):
+        apart.a1a2_interpolated((0.0, 0.0))
 
 
 @pytest.mark.parametrize("model,origin", [

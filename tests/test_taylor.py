@@ -1,15 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from semitoric.errors import DuplicateMu, IllConditioned
 from semitoric.invariants import (
     FrJet,
-    d_n_from_jet,
     expansion_along_ray,
     fit_log_expansion,
     solve_jet_order,
     solve_taylor_order,
-    taylor_system_determinant,
     x_limit,
 )
 
@@ -28,6 +28,21 @@ def random_jet(rng, order=3):
 def random_s(rng, order=2):
     return {(p, q): float(rng.normal()) for m in range(order + 1)
             for p in range(m + 1) for q in [m - p]}
+
+
+def d_n_from_jet(jet, mu, n):
+    """Closed form of the x^n ln x coefficient of g_mu:
+    -(1/(2 pi n!)) sum_l binom(n+1, l) mu^(n+1-l) d_x^l d_y^(n+1-l) f_r(0)."""
+    total = sum(math.comb(n + 1, l) * mu ** (n + 1 - l) * jet.derivs.get((l, n + 1 - l), 0.0)
+                for l in range(n + 2))
+    return -total / (2 * np.pi * math.factorial(n))
+
+
+def taylor_system_determinant(n, mus, dy_fr):
+    """Closed form of det of the solve_taylor_order matrix:
+    (n+1)^(n+2) (dy f_r)^((n+1)(n+2)/2) prod_(i>j) (mu_i - mu_j)."""
+    vdm = math.prod(mus[i] - mus[j] for i in range(len(mus)) for j in range(i))
+    return (n + 1) ** (n + 2) * dy_fr ** ((n + 1) * (n + 2) // 2) * vdm
 
 
 def eval_g(jet, s, mu, xs, orders=4):
