@@ -2,7 +2,7 @@
 the classical symplectic invariants from the spectrum alone."""
 
 from . import errors
-from .config import ProbeConfig, RunConfig, Tolerances, TOL
+from .config import ProbeConfig, RunConfig
 from .geometry import Rect
 from .lattice import (
     AffineBasis,

@@ -140,7 +140,7 @@ def cmd_invariants(args) -> int:
     cfg = _config_from_args(args)
     model = _model(cfg)
     out = _outdir(cfg)
-    report = recover_all(model, cfg)
+    report = recover_all(model, cfg.probes)
     _write(out / "invariants.json", json.dumps(report, indent=2, sort_keys=True))
     _write_figures(out, model, report)
     return 0

@@ -1,8 +1,6 @@
-"""Centralized numeric tolerances and run configuration.
-
-All magic constants used by solvers, labelling and limit extraction sit
-here so that tests and the CLI share one source of truth.
-"""
+"""Run configuration: the probe schedules and the CLI run description,
+read from JSON and validated before any eigensolve.  Each numeric tolerance
+lives as a private constant beside the code that reads it."""
 
 from __future__ import annotations
 
@@ -13,21 +11,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    # spectral
-    block_j_rel: float = 1e-12      # J-eigenvalue spread allowed inside one block
-    # lattice detection
-    separation_eps0: float = 0.05   # min pairwise separation >= eps0 * hbar^N0
-    separation_n0: float = 1.0
-    search_radius: float = 0.42     # transport search radius, fraction of shortest basis vector
-    ambiguity_ratio: float = 1.8    # second candidate closer than ratio*first -> ambiguous
-    column_gap: float = 0.5         # column split threshold, fraction of hbar
-    min_region_points: int = 10     # refuse labelling below this (TooSparse)
-    # fits
-    max_condition: float = 1e9
 
 
 @dataclass
@@ -140,6 +123,3 @@ def _check_fields(kind, raw, where: str) -> None:
         if not _is_json(value, types[name]):
             raise ConfigurationError(
                 f"{where} key {name!r} must be {types[name]}, got {json.dumps(value)}")
-
-
-TOL = Tolerances()

@@ -13,9 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import IllConditioned
-from ..config import TOL
 
 __all__ = ["hbar_limit", "hbar_limits", "x_limit", "double_limit", "loglog_slope"]
+
+_MAX_CONDITION = 1e9   # least-squares design matrices above this condition number are refused
 
 
 def hbar_limit(ks, vals):
@@ -58,9 +59,9 @@ def x_limit(xs, vals):
 def _guarded_lstsq(A, b, what: str):
     """Least-squares solution of A v = b and the condition number of A;
     raises IllConditioned, its message led by ``what``, when the condition
-    number exceeds TOL.max_condition."""
+    number exceeds _MAX_CONDITION."""
     cond = np.linalg.cond(A)
-    if cond > TOL.max_condition:
+    if cond > _MAX_CONDITION:
         raise IllConditioned(f"{what} condition {cond:.2e}")
     coef, *_ = np.linalg.lstsq(A, b, rcond=None)
     return coef, float(cond)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import (
     AmbiguousNeighbor,
     CocycleViolation,
@@ -61,6 +60,10 @@ __all__ = [
 REGULAR = "regular"
 HALF_LATTICE = "half-lattice"
 
+_SEPARATION_EPS0 = 0.05   # min pairwise separation >= eps0 * hbar^N0
+_SEPARATION_N0 = 1.0
+_MIN_REGION_POINTS = 10   # refuse labelling below this (TooSparse)
+
 
 def _kdtree(points):
     from scipy.spatial import cKDTree
@@ -86,7 +89,7 @@ class PointCloud:
 
     def check_separation(self) -> float:
         sep = self.min_separation()
-        floor = TOL.separation_eps0 * self.hbar ** TOL.separation_n0
+        floor = _SEPARATION_EPS0 * self.hbar ** _SEPARATION_N0
         if sep < floor:
             raise InjectivityFailure(
                 f"min pairwise separation {sep:.3e} below {floor:.3e}"
@@ -241,6 +244,10 @@ class Labelling:
 # ---------------------------------------------------------------------------
 # generic breadth-first parallel transport
 
+_SEARCH_RADIUS = 0.42     # transport search radius, fraction of the shortest step
+_AMBIGUITY_RATIO = 1.8    # a second candidate closer than ratio * first is ambiguous
+
+
 def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     """Label by discrete parallel transport from the affine basis.
 
@@ -250,7 +257,7 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     Every point must be reached (Disconnected otherwise).
     """
     pts = cloud.points
-    if len(pts) < TOL.min_region_points:
+    if len(pts) < _MIN_REGION_POINTS:
         raise TooSparse(f"only {len(pts)} points")
     tree = _kdtree(pts)
     # the transport runs on Python floats: per step it touches 2-vectors
@@ -277,7 +284,7 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
         f = frames[i]
         (ux, uy), (vx, vy) = f
         la, lb = labels[i]
-        radius = TOL.search_radius * min(math.hypot(ux, uy), math.hypot(vx, vy))
+        radius = _SEARCH_RADIUS * min(math.hypot(ux, uy), math.hypot(vx, vy))
         steps = ((1, 0, ux, uy), (-1, 0, -ux, -uy), (0, 1, vx, vy), (0, -1, -vx, -vy))
         for da, db, sx, sy in steps:
             nl = (la + da, lb + db)
@@ -293,7 +300,7 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
             if not cand:
                 continue
             ranked = sorted((math.hypot(P[c][0] - tx, P[c][1] - ty), c) for c in cand)
-            if len(ranked) > 1 and ranked[1][0] < TOL.ambiguity_ratio * ranked[0][0]:
+            if len(ranked) > 1 and ranked[1][0] < _AMBIGUITY_RATIO * ranked[0][0]:
                 ambiguous += 1
                 continue
             j = ranked[0][1]
@@ -318,12 +325,13 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
 # semitoric column transport
 
 _MIN_VOTE = 0.6    # least row-match confidence accepted between neighbouring columns
+_COLUMN_GAP = 0.5  # an x gap above this fraction of hbar starts a new column
 
 
 def _columns(pts: np.ndarray, h: float):
     """Cluster points into x-columns (gap threshold a fraction of hbar)."""
     order = np.argsort(pts[:, 0], kind="stable")
-    starts = np.flatnonzero(np.diff(pts[order, 0]) > TOL.column_gap * h) + 1
+    starts = np.flatnonzero(np.diff(pts[order, 0]) > _COLUMN_GAP * h) + 1
     cols = [idx[np.argsort(pts[idx, 1])] for idx in np.split(order, starts)]
     colx = np.array([pts[c, 0].mean() for c in cols])
     return cols, colx
@@ -388,7 +396,7 @@ def label_semitoric(cloud: PointCloud, seed_x: float | None = None) -> Labelling
     which is parallel transport done one column at a time.
     """
     pts = cloud.points
-    if len(pts) < TOL.min_region_points:
+    if len(pts) < _MIN_REGION_POINTS:
         raise TooSparse(f"only {len(pts)} points")
     h = cloud.hbar
     cols, colx = _columns(pts, h)
@@ -436,7 +444,7 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
     hbar^(3/2) / 2 of x(mu) + hbar); then transport restricted to ell >= 0.
     """
     pts = cloud.points
-    if len(pts) < TOL.min_region_points:
+    if len(pts) < _MIN_REGION_POINTS:
         raise TooSparse(f"only {len(pts)} points")
     h = cloud.hbar
     cpt = np.asarray(c, float)

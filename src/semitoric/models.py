@@ -22,20 +22,20 @@ exactly (the coupling only moves (l1,l2) -> (l1±1, l2∓1)).
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TOL
 from .errors import CommutatorViolation, ConfigurationError, DimensionMismatch, EmptyWindow
 from .geometry import Rect
 from .tridiag import eigs_sym_tridiagonal
 
 SPIN_OSCILLATOR = "spin-oscillator"
 COUPLED_ANGULAR_MOMENTA = "coupled-angular-momenta"
+
+_BLOCK_J_REL = 1e-12   # J-eigenvalue spread allowed inside one block, relative to r1 + r2
 
 __all__ = [
     "SPIN_OSCILLATOR",
@@ -45,7 +45,6 @@ __all__ = [
     "BlockSequence",
     "JointSpectrum",
     "build_blocks",
-    "block_spectrum",
     "joint_spectrum",
     "spectrum_to_csv",
     "spectrum_to_json",
@@ -71,10 +70,20 @@ class ModelSpec:
     def check_dimensions(self, k: int) -> None:
         if k < 1:
             raise DimensionMismatch("k must be a positive integer")
-        if self.kind == COUPLED_ANGULAR_MOMENTA:
-            for r in (self.r1, self.r2):
-                if abs(2 * k * r - round(2 * k * r)) > 1e-9:
-                    raise DimensionMismatch(f"2*k*r = {2 * k * r} is not an integer")
+        if self.kind != COUPLED_ANGULAR_MOMENTA:
+            return
+        n1, n2 = _dims(self, k)
+        for name, r, n in (("r1", self.r1, n1), ("r2", self.r2, n2)):
+            if n < 1 or abs(2 * k * r - n) > 1e-9:
+                raise DimensionMismatch(f"2*k*{name} = {2 * k * r} is not a positive integer")
+        # state (l1, l2) of block s = l1 + l2 departs from the block's J value
+        # by (1 + 2 l1) d1 + (1 + 2 l2) d2, di = 1/(2k) - ri/ni: affine in each
+        # index, so largest at a corner li in {0, ni - 1}
+        d1, d2 = 1 / (2 * k) - self.r1 / n1, 1 / (2 * k) - self.r2 / n2
+        spread = max(abs(a * d1 + b * d2) for a in (1, 2 * n1 - 1) for b in (1, 2 * n2 - 1))
+        if spread > _BLOCK_J_REL * (self.r1 + self.r2):
+            raise DimensionMismatch(f"J eigenvalue spread {spread:.3e} within a block "
+                                    f"at k = {k}: r1, r2 are off the 1/(2k) grid")
 
 
 @dataclass(frozen=True)
@@ -83,12 +92,6 @@ class TridiagonalBlock:
     j_value: float
     diag: np.ndarray
     offdiag: np.ndarray
-
-    def __post_init__(self):
-        if len(self.offdiag) != max(len(self.diag) - 1, 0):
-            raise ValueError("offdiag length mismatch")
-        if not (np.all(np.isfinite(self.diag)) and np.all(np.isfinite(self.offdiag))):
-            raise ValueError("non-finite block entries")
 
     @property
     def size(self) -> int:
@@ -227,40 +230,7 @@ def build_blocks(model: ModelSpec, k: int, j_window) -> BlockSequence:
     ids = _block_id_range(model, k, j_window)
     if len(ids) == 0:
         raise EmptyWindow(f"no block intersects j_window {j_window}")
-    if model.kind == COUPLED_ANGULAR_MOMENTA:
-        _check_block_j_consistency(model, k)
     return BlockSequence(model, k, ids)
-
-
-@functools.lru_cache(maxsize=None)
-def _check_block_j_consistency(model: ModelSpec, k: int) -> None:
-    """All basis states of a coupled block must share one J eigenvalue (to
-    1e-12 rel); checked once per (model, k), over every block of that k.
-
-    Recomputed from the per-factor Z eigenvalues, not from the block label:
-    state (l1, l2) lies in block s = l1 + l2, so row l1 covers blocks
-    l1 .. l1 + n2 - 1.
-    """
-    n1, n2 = _dims(model, k)
-    z1 = model.r1 * (n1 - 1 - 2 * np.arange(n1)) / n1
-    z2 = model.r2 * (n2 - 1 - 2 * np.arange(n2)) / n2
-    j_value = _j_value(model, k, np.arange(n1 + n2 - 1))
-    spread = np.zeros(n1 + n2 - 1)
-    for l1 in range(n1):
-        row = spread[l1:l1 + n2]
-        np.maximum(row, np.abs(z1[l1] + z2 - j_value[l1:l1 + n2]), out=row)
-    bad = np.flatnonzero(spread > TOL.block_j_rel * (model.r1 + model.r2))
-    if bad.size:
-        s = int(bad[0])
-        raise CommutatorViolation(f"block {s}: J eigenvalue spread {spread[s]:.3e}")
-
-
-def block_spectrum(blocks: BlockSequence, ylo: float = -np.inf,
-                   yhi: float = np.inf) -> JointSpectrum:
-    """Joint eigenvalues of the given blocks, each solved in full; y is cut
-    to [ylo, yhi] after idx has counted the whole block."""
-    columns = [(b.j_value, b.block_id, b.eigenvalues()) for b in blocks]
-    return _spectrum(blocks.k, columns, ylo, yhi)
 
 
 def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> JointSpectrum:
@@ -272,7 +242,8 @@ def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> Join
         rsum = model.r1 + model.r2
         window = Rect(-rsum, rsum, -2.0, 2.0)
     blocks = build_blocks(model, k, (window.xmin, window.xmax))
-    return block_spectrum(blocks, window.ymin, window.ymax)
+    columns = [(b.j_value, b.block_id, b.eigenvalues()) for b in blocks]
+    return _spectrum(k, columns, window.ymin, window.ymax)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import ProbeConfig, RunConfig
+from .config import ProbeConfig
 from .errors import EmptyWindow, NoPeak
 from .geometry import Rect
 from .invariants import (
@@ -169,10 +169,9 @@ def locate_critical_values(model: ModelSpec):
     return (x0, y0), others
 
 
-def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
+def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     """Full invariant recovery; returns the report dictionary."""
-    config = config or RunConfig(model=model.kind, r1=model.r1, r2=model.r2, t=model.t)
-    probes = config.probes
+    probes = probes or ProbeConfig()
     probes.validate()
     origin, other_kinks = locate_critical_values(model)
     family = build_probe_family(model, origin, probes)
@@ -205,7 +204,7 @@ def recover_all(model: ModelSpec, config: RunConfig | None = None) -> dict:
     c1s, d1s = [], []
     fit_conds = {}
     for mu in mus:
-        xs_mu = [x for x in probes.x_taylor if x * mu <= x_top + 1e-12]
+        xs_mu = [x for x in probes.x_taylor if x * abs(mu) <= x_top + 1e-12]
         if len(xs_mu) < 6:
             xs_mu = sorted(probes.x_taylor)[:6]
         xs_mu = sorted(xs_mu, reverse=True)

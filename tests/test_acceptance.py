@@ -1,14 +1,13 @@
 """Acceptance suite: every exit criterion at its stated tolerance.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see one line per
-criterion.  The two model pipelines are executed once (module-scoped
-fixtures) and shared across criteria.
+criterion.  The two model pipelines are executed once (the session-scoped
+fixtures of conftest.py) and shared across criteria.
 """
 
 import json
 
 import numpy as np
-import pytest
 
 from semitoric import (
     COUPLED_ANGULAR_MOMENTA,
@@ -38,7 +37,6 @@ from semitoric.pipeline import (
     default_dh_grid,
     polygon_reference_distance,
     polygon_run,
-    recover_all,
 )
 from semitoric.config import ProbeConfig
 from semitoric.reference import reference_invariants, reference_rho
@@ -58,16 +56,6 @@ def report(criterion, name, value, tol, ok=None):
     print(f"ACCEPTANCE {criterion} [{name}]: "
           f"{'PASS' if ok else 'FAIL'} (value {value:.4g}, budget {tol:.4g})")
     assert ok, f"{name}: {value} exceeds {tol}"
-
-
-@pytest.fixture(scope="module")
-def spin_report():
-    return recover_all(SPIN)
-
-
-@pytest.fixture(scope="module")
-def coupled_report():
-    return recover_all(COUPLED)
 
 
 # -- criterion 1: oracle equivalence ----------------------------------------

@@ -13,7 +13,7 @@ import semitoric.models
 import semitoric.pipeline
 from semitoric import SPIN_OSCILLATOR, ModelSpec
 from semitoric.cli import main
-from semitoric.config import ProbeConfig, RunConfig
+from semitoric.config import ProbeConfig
 from semitoric.errors import ConfigurationError
 from semitoric.invariants import LabelledSpectrum, hbar_limit
 from semitoric.lattice import Labelling, PointCloud, transition
@@ -186,8 +186,15 @@ def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, c
     (["invariants"], b'\xff\xfe{}'),
     (["spectrum", "--model", "coupled", "--r1", "0.5", "--r2", "inf", "--k", "4"], None),
     (["polygon", "--model", "coupled", "--r1", "0.5", "--r2", "inf", "--k", "10"], None),
+    # round(2 k r1) = 0: the first sphere has no states
+    (["spectrum", "--model", "coupled", "--r1", "1e-10", "--r2", "1", "--k", "1"], None),
+    (["dh", "--model", "coupled", "--r1", "1e-10", "--r2", "1", "--k", "1"], None),
+    # 2 k r2 within 1e-9 of an integer, but a block's J values spread 5e-11
+    (["spectrum", "--model", "coupled", "--r1", "0.5", "--r2", "1.0000000001", "--k", "1"],
+     None),
 ], ids=["x-inf", "x-nan", "mu-inf", "config-mu-infinity", "config-malformed",
-        "config-not-text", "spectrum-r2-inf", "polygon-r2-inf"])
+        "config-not-text", "spectrum-r2-inf", "polygon-r2-inf", "spectrum-r1-no-states",
+        "dh-r1-no-states", "spectrum-r2-off-grid"])
 def test_bad_number_or_config_exits_2_before_solving(tmp_path, monkeypatch, capsys,
                                                      argv, config):
     # inf and nan pass every ordering check, so they are rejected as such
@@ -235,9 +242,27 @@ def test_recover_all_raises_configuration_error_before_solving(monkeypatch):
         raise AssertionError("eigensolve reached")
 
     monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
-    config = RunConfig(probes=ProbeConfig(k_list=[200, 100]))
     with pytest.raises(ConfigurationError, match="strictly ascending"):
-        semitoric.pipeline.recover_all(ModelSpec(SPIN_OSCILLATOR), config)
+        semitoric.pipeline.recover_all(ModelSpec(SPIN_OSCILLATOR),
+                                       ProbeConfig(k_list=[200, 100]))
+
+
+@pytest.mark.slow
+def test_negative_mu_gets_the_x_cap_of_its_magnitude(monkeypatch):
+    # the log-expansion fit of each mu reads offsets x with |mu| x within
+    # max(x_taylor), so the probes (x, mu x) stay as close to the critical
+    # value for mu = -2 as for mu = 2
+    offsets = {}
+    sample = semitoric.pipeline.g_mu_sample
+
+    def recorded(family, mu, xs):
+        offsets[mu] = list(xs)
+        return sample(family, mu, xs)
+
+    monkeypatch.setattr(semitoric.pipeline, "g_mu_sample", recorded)
+    probes = ProbeConfig(k_list=[100, 200], x_schedule=[0.02, 0.01], mu_list=[2.0, 1.5, -2.0])
+    semitoric.pipeline.recover_all(ModelSpec(SPIN_OSCILLATOR), probes)
+    assert offsets[-2.0] == offsets[2.0] == [0.06, 0.05, 0.04, 0.03, 0.02, 0.01]
 
 
 @pytest.mark.parametrize("k_max", ["0", "10"])

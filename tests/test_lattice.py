@@ -6,7 +6,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from semitoric import Rect
-from semitoric.config import TOL
 from semitoric.errors import (
     AmbiguousNeighbor,
     CocycleViolation,
@@ -19,6 +18,9 @@ from semitoric.errors import (
 )
 from semitoric.lattice import (
     REGULAR,
+    _AMBIGUITY_RATIO,
+    _MIN_REGION_POINTS,
+    _SEARCH_RADIUS,
     ChartSpec,
     Labelling,
     PointCloud,
@@ -356,7 +358,7 @@ def synth_lattice_reference(chart: ChartSpec, k: int) -> PointCloud:
 def label_regular_reference(cloud: PointCloud, basis) -> Labelling:
     """label_regular with numpy (2, 2) frames and np.linalg.norm distances."""
     pts = cloud.points
-    if len(pts) < TOL.min_region_points:
+    if len(pts) < _MIN_REGION_POINTS:
         raise TooSparse(f"only {len(pts)} points")
     tree = _kdtree(pts)
     labels, by_label, frames = {}, {}, {}
@@ -377,7 +379,7 @@ def label_regular_reference(cloud: PointCloud, basis) -> Labelling:
         p = pts[i]
         f = frames[i]
         lab = labels[i]
-        radius = TOL.search_radius * min(np.linalg.norm(f[0]), np.linalg.norm(f[1]))
+        radius = _SEARCH_RADIUS * min(np.linalg.norm(f[0]), np.linalg.norm(f[1]))
         for d, vec in (((1, 0), f[0]), ((-1, 0), -f[0]), ((0, 1), f[1]), ((0, -1), -f[1])):
             nl = (lab[0] + d[0], lab[1] + d[1])
             target = p + vec
@@ -391,7 +393,7 @@ def label_regular_reference(cloud: PointCloud, basis) -> Labelling:
             if not cand:
                 continue
             ranked = sorted((np.linalg.norm(pts[c] - target), c) for c in cand)
-            if len(ranked) > 1 and ranked[1][0] < TOL.ambiguity_ratio * ranked[0][0]:
+            if len(ranked) > 1 and ranked[1][0] < _AMBIGUITY_RATIO * ranked[0][0]:
                 ambiguous += 1
                 continue
             j = ranked[0][1]

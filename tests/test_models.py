@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import numpy as np
@@ -16,9 +15,7 @@ from semitoric import (
     spectrum_to_csv,
     spectrum_to_json,
 )
-from semitoric import models
 from semitoric.errors import (
-    CommutatorViolation,
     ConfigurationError,
     DimensionMismatch,
     EmptyWindow,
@@ -158,14 +155,48 @@ def test_sturm_counts_match_lapack(mk, lo, width, ylo, yhi):
     assert ModelCounter(model, [k]).count(k, xlo, xhi, ylo, yhi) == expected
 
 
-def test_j_check_guards_count_only_windows(monkeypatch):
-    # below the rounding floor of the J eigenvalues: coupled k = 3 has a
-    # spread of 4.4e-16 in block 0, which lies outside the counted window,
-    # yet the check covers every block of the k before any count is returned
-    monkeypatch.setattr(models, "TOL", dataclasses.replace(models.TOL, block_j_rel=0.0))
-    models._check_block_j_consistency.cache_clear()
-    with pytest.raises(CommutatorViolation, match="block 0"):
-        ModelCounter(COUPLED, [3]).count(3, -1.0, 1.0)
+def test_j_check_guards_count_only_windows():
+    # 2 k r2 is within 1e-9 of an integer, so the sizes are well defined, but
+    # the J values in a block spread by 1.9e-11; a count with an unbounded y
+    # range builds no block matrix, yet the check runs before it returns
+    off_grid = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5 + 1e-11, t=0.5)
+    with pytest.raises(DimensionMismatch, match="J eigenvalue spread"):
+        ModelCounter(off_grid, [3]).count(3, -1.0, 1.0)
+
+
+def j_spread_reference(model: ModelSpec, k: int) -> float:
+    """Largest |J(l1, l2) - J value of block l1 + l2| over every basis state,
+    from the per-factor Z eigenvalues: the per-state loop that
+    ``check_dimensions``'s closed-form corner bound replaces."""
+    n1, n2 = round(2 * k * model.r1), round(2 * k * model.r2)
+    z1 = model.r1 * (n1 - 1 - 2 * np.arange(n1)) / n1
+    z2 = model.r2 * (n2 - 1 - 2 * np.arange(n2)) / n2
+    j_value = model.r1 + model.r2 - (1 + np.arange(n1 + n2 - 1)) / k
+    spread = np.zeros(n1 + n2 - 1)
+    for l1 in range(n1):
+        row = spread[l1:l1 + n2]
+        np.maximum(row, np.abs(z1[l1] + z2 - j_value[l1:l1 + n2]), out=row)
+    return float(spread.max())
+
+
+@settings(deadline=None)
+@given(twice_r1=st.integers(1, 7), twice_r2=st.integers(2, 8), k=st.integers(1, 60),
+       e1=st.floats(-1.0, 1.0), e2=st.floats(-1.0, 1.0), decades=st.integers(0, 6))
+def test_closed_form_j_check_matches_the_per_state_loop(twice_r1, twice_r2, k, e1, e2, decades):
+    # half-integer radii 1/2 <= r1 < r2 <= 4 moved by up to 1e-9 / (2k), so
+    # 2 k r stays within 1e-9 of an integer and only the J check can refuse
+    assume(twice_r1 < twice_r2)
+    scale = 1e-9 / (2 * k) * 10.0 ** -decades
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=twice_r1 / 2 + e1 * scale,
+                      r2=twice_r2 / 2 + e2 * scale)
+    spread, limit = j_spread_reference(model, k), 1e-12 * (model.r1 + model.r2)
+    assume(abs(spread - limit) > 1e-14)
+    try:
+        model.check_dimensions(k)
+    except DimensionMismatch:
+        assert spread > limit
+    else:
+        assert spread <= limit
 
 
 @pytest.mark.parametrize("k", [1, 2])
