@@ -36,7 +36,9 @@ class LabelledSpectrum:
     def __init__(self, k: int, column_x, ladder, origin: tuple[float, float] | None = None):
         self.k = k
         self.hbar = 1.0 / k
-        self.column_x = dict(sorted(column_x.items()))  # nearest_column ties go to the smaller j
+        self.column_x = dict(sorted(column_x.items()))
+        self._js = np.fromiter(self.column_x, dtype=int, count=len(self.column_x))
+        self._xs = np.fromiter(self.column_x.values(), dtype=float, count=len(self.column_x))
         self.origin = origin   # per-k estimate of the focus-focus value
         self._solve = ladder
         self._ladders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -50,7 +52,8 @@ class LabelledSpectrum:
         return self._ladders[j]
 
     def nearest_column(self, x: float) -> int:
-        return min(self.column_x, key=lambda j: abs(self.column_x[j] - x))
+        """The column whose abscissa is nearest x; ties go to the smaller j."""
+        return int(self._js[np.argmin(np.abs(self._xs - x))])
 
     def a1a2_interpolated(self, c) -> tuple[float, float]:
         """Spacing functionals (a1, a2) at the probe c, evaluated at the

@@ -2,10 +2,10 @@
 
 The recovery is self-contained: the focus-focus value is located from the
 spectrum (Duistermaat-Heckman kinks read off J's exact column sizes, then
-the peak of inverse level spacings), the critical column and the probe
-neighborhoods to its right are labelled by (J-block, position in the
-block), and every invariant is extracted by the double-limit schedules;
-the height is a count on the critical column.
+the peak of inverse level spacings), each k's columns are labelled by
+(J-block, position in the block) in one spectrum that the locate stage and
+every probe read, and every invariant is extracted by the double-limit
+schedules; the height is a count on the critical column.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ProbeConfig
-from .errors import EmptyWindow, NoPeak
+from .errors import ConfigurationError, EmptyWindow, NoPeak
 from .geometry import Rect
 from .invariants import (
     FrJet,
@@ -103,60 +103,53 @@ class ModelCounter:
         return total
 
 
-def column_ladder(model: ModelSpec, k: int, x: float):
-    """(x_actual, ascending eigenvalues) of the spectral column nearest x."""
-    h = 1.0 / k
-    blocks = build_blocks(model, k, (x - 0.55 * h, x + 0.55 * h))
-    b = min(blocks, key=lambda bb: abs(bb.j_value - x))
-    return b.j_value, b.eigenvalues()
+def column_ladder(spec: LabelledSpectrum, x: float):
+    """(x_actual, ascending eigenvalues) of the column of spec nearest x."""
+    j = spec.nearest_column(x)
+    return spec.column_x[j], spec.ladder(j)[1]
 
 
-def build_probe_family(model: ModelSpec, origin, probes: ProbeConfig) -> dict[int, LabelledSpectrum]:
-    """Labelled spectra covering the critical column and all radial probes,
-    one per k.
-
-    Each .origin is that k's focus-focus value: the critical column's
-    abscissa and the smallest-gap midpoint of its ladder.  Probes measure
-    offsets from it, and a1 responds to an ordinate error like e2/(2 pi x),
-    so the error must shrink like hbar for the extrapolations to converge:
-    the one-off located ordinate would leave a floor.
-    """
-    x0 = origin[0]
-    all_x = list(probes.x_schedule) + list(probes.x_taylor or [])
-    reach = max([probes.mu] + list(probes.mu_list)) * max(all_x)
-    family = {}
-    for k in probes.k_list:
-        spec = _block_labelled(model, k, (x0 - 0.45 / k, x0 + reach + 4.0 / k))
-        j0 = spec.nearest_column(x0)
-        spec.origin = (spec.column_x[j0], smallest_gap_midpoint(spec.ladder(j0)[1])[1])
-        family[k] = spec
-    return family
+def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
+    """One labelled spectrum per k of ks over the J-range of
+    ``default_dh_grid``, where the locate stage and every probe read their
+    columns.  Nothing is solved here, so every k's dimensions are checked
+    before the first eigensolve; ``locate_critical_values`` sets the origins."""
+    grid = default_dh_grid(model)
+    return {k: _block_labelled(build_blocks(model, k, (grid[0], grid[-1]))) for k in ks}
 
 
-def _block_labelled(model: ModelSpec, k: int, x_window) -> LabelledSpectrum:
-    """The window's columns labelled (j, l) = (sign * block id, idx), a
+def _block_labelled(blocks) -> LabelledSpectrum:
+    """The blocks' columns labelled (j, l) = (sign * block id, idx), a
     lattice label since J's spectrum is an exact hbar-lattice of columns;
     sign makes j grow with x.  A column's ladder is its whole block
     spectrum, solved when the column is first read."""
-    blocks = build_blocks(model, k, x_window)
-    sign = 1 if model.kind == SPIN_OSCILLATOR else -1
+    sign = 1 if blocks.model.kind == SPIN_OSCILLATOR else -1
 
     def ladder(j):
         ev = blocks[blocks.ids.index(sign * j)].eigenvalues()
         return np.arange(len(ev)), ev
 
     js = sign * np.asarray(blocks.ids)
-    return LabelledSpectrum(k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder)
+    return LabelledSpectrum(blocks.k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder)
 
 
-def locate_critical_values(model: ModelSpec):
+def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum] | None = None):
     """DH kinks -> candidate columns -> spacing-peak classification, at
-    k = 200.  The column sizes are exact integers and the DH density is
-    piecewise linear, so its kinks are the columns where the sizes' second
-    difference is nonzero.
+    k = 200, read from the k = 200 spectrum of ``family`` when it holds one.
+    The column sizes are exact integers and the DH density is piecewise
+    linear, so its kinks are the columns where the sizes' second difference
+    is nonzero.
+
+    Each spectrum of ``family`` then gets its .origin, that k's focus-focus
+    value: the critical column's abscissa and the smallest-gap midpoint of
+    its ladder.  Probes measure offsets from it, and a1 responds to an
+    ordinate error like e2/(2 pi x), so the error must shrink like hbar for
+    the extrapolations to converge: the one-off located ordinate would
+    leave a floor.
 
     Returns (focus (x0, y0), other kink abscissae).
     """
+    family = family or {}
     k_locate = 200
     grid = default_dh_grid(model)
     blocks = build_blocks(model, k_locate, (grid[0], grid[-1]))
@@ -164,17 +157,39 @@ def locate_critical_values(model: ModelSpec):
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
 
-    x0, y0 = locate_focus_focus(lambda k, x: column_ladder(model, k, x), k_locate, kinks)
+    spec = family.get(k_locate) or _block_labelled(blocks)
+    x0, y0 = locate_focus_focus(lambda k, x: column_ladder(spec, x), k_locate, kinks)
+    for sp in family.values():
+        x, ev = column_ladder(sp, x0)
+        sp.origin = (x, smallest_gap_midpoint(ev)[1])
     others = [x for x in kinks if abs(x - x0) > 0.1]
     return (x0, y0), others
+
+
+def _check_column_resolution(probes: ProbeConfig) -> None:
+    """The coarsest k must resolve the probe offsets: a probe closer to x0
+    than one column reads the critical column itself, and the gradient's
+    offsets x and mu x in one column difference a column with itself.
+    Either gives an O(1) error with no failure to show for it."""
+    k, x = probes.k_list[0], min(probes.x_schedule)
+    x_any = min(x, min(probes.x_taylor))
+    if k * x_any < 1:
+        raise ConfigurationError(
+            f"min(k_list) * min(x_schedule, x_taylor) = {k * x_any:g} must be at least 1: "
+            f"every probe must lie at least one column (1/k) from x0")
+    if k * x * abs(probes.mu - 1) < 1:
+        raise ConfigurationError(
+            f"min(k_list) * min(x_schedule) * |mu - 1| = {k * x * abs(probes.mu - 1):g} "
+            f"must be at least 1: the gradient's offsets x and mu x must lie a column apart")
 
 
 def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     """Full invariant recovery; returns the report dictionary."""
     probes = probes or ProbeConfig()
     probes.validate()
-    origin, other_kinks = locate_critical_values(model)
-    family = build_probe_family(model, origin, probes)
+    _check_column_resolution(probes)
+    family = build_probe_family(model, probes.k_list)
+    origin, other_kinks = locate_critical_values(model, family)
 
     # the gradient is read at the smallest offset, the last of the
     # decreasing schedule; the figures show the per-k samples there

@@ -35,6 +35,7 @@ from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
     default_dh_grid,
+    locate_critical_values,
     polygon_reference_distance,
     polygon_run,
 )
@@ -193,7 +194,7 @@ def test_reports_are_strict_json(spin_report, coupled_report):
 # -- criterion 5: focus-focus location ----------------------------------------
 
 def test_criterion_5_focus_focus_location(spin_report, coupled_report):
-    # the fixtures located it with locate_critical_values(model, k_locate=200)
+    # the fixtures located it with locate_critical_values at k = 200
     for model, rep, ref in ((SPIN, spin_report, (1.0, 0.0)),
                             (COUPLED, coupled_report, (-1.5, 0.0))):
         x0, y0 = rep["focus_focus"]
@@ -233,25 +234,29 @@ def test_criterion_7_polygon():
 
 # -- criterion 8: convergence rate ---------------------------------------------
 
-def sigma1_per_k(model, origin, s0, x, ks):
+def located_family(model, ks):
+    """The probe family of ks with each k's origin set by the locate stage."""
+    family = build_probe_family(model, ks)
+    locate_critical_values(model, family)
+    return family
+
+
+def sigma1_per_k(model, s0, x, ks):
     """Per-k sigma1 estimates a1 + s0 a2 at the single probe (x, s0 x)."""
-    probes = ProbeConfig(k_list=ks, x_schedule=[x], mu_list=[])
-    a1, a2 = ray_samples(build_probe_family(model, origin, probes), s0, [x])
+    a1, a2 = ray_samples(located_family(model, ks), s0, [x])
     return (a1 + s0 * a2)[:, 0]
 
 
-def test_criterion_8_convergence_rate(spin_report, coupled_report):
+def test_criterion_8_convergence_rate(coupled_report):
     # spin-oscillator: every column is symmetric under H -> -H, so the
     # sigma1 probe on the symmetry axis is exact at each k up to rounding
-    ests = sigma1_per_k(SPIN, tuple(spin_report["focus_focus"]), 0.0, 0.01,
-                        [100, 200, 300, 400, 500])
+    ests = sigma1_per_k(SPIN, 0.0, 0.01, [100, 200, 300, 400, 500])
     errs = [circle_distance(est, 0.0) for est in ests]
     report(8, "spin sigma1 error at y = 0, worst k", max(errs), 1e-12)
     # coupled: the hbar -> 0 rate at x = 0.02, read off the successive
     # differences |s_k - s_2k|, which need no reference value
     ks = [100, 200, 400, 800]
-    ests = sigma1_per_k(COUPLED, tuple(coupled_report["focus_focus"]),
-                        coupled_report["radial_slope"], 0.02, ks)
+    ests = sigma1_per_k(COUPLED, coupled_report["radial_slope"], 0.02, ks)
     diffs = np.array([circle_distance(a, b) for a, b in zip(ests, ests[1:])])
     report(8, "coupled sigma1 |s_k - s_2k|, smallest", float(diffs.min()), 1e-10,
            ok=diffs.min() > 1e-10)
@@ -266,7 +271,7 @@ def test_criterion_9_relabelling_covariance():
 
     probes = ProbeConfig(k_list=[100, 200, 300, 400, 500], x_schedule=[0.02, 0.01],
                          x_taylor=[0.02], mu_list=[])
-    family = build_probe_family(COUPLED, (-1.5, 0.0), probes)
+    family = located_family(COUPLED, probes.k_list)
     s0 = 0.1
     ks, xs = probes.k_list, probes.x_schedule
 
@@ -299,10 +304,7 @@ def test_criterion_9_privileged_idempotence(spin_report, coupled_report):
 
 
 def test_criterion_9_mu_independence():
-    probes = ProbeConfig(k_list=[100, 200, 300, 400, 500], x_schedule=[0.01],
-                         x_taylor=[0.01], mu_list=[])
-    probes.mu = 4.0    # window wide enough for all mus below
-    family = build_probe_family(COUPLED, (-1.5, 0.0), probes)
+    family = located_family(COUPLED, [100, 200, 300, 400, 500])
     grads = [recover_fr_gradient(family, 0.01, mu)
              for mu in (2.0, 3.0, 4.0)]
     spread_dx = max(g[0] for g in grads) - min(g[0] for g in grads)
@@ -346,7 +348,7 @@ def test_criterion_9_d0_consistency():
     probes = ProbeConfig(k_list=[100, 200, 300, 400, 500],
                          x_schedule=[0.01], x_taylor=[0.04, 0.03, 0.02, 0.01],
                          mu_list=[1.0, 2.0, 4.0], mu=4.0)
-    family = build_probe_family(SPIN, (1.0, 0.0), probes)
+    family = located_family(SPIN, probes.k_list)
     dx, dy, _ = recover_fr_gradient(family, 0.01, 2.0)
     worst = 0.0
     for mu in (1.0, 2.0, 4.0):
@@ -383,7 +385,7 @@ def test_criterion_9_spacing_peak_k50():
     # focus-focus ordinate
     from semitoric.pipeline import column_ladder
 
-    x_act, ev = column_ladder(COUPLED, 50, -1.5)
+    x_act, ev = column_ladder(build_probe_family(COUPLED, [50])[50], -1.5)
     inv = np.diff(ev) ** -1
     mids = 0.5 * (ev[1:] + ev[:-1])
     i = int(np.argmax(inv))

@@ -164,6 +164,27 @@ def test_out_not_a_directory_exits_2_before_solving(tmp_path, monkeypatch, capsy
     assert afile.read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("flags, product", [
+    (["--k", "50", "--k", "100", "--k", "200", "--k", "300"], "min(x_schedule, x_taylor) = 0.5"),
+    (["--mu", "1.2"], "|mu - 1| = 0.2"),
+    (["--mu", "1.5"], "|mu - 1| = 0.5"),
+], ids=["k50", "mu-1.2", "mu-1.5"])
+def test_probe_finer_than_a_column_exits_2_before_solving(tmp_path, monkeypatch, capsys,
+                                                          flags, product):
+    # a probe within one column of x0 reads the critical column, and
+    # gradient offsets x and mu x within one column difference a column
+    # with itself: these runs used to exit 0 with dy f_r = 2.63, 4.50 and
+    # 1.16 against 2
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve reached")
+
+    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
+    rc = main(["invariants", *flags, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: min(k_list) * ") and product in err
+
+
 def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, capsys):
     # an x_schedule offset above every x_taylor offset leaves no span for the
     # gradient probe; the message says so instead of printing an empty interval
@@ -192,9 +213,12 @@ def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, c
     # 2 k r2 within 1e-9 of an integer, but a block's J values spread 5e-11
     (["spectrum", "--model", "coupled", "--r1", "0.5", "--r2", "1.0000000001", "--k", "1"],
      None),
+    # 2 k r1 = 100.5 at the last k only: every k is checked before any solve
+    (["invariants", "--model", "coupled", "--r1", "0.25", "--r2", "2.5",
+      "--k", "100", "--k", "200", "--k", "201"], None),
 ], ids=["x-inf", "x-nan", "mu-inf", "config-mu-infinity", "config-malformed",
         "config-not-text", "spectrum-r2-inf", "polygon-r2-inf", "spectrum-r1-no-states",
-        "dh-r1-no-states", "spectrum-r2-off-grid"])
+        "dh-r1-no-states", "spectrum-r2-off-grid", "invariants-r1-off-grid-at-last-k"])
 def test_bad_number_or_config_exits_2_before_solving(tmp_path, monkeypatch, capsys,
                                                      argv, config):
     # inf and nan pass every ordering check, so they are rejected as such
@@ -224,9 +248,11 @@ def test_plain_value_error_is_not_a_configuration_error(tmp_path, monkeypatch, c
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
-    rc = main(["invariants", "--model", "spin-oscillator", "--k", "3", "--out", str(tmp_path)])
+    # at t = 0.3 the critical column x0 = -1.5 shows no focus-focus peak
+    rc = main(["invariants", "--model", "coupled", "--t", "0.3", "--out", str(tmp_path)])
     assert rc == 3
-    assert capsys.readouterr().err.startswith("numerical failure: recovered dy f_r(0)")
+    assert capsys.readouterr().err == (
+        "numerical failure: no interior spacing peak among the candidates\n")
 
 
 def test_labelling_failure_exits_4(tmp_path, capsys):
@@ -345,12 +371,11 @@ def test_config_file_and_flag_override(tmp_path):
 
 @pytest.mark.slow
 def test_invariants_command_small(tmp_path, monkeypatch):
-    families, solves = [], []
+    families, solves, reads = [], [], set()
     build = semitoric.pipeline.build_probe_family
     solve = semitoric.models.eigs_sym_tridiagonal
 
     def counted(*args, **kwargs):
-        solves.clear()
         families.append(build(*args, **kwargs))
         return families[-1]
 
@@ -360,14 +385,20 @@ def test_invariants_command_small(tmp_path, monkeypatch):
 
     probes = []
     a1a2 = LabelledSpectrum.a1a2_interpolated
+    ladder = LabelledSpectrum.ladder
 
     def counted_probe(self, c):
         probes.append((self.k, float(c[0]), float(c[1])))
         return a1a2(self, c)
 
+    def counted_read(self, j):
+        reads.add((self.k, j))
+        return ladder(self, j)
+
     monkeypatch.setattr(semitoric.pipeline, "build_probe_family", counted)
     monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", counted_solve)
     monkeypatch.setattr(LabelledSpectrum, "a1a2_interpolated", counted_probe)
+    monkeypatch.setattr(LabelledSpectrum, "ladder", counted_read)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "model": "spin-oscillator", "r1": 1.0, "r2": 2.5, "t": 0.5,
@@ -387,8 +418,11 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     assert len(families) == 1
     # sigma1 and S01 share one probe table: no probe is read twice
     assert probes and len(set(probes)) == len(probes)
-    # a probe column is solved only when an estimator reads it
-    assert len(solves) < sum(len(sp.column_x) for sp in families[0].values())
+    # a column is solved only when the locate stage or an estimator reads
+    # it, and no block is solved twice in the run
+    assert len(solves) == len(reads)
+    blocks = {(diag.tobytes(), offdiag.tobytes()) for diag, offdiag in solves}
+    assert len(blocks) == len(solves)
     # the figures are the per-k samples behind the reported limits
     per_k = report["diagnostics"]["per_k"]
     assert per_k["k"] == [100, 200] and per_k["x"] == 0.01

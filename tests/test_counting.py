@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from semitoric.config import ProbeConfig
 from semitoric.errors import NoPeak, WindowTooNarrow
 from semitoric.invariants import (
     LabelledSpectrum,
@@ -119,8 +118,8 @@ def test_column_height_matches_strip_count(r1, r2, t):
     # the paper's strip estimator centred on the located focus-focus value
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
     ks = [100, 200, 300, 400, 500]
-    origin, _ = locate_critical_values(model)
-    family = build_probe_family(model, origin, ProbeConfig(k_list=ks))
+    family = build_probe_family(model, ks)
+    origin, _ = locate_critical_values(model, family)
     column, info = column_height(family)
     counter = ModelCounter(model, ks)
     sturm = []
@@ -198,10 +197,10 @@ def test_locate_focus_focus_stops_at_the_first_peak():
 def test_located_ordinate_is_the_k200_refinement(model):
     # one formula for the focus-focus ordinate: the locate stage at k = 200
     # reads the same smallest-gap midpoint as the probe family's k = 200
-    # critical column
-    origin, _ = locate_critical_values(model)
-    family = build_probe_family(model, origin, ProbeConfig(k_list=[200]))
-    assert family[200].origin == origin
+    # critical column, with or without a family to read it from
+    family = build_probe_family(model, [200])
+    origin, _ = locate_critical_values(model, family)
+    assert family[200].origin == origin == locate_critical_values(model)[0]
 
 
 RADII = [(1.0, 2.5), (0.5, 1.5), (1.0, 2.0)]

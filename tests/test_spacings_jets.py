@@ -6,7 +6,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
-from semitoric.config import ProbeConfig
 from semitoric.errors import ActionDiscontinuity, MissingNeighbor, SignError
 from semitoric.lattice import PointCloud, label_semitoric
 from semitoric.invariants import (
@@ -18,7 +17,7 @@ from semitoric.invariants import (
     recover_fr_gradient,
     recover_sigma1,
 )
-from semitoric.pipeline import build_probe_family
+from semitoric.pipeline import build_probe_family, locate_critical_values
 
 
 def grid_spectrum(k, alpha, beta, x_range=(-0.4, 0.4), y_range=(-0.4, 0.4)):
@@ -84,13 +83,25 @@ def test_interpolation_has_no_tie_on_symmetric_nodes():
 def test_spin_probe_ignores_subulp_noise_in_height():
     # every spin-oscillator column is symmetric under H -> -H, so its ladder
     # is symmetric about the probe height y = 0
-    family = build_probe_family(ModelSpec(SPIN_OSCILLATOR), (1.0, 0.0),
-                                ProbeConfig(k_list=[200], x_schedule=[0.01]))
+    family = build_probe_family(ModelSpec(SPIN_OSCILLATOR), [200])
+    locate_critical_values(ModelSpec(SPIN_OSCILLATOR), family)
     sp = family[200]
     x = sp.origin[0] + 0.01
     a1 = [sp.a1a2_interpolated((x, y))[0] for y in (0.0, 1e-18, -1e-18)]
     assert a1[1] == pytest.approx(a1[0], abs=1e-12)
     assert a1[2] == pytest.approx(a1[0], abs=1e-12)
+
+
+def test_nearest_column_ties_and_ends():
+    # an abscissa exactly between two columns reads the smaller j, and one
+    # past either end reads the end column
+    ls = grid_spectrum(8, 0.0, 1.0, x_range=(-0.5, 0.5))
+    assert [ls.nearest_column(x) for x in (-0.0625, 0.0625, 0.1875)] == [-1, 0, 1]
+    assert ls.nearest_column(-3.0) == min(ls.column_x) == -4
+    assert ls.nearest_column(3.0) == max(ls.column_x) == 4
+    # the labels, not the order they are given in, decide a tie
+    reversed_x = LabelledSpectrum(10, {1: 0.1, 0: 0.0}, lambda j: None)
+    assert reversed_x.nearest_column(0.05) == 0
 
 
 def test_missing_neighbor():
@@ -113,10 +124,14 @@ def test_missing_neighbor():
 def test_block_labels_are_column_transport_labels(model, origin):
     # J's spectrum is an exact hbar-lattice of columns, so the probe family's
     # (sign * block, idx) labels are the column-transport labels of the same
-    # points up to one translation
-    family = build_probe_family(model, origin, ProbeConfig(k_list=[40, 80]))
+    # points up to one translation.  The columns are those from x0 - 0.45/k
+    # to x0 + 0.24 + 4/k, the probes' reach: further across the coupled
+    # focus-focus cut, column transport picks up the monodromy shear
+    x0 = origin[0]
+    family = build_probe_family(model, [40, 80])
     for k, sp in family.items():
-        ladders = {j: sp.ladder(j) for j in sp.column_x}
+        ladders = {j: sp.ladder(j) for j, x in sp.column_x.items()
+                   if x0 - 0.45 / k <= x <= x0 + 0.24 + 4.0 / k}
         pts = np.concatenate([np.column_stack((np.full(len(ys), sp.column_x[j]), ys))
                               for j, (_, ys) in ladders.items()])
         labels = np.concatenate([np.column_stack((np.full(len(ls), j), ls))
