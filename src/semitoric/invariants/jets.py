@@ -55,15 +55,18 @@ class FrJet:
 _INTEGER_SNAP = 1e-9   # a sigma1 this close to an integer n counts as n
 
 
-def twisting_number(sigma1: float) -> int:
-    """The twisting number p, the integer part of sigma1(0).
+def twisting_number(sigma1: float) -> tuple[int, float]:
+    """The twisting number p, the integer part of sigma1(0), and the
+    residue S_{1,0} = sigma1 - p in [0, 1).
 
     A sigma1 within 1e-9 of an integer n gives p = n: an integer sigma1 is
     recovered with a rounding residue of either sign, and a plain floor
-    would turn a residue of -3e-14 into p = n - 1.
+    would turn a residue of -3e-14 into p = n - 1.  A sigma1 snapped up to
+    n leaves a negative residue, which reads 0.
     """
     n = round(sigma1)
-    return int(n) if abs(sigma1 - n) <= _INTEGER_SNAP else math.floor(sigma1)
+    p = int(n) if abs(sigma1 - n) <= _INTEGER_SNAP else math.floor(sigma1)
+    return p, sigma1 - p if sigma1 > p else 0.0
 
 
 def recover_fr_gradient(family: dict[int, LabelledSpectrum], x: float,

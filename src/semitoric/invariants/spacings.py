@@ -28,9 +28,14 @@ class LabelledSpectrum:
 
     ``column_x`` maps each column label j to the column's abscissa; columns
     adjacent in x carry adjacent labels.  ``ladder(j)`` returns the
-    ascending row labels l of column j and their strictly ascending
-    heights; it is called the first time an estimator reads column j, and
-    its result is kept.
+    consecutive ascending row labels l of column j and their strictly
+    ascending heights; it is called the first time column j is read whole,
+    and its result is kept.
+
+    A probe reads index windows of two columns only, through ``_column``,
+    ``_count_below`` and ``_heights``.  Here they read the kept ladders; a
+    spectrum whose columns can be solved in part (``pipeline.BlockSpectrum``)
+    overrides them, so that no probe solves a whole column.
     """
 
     def __init__(self, k: int, column_x, ladder, origin: tuple[float, float] | None = None):
@@ -51,6 +56,19 @@ class LabelledSpectrum:
             self._ladders[j] = self._solve(j)
         return self._ladders[j]
 
+    def _column(self, j: int) -> tuple[int, int]:
+        """(label of the lowest row, number of rows) of column j."""
+        ls, ys = self.ladder(j)
+        return int(ls[0]), len(ys)
+
+    def _count_below(self, j: int, y: float) -> int:
+        """Number of heights of column j below y."""
+        return int(np.searchsorted(self.ladder(j)[1], y))
+
+    def _heights(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Heights of rows lo..hi - 1 of column j, counted from its lowest."""
+        return self.ladder(j)[1][lo:hi]
+
     def nearest_column(self, x: float) -> int:
         """The column whose abscissa is nearest x; ties go to the smaller j."""
         return int(self._js[np.argmin(np.abs(self._xs - x))])
@@ -58,18 +76,36 @@ class LabelledSpectrum:
     def a1a2_interpolated(self, c) -> tuple[float, float]:
         """Spacing functionals (a1, a2) at the probe c, evaluated at the
         exact height c[1] by local cubic interpolation of the spacings and
-        row differences of the column nearest c[0] and the next one."""
+        row differences of the column nearest c[0] and the next one.
+
+        Only the stencils' nodes are read: the 5 heights of column j whose
+        spacings the first cubic takes, and the 4 rows, nearest the height,
+        that column j shares with column j + 1."""
         j = self.nearest_column(c[0])
-        ls0, ys0 = self.ladder(j)
-        ls1, ys1 = self.ladder(j + 1)
         y = float(c[1])
-        mids = 0.5 * (ys0[1:] + ys0[:-1])
-        sp = np.diff(ys0)
-        s_t = _interp_cubic(mids, sp, y)
-        _, i0, i1 = np.intersect1d(ls0, ls1, assume_unique=True, return_indices=True)
-        if len(i0) < 2:
+        l0, n0 = self._column(j)
+        l1, n1 = self._column(j + 1)
+        # rows first..stop - 1 of column j carry the labels column j + 1 shares
+        first, stop = max(l0, l1) - l0, min(l0 + n0, l1 + n1) - l0
+        if stop - first < 2:
             raise MissingNeighbor("columns share fewer than 2 labels")
-        d_t = _interp_cubic(ys0[i0], ys0[i0] - ys1[i1], y)
+        # rows r-3..r+2 around the count r of heights below y hold both
+        # stencils, also when the count and the solved heights disagree by
+        # one about a height tied with y; the stencils are chosen from the
+        # solved heights, so that such a tie picks them as a whole ladder would
+        r = self._count_below(j, y)
+        lo, hi = max(0, min(r - 3, n0 - 6)), min(n0, max(r + 3, 6))
+        ys0 = self._heights(j, lo, hi)
+        s_t = _interp_cubic(0.5 * (ys0[1:] + ys0[:-1]), np.diff(ys0), y)
+        r = lo + int(np.searchsorted(ys0, y))
+        d_lo = min(max(r - 2, first), max(stop - 4, first))
+        d_hi = min(d_lo + 4, stop)
+        if lo <= d_lo and d_hi <= hi:
+            d0 = ys0[d_lo - lo:d_hi - lo]
+        else:
+            d0 = self._heights(j, d_lo, d_hi)
+        d1 = self._heights(j + 1, d_lo + l0 - l1, d_hi + l0 - l1)
+        d_t = _interp_cubic(d0, d0 - d1, y)
         return d_t / s_t, self.hbar / s_t
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import CommutatorViolation, ConfigurationError, DimensionMismatch, EmptyWindow
 from .geometry import Rect
-from .tridiag import eigs_sym_tridiagonal
+from .tridiag import eigs_in_window, eigs_sym_tridiagonal
 
 SPIN_OSCILLATOR = "spin-oscillator"
 COUPLED_ANGULAR_MOMENTA = "coupled-angular-momenta"
@@ -100,7 +100,14 @@ class TridiagonalBlock:
     def eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues; CommutatorViolation when two coincide,
         since H must have a simple spectrum on each J-eigenspace."""
-        ev = eigs_sym_tridiagonal(self.diag, self.offdiag)
+        return self._simple(eigs_sym_tridiagonal(self.diag, self.offdiag))
+
+    def eigenvalue_window(self, lo: int, hi: int) -> np.ndarray:
+        """Eigenvalues number lo..hi (both included) of the ascending
+        spectrum, solved alone; CommutatorViolation as for ``eigenvalues``."""
+        return self._simple(eigs_in_window(self.diag, self.offdiag, lo, hi))
+
+    def _simple(self, ev: np.ndarray) -> np.ndarray:
         if np.any(np.diff(ev) <= 0):
             raise CommutatorViolation(f"non-simple spectrum in block {self.block_id}")
         return ev

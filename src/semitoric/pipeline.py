@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ProbeConfig
-from .errors import ConfigurationError, EmptyWindow, NoPeak
+from .errors import ConfigurationError, EmptyWindow, MissingNeighbor, NoPeak
 from .geometry import Rect
 from .invariants import (
     FrJet,
@@ -50,6 +50,7 @@ from .tridiag import sturm_count_below
 
 __all__ = [
     "ModelCounter",
+    "BlockSpectrum",
     "column_ladder",
     "build_probe_family",
     "locate_critical_values",
@@ -109,28 +110,51 @@ def column_ladder(spec: LabelledSpectrum, x: float):
     return spec.column_x[j], spec.ladder(j)[1]
 
 
+class BlockSpectrum(LabelledSpectrum):
+    """The labelled spectrum of a window's J-blocks: (j, l) = (sign * block
+    id, idx), a lattice label since J's spectrum is an exact hbar-lattice of
+    columns; sign makes j grow with x.  A column read whole is its block's
+    full solve, kept; a probe's index windows are a Sturm count and
+    bisection solves of the rows it reads, never kept, and a column's size
+    is closed-form."""
+
+    def __init__(self, blocks):
+        self._blocks = blocks
+        self._sign = 1 if blocks.model.kind == SPIN_OSCILLATOR else -1
+        js = self._sign * np.asarray(blocks.ids)
+        super().__init__(blocks.k, dict(zip(js.tolist(), blocks.j_values.tolist())),
+                         self._whole_column)
+
+    def _whole_column(self, j: int):
+        ev = self._block(j).eigenvalues()
+        return np.arange(len(ev)), ev
+
+    def _position(self, j: int) -> int:
+        if j not in self.column_x:
+            raise MissingNeighbor(f"no column j={j}")
+        return self._blocks.ids.index(self._sign * j)
+
+    def _block(self, j: int):
+        return self._blocks[self._position(j)]
+
+    def _column(self, j: int) -> tuple[int, int]:
+        return 0, int(self._blocks.sizes[self._position(j)])
+
+    def _count_below(self, j: int, y: float) -> int:
+        b = self._block(j)
+        return sturm_count_below(b.diag, b.offdiag, y)
+
+    def _heights(self, j: int, lo: int, hi: int) -> np.ndarray:
+        return self._block(j).eigenvalue_window(lo, hi - 1)
+
+
 def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
     """One labelled spectrum per k of ks over the J-range of
     ``default_dh_grid``, where the locate stage and every probe read their
     columns.  Nothing is solved here, so every k's dimensions are checked
     before the first eigensolve; ``locate_critical_values`` sets the origins."""
     grid = default_dh_grid(model)
-    return {k: _block_labelled(build_blocks(model, k, (grid[0], grid[-1]))) for k in ks}
-
-
-def _block_labelled(blocks) -> LabelledSpectrum:
-    """The blocks' columns labelled (j, l) = (sign * block id, idx), a
-    lattice label since J's spectrum is an exact hbar-lattice of columns;
-    sign makes j grow with x.  A column's ladder is its whole block
-    spectrum, solved when the column is first read."""
-    sign = 1 if blocks.model.kind == SPIN_OSCILLATOR else -1
-
-    def ladder(j):
-        ev = blocks[blocks.ids.index(sign * j)].eigenvalues()
-        return np.arange(len(ev)), ev
-
-    js = sign * np.asarray(blocks.ids)
-    return LabelledSpectrum(blocks.k, dict(zip(js.tolist(), blocks.j_values.tolist())), ladder)
+    return {k: BlockSpectrum(build_blocks(model, k, (grid[0], grid[-1]))) for k in ks}
 
 
 def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum] | None = None):
@@ -157,7 +181,7 @@ def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum]
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
 
-    spec = family.get(k_locate) or _block_labelled(blocks)
+    spec = family.get(k_locate) or BlockSpectrum(blocks)
     x0, y0 = locate_focus_focus(lambda k, x: column_ladder(spec, x), k_locate, kinks)
     for sp in family.values():
         x, ev = column_ladder(sp, x0)
@@ -202,7 +226,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     # sigma1 and S01 read one probe table on the radial ray (x, s0 x)
     a1, a2 = ray_samples(family, s0, xs)
     sigma1, sig_info = recover_sigma1(ks, xs, a1, a2, s0)
-    p = twisting_number(sigma1)
+    p, s10 = twisting_number(sigma1)
     s01, s01_info = recover_S01(ks, xs, a2, dyfr)
 
     s00, height_info = column_height(family)
@@ -255,7 +279,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
         "sigma1_0": sigma1,
         "twisting_p": p,
         "S": {"0,0": s00, "0,1": s01, "0,2": s2[(0, 2)],
-              "1,0": sigma1 - p, "1,1": s2[(1, 1)], "2,0": s2[(2, 0)]},
+              "1,0": s10, "1,1": s2[(1, 1)], "2,0": s2[(2, 0)]},
         "quadratic_mixed": {
             "dxdy_fr": jet2_mixed[(1, 1)],
             "S11": s2_mixed[(1, 1)],

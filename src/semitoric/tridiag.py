@@ -1,10 +1,15 @@
 """Real symmetric tridiagonal eigenvalue tools.
 
-Every eigenvalue comes from one LAPACK solve (implicit QL/QR) of the whole
-matrix; the Sturm count of the eigenvalues below a height needs no solve.
+A whole spectrum comes from one LAPACK solve (implicit QL/QR) of the whole
+matrix, O(n^2); the eigenvalues numbered lo..hi come from LAPACK bisection
+(``stebz``) at a cost of O(n) per eigenvalue; the Sturm count of the
+eigenvalues below a height needs no solve, and gives the number of the
+eigenvalue just above it.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -56,6 +61,15 @@ def eigs_sym_tridiagonal(diag, offdiag):
 
 
 def eigs_in_window(diag, offdiag, lo, hi):
-    """Eigenvalues in (lo, hi], ascending: the full solve, cut to the window."""
-    ev = eigs_sym_tridiagonal(diag, offdiag)
-    return ev[(ev > lo) & (ev <= hi)]
+    """Eigenvalues number lo..hi (0-based, both included), ascending, by
+    LAPACK bisection; ValueError unless 0 <= lo <= hi < len(diag)."""
+    d, e = _as_tridiag(diag, offdiag)
+    lo, hi = operator.index(lo), operator.index(hi)
+    if not 0 <= lo <= hi < len(d):
+        raise ValueError(f"index window {lo}..{hi} outside 0..{len(d) - 1}")
+    if len(d) == 1:
+        return d.copy()
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi),
+                                lapack_driver="stebz")

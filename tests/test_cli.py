@@ -372,8 +372,12 @@ def test_config_file_and_flag_override(tmp_path):
 @pytest.mark.slow
 def test_invariants_command_small(tmp_path, monkeypatch):
     families, solves, reads = [], [], set()
+    # block window -> (probe number, k, abscissa, Sturm count) of each solve
+    windows: dict[tuple, list] = {}
     build = semitoric.pipeline.build_probe_family
     solve = semitoric.models.eigs_sym_tridiagonal
+    solve_window = semitoric.models.eigs_in_window
+    count = semitoric.pipeline.sturm_count_below
 
     def counted(*args, **kwargs):
         families.append(build(*args, **kwargs))
@@ -383,20 +387,38 @@ def test_invariants_command_small(tmp_path, monkeypatch):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    probes = []
+    probes, probing, read_in_probe = [], [], []
     a1a2 = LabelledSpectrum.a1a2_interpolated
     ladder = LabelledSpectrum.ladder
 
     def counted_probe(self, c):
         probes.append((self.k, float(c[0]), float(c[1])))
-        return a1a2(self, c)
+        probing.append([len(probes), self.k, float(c[0]), None])
+        try:
+            return a1a2(self, c)
+        finally:
+            probing.pop()
+
+    def counted_count(*args, **kwargs):
+        n = count(*args, **kwargs)
+        probing[-1][3] = n
+        return n
+
+    def counted_window(diag, offdiag, lo, hi):
+        key = (diag.tobytes(), offdiag.tobytes(), lo, hi)
+        windows.setdefault(key, []).append(tuple(probing[-1]) if probing else None)
+        return solve_window(diag, offdiag, lo, hi)
 
     def counted_read(self, j):
         reads.add((self.k, j))
+        if probing:
+            read_in_probe.append((self.k, j))
         return ladder(self, j)
 
     monkeypatch.setattr(semitoric.pipeline, "build_probe_family", counted)
     monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", counted_solve)
+    monkeypatch.setattr(semitoric.models, "eigs_in_window", counted_window)
+    monkeypatch.setattr(semitoric.pipeline, "sturm_count_below", counted_count)
     monkeypatch.setattr(LabelledSpectrum, "a1a2_interpolated", counted_probe)
     monkeypatch.setattr(LabelledSpectrum, "ladder", counted_read)
     cfg = tmp_path / "run.json"
@@ -418,11 +440,23 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     assert len(families) == 1
     # sigma1 and S01 share one probe table: no probe is read twice
     assert probes and len(set(probes)) == len(probes)
-    # a column is solved only when the locate stage or an estimator reads
-    # it, and no block is solved twice in the run
+    # a column is solved whole only when the locate stage, an origin or the
+    # height reads its whole ladder, never for a probe, and no block is
+    # solved whole twice in the run
+    assert not read_in_probe
     assert len(solves) == len(reads)
     blocks = {(diag.tobytes(), offdiag.tobytes()) for diag, offdiag in solves}
     assert len(blocks) == len(solves)
+    # a probe reads one Sturm count, and an index window in each of its two
+    # columns (a third when column j + 1 is too short to share the rows
+    # around the height).  A block's window is solved again only for another
+    # probe of the same k and abscissa whose height lies in the same row gap
+    # (the same Sturm count), which reads the same rows
+    assert all(None not in by for by in windows.values())
+    assert 2 * len(probes) <= sum(map(len, windows.values())) <= 3 * len(probes)
+    for by in windows.values():
+        assert len({probe for probe, *_ in by}) == len(by)
+        assert len({tuple(gap) for _, *gap in by}) == 1
     # the figures are the per-k samples behind the reported limits
     per_k = report["diagnostics"]["per_k"]
     assert per_k["k"] == [100, 200] and per_k["x"] == 0.01

@@ -17,7 +17,10 @@ from semitoric.invariants import (
     recover_fr_gradient,
     recover_sigma1,
 )
+from semitoric.invariants.spacings import _interp_cubic
+from semitoric.models import build_blocks
 from semitoric.pipeline import build_probe_family, locate_critical_values
+from semitoric.tridiag import eigs_in_window
 
 
 def grid_spectrum(k, alpha, beta, x_range=(-0.4, 0.4), y_range=(-0.4, 0.4)):
@@ -90,6 +93,87 @@ def test_spin_probe_ignores_subulp_noise_in_height():
     a1 = [sp.a1a2_interpolated((x, y))[0] for y in (0.0, 1e-18, -1e-18)]
     assert a1[1] == pytest.approx(a1[0], abs=1e-12)
     assert a1[2] == pytest.approx(a1[0], abs=1e-12)
+
+
+def whole_ladder_probe(ls0, ys0, ls1, ys1, y, hbar):
+    """(a1, a2) read off two whole ladders: the spacing cubic over all of
+    column j, the row-difference cubic over every label the columns share."""
+    s_t = _interp_cubic(0.5 * (ys0[1:] + ys0[:-1]), np.diff(ys0), y)
+    _, i0, i1 = np.intersect1d(ls0, ls1, assume_unique=True, return_indices=True)
+    d_t = _interp_cubic(ys0[i0], ys0[i0] - ys1[i1], y)
+    return d_t / s_t, hbar / s_t
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 30), st.integers(2, 30), st.integers(-6, 6), st.integers(-6, 6),
+       st.integers(0, 2 ** 31 - 1), st.floats(-0.2, 1.2))
+def test_index_windows_read_the_whole_ladder_stencils(n0, n1, l0, l1, seed, t):
+    # the windows a probe reads hold every node the whole-ladder stencils
+    # use, for any label offset between the columns and any height,
+    # including heights past either end and above a shorter column j + 1
+    shared = min(l0 + n0, l1 + n1) - max(l0, l1)
+    rng = np.random.default_rng(seed)
+    ys0 = np.cumsum(rng.uniform(0.5, 1.5, n0))
+    ys1 = np.cumsum(rng.uniform(0.5, 1.5, n1))
+    ls0, ls1 = np.arange(n0) + l0, np.arange(n1) + l1
+    spec = LabelledSpectrum(10, {0: 0.0, 1: 0.1}, lambda j: ((ls0, ys0), (ls1, ys1))[j])
+    y = ys0[0] + t * (ys0[-1] - ys0[0])
+    if shared < 2:
+        with pytest.raises(MissingNeighbor):
+            spec.a1a2_interpolated((0.0, y))
+    else:
+        assert spec.a1a2_interpolated((0.0, y)) == whole_ladder_probe(ls0, ys0, ls1, ys1, y, 0.1)
+
+
+@pytest.mark.parametrize("model,offsets,far_xs", [
+    (ModelSpec(SPIN_OSCILLATOR), (-7, -3, -1, 1, 4), (1.6,)),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), (-6, -1, 2), (2.5, 3.3)),
+], ids=["spin-oscillator", "coupled"])
+def test_windowed_probes_equal_whole_ladder_probes(model, offsets, far_xs):
+    # a probe on a block spectrum solves index windows of two blocks; the
+    # same probe on whole ladders of the same blocks must agree.  Columns
+    # next to the focus-focus value and far from it (coupled: columns
+    # j + 1 one row shorter than j), heights at both ends of column j, in
+    # its middle and at the located height y0 ~ -1e-18: spin columns of
+    # odd size hold an eigenvalue at 0, which the Sturm count and the
+    # bisection solve put on opposite sides of y0
+    family = build_probe_family(model, [100])
+    locate_critical_values(model, family)
+    sp = family[100]
+    x0, y0 = sp.origin
+
+    def bisected(j):
+        x = sp.column_x[j]
+        b, = build_blocks(model, sp.k, (x - 0.25 / sp.k, x + 0.25 / sp.k))
+        return np.arange(b.size), eigs_in_window(b.diag, b.offdiag, 0, b.size - 1)
+
+    by_bisection = LabelledSpectrum(sp.k, sp.column_x, bisected)
+    by_full_solve = LabelledSpectrum(sp.k, sp.column_x, sp.ladder)
+    j0 = sp.nearest_column(x0)
+    js = [j0 + d for d in offsets] + [sp.nearest_column(x) for x in far_xs]
+    worst_bisection = worst_full_solve = 0.0
+    for j in js:
+        ys, top1 = sp.ladder(j)[1], sp.ladder(j + 1)[1][-1]
+        n = len(ys)
+        heights = [ys[0], ys[1], 0.5 * (ys[1] + ys[2]), ys[2], ys[n // 2],
+                   np.nextafter(ys[n // 2], np.inf), np.nextafter(ys[n // 2], -np.inf),
+                   0.5 * (ys[n // 2] + ys[n // 2 + 1]), y0, 0.0, -1e-18, 1e-18,
+                   ys[-3], ys[-2], 0.5 * (ys[-2] + ys[-1]), ys[-1],
+                   top1, 0.5 * (top1 + ys[-1])]
+        for y in heights:
+            if not ys[0] <= y <= ys[-1]:
+                continue
+            c = (sp.column_x[j], y)
+            got = np.array(sp.a1a2_interpolated(c))
+            worst_bisection = max(worst_bisection,
+                                  np.abs(got - by_bisection.a1a2_interpolated(c)).max())
+            worst_full_solve = max(worst_full_solve,
+                                   np.abs(got - by_full_solve.a1a2_interpolated(c)).max())
+    assert worst_bisection <= 1e-12
+    # the QL/QR full solve is off by up to ~10 ulp at a column's ends
+    # (1.5e-15 against bisection's 1e-16), and a spacing of 1/k turns that
+    # into up to 2.3e-12 of a1 and a2 at k = 100
+    assert worst_full_solve <= 1e-11
 
 
 def test_nearest_column_ties_and_ends():
@@ -284,5 +368,16 @@ def test_relabelling_covariance_manufactured():
 def test_twisting_number_reads_near_integers_as_integers(sigma1, p):
     from semitoric.invariants import twisting_number
 
-    assert twisting_number(sigma1) == p
-    assert type(twisting_number(sigma1)) is int
+    got, _ = twisting_number(sigma1)
+    assert got == p
+    assert type(got) is int
+
+
+@pytest.mark.parametrize("sigma1,p", [(-1e-17, 0), (3 - 1e-15, 3)])
+def test_residue_of_a_sigma1_snapped_up_is_zero(sigma1, p):
+    # S_{1,0} = sigma1 - p lies in [0, 1): a sigma1 just below an integer
+    # snaps up to it, and its residue must not read a tiny negative number
+    from semitoric.invariants import twisting_number
+
+    assert twisting_number(sigma1) == (p, 0.0)
+    assert twisting_number(p + 0.25) == (p, 0.25)

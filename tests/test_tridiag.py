@@ -91,14 +91,27 @@ def test_sturm_count_consistent(n, seed, y):
     assert sturm_count_below(d, e, y) == int(np.sum(ev < y))
 
 
-def test_window_selection():
-    d = np.arange(10.0)
-    e = 0.1 * np.ones(9)
-    ev_all = eigs_sym_tridiagonal(d, e)
-    lo, hi = 2.5, 6.5
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 31 - 1), st.data())
+def test_index_window_is_a_slice_of_the_full_solve(n, seed, data):
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 3
+    e = rng.normal(size=n - 1)
+    ev = eigs_sym_tridiagonal(d, e)
+    # single-element and end windows come up as often as interior ones
+    lo = data.draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+    hi = data.draw(st.one_of(st.just(lo), st.just(n - 1), st.integers(lo, n - 1)))
     win = eigs_in_window(d, e, lo, hi)
-    want = ev_all[(ev_all > lo) & (ev_all <= hi)]
-    assert np.allclose(win, want, atol=1e-12)
+    assert len(win) == hi - lo + 1
+    assert np.abs(win - ev[lo:hi + 1]).max() <= 1e-12 * max(spectral_radius_bound(d, e), 1.0)
+
+
+@pytest.mark.parametrize("lo,hi", [(-1, 2), (0, 5), (3, 2), (5, 5)])
+def test_index_window_out_of_range(lo, hi):
+    d = np.arange(5.0)
+    e = 0.1 * np.ones(4)
+    with pytest.raises(ValueError, match="index window"):
+        eigs_in_window(d, e, lo, hi)
 
 
 def test_shape_validation():
