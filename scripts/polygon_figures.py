@@ -8,11 +8,9 @@ from pathlib import Path
 import numpy as np
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
-from semitoric.cli import POLYGON_BUDGET
 from semitoric.invariants import detect_kinks, dh_profile
 from semitoric.pipeline import (
     ModelCounter,
-    default_dh_grid,
     polygon_reference_distance,
     polygon_run,
 )
@@ -39,13 +37,12 @@ def main():
             for u, v in est.cloud + shift:
                 f.write(f"{u:.17g},{v:.17g}\n")
         print(f"{model.kind}: Hausdorff {dist:.4f} "
-              f"(budget {POLYGON_BUDGET[model.kind]:g}/k), "
+              f"(budget {model.hausdorff_budget:g}/k), "
               f"max vertex error {max(vert_err):.4f} -> {path}")
 
         kdh = 200
         counter = ModelCounter(model, [kdh])
-        grid = default_dh_grid(model)
-        prof = dh_profile(counter, kdh, 0.25, grid)
+        prof = dh_profile(counter, kdh, 0.25, model.dh_grid)
         path = out / f"dh_{model.kind}_k{kdh}.csv"
         with path.open("w") as f:
             f.write("x,estimate,reference\n")

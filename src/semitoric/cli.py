@@ -36,8 +36,6 @@ from .models import (
 )
 from .pipeline import (
     ModelCounter,
-    default_dh_grid,
-    default_strip,
     detect_kinks,
     dh_profile,
     polygon_reference_distance,
@@ -56,15 +54,17 @@ MODEL_NAMES = {
 FIGURES = (("dxfr", "dx_fr"), ("dyfr", "dy_fr"), ("sigma1", "sigma1_priv"),
            ("S01", "S01"), ("height", "S00"))
 
-# criterion-7 Hausdorff budget of the polygon, in multiples of hbar
-POLYGON_BUDGET = {SPIN_OSCILLATOR: 6.0, COUPLED_ANGULAR_MOMENTA: 8.0}
-
 
 def _model(cfg: RunConfig) -> ModelSpec:
+    """The configured model, its dimensions checked at every k of the
+    schedule before any command solves."""
     kind = MODEL_NAMES.get(cfg.model)
     if kind is None:
         raise ConfigurationError(f"unknown model {cfg.model!r}")
-    return ModelSpec(kind, r1=cfg.r1, r2=cfg.r2, t=cfg.t)
+    model = ModelSpec(kind, r1=cfg.r1, r2=cfg.r2, t=cfg.t)
+    for k in cfg.probes.k_list:
+        model.check_dimensions(k)
+    return model
 
 
 def _config_from_args(args) -> RunConfig:
@@ -111,10 +111,8 @@ def cmd_spectrum(args) -> int:
     cfg = _config_from_args(args)
     model = _model(cfg)
     out = _outdir(cfg)
-    lo, hi = default_strip(model)
-    window = Rect(lo, hi, -2.6, 2.6)
     for k in cfg.probes.k_list:
-        spec = joint_spectrum(model, k, window)
+        spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
         _write(out / f"spectrum_k{k}.csv", spectrum_to_csv(spec))
         _write(out / f"spectrum_k{k}.json", spectrum_to_json(spec))
     return 0
@@ -124,10 +122,9 @@ def cmd_label(args) -> int:
     cfg = _config_from_args(args)
     model = _model(cfg)
     out = _outdir(cfg)
-    lo, hi = default_strip(model)
     for k in cfg.probes.k_list:
-        cloud = PointCloud(k, joint_spectrum(model, k, Rect(lo, hi, -2.6, 2.6)).as_array())
-        pts, labs, _ = label_semitoric(cloud, seed_x=hi).arrays(cloud)
+        cloud = PointCloud(k, joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6)).as_array())
+        pts, labs, _ = label_semitoric(cloud, seed_x=model.strip[1]).arrays(cloud)
         lines = ["k,x,y,j,l"]
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         for i in order:
@@ -173,7 +170,7 @@ def cmd_polygon(args) -> int:
     _write(out / "polygon_report.json", json.dumps({
         "k": k,
         "hausdorff_to_reference": dist,
-        "hausdorff_budget": POLYGON_BUDGET[model.kind] / k,
+        "hausdorff_budget": model.hausdorff_budget / k,
         "translation": list(shift),
         "fitted_vertices": [list(v) for v in est.fitted_vertices],
         "vertex_errors": vert_err,
@@ -188,8 +185,7 @@ def cmd_dh(args) -> int:
     k = cfg.probes.k_list[-1]
     delta = args.delta if args.delta is not None else 0.25
     counter = ModelCounter(model, [k])
-    grid = default_dh_grid(model)
-    profile = dh_profile(counter, k, delta, grid)
+    profile = dh_profile(counter, k, delta, model.dh_grid)
     kinks = detect_kinks(profile)
     lines = ["abscissa,estimate,theory"]
     for xx, val in profile:

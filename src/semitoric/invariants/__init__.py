@@ -24,8 +24,6 @@ from .polygon import (
     PolygonEstimate,
     hausdorff,
     polygon_recover,
-    reference_polygon_slice,
-    reference_polygon_vertices,
     sample_polygon_region,
 )
 from .spacings import LabelledSpectrum, ray_samples

@@ -14,14 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import EdgeFitFailure
-from ..models import SPIN_OSCILLATOR, ModelSpec
+from ..models import ModelSpec
 
 __all__ = [
     "PolygonEstimate",
     "polygon_recover",
     "hausdorff",
-    "reference_polygon_slice",
-    "reference_polygon_vertices",
     "sample_polygon_region",
 ]
 
@@ -103,32 +101,10 @@ def _cross(e1, e2):
     return (float(x), float(s1 * x + i1))
 
 
-# -- reference polygons of the two model systems ----------------------------
-
-def reference_polygon_vertices(model: ModelSpec) -> list[tuple[float, float]]:
-    """Privileged polygon vertices (zero twisting, upward cut)."""
-    if model.kind == SPIN_OSCILLATOR:
-        return [(-1.0, -1.0), (1.0, 1.0)]
-    r1, r2 = model.r1, model.r2
-    return [(-(r1 + r2), -r1), (r1 - r2, r1), (r2 - r1, -r1), (r1 + r2, r1)]
-
-
-def reference_polygon_slice(model: ModelSpec, x: float) -> tuple[float, float]:
-    """Vertical slice [bottom, top] of the privileged polygon at abscissa x."""
-    if model.kind == SPIN_OSCILLATOR:
-        if x < -1.0:
-            return (0.0, -1.0)
-        return (-1.0, min(x, 1.0))
-    r1, r2 = model.r1, model.r2
-    if abs(x) > r1 + r2:
-        return (0.0, -1.0)
-    return (max(-r1, x - r2), min(r1, x + r2))
-
-
 def sample_polygon_region(model: ModelSpec, strip, step: float) -> np.ndarray:
     out = []
     for x in np.arange(strip[0], strip[1] + 1e-12, step):
-        lo, hi = reference_polygon_slice(model, x)
+        lo, hi = model.polygon_slice(x)
         if hi >= lo:
             out.extend((x, y) for y in np.arange(lo, hi + 1e-12, step))
     return np.array(out)

@@ -31,7 +31,6 @@ from .invariants import (
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,
-    reference_polygon_vertices,
     sample_polygon_region,
     smallest_gap_midpoint,
     solve_jet_order,
@@ -39,13 +38,7 @@ from .invariants import (
     twisting_number,
 )
 from .lattice import PointCloud, label_semitoric
-from .models import (
-    COUPLED_ANGULAR_MOMENTA,
-    SPIN_OSCILLATOR,
-    ModelSpec,
-    build_blocks,
-    joint_spectrum,
-)
+from .models import ModelSpec, build_blocks, joint_spectrum
 from .tridiag import sturm_count_below
 
 __all__ = [
@@ -56,27 +49,9 @@ __all__ = [
     "locate_critical_values",
     "recover_all",
     "polygon_run",
-    "default_strip",
-    "default_dh_grid",
     "dh_profile",
     "detect_kinks",
 ]
-
-
-def default_strip(model: ModelSpec) -> tuple[float, float]:
-    if model.kind == SPIN_OSCILLATOR:
-        return (-0.8, 2.0)
-    r = model.r1 + model.r2
-    return (-r + 0.2, r - 0.4)
-
-
-def default_dh_grid(model: ModelSpec) -> np.ndarray:
-    if model.kind == SPIN_OSCILLATOR:
-        lo, hi = -0.95, 2.5
-    else:
-        r = model.r1 + model.r2
-        lo, hi = -r + 0.06, r - 0.06
-    return np.arange(lo, hi + 1e-9, 0.02)
 
 
 class ModelCounter:
@@ -120,7 +95,7 @@ class BlockSpectrum(LabelledSpectrum):
 
     def __init__(self, blocks):
         self._blocks = blocks
-        self._sign = 1 if blocks.model.kind == SPIN_OSCILLATOR else -1
+        self._sign = blocks.model.j_sign(blocks.k)
         js = self._sign * np.asarray(blocks.ids)
         super().__init__(blocks.k, dict(zip(js.tolist(), blocks.j_values.tolist())),
                          self._whole_column)
@@ -149,11 +124,11 @@ class BlockSpectrum(LabelledSpectrum):
 
 
 def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
-    """One labelled spectrum per k of ks over the J-range of
-    ``default_dh_grid``, where the locate stage and every probe read their
+    """One labelled spectrum per k of ks over the J-range of the model's
+    ``dh_grid``, where the locate stage and every probe read their
     columns.  Nothing is solved here, so every k's dimensions are checked
     before the first eigensolve; ``locate_critical_values`` sets the origins."""
-    grid = default_dh_grid(model)
+    grid = model.dh_grid
     return {k: BlockSpectrum(build_blocks(model, k, (grid[0], grid[-1]))) for k in ks}
 
 
@@ -175,7 +150,7 @@ def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum]
     """
     family = family or {}
     k_locate = 200
-    grid = default_dh_grid(model)
+    grid = model.dh_grid
     blocks = build_blocks(model, k_locate, (grid[0], grid[-1]))
     kinks = sorted(blocks.j_values[1:-1][np.diff(blocks.sizes, 2) != 0].tolist())
     if not kinks:
@@ -325,7 +300,7 @@ def _by_x(xs, values) -> dict:
 # polygon pipeline
 
 def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
-    """Quantum cartographic cloud on the model's default strip and the
+    """Quantum cartographic cloud on the model's strip and the
     fitted polygon.
 
     The critical values are located from the spectrum first.  Exclusions: a
@@ -333,13 +308,12 @@ def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
     and balls of radius eps at the column ends over every other critical
     abscissa (corners), eps = max(3 hbar, 0.35 sqrt(hbar)).
     """
-    strip = default_strip(model)
+    strip = model.strip
     h = 1.0 / k
     eps = max(3 * h, 0.35 * np.sqrt(h))
     origin, corner_xs = locate_critical_values(model)
     x0, y0 = origin
-    ymax = 1.2 if model.kind == COUPLED_ANGULAR_MOMENTA else 2.6
-    window = Rect(strip[0], strip[1], -ymax, ymax)
+    window = Rect(strip[0], strip[1], -model.polygon_ymax, model.polygon_ymax)
     spec = joint_spectrum(model, k, window)
     pts = spec.as_array()
     keep = ~((np.abs(pts[:, 0] - x0) <= eps) & (pts[:, 1] >= y0 - eps))
@@ -357,7 +331,7 @@ def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
 
 def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     """Translation-optimized Hausdorff distance of polygon_run's cloud at
-    this k against the reference polygon clipped to the default strip, plus
+    this k against the reference polygon clipped to the model's strip, plus
     vertex errors.
 
     The x component of the translation is the exact column alignment (the
@@ -369,7 +343,7 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     from scipy.spatial import cKDTree
 
     h = 1.0 / k
-    theory = sample_polygon_region(model, default_strip(model), 0.35 * h)
+    theory = sample_polygon_region(model, model.strip, 0.35 * h)
     theory_tree = cKDTree(theory)
     tx = est.x_translation
 
@@ -380,7 +354,7 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0 + 2 * h),
                           method="brent", options={"xtol": 1e-4})
     shift = np.array([tx, float(res.x)])
-    vert_err = _vertex_errors(est.fitted_vertices, reference_polygon_vertices(model))
+    vert_err = _vertex_errors(est.fitted_vertices, model.polygon_vertices)
     return float(res.fun), shift, vert_err
 
 

@@ -44,7 +44,5 @@ def reference_invariants(model: ModelSpec) -> dict | None:
 
 def reference_rho(model: ModelSpec, x: float) -> float:
     """Duistermaat-Heckman density = slice length of the reference polygon."""
-    from .invariants.polygon import reference_polygon_slice
-
-    lo, hi = reference_polygon_slice(model, x)
+    lo, hi = model.polygon_slice(x)
     return max(hi - lo, 0.0)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import CommutatorViolation
 from .geometry import Rect
 from .lattice import ChartSpec
-from .models import SPIN_OSCILLATOR, JointSpectrum, ModelSpec, _dims, _spectrum
+from .models import SPIN_OSCILLATOR, JointSpectrum, ModelSpec, _spectrum
 
 __all__ = ["random_chart", "dense_oracle_spectrum", "spectrum_columns"]
 
@@ -123,7 +123,7 @@ def _sphere_ops_dense(n: int):
 
 
 def _coupled_dense(model: ModelSpec, k: int):
-    n1, n2 = _dims(model, k)
+    n1, n2 = round(2 * k * model.r1), round(2 * k * model.r2)
     X1, Y1, Z1 = _sphere_ops_dense(n1)
     X2, Y2, Z2 = _sphere_ops_dense(n2)
     I1, I2 = np.eye(n1), np.eye(n2)

@@ -34,7 +34,6 @@ from semitoric.lattice import (
 from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
-    default_dh_grid,
     locate_critical_values,
     polygon_reference_distance,
     polygon_run,
@@ -207,7 +206,7 @@ def test_criterion_5_focus_focus_location(spin_report, coupled_report):
 def test_criterion_6_dh_profile():
     k, delta = 200, 0.25
     counter = ModelCounter(COUPLED, [k])
-    grid = default_dh_grid(COUPLED)
+    grid = COUPLED.dh_grid
     profile = dh_profile(counter, k, delta, grid)
     rho = np.array([reference_rho(COUPLED, x) for x in grid])
     kinks_theory = [-3.5, -1.5, 1.5, 3.5]   # slope changes of rho_J incl. support ends

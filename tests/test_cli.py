@@ -216,9 +216,14 @@ def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, c
     # 2 k r1 = 100.5 at the last k only: every k is checked before any solve
     (["invariants", "--model", "coupled", "--r1", "0.25", "--r2", "2.5",
       "--k", "100", "--k", "200", "--k", "201"], None),
+    (["spectrum", "--model", "coupled", "--r1", "0.25", "--r2", "2.5",
+      "--k", "4", "--k", "5"], None),
+    (["label", "--model", "coupled", "--r1", "0.25", "--r2", "2.5",
+      "--k", "4", "--k", "5"], None),
 ], ids=["x-inf", "x-nan", "mu-inf", "config-mu-infinity", "config-malformed",
         "config-not-text", "spectrum-r2-inf", "polygon-r2-inf", "spectrum-r1-no-states",
-        "dh-r1-no-states", "spectrum-r2-off-grid", "invariants-r1-off-grid-at-last-k"])
+        "dh-r1-no-states", "spectrum-r2-off-grid", "invariants-r1-off-grid-at-last-k",
+        "spectrum-r1-off-grid-at-last-k", "label-r1-off-grid-at-last-k"])
 def test_bad_number_or_config_exits_2_before_solving(tmp_path, monkeypatch, capsys,
                                                      argv, config):
     # inf and nan pass every ordering check, so they are rejected as such

@@ -14,7 +14,6 @@ from semitoric.models import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
 from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
-    default_dh_grid,
     locate_critical_values,
 )
 
@@ -221,7 +220,7 @@ def test_dh_kinks_exclude_the_grid_ends(model):
     else:
         assert kinks == [model.r1 - model.r2, model.r2 - model.r1]
     k = 200
-    profile = dh_profile(ModelCounter(model, [k]), k, 0.25, default_dh_grid(model))
+    profile = dh_profile(ModelCounter(model, [k]), k, 0.25, model.dh_grid)
     strip = detect_kinks(profile)
     assert len(strip) == len(kinks)
     assert np.abs(np.subtract(strip, kinks)).max() < 0.1

@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -129,6 +132,24 @@ def test_closed_form_sizes_and_unbounded_count(mk, lo, width):
     assert blocks.sizes.tolist() == [b.size for b in blocks]
 
 
+@settings(deadline=None, max_examples=500)
+@given(spin=st.booleans(), twice_r1=st.integers(1, 9), t=st.floats(0.0, 1.0),
+       k=st.integers(1, 300), data=st.data())
+def test_window_ends_on_columns_select_exactly_their_blocks(spin, twice_r1, t, k, data):
+    # the test above keeps every window edge away from a column; here both
+    # edges are column abscissae, and both end columns belong to the window
+    if spin:
+        model = SPIN
+    else:
+        twice_r2 = data.draw(st.integers(twice_r1 + 1, 10), label="twice_r2")
+        model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=twice_r1 / 2, r2=twice_r2 / 2, t=t)
+    full = build_blocks(model, k, model.j_range or (-1.0, 3.0))
+    i, j = (data.draw(st.integers(0, len(full) - 1)) for _ in range(2))
+    xlo, xhi = sorted((full.j_values[i], full.j_values[j]))
+    inside = (xlo <= full.j_values) & (full.j_values <= xhi)
+    assert list(build_blocks(model, k, (xlo, xhi)).ids) == np.asarray(full.ids)[inside].tolist()
+
+
 @settings(deadline=None)
 @given(mk=small_models(), lo=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0),
        ylo=st.one_of(st.just(-np.inf), st.floats(-2.0, 2.0)),
@@ -248,6 +269,23 @@ def test_model_validation():
 def test_bad_model_parameters_raise_configuration_error():
     with pytest.raises(ConfigurationError, match="r2 > r1 > 0"):
         ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=3.0, r2=2.5)
+    for kind in (None, ["coupled"]):
+        with pytest.raises(ConfigurationError, match="unknown model kind"):
+            ModelSpec(kind)
+
+
+def test_a_model_is_its_kinds_subclass_with_value_semantics():
+    # ModelSpec(kind, ...) returns the kind's subclass; equality, hashing,
+    # replace, copy and pickle work on it as on the plain dataclass, and
+    # replace validates through the subclass
+    other = dataclasses.replace(COUPLED, t=0.3)
+    assert type(other) is type(COUPLED) is not type(SPIN)
+    assert isinstance(SPIN, ModelSpec) and other.kind == COUPLED_ANGULAR_MOMENTA
+    assert other != COUPLED and dataclasses.replace(other, t=0.5) == COUPLED
+    assert hash(ModelSpec(SPIN_OSCILLATOR)) == hash(SPIN)
+    assert copy.copy(COUPLED) == COUPLED == pickle.loads(pickle.dumps(COUPLED))
+    with pytest.raises(ConfigurationError, match="t must lie"):
+        dataclasses.replace(COUPLED, t=2.0)
 
 
 def test_exports():

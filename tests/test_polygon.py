@@ -8,8 +8,6 @@ from semitoric.errors import EdgeFitFailure
 from semitoric.invariants import (
     hausdorff,
     polygon_recover,
-    reference_polygon_slice,
-    reference_polygon_vertices,
     sample_polygon_region,
 )
 
@@ -49,9 +47,9 @@ def test_polygon_recover_exact_cloud():
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
     k = 40
     strip = (-3.3, 3.1)
-    pts, labels = polygon_grid_cloud(k, lambda x: reference_polygon_slice(model, x), strip)
+    pts, labels = polygon_grid_cloud(k, model.polygon_slice, strip)
     est = polygon_recover(pts, labels, 1.0 / k, [-1.5, 1.5], strip)
-    verts = np.asarray(reference_polygon_vertices(model), dtype=float)
+    verts = np.asarray(model.polygon_vertices, dtype=float)
     assert len(est.fitted_vertices) == 4
     for v in est.fitted_vertices:
         err = min(np.hypot(v[0] - a, v[1] - b) for a, b in verts)
@@ -68,8 +66,8 @@ def test_polygon_recover_needs_columns():
 def test_reference_slices_consistent_with_vertices():
     for model in (ModelSpec(SPIN_OSCILLATOR),
                   ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)):
-        for (vx, vy) in reference_polygon_vertices(model):
-            lo, hi = reference_polygon_slice(model, vx)
+        for (vx, vy) in model.polygon_vertices:
+            lo, hi = model.polygon_slice(vx)
             assert lo - 1e-12 <= vy <= hi + 1e-12
 
 
@@ -77,5 +75,5 @@ def test_sample_polygon_region_inside():
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
     pts = sample_polygon_region(model, (-3.0, 3.0), 0.1)
     for x, y in pts[::7]:
-        lo, hi = reference_polygon_slice(model, x)
+        lo, hi = model.polygon_slice(x)
         assert lo - 1e-9 <= y <= hi + 1e-9
