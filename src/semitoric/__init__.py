@@ -25,7 +25,6 @@ from .models import (
     BlockSequence,
     JointSpectrum,
     ModelSpec,
-    TridiagonalBlock,
     build_blocks,
     joint_spectrum,
     spectrum_to_csv,

@@ -16,7 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ConfigurationError, LabellingError, NumericalFailure, SemitoricError
+from .errors import (
+    ConfigurationError,
+    DimensionMismatch,
+    LabellingError,
+    NoPeak,
+    NumericalFailure,
+    SemitoricError,
+)
 from .geometry import Rect
 from .lattice import (
     PointCloud,
@@ -38,6 +45,7 @@ from .pipeline import (
     ModelCounter,
     detect_kinks,
     dh_profile,
+    locate_critical_values,
     polygon_reference_distance,
     polygon_run,
     recover_all,
@@ -122,8 +130,17 @@ def cmd_label(args) -> int:
     cfg = _config_from_args(args)
     model = _model(cfg)
     out = _outdir(cfg)
+    # leave out the cut, the located focus-focus column at and above y0,
+    # which no column transport crosses.  With no value located (NoPeak, or
+    # radii off the grid of the locate stage's k), nan cuts nothing.
+    try:
+        (x0, y0), _ = locate_critical_values(model)
+    except (NoPeak, DimensionMismatch):
+        x0 = y0 = np.nan
     for k in cfg.probes.k_list:
-        cloud = PointCloud(k, joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6)).as_array())
+        pts = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6)).as_array()
+        cut = (np.abs(pts[:, 0] - x0) < 0.5 / k) & (pts[:, 1] >= y0)
+        cloud = PointCloud(k, pts[~cut])
         pts, labs, _ = label_semitoric(cloud, seed_x=model.strip[1]).arrays(cloud)
         lines = ["k,x,y,j,l"]
         order = np.lexsort((pts[:, 1], pts[:, 0]))

@@ -28,7 +28,6 @@ __all__ = [
     "SPIN_OSCILLATOR",
     "COUPLED_ANGULAR_MOMENTA",
     "ModelSpec",
-    "TridiagonalBlock",
     "BlockSequence",
     "JointSpectrum",
     "build_blocks",
@@ -44,10 +43,11 @@ class ModelSpec:
     instance of the kind's subclass.  A subclass validates its parameters in
     ``__post_init__`` and supplies ``check_dimensions``, ``j_value(k, ids)``
     (the J value of each block id), ``_id_bounds(k)``, ``_chain_bounds(k,
-    ids)``, the builder ``_block(k, id)``, ``j_range`` (None when J is
-    unbounded), ``strip``, ``_dh_range``, ``polygon_ymax``, and the
-    privileged polygon (zero twisting, upward cut): ``polygon_vertices``,
-    ``polygon_slice(x)`` and ``hausdorff_budget`` (in multiples of hbar)."""
+    ids)``, the builder ``_block(k, id)`` of a block's matrix (diag,
+    offdiag), ``j_range`` (None when J is unbounded), ``strip``,
+    ``_dh_range``, ``polygon_ymax``, and the privileged polygon (zero
+    twisting, upward cut): ``polygon_vertices``, ``polygon_slice(x)`` and
+    ``hausdorff_budget`` (in multiples of hbar)."""
 
     kind: str
     r1: float = 1.0
@@ -106,13 +106,13 @@ class _SpinOscillator(ModelSpec):
     def _chain_bounds(self, k: int, ids):
         return np.maximum(0, -ids), 2 * k - 1
 
-    def _block(self, k: int, m: int) -> TridiagonalBlock:
+    def _block(self, k: int, m: int) -> tuple[np.ndarray, np.ndarray]:
         ls = self._chain(k, m)
         diag = np.zeros(len(ls))
         off = np.sqrt((ls[:-1] + m + 1) / k) * np.sqrt(
             (ls[:-1] + 1) * (2 * k - 1 - ls[:-1])
         ) / (2 * np.sqrt(2) * k)
-        return TridiagonalBlock(m, self.j_value(k, m), diag, off)
+        return diag, off
 
     def polygon_slice(self, x: float) -> tuple[float, float]:
         if x < -1.0:
@@ -183,7 +183,7 @@ class _CoupledAngularMomenta(ModelSpec):
         n1, n2 = self._dims(k)
         return np.maximum(0, ids - (n2 - 1)), np.minimum(n1 - 1, ids)
 
-    def _block(self, k: int, s: int) -> TridiagonalBlock:
+    def _block(self, k: int, s: int) -> tuple[np.ndarray, np.ndarray]:
         n1, n2 = self._dims(k)
         l1 = self._chain(k, s)
         l2 = s - l1
@@ -194,7 +194,7 @@ class _CoupledAngularMomenta(ModelSpec):
         off = pref * 2.0 / (n1 * n2) * np.sqrt(
             (l1[:-1] + 1) * (n1 - 1 - l1[:-1]) * l2[:-1] * (n2 - l2[:-1])
         )
-        return TridiagonalBlock(s, self.j_value(k, s), diag, off)
+        return diag, off
 
     def polygon_slice(self, x: float) -> tuple[float, float]:
         r1, r2 = self.r1, self.r2
@@ -204,33 +204,6 @@ class _CoupledAngularMomenta(ModelSpec):
 
 
 _KINDS = {SPIN_OSCILLATOR: _SpinOscillator, COUPLED_ANGULAR_MOMENTA: _CoupledAngularMomenta}
-
-
-@dataclass(frozen=True)
-class TridiagonalBlock:
-    block_id: int
-    j_value: float
-    diag: np.ndarray
-    offdiag: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.diag)
-
-    def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues; CommutatorViolation when two coincide,
-        since H must have a simple spectrum on each J-eigenspace."""
-        return self._simple(eigs_sym_tridiagonal(self.diag, self.offdiag))
-
-    def eigenvalue_window(self, lo: int, hi: int) -> np.ndarray:
-        """Eigenvalues number lo..hi (both included) of the ascending
-        spectrum, solved alone; CommutatorViolation as for ``eigenvalues``."""
-        return self._simple(eigs_in_window(self.diag, self.offdiag, lo, hi))
-
-    def _simple(self, ev: np.ndarray) -> np.ndarray:
-        if np.any(np.diff(ev) <= 0):
-            raise CommutatorViolation(f"non-simple spectrum in block {self.block_id}")
-        return ev
 
 
 @dataclass(frozen=True)
@@ -269,9 +242,10 @@ def _spectrum(k: int, columns, ylo: float = -np.inf, yhi: float = np.inf) -> Joi
 # block construction
 
 class BlockSequence(Sequence):
-    """The J-blocks of one window, in ascending block id.  ``sizes`` and
-    ``j_values`` hold the block dimensions and J eigenvalues in closed form;
-    a block's matrix is built only when the block is accessed."""
+    """The J-blocks of one window, in ascending block id.  Block i is
+    ``ids[i]``, of dimension ``sizes[i]`` and J eigenvalue ``j_values[i]``,
+    all in closed form; its matrix ``self[i] = (diag, offdiag)`` is built
+    only when it is accessed."""
 
     def __init__(self, model: ModelSpec, k: int, ids: range):
         self.model, self.k, self.ids = model, k, ids
@@ -284,6 +258,21 @@ class BlockSequence(Sequence):
 
     def __getitem__(self, i):
         return self.model._block(self.k, self.ids[i])
+
+    def eigenvalues(self, i: int) -> np.ndarray:
+        """Ascending eigenvalues of block i; CommutatorViolation when two
+        coincide, since H must have a simple spectrum on each J-eigenspace."""
+        return self._simple(i, eigs_sym_tridiagonal(*self[i]))
+
+    def eigenvalue_window(self, i: int, lo: int, hi: int) -> np.ndarray:
+        """Eigenvalues number lo..hi (both included) of block i's ascending
+        spectrum, solved alone; CommutatorViolation as for ``eigenvalues``."""
+        return self._simple(i, eigs_in_window(*self[i], lo, hi))
+
+    def _simple(self, i: int, ev: np.ndarray) -> np.ndarray:
+        if np.any(np.diff(ev) <= 0):
+            raise CommutatorViolation(f"non-simple spectrum in block {self.ids[i]}")
+        return ev
 
 
 def build_blocks(model: ModelSpec, k: int, j_window) -> BlockSequence:
@@ -311,7 +300,7 @@ def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> Join
             raise EmptyWindow(f"{model.kind} needs a finite window (J unbounded)")
         window = Rect(*model.j_range, -2.0, 2.0)
     blocks = build_blocks(model, k, (window.xmin, window.xmax))
-    columns = [(b.j_value, b.block_id, b.eigenvalues()) for b in blocks]
+    columns = zip(blocks.j_values, blocks.ids, map(blocks.eigenvalues, range(len(blocks))))
     return _spectrum(k, columns, window.ymin, window.ymax)
 
 

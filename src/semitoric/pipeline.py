@@ -72,9 +72,9 @@ class ModelCounter:
         if not (np.isfinite(ylo) or np.isfinite(yhi)):
             return int(blocks.sizes.sum())
         total = 0
-        for b in blocks:
-            n_hi = sturm_count_below(b.diag, b.offdiag, yhi) if np.isfinite(yhi) else b.size
-            n_lo = sturm_count_below(b.diag, b.offdiag, ylo) if np.isfinite(ylo) else 0
+        for diag, off in blocks:
+            n_hi = sturm_count_below(diag, off, yhi) if np.isfinite(yhi) else len(diag)
+            n_lo = sturm_count_below(diag, off, ylo) if np.isfinite(ylo) else 0
             total += n_hi - n_lo
         return total
 
@@ -101,7 +101,7 @@ class BlockSpectrum(LabelledSpectrum):
                          self._whole_column)
 
     def _whole_column(self, j: int):
-        ev = self._block(j).eigenvalues()
+        ev = self._blocks.eigenvalues(self._position(j))
         return np.arange(len(ev)), ev
 
     def _position(self, j: int) -> int:
@@ -109,18 +109,14 @@ class BlockSpectrum(LabelledSpectrum):
             raise MissingNeighbor(f"no column j={j}")
         return self._blocks.ids.index(self._sign * j)
 
-    def _block(self, j: int):
-        return self._blocks[self._position(j)]
-
     def _column(self, j: int) -> tuple[int, int]:
         return 0, int(self._blocks.sizes[self._position(j)])
 
     def _count_below(self, j: int, y: float) -> int:
-        b = self._block(j)
-        return sturm_count_below(b.diag, b.offdiag, y)
+        return sturm_count_below(*self._blocks[self._position(j)], y)
 
     def _heights(self, j: int, lo: int, hi: int) -> np.ndarray:
-        return self._block(j).eigenvalue_window(lo, hi - 1)
+        return self._blocks.eigenvalue_window(self._position(j), lo, hi - 1)
 
 
 def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:

@@ -11,7 +11,7 @@ import semitoric
 import semitoric.cli
 import semitoric.models
 import semitoric.pipeline
-from semitoric import SPIN_OSCILLATOR, ModelSpec
+from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec, Rect, joint_spectrum
 from semitoric.cli import main
 from semitoric.config import ProbeConfig
 from semitoric.errors import ConfigurationError
@@ -49,6 +49,32 @@ def test_label_csv(tmp_path):
     lines = (tmp_path / "labels_k5.csv").read_text().strip().split("\n")
     assert lines[0] == "k,x,y,j,l"
     assert len(lines) > 100
+
+
+@pytest.mark.parametrize("model", ["spin-oscillator", "coupled"])
+def test_spectrum_label_polygon_dh_run_on_both_models(tmp_path, model):
+    for command in ("spectrum", "label", "polygon", "dh"):
+        rc = main([command, "--model", model, "--k", "20", "--out", str(tmp_path / command)])
+        assert rc == 0, command
+
+
+@pytest.mark.parametrize("r1, r2, t, k, cut", [
+    (1.0, 2.5, 0.5, 20, 17),
+    (1.0, 2.5, 0.3, 20, 0),     # NoPeak: no focus-focus value is located
+    (1 / 3, 2 / 3, 0.5, 9, 0),  # states at k = 9, none at the locate stage's k = 200
+], ids=["cut", "no-peak", "off-locate-grid"])
+def test_label_leaves_out_the_cut_above_the_focus_focus_value(tmp_path, r1, r2, t, k, cut):
+    # the column transport would cross the cut, the focus-focus column
+    # x0 = r1 - r2 at and above y0; with no value located nothing is cut
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
+    rc = main(["label", "--model", "coupled", "--r1", repr(r1), "--r2", repr(r2),
+               "--t", repr(t), "--k", str(k), "--out", str(tmp_path)])
+    assert rc == 0
+    x = np.loadtxt(tmp_path / f"labels_k{k}.csv", delimiter=",", skiprows=1, usecols=1)
+    spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
+    x0 = r1 - r2
+    assert len(x) == len(spec) - cut
+    assert np.sum(np.abs(x - x0) < 1e-9) == np.sum(np.abs(spec.x - x0) < 1e-9) - cut > 0
 
 
 def test_bad_model_exits_2(tmp_path, capsys):

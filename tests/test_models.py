@@ -18,7 +18,9 @@ from semitoric import (
     spectrum_to_csv,
     spectrum_to_json,
 )
+from semitoric.cli import main
 from semitoric.errors import (
+    CommutatorViolation,
     ConfigurationError,
     DimensionMismatch,
     EmptyWindow,
@@ -34,17 +36,17 @@ COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
 def test_spin_k1_single_block():
     blocks = build_blocks(SPIN, 1, (0.9, 1.1))
     assert len(blocks) == 1
-    b = blocks[0]
-    assert b.size == 2 and b.j_value == pytest.approx(1.0)
+    diag, offdiag = blocks[0]
+    assert blocks.sizes[0] == len(diag) == 2 and blocks.j_values[0] == pytest.approx(1.0)
     # chain (n=0,l=0),(n=1,l=1): coupling 1/(2 sqrt 2)
-    assert b.offdiag == pytest.approx([1 / (2 * np.sqrt(2))])
-    assert b.eigenvalues() == pytest.approx([-0.3535533905932738, 0.3535533905932738])
+    assert offdiag == pytest.approx([1 / (2 * np.sqrt(2))])
+    assert blocks.eigenvalues(0) == pytest.approx([-0.3535533905932738, 0.3535533905932738])
 
 
 def test_coupled_t0_is_diagonal():
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.0)
-    for b in build_blocks(model, 2, (-3.5, 3.5)):
-        assert np.all(b.offdiag == 0.0)
+    for _, offdiag in build_blocks(model, 2, (-3.5, 3.5)):
+        assert np.all(offdiag == 0.0)
 
 
 def test_coupled_t0_constant_lines():
@@ -57,7 +59,7 @@ def test_coupled_t0_constant_lines():
 
 def test_coupled_total_dimension():
     blocks = build_blocks(COUPLED, 10, (-3.6, 3.6))
-    assert sum(b.size for b in blocks) == 20 * 50
+    assert sum(len(diag) for diag, _ in blocks) == 20 * 50
 
 
 def test_coupled_spectrum_bounds():
@@ -129,7 +131,7 @@ def test_closed_form_sizes_and_unbounded_count(mk, lo, width):
     except EmptyWindow:
         assert expected == 0
         return
-    assert blocks.sizes.tolist() == [b.size for b in blocks]
+    assert blocks.sizes.tolist() == [len(diag) for diag, _ in blocks]
 
 
 @settings(deadline=None, max_examples=500)
@@ -164,14 +166,14 @@ def test_sturm_counts_match_lapack(mk, lo, width, ylo, yhi):
     except EmptyWindow:
         return
     expected = 0
-    for b in blocks:
-        ev = b.eigenvalues()
+    for i, (diag, offdiag) in enumerate(blocks):
+        ev = blocks.eigenvalues(i)
         # no eigenvalue within rounding of a y edge
         assume(np.min(np.abs(ev[:, None] - [ylo, yhi])) > 1e-9)
         below = np.searchsorted(ev, [ylo, yhi])
         for y, n in zip((ylo, yhi), below):
             if np.isfinite(y):
-                assert sturm_count_below(b.diag, b.offdiag, y) == n
+                assert sturm_count_below(diag, offdiag, y) == n
         expected += int(below[1] - below[0])
     assert ModelCounter(model, [k]).count(k, xlo, xhi, ylo, yhi) == expected
 
@@ -236,16 +238,32 @@ def test_block_enumeration_order_independent():
     s2 = joint_spectrum(COUPLED, 3).as_array()
     assert np.array_equal(s1, s2)
     blocks = build_blocks(COUPLED, 3, (-3.6, 3.6))
-    ev_fwd = np.sort(np.concatenate([b.eigenvalues() for b in blocks]))
-    ev_rev = np.sort(np.concatenate([b.eigenvalues() for b in reversed(blocks)]))
+    order = range(len(blocks))
+    ev_fwd = np.sort(np.concatenate([blocks.eigenvalues(i) for i in order]))
+    ev_rev = np.sort(np.concatenate([blocks.eigenvalues(i) for i in reversed(order)]))
     assert np.abs(ev_fwd - ev_rev).max() < 1e-12
 
 
 def test_blocks_monotone_simple():
-    for b in build_blocks(COUPLED, 5, (-3.0, 3.0)):
-        ev = b.eigenvalues()
+    blocks = build_blocks(COUPLED, 5, (-3.0, 3.0))
+    for i in range(len(blocks)):
+        ev = blocks.eigenvalues(i)
         if len(ev) > 1:
             assert np.all(np.diff(ev) > 0)
+
+
+def test_a_repeated_eigenvalue_is_a_commutator_violation(monkeypatch, tmp_path, capsys):
+    # H has a simple spectrum on each J-eigenspace; a block with a double
+    # eigenvalue fails both solves, and the error names the block's id
+    monkeypatch.setattr(type(SPIN), "_block", lambda self, k, m: (np.zeros(2), np.zeros(1)))
+    blocks = build_blocks(SPIN, 2, (0.4, 1.6))
+    assert list(blocks.ids) == [-1, 0, 1]
+    with pytest.raises(CommutatorViolation, match="in block 1$"):
+        blocks.eigenvalues(2)
+    with pytest.raises(CommutatorViolation, match="in block -1$"):
+        blocks.eigenvalue_window(0, 0, 1)
+    assert main(["spectrum", "--k", "2", "--out", str(tmp_path)]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-simple spectrum in block -3\n"
 
 
 def test_dimension_mismatch():

@@ -144,8 +144,8 @@ def test_windowed_probes_equal_whole_ladder_probes(model, offsets, far_xs):
 
     def bisected(j):
         x = sp.column_x[j]
-        b, = build_blocks(model, sp.k, (x - 0.25 / sp.k, x + 0.25 / sp.k))
-        return np.arange(b.size), eigs_in_window(b.diag, b.offdiag, 0, b.size - 1)
+        (diag, offdiag), = build_blocks(model, sp.k, (x - 0.25 / sp.k, x + 0.25 / sp.k))
+        return np.arange(len(diag)), eigs_in_window(diag, offdiag, 0, len(diag) - 1)
 
     by_bisection = LabelledSpectrum(sp.k, sp.column_x, bisected)
     by_full_solve = LabelledSpectrum(sp.k, sp.column_x, sp.ladder)
