@@ -27,8 +27,6 @@ from .models import (
     ModelSpec,
     build_blocks,
     joint_spectrum,
-    spectrum_to_csv,
-    spectrum_to_json,
 )
 from .tridiag import eigs_in_window, eigs_sym_tridiagonal, sturm_count_below
 

@@ -18,7 +18,6 @@ import numpy as np
 from .config import RunConfig
 from .errors import (
     ConfigurationError,
-    DimensionMismatch,
     LabellingError,
     NoPeak,
     NumericalFailure,
@@ -38,11 +37,10 @@ from .models import (
     SPIN_OSCILLATOR,
     ModelSpec,
     joint_spectrum,
-    spectrum_to_csv,
-    spectrum_to_json,
 )
 from .pipeline import (
     ModelCounter,
+    build_probe_family,
     detect_kinks,
     dh_profile,
     locate_critical_values,
@@ -113,47 +111,48 @@ def _write(path: Path, text: str) -> None:
     print(f"wrote {path}")
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """One CSV line per row: a float (numpy's float64 is one) at full
+    precision (.17g), any other value as its text."""
+    lines = [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+             for row in rows]
+    _write(path, "\n".join([header, *lines]) + "\n")
+
+
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args) -> int:
-    cfg = _config_from_args(args)
-    model = _model(cfg)
-    out = _outdir(cfg)
+def cmd_spectrum(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     for k in cfg.probes.k_list:
         spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
-        _write(out / f"spectrum_k{k}.csv", spectrum_to_csv(spec))
-        _write(out / f"spectrum_k{k}.json", spectrum_to_json(spec))
+        rows = list(zip(spec.x.tolist(), spec.y.tolist(), spec.block.tolist(), spec.idx.tolist()))
+        _write_csv(out / f"spectrum_k{k}.csv", "k,x,y,block,idx", [(k, *r) for r in rows])
+        _write(out / f"spectrum_k{k}.json", json.dumps({
+            "k": k,
+            "points": [{"x": x, "y": y, "block": b, "idx": i} for x, y, b, i in rows],
+        }, indent=2))
     return 0
 
 
-def cmd_label(args) -> int:
-    cfg = _config_from_args(args)
-    model = _model(cfg)
-    out = _outdir(cfg)
+def cmd_label(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     # leave out the cut, the located focus-focus column at and above y0,
-    # which no column transport crosses.  With no value located (NoPeak, or
-    # radii off the grid of the locate stage's k), nan cuts nothing.
+    # which no column transport crosses; with no value located, nan cuts nothing
     try:
-        (x0, y0), _ = locate_critical_values(model)
-    except (NoPeak, DimensionMismatch):
+        family = build_probe_family(model, cfg.probes.k_list[:1])
+        (x0, y0), _ = locate_critical_values(model, family)
+    except NoPeak:
         x0 = y0 = np.nan
     for k in cfg.probes.k_list:
         pts = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6)).as_array()
         cut = (np.abs(pts[:, 0] - x0) < 0.5 / k) & (pts[:, 1] >= y0)
         cloud = PointCloud(k, pts[~cut])
         pts, labs, _ = label_semitoric(cloud, seed_x=model.strip[1]).arrays(cloud)
-        lines = ["k,x,y,j,l"]
         order = np.lexsort((pts[:, 1], pts[:, 0]))
-        for i in order:
-            lines.append(f"{k},{pts[i,0]:.17g},{pts[i,1]:.17g},{labs[i,0]},{labs[i,1]}")
-        _write(out / f"labels_k{k}.csv", "\n".join(lines) + "\n")
+        _write_csv(out / f"labels_k{k}.csv", "k,x,y,j,l",
+                   ((k, *pts[i].tolist(), *labs[i].tolist()) for i in order))
     return 0
 
 
-def cmd_invariants(args) -> int:
-    cfg = _config_from_args(args)
-    model = _model(cfg)
-    out = _outdir(cfg)
+def cmd_invariants(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     report = recover_all(model, cfg.probes)
     _write(out / "invariants.json", json.dumps(report, indent=2, sort_keys=True))
     _write_figures(out, model, report)
@@ -166,24 +165,17 @@ def _write_figures(out: Path, model: ModelSpec, report: dict) -> None:
     ref = reference_invariants(model) or {}
     per_k = report["diagnostics"]["per_k"]
     for name, ref_key in FIGURES:
-        theory = ref.get(ref_key)
-        lines = ["abscissa,estimate,theory"]
-        for k, est in zip(per_k["k"], per_k[name]):
-            lines.append(f"{k},{est:.17g},{'' if theory is None else format(theory, '.17g')}")
-        _write(out / f"fig_{name}.csv", "\n".join(lines) + "\n")
+        theory = ref.get(ref_key, "")
+        _write_csv(out / f"fig_{name}.csv", "abscissa,estimate,theory",
+                   ((k, est, theory) for k, est in zip(per_k["k"], per_k[name])))
 
 
-def cmd_polygon(args) -> int:
-    cfg = _config_from_args(args)
-    model = _model(cfg)
-    out = _outdir(cfg)
+def cmd_polygon(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
     est = polygon_run(model, k)
     dist, shift, vert_err = polygon_reference_distance(model, est, k)
-    lines = ["u,v"]
-    for u, v in est.cloud[np.lexsort((est.cloud[:, 1], est.cloud[:, 0]))]:
-        lines.append(f"{u:.17g},{v:.17g}")
-    _write(out / f"polygon_cloud_k{k}.csv", "\n".join(lines) + "\n")
+    _write_csv(out / f"polygon_cloud_k{k}.csv", "u,v",
+               est.cloud[np.lexsort((est.cloud[:, 1], est.cloud[:, 0]))].tolist())
     _write(out / "polygon_report.json", json.dumps({
         "k": k,
         "hausdorff_to_reference": dist,
@@ -195,27 +187,20 @@ def cmd_polygon(args) -> int:
     return 0
 
 
-def cmd_dh(args) -> int:
-    cfg = _config_from_args(args)
-    model = _model(cfg)
-    out = _outdir(cfg)
+def cmd_dh(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
     delta = args.delta if args.delta is not None else 0.25
     counter = ModelCounter(model, [k])
     profile = dh_profile(counter, k, delta, model.dh_grid)
     kinks = detect_kinks(profile)
-    lines = ["abscissa,estimate,theory"]
-    for xx, val in profile:
-        lines.append(f"{xx:.17g},{val:.17g},{reference_rho(model, xx):.17g}")
-    _write(out / f"dh_profile_k{k}.csv", "\n".join(lines) + "\n")
+    _write_csv(out / f"dh_profile_k{k}.csv", "abscissa,estimate,theory",
+               ((xx, val, reference_rho(model, xx)) for xx, val in profile))
     _write(out / "dh_report.json", json.dumps(
         {"k": k, "delta": delta, "kinks": kinks}, indent=2))
     return 0
 
 
-def cmd_synth(args) -> int:
-    cfg = _config_from_args(args)
-    out = _outdir(cfg)
+def cmd_synth(args, cfg: RunConfig, model: None, out: Path) -> int:
     rng = np.random.default_rng(cfg.seed)
     from .testing import random_chart  # deterministic chart generator
 
@@ -227,12 +212,9 @@ def cmd_synth(args) -> int:
     else:
         basis = select_affine_basis(cloud, np.mean(cloud.points, axis=0))
         lab = label_regular(cloud, basis)
-    lines = ["k,x,y,j,l,true_j,true_l"]
-    for i, (j, l) in sorted(lab.assignment.items()):
-        x, y = cloud.points[i]
-        tj, tl = cloud.true_labels[i]
-        lines.append(f"{k},{x:.17g},{y:.17g},{j},{l},{tj},{tl}")
-    _write(out / f"synth_k{k}.csv", "\n".join(lines) + "\n")
+    _write_csv(out / f"synth_k{k}.csv", "k,x,y,j,l,true_j,true_l",
+               ((k, *cloud.points[i].tolist(), j, l, *cloud.true_labels[i])
+                for i, (j, l) in sorted(lab.assignment.items())))
     return 0
 
 
@@ -246,20 +228,23 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("spectrum", cmd_spectrum), ("label", cmd_label),
                      ("invariants", cmd_invariants), ("polygon", cmd_polygon),
                      ("dh", cmd_dh), ("synth", cmd_synth)):
+        # each command takes only the flags it reads
         q = sub.add_parser(name)
         q.set_defaults(func=fn)
-        q.add_argument("--model", default=None, choices=sorted(MODEL_NAMES))
-        q.add_argument("--r1", type=float, default=None)
-        q.add_argument("--r2", type=float, default=None)
-        q.add_argument("--t", type=float, default=None)
+        if name != "synth":
+            q.add_argument("--model", default=None, choices=sorted(MODEL_NAMES))
+            q.add_argument("--r1", type=float, default=None)
+            q.add_argument("--r2", type=float, default=None)
+            q.add_argument("--t", type=float, default=None)
         q.add_argument("--k", type=int, action="append",
                        help="k value; repeat for a schedule")
         q.add_argument("--k-max", type=int, default=None)
-        q.add_argument("--x", type=float, action="append",
-                       help="probe offset; repeat for a schedule")
-        q.add_argument("--mu", type=float, default=None)
         q.add_argument("--out", default=None)
         q.add_argument("--config", default=None, help="JSON RunConfig file")
+        if name == "invariants":
+            q.add_argument("--x", type=float, action="append",
+                           help="probe offset; repeat for a schedule")
+            q.add_argument("--mu", type=float, default=None)
         if name == "dh":
             q.add_argument("--delta", type=float, default=None,
                            help="strip half-width exponent, in (0, 1/2); default 0.25")
@@ -271,7 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = _config_from_args(args)
+        model = None if args.command == "synth" else _model(cfg)
+        return args.func(args, cfg, model, _outdir(cfg))
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

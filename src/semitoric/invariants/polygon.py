@@ -106,5 +106,6 @@ def sample_polygon_region(model: ModelSpec, strip, step: float) -> np.ndarray:
     for x in np.arange(strip[0], strip[1] + 1e-12, step):
         lo, hi = model.polygon_slice(x)
         if hi >= lo:
-            out.extend((x, y) for y in np.arange(lo, hi + 1e-12, step))
-    return np.array(out)
+            ys = np.arange(lo, hi + 1e-12, step)
+            out.append(np.column_stack((np.full(len(ys), x), ys)))
+    return np.concatenate(out) if out else np.array([])

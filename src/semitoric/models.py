@@ -9,7 +9,6 @@ affine in the block id with slope +-hbar, hbar = 1/k.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -32,8 +31,6 @@ __all__ = [
     "JointSpectrum",
     "build_blocks",
     "joint_spectrum",
-    "spectrum_to_csv",
-    "spectrum_to_json",
 ]
 
 
@@ -303,25 +300,3 @@ def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> Join
     columns = zip(blocks.j_values, blocks.ids, map(blocks.eigenvalues, range(len(blocks))))
     return _spectrum(k, columns, window.ymin, window.ymax)
 
-
-# ---------------------------------------------------------------------------
-# export
-
-def _rows(spec: JointSpectrum):
-    return zip(spec.x.tolist(), spec.y.tolist(), spec.block.tolist(), spec.idx.tolist())
-
-
-def spectrum_to_csv(spec: JointSpectrum) -> str:
-    lines = ["k,x,y,block,idx"]
-    lines += [f"{spec.k},{x:.17g},{y:.17g},{b},{i}" for x, y, b, i in _rows(spec)]
-    return "\n".join(lines) + "\n"
-
-
-def spectrum_to_json(spec: JointSpectrum) -> str:
-    return json.dumps(
-        {
-            "k": spec.k,
-            "points": [{"x": x, "y": y, "block": b, "idx": i} for x, y, b, i in _rows(spec)],
-        },
-        indent=2,
-    )

@@ -128,9 +128,11 @@ def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
     return {k: BlockSpectrum(build_blocks(model, k, (grid[0], grid[-1]))) for k in ks}
 
 
-def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum] | None = None):
-    """DH kinks -> candidate columns -> spacing-peak classification, at
-    k = 200, read from the k = 200 spectrum of ``family`` when it holds one.
+def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum]):
+    """DH kinks -> candidate columns -> spacing-peak classification, at the
+    smallest multiple of the family's smallest k that is at least 200, read
+    from that k's spectrum of ``family`` when it holds one.  A multiple of a
+    k whose dimensions were checked is on the radii's 1/(2k) grid.
     The column sizes are exact integers and the DH density is piecewise
     linear, so its kinks are the columns where the sizes' second difference
     is nonzero.
@@ -144,8 +146,8 @@ def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum]
 
     Returns (focus (x0, y0), other kink abscissae).
     """
-    family = family or {}
-    k_locate = 200
+    k0 = min(family)
+    k_locate = k0 * -(-200 // k0)
     grid = model.dh_grid
     blocks = build_blocks(model, k_locate, (grid[0], grid[-1]))
     kinks = sorted(blocks.j_values[1:-1][np.diff(blocks.sizes, 2) != 0].tolist())
@@ -307,7 +309,7 @@ def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
     strip = model.strip
     h = 1.0 / k
     eps = max(3 * h, 0.35 * np.sqrt(h))
-    origin, corner_xs = locate_critical_values(model)
+    origin, corner_xs = locate_critical_values(model, build_probe_family(model, [k]))
     x0, y0 = origin
     window = Rect(strip[0], strip[1], -model.polygon_ymax, model.polygon_ymax)
     spec = joint_spectrum(model, k, window)

@@ -61,11 +61,15 @@ def test_spectrum_label_polygon_dh_run_on_both_models(tmp_path, model):
 @pytest.mark.parametrize("r1, r2, t, k, cut", [
     (1.0, 2.5, 0.5, 20, 17),
     (1.0, 2.5, 0.3, 20, 0),     # NoPeak: no focus-focus value is located
-    (1 / 3, 2 / 3, 0.5, 9, 0),  # states at k = 9, none at the locate stage's k = 200
-], ids=["cut", "no-peak", "off-locate-grid"])
+    # radii with no states at k = 200: the locate stage reads k = 207 and 210
+    (1 / 3, 2 / 3, 0.5, 9, 2),
+    (2 / 3, 5 / 3, 0.5, 30, 17),
+], ids=["cut", "no-peak", "k9-locates-at-207", "k30-locates-at-210"])
 def test_label_leaves_out_the_cut_above_the_focus_focus_value(tmp_path, r1, r2, t, k, cut):
     # the column transport would cross the cut, the focus-focus column
-    # x0 = r1 - r2 at and above y0; with no value located nothing is cut
+    # x0 = r1 - r2 at and above y0; with no value located nothing is cut.
+    # The locate stage works at the smallest multiple of the smallest k
+    # that is at least 200, on the grid of every radius the run accepts
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
     rc = main(["label", "--model", "coupled", "--r1", repr(r1), "--r2", repr(r2),
                "--t", repr(t), "--k", str(k), "--out", str(tmp_path)])
@@ -77,6 +81,23 @@ def test_label_leaves_out_the_cut_above_the_focus_focus_value(tmp_path, r1, r2, 
     assert np.sum(np.abs(x - x0) < 1e-9) == np.sum(np.abs(spec.x - x0) < 1e-9) - cut > 0
 
 
+R23 = ["--model", "coupled", "--r1", repr(2 / 3), "--r2", repr(5 / 3)]
+
+
+def test_polygon_and_invariants_locate_on_the_grid_of_the_smallest_k(tmp_path):
+    # r1 = 2/3 has no states at k = 200 (2 k r1 = 266.67); these runs used
+    # to exit 2 over a k their schedule never held
+    rc = main(["polygon", *R23, "--k", "30", "--out", str(tmp_path / "p")])
+    assert rc == 0
+    report = json.loads((tmp_path / "p" / "polygon_report.json").read_text())
+    assert report["hausdorff_to_reference"] <= report["hausdorff_budget"]
+    rc = main(["invariants", *R23, "--k", "150", "--k", "300", "--k", "450",
+               "--out", str(tmp_path / "i")])
+    assert rc == 0
+    report = json.loads((tmp_path / "i" / "invariants.json").read_text())
+    assert report["focus_focus"][0] == -1.0
+
+
 def test_bad_model_exits_2(tmp_path, capsys):
     rc = main(["spectrum", "--model", "coupled", "--r2", "2.5", "--r1", "3.0",
                "--out", str(tmp_path)])
@@ -84,7 +105,7 @@ def test_bad_model_exits_2(tmp_path, capsys):
 
 
 def test_bad_schedule_exits_2(tmp_path):
-    rc = main(["spectrum", "--model", "coupled", "--x", "0.02", "--x", "0.02",
+    rc = main(["invariants", "--model", "coupled", "--x", "0.02", "--x", "0.02",
                "--out", str(tmp_path)])
     assert rc == 2
 
@@ -164,7 +185,9 @@ def test_k_below_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, comma
 
     monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
     flags = [arg for k in ks for arg in ("--k", k)]
-    rc = main([command, "--model", "coupled", *flags, "--out", str(tmp_path)])
+    if command != "synth":
+        flags += ["--model", "coupled"]
+    rc = main([command, *flags, "--out", str(tmp_path)])
     assert rc == 2
     assert "k values must be at least 1" in capsys.readouterr().err
 
@@ -334,11 +357,23 @@ def test_k_max_below_every_k_exits_2(tmp_path, monkeypatch, k_max):
     assert rc == 2 and counts == []
 
 
-def test_delta_flag_is_dh_only(tmp_path):
+@pytest.mark.parametrize("argv", [
     # the height comes from the critical column, so only the DH strips
     # take a width exponent
+    ["invariants", "--delta", "0.3"],
+    ["spectrum", "--x", "0.02"],
+    ["label", "--mu", "2"],
+    ["polygon", "--x", "0.02"],
+    ["dh", "--mu", "2"],
+    # a synthetic chart is no model system
+    ["synth", "--model", "coupled"],
+    ["synth", "--r1", "1"],
+], ids=["invariants-delta", "spectrum-x", "label-mu", "polygon-x", "dh-mu", "synth-model",
+        "synth-r1"])
+def test_a_command_refuses_a_flag_it_does_not_read(tmp_path, argv):
+    # a flag a command would ignore is a usage error, not a silent no-op
     with pytest.raises(SystemExit) as exc:
-        main(["invariants", "--delta", "0.3", "--out", str(tmp_path)])
+        main([*argv, "--out", str(tmp_path)])
     assert exc.value.code == 2
 
 

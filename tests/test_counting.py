@@ -196,10 +196,11 @@ def test_locate_focus_focus_stops_at_the_first_peak():
 def test_located_ordinate_is_the_k200_refinement(model):
     # one formula for the focus-focus ordinate: the locate stage at k = 200
     # reads the same smallest-gap midpoint as the probe family's k = 200
-    # critical column, with or without a family to read it from
+    # critical column, whether the family holds that spectrum or not
     family = build_probe_family(model, [200])
     origin, _ = locate_critical_values(model, family)
-    assert family[200].origin == origin == locate_critical_values(model)[0]
+    assert family[200].origin == origin == locate_critical_values(
+        model, build_probe_family(model, [100]))[0]
 
 
 RADII = [(1.0, 2.5), (0.5, 1.5), (1.0, 2.0)]
@@ -213,7 +214,7 @@ def test_dh_kinks_exclude_the_grid_ends(model):
     # J = r1 - r2, r2 - r1 for coupled angular momenta; the paper's strip
     # route finds them to its resolution and reports no grid end (spin
     # -0.89 and coupled +-3.38 used to be)
-    origin, others = locate_critical_values(model)
+    origin, others = locate_critical_values(model, build_probe_family(model, [200]))
     kinks = sorted([origin[0], *others])
     if model.kind == SPIN_OSCILLATOR:
         assert kinks == [1.0]
@@ -237,5 +238,6 @@ def test_locate_focus_focus_no_peak():
     # at (1/2, 3/2, 0.75) the critical column x0 = r1 - r2 = -1 shows no
     # qualifying peak at k = 200; a scan of neighbouring columns used to
     # return x0 = -0.99 instead, two columns off
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.75)
     with pytest.raises(NoPeak):
-        locate_critical_values(ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.75))
+        locate_critical_values(model, build_probe_family(model, [200]))

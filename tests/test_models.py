@@ -15,8 +15,6 @@ from semitoric import (
     Rect,
     build_blocks,
     joint_spectrum,
-    spectrum_to_csv,
-    spectrum_to_json,
 )
 from semitoric.cli import main
 from semitoric.errors import (
@@ -306,13 +304,14 @@ def test_a_model_is_its_kinds_subclass_with_value_semantics():
         dataclasses.replace(COUPLED, t=2.0)
 
 
-def test_exports():
-    spec = joint_spectrum(COUPLED, 2)
-    csv = spectrum_to_csv(spec)
-    lines = csv.strip().split("\n")
+def test_exports(tmp_path):
+    # the files of `semitoric spectrum`, read against the spectrum they hold
+    assert main(["spectrum", "--model", "coupled", "--k", "2", "--out", str(tmp_path)]) == 0
+    spec = joint_spectrum(COUPLED, 2, Rect(*COUPLED.strip, -2.6, 2.6))
+    lines = (tmp_path / "spectrum_k2.csv").read_text().strip().split("\n")
     assert lines[0] == "k,x,y,block,idx"
     assert len(lines) == len(spec) + 1
-    data = json.loads(spectrum_to_json(spec))
+    data = json.loads((tmp_path / "spectrum_k2.json").read_text())
     assert data["k"] == 2 and len(data["points"]) == len(spec)
     # round trip at full precision
     x0 = float(lines[1].split(",")[1])
