@@ -40,7 +40,6 @@ from .models import (
 )
 from .pipeline import (
     ModelCounter,
-    build_probe_family,
     detect_kinks,
     dh_profile,
     locate_critical_values,
@@ -137,8 +136,7 @@ def cmd_label(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     # leave out the cut, the located focus-focus column at and above y0,
     # which no column transport crosses; with no value located, nan cuts nothing
     try:
-        family = build_probe_family(model, cfg.probes.k_list[:1])
-        (x0, y0), _ = locate_critical_values(model, family)
+        (x0, y0), _ = locate_critical_values(model, cfg.probes.k_list[0])
     except NoPeak:
         x0 = y0 = np.nan
     for k in cfg.probes.k_list:

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import (
     AmbiguousNeighbor,
     CocycleViolation,
+    ConfigurationError,
     Disconnected,
     EmptyStrip,
     Inconsistent,
@@ -104,10 +105,14 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """Synthetic ground-truth chart G_hbar = g0 + hbar*g1 on a rectangle."""
+    """Synthetic ground-truth chart G_hbar = g0 + hbar*g1 on a rectangle.
 
-    g0: object                  # callable (2,) -> (2,)
-    g1: object
+    g0 and g1 map an array of points, shape (..., 2), to their images of
+    the same shape: one (2,) point or the whole (n, 2) label grid.
+    """
+
+    g0: object                  # callable (..., 2) -> (..., 2)
+    g1: object                  # callable (..., 2) -> (..., 2)
     domain: Rect
     half: bool = False
 
@@ -116,7 +121,7 @@ class ChartSpec:
         grid = 25
         xs = np.linspace(self.domain.xmin, self.domain.xmax, grid)
         ys = np.linspace(self.domain.ymin, self.domain.ymax, grid)
-        pts = np.array([self.g0(np.array([x, y])) for x in xs for y in ys])
+        pts = self.g0(np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2))
         d, _ = _kdtree(pts).query(pts, k=2)
         cell = max(
             (self.domain.xmax - self.domain.xmin) / (grid - 1),
@@ -129,7 +134,9 @@ class ChartSpec:
 def synth_lattice(chart: ChartSpec, k: int) -> PointCloud:
     """Image of hbar*Z^2 (or hbar*(Z x N) if half) under g0 + hbar*g1.
 
-    True labels are retained on the cloud for test assertions.
+    g0 and g1 are called once each, on the (n, 2) array of the label
+    points kept in the domain; each must return shape (n, 2).  True labels
+    are retained on the cloud for test assertions.
     """
     h = 1.0 / k
     dom = chart.domain
@@ -142,9 +149,12 @@ def synth_lattice(chart: ChartSpec, k: int) -> PointCloud:
     xis = labels * h
     keep = dom.contains(xis)
     labels, xis = labels[keep], xis[keep]
-    # the chart maps one (2,) point at a time, so g0 and g1 stay per point
-    pts = [np.asarray(chart.g0(xi), float) + h * np.asarray(chart.g1(xi), float) for xi in xis]
-    cloud = PointCloud(k, np.array(pts), labels)
+    g0, g1 = np.asarray(chart.g0(xis), float), np.asarray(chart.g1(xis), float)
+    if g0.shape != xis.shape or g1.shape != xis.shape:
+        raise ConfigurationError(
+            f"a chart maps an (n, 2) array of points to shape (n, 2): on {xis.shape} "
+            f"g0 returned {g0.shape} and g1 {g1.shape}")
+    cloud = PointCloud(k, g0 + h * g1, labels)
     cloud.check_separation()
     return cloud
 

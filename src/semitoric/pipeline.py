@@ -128,25 +128,28 @@ def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
     return {k: BlockSpectrum(build_blocks(model, k, (grid[0], grid[-1]))) for k in ks}
 
 
-def locate_critical_values(model: ModelSpec, family: dict[int, LabelledSpectrum]):
+def locate_critical_values(model: ModelSpec, k0: int,
+                           family: dict[int, LabelledSpectrum] | None = None):
     """DH kinks -> candidate columns -> spacing-peak classification, at the
-    smallest multiple of the family's smallest k that is at least 200, read
-    from that k's spectrum of ``family`` when it holds one.  A multiple of a
-    k whose dimensions were checked is on the radii's 1/(2k) grid.
+    smallest multiple of k0 that is at least 200, read from that k's
+    spectrum of ``family`` when it holds one.  k0's dimensions are checked
+    first, and a multiple of it is then on the radii's 1/(2k) grid.
     The column sizes are exact integers and the DH density is piecewise
     linear, so its kinks are the columns where the sizes' second difference
     is nonzero.
 
     Each spectrum of ``family`` then gets its .origin, that k's focus-focus
     value: the critical column's abscissa and the smallest-gap midpoint of
-    its ladder.  Probes measure offsets from it, and a1 responds to an
-    ordinate error like e2/(2 pi x), so the error must shrink like hbar for
-    the extrapolations to converge: the one-off located ordinate would
-    leave a floor.
+    its ladder, which solves that column whole.  Probes measure offsets
+    from it, and a1 responds to an ordinate error like e2/(2 pi x), so the
+    error must shrink like hbar for the extrapolations to converge: the
+    one-off located ordinate would leave a floor.  Only the probes read
+    origins, so a caller that reads the focus alone passes no family.
 
     Returns (focus (x0, y0), other kink abscissae).
     """
-    k0 = min(family)
+    model.check_dimensions(k0)
+    family = family or {}
     k_locate = k0 * -(-200 // k0)
     grid = model.dh_grid
     blocks = build_blocks(model, k_locate, (grid[0], grid[-1]))
@@ -186,7 +189,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     probes.validate()
     _check_column_resolution(probes)
     family = build_probe_family(model, probes.k_list)
-    origin, other_kinks = locate_critical_values(model, family)
+    origin, other_kinks = locate_critical_values(model, min(family), family)
 
     # the gradient is read at the smallest offset, the last of the
     # decreasing schedule; the figures show the per-k samples there
@@ -309,7 +312,7 @@ def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
     strip = model.strip
     h = 1.0 / k
     eps = max(3 * h, 0.35 * np.sqrt(h))
-    origin, corner_xs = locate_critical_values(model, build_probe_family(model, [k]))
+    origin, corner_xs = locate_critical_values(model, k)
     x0, y0 = origin
     window = Rect(strip[0], strip[1], -model.polygon_ymax, model.polygon_ymax)
     spec = joint_spectrum(model, k, window)

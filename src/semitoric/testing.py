@@ -32,14 +32,12 @@ _COMMUTATOR = 1e-10    # dense-oracle [J,H] bound on interior states
 
 def _jacobian_margin(g0, dom: Rect) -> float:
     eps = 1e-6
-    dets = []
-    for x in np.linspace(dom.xmin, dom.xmax, _MARGIN_GRID):
-        for y in np.linspace(dom.ymin, dom.ymax, _MARGIN_GRID):
-            p = np.array([x, y])
-            dx = (np.asarray(g0(p + [eps, 0])) - np.asarray(g0(p - [eps, 0]))) / (2 * eps)
-            dy = (np.asarray(g0(p + [0, eps])) - np.asarray(g0(p - [0, eps]))) / (2 * eps)
-            dets.append(dx[0] * dy[1] - dx[1] * dy[0])
-    return float(np.min(dets))
+    xs = np.linspace(dom.xmin, dom.xmax, _MARGIN_GRID)
+    ys = np.linspace(dom.ymin, dom.ymax, _MARGIN_GRID)
+    p = np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    dx = (np.asarray(g0(p + [eps, 0])) - np.asarray(g0(p - [eps, 0]))) / (2 * eps)
+    dy = (np.asarray(g0(p + [0, eps])) - np.asarray(g0(p - [0, eps]))) / (2 * eps)
+    return float(np.min(dx[:, 0] * dy[:, 1] - dx[:, 1] * dy[:, 0]))
 
 
 def random_chart(rng: np.random.Generator, half: bool = False) -> ChartSpec:
@@ -47,7 +45,10 @@ def random_chart(rng: np.random.Generator, half: bool = False) -> ChartSpec:
 
     Half charts keep the semitoric structure (first component is xi_1 up to
     a constant and a mild shear) so they model spectra near an elliptic
-    line; regular charts get a full random linear part.
+    line; regular charts get a full random linear part.  Both g0 and g1
+    map points along the last axis, so one call maps one (2,) point or a
+    whole (n, 2) grid; the linear part is a stacked matmul, which gives
+    each point the bits of its own ``L @ xi``.
     """
     dom = _HALF_DOMAIN if half else _DOMAIN
     for _ in range(200):
@@ -58,21 +59,22 @@ def random_chart(rng: np.random.Generator, half: bool = False) -> ChartSpec:
             scale = rng.uniform(0.7, 1.4)
 
             def g0(xi, a=a, shift=shift, n=n_shear, s=scale):
-                return np.array([
-                    xi[0] + shift[0],
-                    s * xi[1] + n * xi[0] + a[0] * xi[0] ** 2
-                    + a[1] * xi[0] * xi[1] + a[2] * xi[1] ** 2 + shift[1],
-                ])
+                x, y = xi[..., 0], xi[..., 1]
+                return np.stack([
+                    x + shift[0],
+                    s * y + n * x + a[0] * x ** 2 + a[1] * x * y + a[2] * y ** 2 + shift[1],
+                ], axis=-1)
         else:
             L = rng.uniform(-1.0, 1.0, (2, 2))
             L[0, 0] += 1.5
             L[1, 1] += 1.5
 
             def g0(xi, L=L, a=a, shift=shift):
-                return L @ xi + shift + np.array([
-                    a[0] * xi[0] ** 2 + a[1] * xi[1] ** 2 + a[2] * np.sin(2 * xi[0]),
-                    a[3] * xi[0] * xi[1] + a[4] * xi[1] ** 2 + a[5] * np.sin(2 * xi[1]),
-                ])
+                x, y = xi[..., 0], xi[..., 1]
+                return np.matmul(L, xi[..., None])[..., 0] + shift + np.stack([
+                    a[0] * x ** 2 + a[1] * y ** 2 + a[2] * np.sin(2 * x),
+                    a[3] * x * y + a[4] * y ** 2 + a[5] * np.sin(2 * y),
+                ], axis=-1)
         if _jacobian_margin(g0, dom) < _MIN_DET:
             continue
         g1_vec = rng.uniform(-0.3, 0.3, 2)
@@ -81,7 +83,7 @@ def random_chart(rng: np.random.Generator, half: bool = False) -> ChartSpec:
             g1_vec[0] = 0.0
 
         def g1(xi, v=g1_vec):
-            return v
+            return np.broadcast_to(v, np.shape(xi))
 
         chart = ChartSpec(g0, g1, dom, half=half)
         chart.check_injective()

@@ -236,7 +236,7 @@ def test_criterion_7_polygon():
 def located_family(model, ks):
     """The probe family of ks with each k's origin set by the locate stage."""
     family = build_probe_family(model, ks)
-    locate_critical_values(model, family)
+    locate_critical_values(model, min(ks), family)
     return family
 
 

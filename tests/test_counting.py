@@ -10,7 +10,7 @@ from semitoric.invariants import (
     height_invariant,
     locate_focus_focus,
 )
-from semitoric.models import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
+from semitoric.models import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, BlockSequence, ModelSpec
 from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
@@ -118,7 +118,7 @@ def test_column_height_matches_strip_count(r1, r2, t):
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
     ks = [100, 200, 300, 400, 500]
     family = build_probe_family(model, ks)
-    origin, _ = locate_critical_values(model, family)
+    origin, _ = locate_critical_values(model, min(ks), family)
     column, info = column_height(family)
     counter = ModelCounter(model, ks)
     sturm = []
@@ -198,9 +198,26 @@ def test_located_ordinate_is_the_k200_refinement(model):
     # reads the same smallest-gap midpoint as the probe family's k = 200
     # critical column, whether the family holds that spectrum or not
     family = build_probe_family(model, [200])
-    origin, _ = locate_critical_values(model, family)
-    assert family[200].origin == origin == locate_critical_values(
-        model, build_probe_family(model, [100]))[0]
+    origin, _ = locate_critical_values(model, 200, family)
+    assert family[200].origin == origin == locate_critical_values(model, 100)[0]
+
+
+def test_locate_without_a_family_solves_no_origin_column(monkeypatch):
+    # polygon and label read the focus alone: the only whole columns solved
+    # are the locate stage's, at k = 200, and none at the caller's k = 20
+    solved = []
+    eigenvalues = BlockSequence.eigenvalues
+
+    def recorded(self, i):
+        solved.append(self.k)
+        return eigenvalues(self, i)
+
+    monkeypatch.setattr(BlockSequence, "eigenvalues", recorded)
+    locate_critical_values(COUPLED, 20)
+    assert solved and set(solved) == {200}
+    family = build_probe_family(COUPLED, [20])
+    locate_critical_values(COUPLED, 20, family)
+    assert solved.count(20) == 1 and family[20].origin is not None
 
 
 RADII = [(1.0, 2.5), (0.5, 1.5), (1.0, 2.0)]
@@ -214,7 +231,7 @@ def test_dh_kinks_exclude_the_grid_ends(model):
     # J = r1 - r2, r2 - r1 for coupled angular momenta; the paper's strip
     # route finds them to its resolution and reports no grid end (spin
     # -0.89 and coupled +-3.38 used to be)
-    origin, others = locate_critical_values(model, build_probe_family(model, [200]))
+    origin, others = locate_critical_values(model, 200)
     kinks = sorted([origin[0], *others])
     if model.kind == SPIN_OSCILLATOR:
         assert kinks == [1.0]
@@ -240,4 +257,4 @@ def test_locate_focus_focus_no_peak():
     # return x0 = -0.99 instead, two columns off
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.75)
     with pytest.raises(NoPeak):
-        locate_critical_values(model, build_probe_family(model, [200]))
+        locate_critical_values(model, 200)

@@ -9,6 +9,7 @@ from semitoric import Rect
 from semitoric.errors import (
     AmbiguousNeighbor,
     CocycleViolation,
+    ConfigurationError,
     Disconnected,
     EmptyStrip,
     Inconsistent,
@@ -36,9 +37,10 @@ from semitoric.lattice import (
 )
 from semitoric.testing import random_chart
 
-IDENTITY = ChartSpec(lambda xi: xi.copy(), lambda xi: np.zeros(2), Rect(-0.5, 0.5, -0.5, 0.5))
-SHEAR = ChartSpec(lambda xi: np.array([xi[0], xi[0] + xi[1]]), lambda xi: np.zeros(2),
-                  Rect(-0.5, 0.5, -0.5, 0.5))
+# a chart maps points along the last axis: one (2,) point or an (n, 2) grid
+IDENTITY = ChartSpec(lambda xi: xi.copy(), np.zeros_like, Rect(-0.5, 0.5, -0.5, 0.5))
+SHEAR = ChartSpec(lambda xi: np.stack([xi[..., 0], xi[..., 0] + xi[..., 1]], axis=-1),
+                  np.zeros_like, Rect(-0.5, 0.5, -0.5, 0.5))
 
 
 def affine_map_between(lab: Labelling, truth: np.ndarray):
@@ -77,10 +79,33 @@ def test_synth_shear_is_unipotent_image():
 
 
 def test_synth_collision_raises():
-    fold = ChartSpec(lambda xi: np.array([xi[0] ** 2, xi[1]]), lambda xi: np.zeros(2),
+    fold = ChartSpec(lambda xi: np.stack([xi[..., 0] ** 2, xi[..., 1]], axis=-1), np.zeros_like,
                      Rect(-0.5, 0.5, -0.5, 0.5))
     with pytest.raises(InjectivityFailure):
         synth_lattice(fold, 10)
+
+
+def test_synth_calls_each_chart_map_once():
+    calls = {"g0": 0, "g1": 0}
+
+    def counted(name, fn):
+        def g(xi):
+            calls[name] += 1
+            return fn(xi)
+        return g
+
+    chart = random_chart(np.random.default_rng(20260811))
+    counting = ChartSpec(counted("g0", chart.g0), counted("g1", chart.g1), chart.domain)
+    cloud = synth_lattice(counting, 50)
+    assert calls == {"g0": 1, "g1": 1}
+    assert np.array_equal(cloud.points, synth_lattice(chart, 50).points)
+
+
+def test_synth_refuses_a_chart_written_per_point():
+    per_point = ChartSpec(lambda xi: np.array([xi[0], xi[0] + xi[1]]), lambda xi: np.zeros(2),
+                          Rect(-0.5, 0.5, -0.5, 0.5))
+    with pytest.raises(ConfigurationError, match=r"\(n, 2\)"):
+        synth_lattice(per_point, 10)
 
 
 def test_affine_basis_on_grid():
@@ -136,8 +161,7 @@ def test_label_semitoric_matches_truth():
 
 
 def test_label_half_lattice_identity():
-    chart = ChartSpec(lambda xi: xi.copy(), lambda xi: np.zeros(2),
-                      Rect(-0.5, 0.5, 0.0, 0.9), half=True)
+    chart = ChartSpec(lambda xi: xi.copy(), np.zeros_like, Rect(-0.5, 0.5, 0.0, 0.9), half=True)
     cloud = synth_lattice(chart, 20)
     lab = label_half_lattice(cloud, (0.0, 0.3))
     assert lab.kind == "half-lattice"
@@ -435,7 +459,7 @@ def _nth_chart(seed, index, half):
 
 @pytest.mark.parametrize("k", [20, 50])
 @pytest.mark.parametrize("half", [False, True], ids=["regular", "half"])
-@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("seed", [1, 2, 3, 20260811])   # 20260811: the benchmark's charts
 def test_synth_and_label_regular_match_references(seed, half, k):
     chart = random_chart(np.random.default_rng(seed), half=half)
     cloud, ref = synth_lattice(chart, k), synth_lattice_reference(chart, k)

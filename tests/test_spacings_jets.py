@@ -87,7 +87,7 @@ def test_spin_probe_ignores_subulp_noise_in_height():
     # every spin-oscillator column is symmetric under H -> -H, so its ladder
     # is symmetric about the probe height y = 0
     family = build_probe_family(ModelSpec(SPIN_OSCILLATOR), [200])
-    locate_critical_values(ModelSpec(SPIN_OSCILLATOR), family)
+    locate_critical_values(ModelSpec(SPIN_OSCILLATOR), 200, family)
     sp = family[200]
     x = sp.origin[0] + 0.01
     a1 = [sp.a1a2_interpolated((x, y))[0] for y in (0.0, 1e-18, -1e-18)]
@@ -138,7 +138,7 @@ def test_windowed_probes_equal_whole_ladder_probes(model, offsets, far_xs):
     # odd size hold an eigenvalue at 0, which the Sturm count and the
     # bisection solve put on opposite sides of y0
     family = build_probe_family(model, [100])
-    locate_critical_values(model, family)
+    locate_critical_values(model, 100, family)
     sp = family[100]
     x0, y0 = sp.origin
 
