@@ -25,18 +25,48 @@ __all__ = [
 
 _EDGE_MARGIN = 0.15    # edge fits keep this far from cuts, corners and the strip ends
 _MIN_SLOPE_GAP = 0.2   # edges whose slopes differ by less meet at no vertex
+_MEMO_SLACK = 1e-9     # rounding allowance of hausdorff's memo bounds
 
 
-def hausdorff(set_a, set_b) -> float:
+def hausdorff(set_a, set_b, memo: dict | None = None) -> float:
     """Two-sided Hausdorff distance between finite point sets.  ``set_b``
     may be given as a ``cKDTree`` of its points, so that a caller measuring
-    many sets against the same one builds its tree once."""
+    many sets against the same one builds its tree once.
+
+    ``memo`` serves a search that moves the points of ``set_a`` (same
+    shape, same order) against one ``set_b`` tree: pass the same dict,
+    empty at first, to each call.  Both directed distances are
+    1-Lipschitz: moving each a_i by delta_i changes d(a_i, B) by at most
+    delta_i and every d(b, A) by at most max delta_i.  So the per-point
+    distances of the last full evaluation, which the memo stores, bound
+    every point's distance now, and a point whose upper bound lies below
+    the largest lower bound less a rounding slack of 1e-9 cannot attain
+    the maximum and is not queried.  The other points are queried exactly
+    as a full evaluation queries them, so the result is the same float.
+    When more than half of the points remain, the call evaluates in full
+    and stores its distances.
+    """
     from scipy.spatial import cKDTree
 
     A = np.atleast_2d(np.asarray(set_a, dtype=float))
     if not isinstance(set_b, cKDTree):
         set_b = cKDTree(np.atleast_2d(np.asarray(set_b, dtype=float)))
-    return max(set_b.query(A)[0].max(), cKDTree(A).query(set_b.data)[0].max())
+    B = set_b.data
+    if memo and memo["tree"] is set_b and memo["a"].shape == A.shape:
+        moved = np.linalg.norm(A - memo["a"], axis=1)
+        reach = moved.max()
+        floor = max((memo["to_b"] - moved).max(), memo["to_a"].max() - reach) - _MEMO_SLACK
+        near_a = memo["to_b"] + moved >= floor
+        near_b = memo["to_a"] + reach >= floor
+        if 2 * (near_a.sum() + near_b.sum()) <= len(A) + len(B):
+            to_b = set_b.query(A[near_a])[0]
+            to_a = cKDTree(A).query(B[near_b])[0]
+            return max(to_b.max(initial=0.0), to_a.max(initial=0.0))
+    to_b = set_b.query(A)[0]
+    to_a = cKDTree(A).query(B)[0]
+    if memo is not None:
+        memo.update(tree=set_b, a=A.copy(), to_b=to_b, to_a=to_a)
+    return max(to_b.max(), to_a.max())
 
 
 @dataclass

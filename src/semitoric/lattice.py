@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -82,10 +83,15 @@ class PointCloud:
     def hbar(self) -> float:
         return 1.0 / self.k
 
+    @cached_property
+    def _tree(self):
+        """The one cKDTree over ``points``, shared by every reader."""
+        return _kdtree(self.points)
+
     def min_separation(self) -> float:
         if len(self.points) < 2:
             return np.inf
-        d, _ = _kdtree(self.points).query(self.points, k=2)
+        d, _ = self._tree.query(self.points, k=2)
         return float(d[:, 1].min())
 
     def check_separation(self) -> float:
@@ -197,7 +203,7 @@ def select_affine_basis(cloud: PointCloud, c) -> AffineBasis:
     pts = cloud.points
     if len(pts) < 3:
         raise TooSparse("need at least 3 points")
-    tree = _kdtree(pts)
+    tree = cloud._tree
     i0 = int(tree.query(np.asarray(c, float))[1])
     kq = min(len(pts), 13)
     _, nbr = tree.query(pts[i0], k=kq)
@@ -269,7 +275,7 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     pts = cloud.points
     if len(pts) < _MIN_REGION_POINTS:
         raise TooSparse(f"only {len(pts)} points")
-    tree = _kdtree(pts)
+    tree = cloud._tree
     # the transport runs on Python floats: per step it touches 2-vectors
     # only, where numpy's per-call overhead dominates
     P = pts.tolist()

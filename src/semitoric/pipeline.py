@@ -339,6 +339,15 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     abscissae are an exact hbar grid), so only the vertical freedom (the
     undetermined nu) is optimized; this avoids wandering on the Hausdorff
     plateau created by the exclusion holes.
+
+    Each Brent step moves the cloud by a vertical shift t alone, and both
+    directed distances are 1-Lipschitz in t: every point's distance at t
+    lies within |t - t'| of its distance at the last fully evaluated t'.
+    The search passes one ``hausdorff`` memo to every step, so a step
+    re-queries only the points whose bound still reaches the running
+    maximum (less a rounding slack of 1e-9); each value Brent sees is the
+    float an unpruned evaluation returns, and the search takes the same
+    path.
     """
     from scipy.optimize import minimize_scalar
     from scipy.spatial import cKDTree
@@ -347,9 +356,10 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     theory = sample_polygon_region(model, model.strip, 0.35 * h)
     theory_tree = cKDTree(theory)
     tx = est.x_translation
+    memo = {}
 
     def dist(ty):
-        return hausdorff(est.cloud + np.array([tx, ty]), theory_tree)
+        return hausdorff(est.cloud + np.array([tx, ty]), theory_tree, memo=memo)
 
     y0 = float(np.median(theory[:, 1])) - float(np.median(est.cloud[:, 1]))
     res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0 + 2 * h),

@@ -139,6 +139,18 @@ def test_label_regular_identity_exact():
     A, kap = affine_map_between(lab, cloud.true_labels)   # exact up to one map
 
 
+def test_cloud_builds_one_tree(monkeypatch):
+    """The separation check, the basis and the transport read one cKDTree."""
+    import semitoric.lattice as lattice
+
+    built = []
+    monkeypatch.setattr(lattice, "_kdtree", lambda pts: built.append(pts) or _kdtree(pts))
+    cloud = synth_lattice(random_chart(np.random.default_rng(3)), 20)
+    label_regular(cloud, select_affine_basis(cloud, cloud.points.mean(axis=0)))
+    # check_injective builds one over its own grid, the cloud one over its points
+    assert [len(p) for p in built] == [625, len(cloud.points)]
+
+
 @pytest.mark.parametrize("k", [20, 50])
 def test_label_regular_nonlinear(k):
     rng = np.random.default_rng(3)
