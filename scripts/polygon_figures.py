@@ -9,11 +9,8 @@ import numpy as np
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
 from semitoric.invariants import detect_kinks, dh_profile
-from semitoric.pipeline import (
-    ModelCounter,
-    polygon_reference_distance,
-    polygon_run,
-)
+from semitoric.models import build_blocks
+from semitoric.pipeline import polygon_reference_distance, polygon_run
 from semitoric.reference import reference_rho
 
 
@@ -41,8 +38,7 @@ def main():
               f"max vertex error {max(vert_err):.4f} -> {path}")
 
         kdh = 200
-        counter = ModelCounter(model, [kdh])
-        prof = dh_profile(counter, kdh, 0.25, model.dh_grid)
+        prof = dh_profile(build_blocks(model, kdh, model.dh_range))
         path = out / f"dh_{model.kind}_k{kdh}.csv"
         with path.open("w") as f:
             f.write("x,estimate,reference\n")

@@ -25,7 +25,6 @@ from .errors import (
 )
 from .geometry import Rect
 from .lattice import (
-    PointCloud,
     label_half_lattice,
     label_regular,
     label_semitoric,
@@ -36,10 +35,11 @@ from .models import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
     ModelSpec,
+    build_blocks,
     joint_spectrum,
 )
 from .pipeline import (
-    ModelCounter,
+    cut_cloud,
     detect_kinks,
     dh_profile,
     locate_critical_values,
@@ -133,16 +133,14 @@ def cmd_spectrum(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
 
 
 def cmd_label(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
-    # leave out the cut, the located focus-focus column at and above y0,
-    # which no column transport crosses; with no value located, nan cuts nothing
+    # with no focus-focus value located there is no cut
     try:
-        (x0, y0), _ = locate_critical_values(model, cfg.probes.k_list[0])
+        origin, _ = locate_critical_values(model, cfg.probes.k_list[0])
     except NoPeak:
-        x0 = y0 = np.nan
+        origin = (np.nan, np.nan)
     for k in cfg.probes.k_list:
-        pts = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6)).as_array()
-        cut = (np.abs(pts[:, 0] - x0) < 0.5 / k) & (pts[:, 1] >= y0)
-        cloud = PointCloud(k, pts[~cut])
+        spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
+        cloud = cut_cloud(k, spec.as_array(), origin)
         pts, labs, _ = label_semitoric(cloud, seed_x=model.strip[1]).arrays(cloud)
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         _write_csv(out / f"labels_k{k}.csv", "k,x,y,j,l",
@@ -187,14 +185,11 @@ def cmd_polygon(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
 
 def cmd_dh(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
-    delta = args.delta if args.delta is not None else 0.25
-    counter = ModelCounter(model, [k])
-    profile = dh_profile(counter, k, delta, model.dh_grid)
-    kinks = detect_kinks(profile)
+    profile = dh_profile(build_blocks(model, k, model.dh_range))
     _write_csv(out / f"dh_profile_k{k}.csv", "abscissa,estimate,theory",
                ((xx, val, reference_rho(model, xx)) for xx, val in profile))
     _write(out / "dh_report.json", json.dumps(
-        {"k": k, "delta": delta, "kinks": kinks}, indent=2))
+        {"k": k, "kinks": detect_kinks(profile)}, indent=2))
     return 0
 
 
@@ -243,9 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--x", type=float, action="append",
                            help="probe offset; repeat for a schedule")
             q.add_argument("--mu", type=float, default=None)
-        if name == "dh":
-            q.add_argument("--delta", type=float, default=None,
-                           help="strip half-width exponent, in (0, 1/2); default 0.25")
         if name == "synth":
             q.add_argument("--half", action="store_true")
     return p

@@ -1,18 +1,21 @@
 """Counting-based invariants: height, Duistermaat-Heckman profile, and
 location of the focus-focus critical value.
 
-Weyl-type counting in vertical strips of width ~ hbar^delta recovers the
-reduced symplectic volume: with N_hbar(x, delta) the number of joint
-eigenvalues in [x - hbar^delta, x + hbar^delta] x R,
+The paper's Weyl-type counting in vertical strips of width ~ hbar^delta
+recovers the reduced symplectic volume: with N_hbar(x, delta) the number of
+joint eigenvalues in [x - hbar^delta, x + hbar^delta] x R,
 
     (hbar^(2-delta) / 2) N_hbar(x, delta)  ->  rho_J(x),
 
-the Duistermaat-Heckman density.  Counting only below the focus-focus
-ordinate and centering at its abscissa gives the height invariant S_{0,0},
-the sub-critical reduced volume.  J's spectrum is an exact hbar-lattice of
-columns, so column_height counts the one column at x0 instead: hbar times
-its count below y0 tends to S_{0,0} with no strip width to choose.  The
-strip route (height_invariant, dh_profile, detect_kinks) is the reference.
+the Duistermaat-Heckman density.  J's spectrum is an exact hbar-lattice of
+columns, so a strip count is a sum of column sizes and hbar times one
+column's size is rho_J at that column with no strip width to choose:
+dh_profile reads the sizes, and detect_kinks finds the slope changes as
+the columns where the integer sizes' second difference is nonzero.
+Counting only below the focus-focus ordinate gives the height invariant
+S_{0,0}, the sub-critical reduced volume: column_height counts the one
+column at x0, and height_invariant is the paper's strip route, kept as
+the reference.
 """
 
 from __future__ import annotations
@@ -74,44 +77,26 @@ def column_height(family) -> tuple[float, dict]:
     return lim, {"raw": raw, "slope": info["slope"]}
 
 
-def dh_profile(counter, k: int, delta: float, x_grid) -> np.ndarray:
-    """The (n, 2) array of abscissae x_grid and the scaled strip counts
-    (hbar^(2-delta) / 2) N_hbar(x, delta), which tend to rho_J(x)."""
-    if not 0 < delta < 0.5:
-        raise ConfigurationError("delta must lie in (0, 1/2)")
-    hb = 1.0 / k
-    w = hb ** delta
-    vals = [hb ** (2 - delta) / 2 * counter.count(k, x - w, x + w) for x in x_grid]
-    return np.column_stack([x_grid, vals])
+def dh_profile(blocks) -> np.ndarray:
+    """The (n, 2) array of column abscissae and hbar times column sizes, in
+    ascending x, of a window's J-blocks (a ``BlockSequence``, or anything
+    with its ``k``, ``j_values`` and ``sizes``): the Duistermaat-Heckman
+    density rho_J on each column."""
+    order = np.argsort(blocks.j_values)
+    return np.column_stack([blocks.j_values[order], blocks.sizes[order] / blocks.k])
 
 
-def detect_kinks(profile: np.ndarray, half_window: float = 0.35,
-                 min_jump: float = 0.3) -> list[float]:
-    """Abscissae where the piecewise-linear profile changes slope: two-sided
-    line fits, local maxima of the slope jump above min_jump.  Only
-    abscissae whose two half-windows lie inside the grid are scored, and a
-    maximum needs a scored neighbour on each side, so the grid ends, where
-    the profile beyond the grid is unknown, are never reported."""
-    xg, rho = profile[:, 0], profile[:, 1]
-    scored = np.flatnonzero((xg - half_window >= xg[0] - 1e-9)
-                            & (xg + half_window <= xg[-1] + 1e-9))
-    jumps = []
-    for x in xg[scored]:
-        left = (xg >= x - half_window) & (xg < x)
-        right = (xg > x) & (xg <= x + half_window)
-        sl = np.polyfit(xg[left], rho[left], 1)[0]
-        sr = np.polyfit(xg[right], rho[right], 1)[0]
-        jumps.append(abs(sr - sl))
-    hits = [i for i, a, b, c in zip(scored[1:], jumps, jumps[1:], jumps[2:])
-            if b > min_jump and b >= a and b >= c]
-    merged: list[list[float]] = []
-    step = xg[1] - xg[0] if len(xg) > 1 else 1.0
-    for i in hits:
-        if merged and abs(xg[i] - merged[-1][-1]) < 2.5 * step:
-            merged[-1].append(xg[i])
-        else:
-            merged.append([xg[i]])
-    return [float(np.mean(c)) for c in merged]
+def detect_kinks(profile: np.ndarray) -> list[float]:
+    """Abscissae where a ``dh_profile`` changes slope: the columns where
+    the second difference of the integer column sizes is nonzero.  The
+    columns lie one hbar apart, so each size is its value over that
+    spacing, rounded.  The end columns have no second difference, so the
+    profile's ends are never reported."""
+    x, rho = np.asarray(profile, dtype=float).T
+    if len(x) < 3:
+        return []
+    sizes = np.rint(rho * (len(x) - 1) / (x[-1] - x[0]))
+    return x[1:-1][np.diff(sizes, 2) != 0].tolist()
 
 
 _PEAK_FACTOR = 1.8    # least ratio of the hbar/spacing peak to its column median

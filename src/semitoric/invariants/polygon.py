@@ -1,10 +1,11 @@
 """Polygon reconstruction from a global labelling and Hausdorff comparison.
 
-hbar times the global labels of the spectrum restricted to a strip (minus
-neighborhoods of cuts, corners and walls) converges to the image of the
-cartographic map: a convex polygon, up to one undetermined translation.
+hbar times the global labels of the spectrum restricted to a strip (less
+the cut: the column above the focus-focus value) converges to the image of
+the cartographic map: a convex polygon, up to one undetermined translation.
 Edges are fitted to the per-column label extremes between critical
-abscissae and the vertices are read off the pairwise edge intersections.
+abscissae, _EDGE_MARGIN away from each, and the vertices are read off the
+pairwise edge intersections.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ class ModelSpec:
     (the J value of each block id), ``_id_bounds(k)``, ``_chain_bounds(k,
     ids)``, the builder ``_block(k, id)`` of a block's matrix (diag,
     offdiag), ``j_range`` (None when J is unbounded), ``strip``,
-    ``_dh_range``, ``polygon_ymax``, and the privileged polygon (zero
+    ``dh_range`` (the J-range of the Duistermaat-Heckman profile),
+    ``polygon_ymax``, and the privileged polygon (zero
     twisting, upward cut): ``polygon_vertices``, ``polygon_slice(x)`` and
     ``hausdorff_budget`` (in multiples of hbar)."""
 
@@ -67,12 +68,6 @@ class ModelSpec:
     def j_sign(self, k: int) -> int:
         return 1 if self.j_value(k, 1) > self.j_value(k, 0) else -1
 
-    @property
-    def dh_grid(self) -> np.ndarray:
-        """Duistermaat-Heckman abscissae; their ends bound the probe family's J-range."""
-        lo, hi = self._dh_range
-        return np.arange(lo, hi + 1e-9, 0.02)
-
     def _chain(self, k: int, block_id: int) -> np.ndarray:
         lo, hi = self._chain_bounds(k, block_id)
         return np.arange(lo, hi + 1)
@@ -89,7 +84,7 @@ class _SpinOscillator(ModelSpec):
 
     j_range = None
     strip = (-0.8, 2.0)
-    _dh_range = (-0.95, 2.5)
+    dh_range = (-0.95, 2.5)
     polygon_ymax = 2.6
     polygon_vertices = ((-1.0, -1.0), (1.0, 1.0))
     hausdorff_budget = 6.0
@@ -162,7 +157,7 @@ class _CoupledAngularMomenta(ModelSpec):
         return (-(self.r1 + self.r2) + 0.2, self.r1 + self.r2 - 0.4)
 
     @property
-    def _dh_range(self) -> tuple[float, float]:
+    def dh_range(self) -> tuple[float, float]:
         return (-(self.r1 + self.r2) + 0.06, self.r1 + self.r2 - 0.06)
 
     @property

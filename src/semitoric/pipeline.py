@@ -47,6 +47,7 @@ __all__ = [
     "column_ladder",
     "build_probe_family",
     "locate_critical_values",
+    "cut_cloud",
     "recover_all",
     "polygon_run",
     "dh_profile",
@@ -55,10 +56,13 @@ __all__ = [
 
 
 class ModelCounter:
-    """Eigenvalue counts in strips, for the paper's strip route (dh_profile,
-    height_invariant): an unbounded-y strip sums the closed-form block sizes
-    with no eigensolve, and a finite y-range builds the blocks for Sturm
-    counts."""
+    """Eigenvalue counts in strips, for the paper's strip route
+    (``height_invariant`` and the Weyl-law density oracle of
+    ``semitoric.testing``): an unbounded-y strip sums the closed-form block
+    sizes with no eigensolve, and a finite y-range builds the blocks for
+    Sturm counts.  The program's own reads need no strip: J's columns are
+    exact, so ``dh_profile`` reads their sizes and ``column_height`` the
+    critical column."""
 
     def __init__(self, model: ModelSpec, ks):
         self.model = model
@@ -120,12 +124,11 @@ class BlockSpectrum(LabelledSpectrum):
 
 
 def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
-    """One labelled spectrum per k of ks over the J-range of the model's
-    ``dh_grid``, where the locate stage and every probe read their
-    columns.  Nothing is solved here, so every k's dimensions are checked
-    before the first eigensolve; ``locate_critical_values`` sets the origins."""
-    grid = model.dh_grid
-    return {k: BlockSpectrum(build_blocks(model, k, (grid[0], grid[-1]))) for k in ks}
+    """One labelled spectrum per k of ks over the model's ``dh_range``,
+    where the locate stage and every probe read their columns.  Nothing is
+    solved here, so every k's dimensions are checked before the first
+    eigensolve; ``locate_critical_values`` sets the origins."""
+    return {k: BlockSpectrum(build_blocks(model, k, model.dh_range)) for k in ks}
 
 
 def locate_critical_values(model: ModelSpec, k0: int,
@@ -134,9 +137,8 @@ def locate_critical_values(model: ModelSpec, k0: int,
     smallest multiple of k0 that is at least 200, read from that k's
     spectrum of ``family`` when it holds one.  k0's dimensions are checked
     first, and a multiple of it is then on the radii's 1/(2k) grid.
-    The column sizes are exact integers and the DH density is piecewise
-    linear, so its kinks are the columns where the sizes' second difference
-    is nonzero.
+    The candidates are the kinks of that k's ``dh_profile``, which
+    ``semitoric dh`` reports too.
 
     Each spectrum of ``family`` then gets its .origin, that k's focus-focus
     value: the critical column's abscissa and the smallest-gap midpoint of
@@ -151,9 +153,8 @@ def locate_critical_values(model: ModelSpec, k0: int,
     model.check_dimensions(k0)
     family = family or {}
     k_locate = k0 * -(-200 // k0)
-    grid = model.dh_grid
-    blocks = build_blocks(model, k_locate, (grid[0], grid[-1]))
-    kinks = sorted(blocks.j_values[1:-1][np.diff(blocks.sizes, 2) != 0].tolist())
+    blocks = build_blocks(model, k_locate, model.dh_range)
+    kinks = detect_kinks(dh_profile(blocks))
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
 
@@ -164,6 +165,16 @@ def locate_critical_values(model: ModelSpec, k0: int,
         sp.origin = (x, smallest_gap_midpoint(ev)[1])
     others = [x for x in kinks if abs(x - x0) > 0.1]
     return (x0, y0), others
+
+
+def cut_cloud(k: int, points: np.ndarray, origin) -> PointCloud:
+    """The cloud of ``points`` less the cut above the focus-focus value
+    origin = (x0, y0): the points of the column nearest x0 at and above
+    y0, which no column transport crosses.  A nan origin (none located)
+    cuts nothing."""
+    x0, y0 = origin
+    cut = (np.abs(points[:, 0] - x0) < 0.5 / k) & (points[:, 1] >= y0)
+    return PointCloud(k, points[~cut])
 
 
 def _check_column_resolution(probes: ProbeConfig) -> None:
@@ -304,30 +315,17 @@ def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
     """Quantum cartographic cloud on the model's strip and the
     fitted polygon.
 
-    The critical values are located from the spectrum first.  Exclusions: a
-    vertical band of half-width eps above the focus-focus value (the cut)
-    and balls of radius eps at the column ends over every other critical
-    abscissa (corners), eps = max(3 hbar, 0.35 sqrt(hbar)).
+    The critical values are located from the spectrum first.  The cloud
+    leaves out the cut alone (``cut_cloud``, as ``semitoric label`` does);
+    the edge fits keep away from the focus-focus and corner abscissae.
     """
     strip = model.strip
-    h = 1.0 / k
-    eps = max(3 * h, 0.35 * np.sqrt(h))
     origin, corner_xs = locate_critical_values(model, k)
-    x0, y0 = origin
-    window = Rect(strip[0], strip[1], -model.polygon_ymax, model.polygon_ymax)
-    spec = joint_spectrum(model, k, window)
-    pts = spec.as_array()
-    keep = ~((np.abs(pts[:, 0] - x0) <= eps) & (pts[:, 1] >= y0 - eps))
-    for xc in corner_xs:
-        if strip[0] - eps < xc < strip[1] + eps:
-            col = pts[np.abs(pts[:, 0] - xc) <= 0.55 * h]
-            if len(col):
-                for yc in (col[:, 1].min(), col[:, 1].max()):
-                    keep &= np.hypot(pts[:, 0] - xc, pts[:, 1] - yc) > eps
-    cloud = PointCloud(k, pts[keep])
+    window = Rect(*strip, -model.polygon_ymax, model.polygon_ymax)
+    cloud = cut_cloud(k, joint_spectrum(model, k, window).as_array(), origin)
     lab = label_semitoric(cloud, seed_x=strip[1] - 0.1 * (strip[1] - strip[0]))
     points, labels, _ = lab.arrays(cloud)
-    return polygon_recover(points, labels, h, [x0] + list(corner_xs), strip)
+    return polygon_recover(points, labels, 1.0 / k, [origin[0]] + list(corner_xs), strip)
 
 
 def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
@@ -338,7 +336,7 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     The x component of the translation is the exact column alignment (the
     abscissae are an exact hbar grid), so only the vertical freedom (the
     undetermined nu) is optimized; this avoids wandering on the Hausdorff
-    plateau created by the exclusion holes.
+    plateau created by the cut.
 
     Each Brent step moves the cloud by a vertical shift t alone, and both
     directed distances are 1-Lipschitz in t: every point's distance at t

@@ -9,6 +9,9 @@ keeps a margin over the whole domain.
 dense J and H on the (truncated) product basis, checked to commute, with H
 diagonalized on each J eigenspace.  ``spectrum_columns`` splits a spectrum
 into its columns for comparison with the block solves.
+
+``strip_density`` is the paper's Weyl-law estimate of the
+Duistermaat-Heckman density, the reference for the exact column reads.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from .errors import CommutatorViolation
 from .geometry import Rect
 from .lattice import ChartSpec
 from .models import SPIN_OSCILLATOR, JointSpectrum, ModelSpec, _spectrum
+from .pipeline import ModelCounter
 
-__all__ = ["random_chart", "dense_oracle_spectrum", "spectrum_columns"]
+__all__ = ["random_chart", "dense_oracle_spectrum", "spectrum_columns", "strip_density"]
 
 _DOMAIN = Rect(-0.55, 0.55, -0.55, 0.55)
 _HALF_DOMAIN = Rect(-0.55, 0.55, 0.0, 0.9)
@@ -172,3 +176,12 @@ def spectrum_columns(spec: JointSpectrum) -> dict[int, np.ndarray]:
     """block_id -> ascending eigenvalue array (one exact-x column each)."""
     ids, starts = np.unique(spec.block, return_index=True)
     return dict(zip(ids.tolist(), np.split(spec.y, starts[1:])))
+
+
+def strip_density(model: ModelSpec, k: int, x: float, delta: float) -> float:
+    """(hbar^(2-delta) / 2) N_hbar(x, delta), N_hbar the number of joint
+    eigenvalues in the strip [x - hbar^delta, x + hbar^delta] x R: the
+    paper's estimate of the Duistermaat-Heckman density rho_J(x)."""
+    hb = 1.0 / k
+    w = hb ** delta
+    return hb ** (2 - delta) / 2 * ModelCounter(model, [k]).count(k, x - w, x + w)

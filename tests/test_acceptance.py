@@ -14,6 +14,7 @@ from semitoric import (
     SPIN_OSCILLATOR,
     ModelSpec,
     Rect,
+    build_blocks,
     joint_spectrum,
 )
 from semitoric.invariants import (
@@ -40,7 +41,12 @@ from semitoric.pipeline import (
 )
 from semitoric.config import ProbeConfig
 from semitoric.reference import reference_invariants, reference_rho
-from semitoric.testing import dense_oracle_spectrum, random_chart, spectrum_columns
+from semitoric.testing import (
+    dense_oracle_spectrum,
+    random_chart,
+    spectrum_columns,
+    strip_density,
+)
 
 SPIN = ModelSpec(SPIN_OSCILLATOR)
 COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
@@ -204,15 +210,15 @@ def test_criterion_5_focus_focus_location(spin_report, coupled_report):
 # -- criterion 6: Duistermaat-Heckman profile ---------------------------------
 
 def test_criterion_6_dh_profile():
-    k, delta = 200, 0.25
-    counter = ModelCounter(COUPLED, [k])
-    grid = COUPLED.dh_grid
-    profile = dh_profile(counter, k, delta, grid)
-    rho = np.array([reference_rho(COUPLED, x) for x in grid])
+    # hbar times the size of each column of the DH range
+    k = 200
+    profile = dh_profile(build_blocks(COUPLED, k, COUPLED.dh_range))
+    x = profile[:, 0]
+    rho = np.array([reference_rho(COUPLED, xx) for xx in x])
     kinks_theory = [-3.5, -1.5, 1.5, 3.5]   # slope changes of rho_J incl. support ends
-    mask = np.ones(len(grid), dtype=bool)
+    mask = np.ones(len(x), dtype=bool)
     for c in kinks_theory:
-        mask &= np.abs(grid - c) >= 0.3
+        mask &= np.abs(x - c) >= 0.3
     sup_err = np.abs(profile[:, 1] - rho)[mask].max()
     report(6, "DH sup error away from kinks", sup_err, 0.08)
     kinks = detect_kinks(profile)
@@ -358,9 +364,9 @@ def test_criterion_9_d0_consistency():
 
 
 def test_criterion_9_height_splits_reduced_volume():
-    # counting below plus above the critical ordinate recovers the measured
-    # Duistermaat-Heckman density at x0 (same strips, so biases cancel)
-    from semitoric.invariants import dh_profile, height_invariant
+    # counting below plus above the critical ordinate recovers the strip
+    # density at x0 (same strips, so biases cancel)
+    from semitoric.invariants import height_invariant
 
     for model, x0 in ((SPIN, 1.0), (COUPLED, -1.5)):
         ks = [150, 200, 250, 300]
@@ -374,7 +380,7 @@ def test_criterion_9_height_splits_reduced_volume():
 
         below, _ = height_invariant(counter, x0, 0.0, 0.4)
         above, _ = height_invariant(Above(), x0, 0.0, 0.4)
-        rho = dh_profile(counter, ks[-1], 0.4, [x0])[0, 1]
+        rho = strip_density(model, ks[-1], x0, 0.4)
         report(9, f"{model.kind} height below+above vs rho_J(x0)",
                abs(below + above - rho) / rho, 0.05)
 

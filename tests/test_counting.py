@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,12 +12,20 @@ from semitoric.invariants import (
     height_invariant,
     locate_focus_focus,
 )
-from semitoric.models import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, BlockSequence, ModelSpec
+from semitoric.models import (
+    COUPLED_ANGULAR_MOMENTA,
+    SPIN_OSCILLATOR,
+    BlockSequence,
+    ModelSpec,
+    build_blocks,
+)
 from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
     locate_critical_values,
 )
+from semitoric.reference import reference_rho
+from semitoric.testing import strip_density
 
 SPIN = ModelSpec(SPIN_OSCILLATOR)
 COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
@@ -130,28 +140,37 @@ def test_column_height_matches_strip_count(r1, r2, t):
     assert abs(column - strip) <= 0.03
 
 
+def block_columns(k, sizes, descending=False):
+    """A stand-in for a BlockSequence: column j of sizes[j] at x = j / k,
+    with j from 0, listed in descending x when asked (as coupled angular
+    momenta list theirs)."""
+    js = np.arange(len(sizes))
+    sizes = np.asarray(sizes)
+    if descending:
+        js, sizes = js[::-1], sizes[::-1]
+    return SimpleNamespace(k=k, j_values=js / k, sizes=sizes)
+
+
 def test_dh_profile_flat_on_rectangle():
+    # every column of a rectangle of height 1.2 holds 1.2 k + 1 points; the
+    # profile is in ascending x whichever way the blocks run
     k = 200
-    counter = CloudCounter({k: uniform_cloud(k, (-1.0, 1.0), (-0.4, 0.8))})
-    prof = dh_profile(counter, k, 0.25, np.linspace(-0.6, 0.6, 25))
-    assert np.abs(prof[:, 1] - 1.2).max() < 0.02
-    assert detect_kinks(prof, half_window=0.3, min_jump=0.3) == []
+    for descending in (False, True):
+        prof = dh_profile(block_columns(k, [241] * 401, descending))
+        assert np.all(np.diff(prof[:, 0]) > 0)
+        assert np.all(prof[:, 1] == 241 / k)
+        assert detect_kinks(prof) == []
 
 
 def test_dh_kinks_on_trapezoid():
-    # density with slope changes at x = -0.5 and 0.0; grid kept away from the
-    # support edges where strip clipping bends the profile
+    # density with slope changes at x = 1 and 1.5: flat, rising, flat; the
+    # kinks are the exact columns, and the profile's ends are none
     k = 300
-    h = 1.0 / k
-    pts = []
-    for x in np.arange(-1.5, 1.5 + h / 2, h):
-        top = min(0.5 + max(x + 0.5, 0.0), 1.0)
-        pts.extend((x, y) for y in np.arange(0.0, top + h / 2, h))
-    counter = CloudCounter({k: np.array(pts)})
-    prof = dh_profile(counter, k, 0.25, np.arange(-1.0, 1.0, 0.02))
-    kinks = detect_kinks(prof, half_window=0.25, min_jump=0.3)
-    assert len(kinks) == 2
-    assert abs(kinks[0] + 0.5) < 0.1 and abs(kinks[1] - 0.0) < 0.1
+    j = np.arange(901)
+    sizes = 1 + np.clip(j - k // 2, k // 2, k)
+    prof = dh_profile(block_columns(k, sizes, descending=True))
+    assert detect_kinks(prof) == [1.0, 1.5]
+    assert detect_kinks(prof[:2]) == []
 
 
 def synthetic_log_ladder(k, y0=0.12, lo=-1.0, hi=1.0):
@@ -228,20 +247,31 @@ RADII = [(1.0, 2.5), (0.5, 1.5), (1.0, 2.0)]
 ], ids=["spin", "coupled", "coupled-0.5-1.5", "coupled-1-2"])
 def test_dh_kinks_exclude_the_grid_ends(model):
     # the located kinks are exact columns: J = 1 for the spin-oscillator and
-    # J = r1 - r2, r2 - r1 for coupled angular momenta; the paper's strip
-    # route finds them to its resolution and reports no grid end (spin
-    # -0.89 and coupled +-3.38 used to be)
+    # J = r1 - r2, r2 - r1 for coupled angular momenta, at every k; no end
+    # of the DH range is one (spin -0.89 and coupled +-3.38 used to be)
     origin, others = locate_critical_values(model, 200)
     kinks = sorted([origin[0], *others])
     if model.kind == SPIN_OSCILLATOR:
         assert kinks == [1.0]
     else:
         assert kinks == [model.r1 - model.r2, model.r2 - model.r1]
-    k = 200
-    profile = dh_profile(ModelCounter(model, [k]), k, 0.25, model.dh_grid)
-    strip = detect_kinks(profile)
-    assert len(strip) == len(kinks)
-    assert np.abs(np.subtract(strip, kinks)).max() < 0.1
+    for k in (20, 60, 200):
+        assert detect_kinks(dh_profile(build_blocks(model, k, model.dh_range))) == kinks
+
+
+@pytest.mark.parametrize("model, xs", [(SPIN, (-0.5, 0.0, 1.8)), (COUPLED, (-2.5, 0.0, 2.5))],
+                         ids=["spin", "coupled"])
+def test_weyl_law_strip_density_reads_the_column_profile(model, xs):
+    # hbar times each column's size is rho_J to rounding, and the paper's
+    # strip count of width 2 hbar^(1/4) reads the same density away from
+    # the kinks to within its own resolution
+    k = 500
+    prof = dh_profile(build_blocks(model, k, model.dh_range))
+    rho = np.array([reference_rho(model, x) for x in prof[:, 0]])
+    assert np.abs(prof[:, 1] - rho).max() <= 1e-12
+    for x in xs:
+        column = prof[np.argmin(np.abs(prof[:, 0] - x)), 1]
+        assert abs(strip_density(model, k, x, 0.25) - column) <= 0.01
 
 
 def test_locate_focus_focus_no_peak():

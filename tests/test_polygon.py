@@ -178,3 +178,25 @@ def test_reference_distance_equals_unpruned_search(model, k):
     assert dist == want_dist
     assert shift.tolist() == want_shift.tolist()
     assert vert_err == want_err
+
+
+@pytest.mark.parametrize("model, k", [
+    (ModelSpec(SPIN_OSCILLATOR), 12),
+    (ModelSpec(SPIN_OSCILLATOR), 25),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.35), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.6), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.5), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.0, t=0.5), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.6), 40),
+], ids=["spin-12", "spin-25", "coupled-0.35-20", "coupled-0.5-20", "coupled-0.6-20",
+        "coupled-0.5-1.5-20", "coupled-1-2-20", "coupled-0.6-40"])
+def test_polygon_within_two_columns(model, k):
+    # the cloud leaves out only the cut, one column above the focus-focus
+    # value, so the reference lies about one column from it; a band and
+    # corner balls of radius max(3 hbar, 0.35 sqrt(hbar)) used to leave
+    # 3.2-4.2 hbar, and at coupled (1, 5/2, 0.6), k = 40, exit 4
+    est = polygon_run(model, k)
+    dist, _, vert_err = polygon_reference_distance(model, est, k)
+    assert dist <= 2.0 / k
+    assert max(vert_err) <= 0.1
