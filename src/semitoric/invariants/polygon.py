@@ -26,26 +26,22 @@ __all__ = [
 
 _EDGE_MARGIN = 0.15    # edge fits keep this far from cuts, corners and the strip ends
 _MIN_SLOPE_GAP = 0.2   # edges whose slopes differ by less meet at no vertex
-_MEMO_SLACK = 1e-9     # rounding allowance of hausdorff's memo bounds
+_BOUND_SLACK = 1e-9    # rounding allowance of hausdorff's per-point bounds
 
 
-def hausdorff(set_a, set_b, memo: dict | None = None) -> float:
+def hausdorff(set_a, set_b, bounds=None) -> float:
     """Two-sided Hausdorff distance between finite point sets.  ``set_b``
     may be given as a ``cKDTree`` of its points, so that a caller measuring
     many sets against the same one builds its tree once.
 
-    ``memo`` serves a search that moves the points of ``set_a`` (same
-    shape, same order) against one ``set_b`` tree: pass the same dict,
-    empty at first, to each call.  Both directed distances are
-    1-Lipschitz: moving each a_i by delta_i changes d(a_i, B) by at most
-    delta_i and every d(b, A) by at most max delta_i.  So the per-point
-    distances of the last full evaluation, which the memo stores, bound
-    every point's distance now, and a point whose upper bound lies below
-    the largest lower bound less a rounding slack of 1e-9 cannot attain
-    the maximum and is not queried.  The other points are queried exactly
-    as a full evaluation queries them, so the result is the same float.
-    When more than half of the points remain, the call evaluates in full
-    and stores its distances.
+    ``bounds``, a pair of arrays, holds an upper bound of each point's
+    distance to the other set: d(a_i, B) for ``set_a`` and d(b_j, A) for
+    ``set_b``, in their orders (``_Columns.bound`` gives such bounds).
+    The point with the largest bound is queried exactly; a point whose
+    bound lies below that distance less a rounding slack of 1e-9 cannot
+    attain the maximum and is not queried.  The other points are queried
+    exactly as a full evaluation queries them, so the result is the same
+    float.
     """
     from scipy.spatial import cKDTree
 
@@ -53,21 +49,60 @@ def hausdorff(set_a, set_b, memo: dict | None = None) -> float:
     if not isinstance(set_b, cKDTree):
         set_b = cKDTree(np.atleast_2d(np.asarray(set_b, dtype=float)))
     B = set_b.data
-    if memo and memo["tree"] is set_b and memo["a"].shape == A.shape:
-        moved = np.linalg.norm(A - memo["a"], axis=1)
-        reach = moved.max()
-        floor = max((memo["to_b"] - moved).max(), memo["to_a"].max() - reach) - _MEMO_SLACK
-        near_a = memo["to_b"] + moved >= floor
-        near_b = memo["to_a"] + reach >= floor
-        if 2 * (near_a.sum() + near_b.sum()) <= len(A) + len(B):
-            to_b = set_b.query(A[near_a])[0]
-            to_a = cKDTree(A).query(B[near_b])[0]
-            return max(to_b.max(initial=0.0), to_a.max(initial=0.0))
-    to_b = set_b.query(A)[0]
-    to_a = cKDTree(A).query(B)[0]
-    if memo is not None:
-        memo.update(tree=set_b, a=A.copy(), to_b=to_b, to_a=to_a)
-    return max(to_b.max(), to_a.max())
+    if bounds is None:
+        return max(set_b.query(A)[0].max(), cKDTree(A).query(B)[0].max())
+    bound_a, bound_b = bounds
+    tree_a = cKDTree(A)
+    if bound_a.max() >= bound_b.max():
+        top = set_b.query(A[np.argmax(bound_a)])[0]
+    else:
+        top = tree_a.query(B[np.argmax(bound_b)])[0]
+    floor = top - _BOUND_SLACK
+    to_b = set_b.query(A[bound_a >= floor])[0]
+    to_a = tree_a.query(B[bound_b >= floor])[0]
+    return max(to_b.max(initial=0.0), to_a.max(initial=0.0))
+
+
+class _Columns:
+    """A finite point set laid out in columns: x = x0 + step * i and, in
+    column i, y = lo_i + step * m for m = 0..n_i - 1 (n_i = 0 allowed).
+
+    ``bound`` reads, for each query point, the clamped nearest row of the
+    two columns on either side of it.  That is a point of the set, so its
+    distance bounds the distance to the set from above, in closed form; a
+    set that only roughly keeps the layout gets looser bounds, not wrong
+    ones.
+    """
+
+    def __init__(self, points, step: float):
+        pts = np.asarray(points, dtype=float)
+        self.x0 = float(pts[:, 0].min())
+        self.step = step
+        col = np.rint((pts[:, 0] - self.x0) / step).astype(np.intp)
+        order = np.lexsort((pts[:, 1], col))
+        self.x, self.y = pts[order, 0], pts[order, 1]
+        self.n = np.bincount(col, minlength=1)
+        self.start = np.cumsum(self.n) - self.n
+        # an empty column's start is the next column's, so it indexes a point
+        self.lo = self.y[self.start]
+
+    def bound(self, q, shift=(0.0, 0.0)) -> np.ndarray:
+        """Per-point upper bounds of the distance from ``q`` (m, 2) to the
+        set moved by ``shift``; inf where both columns are empty."""
+        q = np.asarray(q, dtype=float)
+        qx, qy = q[:, 0], q[:, 1]
+        sx, sy = shift
+        step, last = self.step, len(self.n) - 1
+        left = np.clip(np.floor((qx - (self.x0 + sx)) / step), 0, last).astype(np.intp)
+        best = np.full(len(q), np.inf)
+        for c in (left, np.minimum(left + 1, last)):
+            n = self.n[c]
+            row = np.clip(np.rint((qy - (self.lo[c] + sy)) / step), 0, np.maximum(n - 1, 0))
+            i = self.start[c] + row.astype(np.intp)
+            d2 = (qx - (self.x[i] + sx)) ** 2 + (qy - (self.y[i] + sy)) ** 2
+            d2[n == 0] = np.inf
+            np.minimum(best, d2, out=best)
+        return np.sqrt(best)
 
 
 @dataclass

@@ -292,19 +292,28 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     put(basis.lam00, (0, 0), f0)
     put(basis.lam10, (1, 0), f0)
     put(basis.lam01, (0, 1), f0)
-    q = deque((basis.lam00, basis.lam10, basis.lam01))
+    generation = [basis.lam00, basis.lam10, basis.lam01]
     ambiguous = 0
-    while q:
-        i = q.popleft()
-        px, py = P[i]
-        f = frames[i]
-        (ux, uy), (vx, vy) = f
-        la, lb = labels[i]
-        radius = _SEARCH_RADIUS * min(math.hypot(ux, uy), math.hypot(vx, vy))
-        steps = ((1, 0, ux, uy), (-1, 0, -ux, -uy), (0, 1, vx, vy), (0, -1, -vx, -vy))
-        for da, db, sx, sy in steps:
-            nl = (la + da, lb + db)
-            tx, ty = px + sx, py + sy
+    while generation:
+        # breadth first, one generation at a time: every frame it reads was
+        # set before it began, so its targets and radii are known up front
+        # and one ball query serves the steps whose label is still free
+        steps = []
+        for i in generation:
+            px, py = P[i]
+            f = frames[i]
+            (ux, uy), (vx, vy) = f
+            la, lb = labels[i]
+            radius = _SEARCH_RADIUS * min(math.hypot(ux, uy), math.hypot(vx, vy))
+            for da, db, sx, sy in ((1, 0, ux, uy), (-1, 0, -ux, -uy),
+                                   (0, 1, vx, vy), (0, -1, -vx, -vy)):
+                steps.append((i, f, (la + da, lb + db), da, db, px + sx, py + sy, radius))
+        ask = [n for n, step in enumerate(steps) if step[2] not in by_label]
+        balls = dict(zip(ask, tree.query_ball_point(
+            [steps[n][5:7] for n in ask], [steps[n][7] for n in ask], return_sorted=False,
+        ))) if ask else {}
+        generation = []
+        for n, (i, f, nl, da, db, tx, ty, radius) in enumerate(steps):
             if nl in by_label:
                 qx, qy = P[by_label[nl]]
                 if math.hypot(qx - tx, qy - ty) > 2.5 * radius:
@@ -312,14 +321,18 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
                         f"transport inconsistency at label {nl} (hbar too large?)"
                     )
                 continue
-            cand = [c for c in tree.query_ball_point((tx, ty), radius) if c not in labels]
+            cand = [c for c in balls[n] if c not in labels]
             if not cand:
                 continue
-            ranked = sorted((math.hypot(P[c][0] - tx, P[c][1] - ty), c) for c in cand)
-            if len(ranked) > 1 and ranked[1][0] < _AMBIGUITY_RATIO * ranked[0][0]:
-                ambiguous += 1
-                continue
-            j = ranked[0][1]
+            if len(cand) == 1:
+                j = cand[0]
+            else:
+                ranked = sorted((math.hypot(P[c][0] - tx, P[c][1] - ty), c) for c in cand)
+                if ranked[1][0] < _AMBIGUITY_RATIO * ranked[0][0]:
+                    ambiguous += 1
+                    continue
+                j = ranked[0][1]
+            px, py = P[i]
             jx, jy = P[j]
             if da:
                 prev = by_label.get((nl[0], nl[1] - 1))
@@ -330,7 +343,7 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
                 nf = (f[0] if prev is None else (jx - P[prev][0], jy - P[prev][1]),
                       ((jx - px) * db, (jy - py) * db))
             put(j, nl, nf)
-            q.append(j)
+            generation.append(j)
     missed = len(pts) - len(labels)
     if missed > 0:
         raise Disconnected(f"{missed} points unreachable ({ambiguous} ambiguous searches)")

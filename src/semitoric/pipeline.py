@@ -37,6 +37,7 @@ from .invariants import (
     solve_taylor_order,
     twisting_number,
 )
+from .invariants.polygon import _Columns
 from .lattice import PointCloud, label_semitoric
 from .models import ModelSpec, build_blocks, joint_spectrum
 from .tridiag import sturm_count_below
@@ -338,26 +339,28 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     undetermined nu) is optimized; this avoids wandering on the Hausdorff
     plateau created by the cut.
 
-    Each Brent step moves the cloud by a vertical shift t alone, and both
-    directed distances are 1-Lipschitz in t: every point's distance at t
-    lies within |t - t'| of its distance at the last fully evaluated t'.
-    The search passes one ``hausdorff`` memo to every step, so a step
-    re-queries only the points whose bound still reaches the running
-    maximum (less a rounding slack of 1e-9); each value Brent sees is the
-    float an unpruned evaluation returns, and the search takes the same
-    path.
+    Both sets are columns: the cloud on the hbar grid of its labels, the
+    reference sample on its own grid.  Each Brent step bounds every
+    point's distance to the other set by a nearest row of its neighbouring
+    columns (``_Columns.bound``), and ``hausdorff`` queries exactly only
+    the points whose bound reaches the maximum, so each value Brent sees
+    is the float an unpruned evaluation returns, and the search takes the
+    same path.
     """
     from scipy.optimize import minimize_scalar
     from scipy.spatial import cKDTree
 
     h = 1.0 / k
-    theory = sample_polygon_region(model, model.strip, 0.35 * h)
+    step = 0.35 * h
+    theory = sample_polygon_region(model, model.strip, step)
     theory_tree = cKDTree(theory)
+    theory_cols, cloud_cols = _Columns(theory, step), _Columns(est.cloud, h)
     tx = est.x_translation
-    memo = {}
 
     def dist(ty):
-        return hausdorff(est.cloud + np.array([tx, ty]), theory_tree, memo=memo)
+        moved = est.cloud + np.array([tx, ty])
+        bounds = theory_cols.bound(moved), cloud_cols.bound(theory, (tx, ty))
+        return hausdorff(moved, theory_tree, bounds=bounds)
 
     y0 = float(np.median(theory[:, 1])) - float(np.median(est.cloud[:, 1]))
     res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0 + 2 * h),

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 import hypothesis.strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.spatial import cKDTree
@@ -12,6 +12,7 @@ from semitoric.invariants import (
     polygon_recover,
     sample_polygon_region,
 )
+from semitoric.invariants.polygon import _Columns
 from semitoric.pipeline import (
     _vertex_errors,
     polygon_reference_distance,
@@ -86,67 +87,82 @@ def test_sample_polygon_region_inside():
         assert lo - 1e-9 <= y <= hi + 1e-9
 
 
-class CountingTree(cKDTree):
-    """A cKDTree that records how many points each query asks about."""
-
-    def query(self, x, *args, **kwargs):
-        self.sizes.append(len(x))
-        return super().query(x, *args, **kwargs)
-
-
-def counting_tree(points):
-    tree = CountingTree(points)
-    tree.sizes = []
-    return tree
+def column_set(x0, step, columns):
+    """Points x = x0 + step * i, y = lo_i + step * m (m < n_i) of the
+    drawn columns (lo_i, n_i), and each point's column."""
+    pts = [(x0 + step * i, lo + step * m) for i, (lo, n) in enumerate(columns) for m in range(n)]
+    col = [i for i, (_, n) in enumerate(columns) for _ in range(n)]
+    return np.array(pts, dtype=float).reshape(-1, 2), np.array(col)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1), st.integers(3, 150), st.integers(3, 150),
-       st.floats(0.3, 3.0), st.booleans(), st.booleans(),
-       st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=8))
-def test_hausdorff_memo_equals_plain(seed, n_a, n_b, spread, on_grid, far_ring, drawn):
-    """Every memoised evaluation of a search is the plain distance, under
-    ==: the first shift, a repeated shift, near shifts, a far shift after
-    near ones, and the drawn shifts.  A is drawn wider or narrower than B,
-    so either direction can attain the maximum, and on a grid, so that
-    distances tie.  With a far ring added to B the maximum lies on the
-    ring, so the repeated and near shifts query no point of A."""
-    rng = np.random.default_rng(seed)
-    a = rng.uniform(-spread, spread, size=(n_a, 2))
-    b = rng.uniform(-1.0, 1.0, size=(n_b, 2))
-    if on_grid:
-        a, b = np.round(8 * a) / 8, np.round(8 * b) / 8
-    if far_ring:
-        b = np.vstack([b, [[50.0, 0.0], [-50.0, 0.0], [0.0, 50.0], [0.0, -50.0]]])
-    tree = counting_tree(b)
-    t0 = drawn[0]
-    shifts = [t0, t0, t0 + 1e-12, t0 + 1e-3, t0 - 2e-3, t0 + 0.05, t0 + 3.0, t0 + 3.0 + 1e-3,
-              *drawn[1:]]
-    memo = {}
-    for t in shifts:
-        moved = a + np.array([0.0, t])
-        assert hausdorff(moved, tree, memo=memo) == hausdorff(moved, b)
-    if far_ring:
-        assert tree.sizes[1:5] == [0, 0, 0, 0]
+def two_column_distance(q, pts, col, x0, step):
+    """The bound's oracle: the distance from each q to the nearest point of
+    the two columns on either side of it (clamped to the drawn ones),
+    searched over every row."""
+    last = col.max()
+    left = np.clip(np.floor((q[:, 0] - x0) / step), 0, last).astype(int)
+    out = []
+    for (qx, qy), c in zip(q, left):
+        near = pts[(col == c) | (col == min(c + 1, last))]
+        out.append(np.hypot(near[:, 0] - qx, near[:, 1] - qy).min(initial=np.inf))
+    return np.array(out)
 
 
-def test_hausdorff_memo_prunes_near_shifts():
-    """A near shift re-measures fewer points than a full evaluation, and a
-    memo kept for another tree or shape is not read."""
-    rng = np.random.default_rng(3)
-    a = rng.uniform(-1, 1, size=(200, 2))
-    b = rng.uniform(-1, 1, size=(400, 2))
-    tree = counting_tree(b)
-    memo = {}
-    hausdorff(a, tree, memo=memo)
-    assert tree.sizes == [200]
-    assert hausdorff(a + [0.0, 1e-4], tree, memo=memo) == hausdorff(a + [0.0, 1e-4], b)
-    assert tree.sizes[1] < 200
-    other = counting_tree(b)
-    assert hausdorff(a + [0.0, 1e-4], other, memo=memo) == hausdorff(a + [0.0, 1e-4], b)
-    assert other.sizes == [200]
-    assert hausdorff(a[:50], other, memo=memo) == hausdorff(a[:50], b)
-    assert other.sizes == [200, 50]
+columns = st.lists(st.tuples(st.floats(-3.0, 3.0), st.integers(0, 9)), min_size=1, max_size=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(columns, columns, st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(-2.0, 2.0),
+       st.floats(-6.0, 6.0), st.floats(-1.0, 1.0), st.integers(0, 11), st.integers(0, 8))
+def test_column_bounds_hold_and_keep_the_distance(cols_a, cols_b, step_a, step_b, x0_b,
+                                                  shift_rows, tx, cut_col, cut_row):
+    """_Columns.bound is the distance to the nearest point of the two
+    columns beside each query point, so it bounds the exact distance from
+    above; with those bounds hausdorff returns the plain float.  A's
+    columns are drawn with empty and one-point columns and one column cut
+    from a row up, and A moves by up to several of B's rows."""
+    if cut_col < len(cols_a):
+        cols_a[cut_col] = (cols_a[cut_col][0], min(cols_a[cut_col][1], cut_row))
+    a, col_a = column_set(0.0, step_a, cols_a)
+    b, col_b = column_set(x0_b, step_b, cols_b)
+    assume(len(a) and len(b))
+    shift = (tx, shift_rows * step_b)
+    moved = a + np.array(shift)
+    bound_a = _Columns(b, step_b).bound(moved)
+    bound_b = _Columns(a, step_a).bound(b, shift)
+    # the oracle's abscissae start at the first non-empty column, as _Columns' do
+    want_a = two_column_distance(moved, b, col_b - col_b.min(), b[:, 0].min(), step_b)
+    want_b = two_column_distance(b, moved, col_a - col_a.min(), moved[:, 0].min(), step_a)
+    np.testing.assert_allclose(bound_a, want_a, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(bound_b, want_b, rtol=0, atol=1e-9)
+    assert np.all(bound_a >= cKDTree(b).query(moved)[0] - 1e-9)
+    assert np.all(bound_b >= cKDTree(moved).query(b)[0] - 1e-9)
+    assert hausdorff(moved, b, bounds=(bound_a, bound_b)) == hausdorff(moved, b)
+
+
+def test_bounded_evaluation_queries_few_points(monkeypatch):
+    """At the search's first shift, spin k = 25, the column bounds leave
+    fewer than 1% of the cloud and sample points to query exactly."""
+    queried = []
+
+    class CountingTree(cKDTree):
+        def query(self, x, *args, **kwargs):
+            queried.append(len(np.atleast_2d(x)))
+            return super().query(x, *args, **kwargs)
+
+    model, k = ModelSpec(SPIN_OSCILLATOR), 25
+    est = polygon_run(model, k)
+    h = 1.0 / k
+    theory = sample_polygon_region(model, model.strip, 0.35 * h)
+    shift = (est.x_translation,
+             float(np.median(theory[:, 1])) - float(np.median(est.cloud[:, 1])))
+    moved = est.cloud + np.array(shift)
+    bounds = (_Columns(theory, 0.35 * h).bound(moved),
+              _Columns(est.cloud, h).bound(theory, shift))
+    monkeypatch.setattr("scipy.spatial.cKDTree", CountingTree)
+    got = hausdorff(moved, CountingTree(theory), bounds=bounds)
+    assert 0 < sum(queried) < 0.01 * (len(moved) + len(theory))
+    assert got == hausdorff(moved, theory)
 
 
 def unpruned_reference_distance(model, est, k):
@@ -170,6 +186,9 @@ def unpruned_reference_distance(model, est, k):
 @pytest.mark.parametrize("model, k", [
     (ModelSpec(SPIN_OSCILLATOR), 12),
     (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), 20),
+    (ModelSpec(SPIN_OSCILLATOR), 25),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.6), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.6), 40),
 ])
 def test_reference_distance_equals_unpruned_search(model, k):
     est = polygon_run(model, k)
