@@ -27,7 +27,7 @@ def main():
     )
     for model, k in runs:
         est = polygon_run(model, k)
-        dist, shift, vert_err = polygon_reference_distance(model, est, k)
+        dist, shift, end_error, vert_err = polygon_reference_distance(model, est, k)
         path = out / f"polygon_{model.kind}_k{k}.csv"
         with path.open("w") as f:
             f.write("u,v\n")
@@ -35,6 +35,7 @@ def main():
                 f.write(f"{u:.17g},{v:.17g}\n")
         print(f"{model.kind}: Hausdorff {dist:.4f} "
               f"(budget {model.hausdorff_budget:g}/k), "
+              f"column end error {end_error * k:.2f} hbar, "
               f"max vertex error {max(vert_err):.4f} -> {path}")
 
         kdh = 200

@@ -169,13 +169,14 @@ def _write_figures(out: Path, model: ModelSpec, report: dict) -> None:
 def cmd_polygon(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
     est = polygon_run(model, k)
-    dist, shift, vert_err = polygon_reference_distance(model, est, k)
+    dist, shift, end_error, vert_err = polygon_reference_distance(model, est, k)
     _write_csv(out / f"polygon_cloud_k{k}.csv", "u,v",
                est.cloud[np.lexsort((est.cloud[:, 1], est.cloud[:, 0]))].tolist())
     _write(out / "polygon_report.json", json.dumps({
         "k": k,
         "hausdorff_to_reference": dist,
         "hausdorff_budget": model.hausdorff_budget / k,
+        "column_end_error": end_error,
         "translation": list(shift),
         "fitted_vertices": [list(v) for v in est.fitted_vertices],
         "vertex_errors": vert_err,

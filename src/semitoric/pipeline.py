@@ -37,7 +37,6 @@ from .invariants import (
     solve_taylor_order,
     twisting_number,
 )
-from .invariants.polygon import _Columns
 from .lattice import PointCloud, label_semitoric
 from .models import ModelSpec, build_blocks, joint_spectrum
 from .tridiag import sturm_count_below
@@ -330,62 +329,28 @@ def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
 
 
 def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
-    """Translation-optimized Hausdorff distance of polygon_run's cloud at
-    this k against the reference polygon clipped to the model's strip, plus
-    vertex errors.
+    """polygon_run's cloud against the reference polygon clipped to the
+    model's strip, at one translation (the undetermined nu): returns
+    (Hausdorff distance, translation, column end error, vertex errors).
 
-    The x component of the translation is the exact column alignment (the
-    abscissae are an exact hbar grid), so only the vertical freedom (the
-    undetermined nu) is optimized; this avoids wandering on the Hausdorff
-    plateau created by the cut.
-
-    Both sets are columns: the cloud on the hbar grid of its labels, the
-    reference sample on its own grid.  Each Brent step bounds every
-    point's distance to the other set by a nearest row of its neighbouring
-    columns (``_Columns.bound``), and ``hausdorff`` queries exactly only
-    the points whose bound reaches the maximum, so each value Brent sees
-    is the float an unpruned evaluation returns, and the search takes the
-    same path.
+    The x component is the exact column alignment (the abscissae are an
+    exact hbar grid).  The y component is closed form: over the columns the
+    edges fit, the reference slice ``model.polygon_slice`` less each
+    column's lowest and highest point gives signed end residuals, and the
+    translation is the midpoint of their range, whose half is the column
+    end error.  At that translation the cloud is measured against a 0.35
+    hbar sample of the reference, and each fitted vertex against the
+    nearest reference vertex.
     """
-    from scipy.optimize import minimize_scalar
-    from scipy.spatial import cKDTree
-
-    h = 1.0 / k
-    step = 0.35 * h
-    theory = sample_polygon_region(model, model.strip, step)
-    theory_tree = cKDTree(theory)
-    theory_cols, cloud_cols = _Columns(theory, step), _Columns(est.cloud, h)
     tx = est.x_translation
-
-    def dist(ty):
-        moved = est.cloud + np.array([tx, ty])
-        bounds = theory_cols.bound(moved), cloud_cols.bound(theory, (tx, ty))
-        return hausdorff(moved, theory_tree, bounds=bounds)
-
-    y0 = float(np.median(theory[:, 1])) - float(np.median(est.cloud[:, 1]))
-    res = minimize_scalar(dist, bracket=(y0 - 2 * h, y0 + 2 * h),
-                          method="brent", options={"xtol": 1e-4})
-    shift = np.array([tx, float(res.x)])
-    vert_err = _vertex_errors(est.fitted_vertices, model.polygon_vertices)
-    return float(res.fun), shift, vert_err
-
-
-def _vertex_errors(fitted, reference):
-    """Per-vertex distances to the nearest reference vertex, minimized over a
-    common translation (the undetermined nu applies to vertices as well)."""
-    from scipy.optimize import minimize
-
-    if not fitted:
-        return []
-    F = np.asarray(fitted, dtype=float)
-    R = np.asarray(reference, dtype=float)
-
-    def worst_simple(t):
-        shifted = F + t
-        return max(min(np.hypot(v[0] - r[0], v[1] - r[1]) for r in R) for v in shifted)
-
-    t0 = R.mean(axis=0) - F.mean(axis=0)
-    res = minimize(worst_simple, t0, method="Nelder-Mead",
-                   options={"xatol": 1e-4, "fatol": 1e-4})
-    shifted = F + res.x
-    return [float(min(np.hypot(v[0] - r[0], v[1] - r[1]) for r in R)) for v in shifted]
+    x, lo, hi = est.columns.T
+    ref = np.array([model.polygon_slice(c) for c in x + tx])
+    resid = np.concatenate((ref[:, 0] - lo, ref[:, 1] - hi))
+    shift = np.array([tx, (resid.min() + resid.max()) / 2])
+    end_error = float(resid.max() - resid.min()) / 2
+    theory = sample_polygon_region(model, model.strip, 0.35 * (1.0 / k))
+    dist = float(hausdorff(est.cloud + shift, theory))
+    moved = np.reshape(est.fitted_vertices, (-1, 1, 2)) + shift
+    gap = moved - np.asarray(model.polygon_vertices, dtype=float)
+    vert_err = np.hypot(gap[..., 0], gap[..., 1]).min(axis=1).tolist()
+    return dist, shift, end_error, vert_err

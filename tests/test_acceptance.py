@@ -232,7 +232,7 @@ def test_criterion_6_dh_profile():
 def test_criterion_7_polygon():
     for model, k, mult in ((SPIN, 25, 6), (COUPLED, 20, 8)):
         est = polygon_run(model, k)
-        dist, _, vert_err = polygon_reference_distance(model, est, k)
+        dist, _, _, vert_err = polygon_reference_distance(model, est, k)
         report(7, f"{model.kind} Hausdorff", dist, mult / k)
         report(7, f"{model.kind} vertices", max(vert_err), 0.1)
 

@@ -30,6 +30,17 @@ def test_cli_startup_imports_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_polygon_imports_no_scipy_optimize(tmp_path):
+    # the polygon check's translation is closed form, so no optimizer loads
+    argv = ["polygon", "--model", "spin-oscillator", "--k", "12", "--out", str(tmp_path)]
+    code = (f"import sys, semitoric.cli; semitoric.cli.main({argv!r}); "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(semitoric.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_spectrum_deterministic(tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     for out in (out1, out2):
@@ -580,8 +591,8 @@ def test_polygon_command(tmp_path):
 @pytest.mark.parametrize("model, k", [("coupled", "10"), ("spin-oscillator", "12")])
 def test_polygon_within_budget_where_the_distance_is_not_lowest_at_the_start(
         tmp_path, model, k):
-    # at these k the Hausdorff distance is lower off the median-aligned start
-    # shift than at it, which a three-point Brent bracket refuses
+    # small k, where each hbar step is coarsest: the Hausdorff distance at
+    # the one closed-form translation of the column ends meets the budget
     rc = main(["polygon", "--model", model, "--k", k, "--out", str(tmp_path)])
     assert rc == 0
     report = json.loads((tmp_path / "polygon_report.json").read_text())

@@ -23,6 +23,7 @@ from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
     locate_critical_values,
+    recover_all,
 )
 from semitoric.reference import reference_rho
 from semitoric.testing import strip_density
@@ -288,3 +289,16 @@ def test_locate_focus_focus_no_peak():
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.75)
     with pytest.raises(NoPeak):
         locate_critical_values(model, 200)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("t", [0.2, 0.3, 0.35, 0.5, 0.7, 0.8, 0.9])
+def test_coupled_recovery_reports_or_fails_typed(t):
+    # across the coupling, a recovery either finds the focus-focus value at
+    # ordinate 1 - 2t or ends in NoPeak; any other exception fails the test
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=t)
+    try:
+        report = recover_all(model)
+    except NoPeak:
+        return
+    assert abs(report["focus_focus"][1] - (1 - 2 * t)) <= 2e-3
