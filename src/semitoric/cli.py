@@ -27,7 +27,6 @@ from .geometry import Rect
 from .lattice import (
     label_half_lattice,
     label_regular,
-    label_semitoric,
     select_affine_basis,
     synth_lattice,
 )
@@ -39,9 +38,9 @@ from .models import (
     joint_spectrum,
 )
 from .pipeline import (
-    cut_cloud,
     detect_kinks,
     dh_profile,
+    label_strip,
     locate_critical_values,
     polygon_reference_distance,
     polygon_run,
@@ -139,9 +138,7 @@ def cmd_label(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     except NoPeak:
         origin = (np.nan, np.nan)
     for k in cfg.probes.k_list:
-        spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
-        cloud = cut_cloud(k, spec.as_array(), origin)
-        pts, labs, _ = label_semitoric(cloud, seed_x=model.strip[1]).arrays(cloud)
+        pts, labs = label_strip(model, k, origin)
         order = np.lexsort((pts[:, 1], pts[:, 0]))
         _write_csv(out / f"labels_k{k}.csv", "k,x,y,j,l",
                    ((k, *pts[i].tolist(), *labs[i].tolist()) for i in order))

@@ -417,19 +417,20 @@ def _match_columns(A: np.ndarray, B: np.ndarray, drift):
     return o, table, confidence
 
 
-def label_semitoric(cloud: PointCloud, seed_x: float | None = None) -> Labelling:
+def label_semitoric(cloud: PointCloud) -> Labelling:
     """Column-sweep transport for semitoric clouds (x already on an hbar grid).
 
-    j counts columns, ell counts within a column; the ell anchor of each
-    column is chained from its neighbor through a drift-carried row match,
-    which is parallel transport done one column at a time.
+    j counts columns, ell counts within a column, both 0 at the lowest
+    point of the last column; the ell anchor of each column is chained from
+    its right neighbour through a drift-carried row match, which is
+    parallel transport done one column at a time.
     """
     pts = cloud.points
     if len(pts) < _MIN_REGION_POINTS:
         raise TooSparse(f"only {len(pts)} points")
     h = cloud.hbar
     cols, colx = _columns(pts, h)
-    c0 = len(cols) - 1 if seed_x is None else int(np.argmin(np.abs(colx - seed_x)))
+    c0 = len(cols) - 1
     anchor = _column_anchors(pts, cols, colx, h, c0)
     return Labelling(_column_labels(cols, c0, anchor), REGULAR)
 

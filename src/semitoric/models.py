@@ -42,10 +42,9 @@ class ModelSpec:
     (the J value of each block id), ``_id_bounds(k)``, ``_chain_bounds(k,
     ids)``, the builder ``_block(k, id)`` of a block's matrix (diag,
     offdiag), ``j_range`` (None when J is unbounded), ``strip``,
-    ``dh_range`` (the J-range of the Duistermaat-Heckman profile),
-    ``polygon_ymax``, and the privileged polygon (zero
-    twisting, upward cut): ``polygon_vertices``, ``polygon_slice(x)`` and
-    ``hausdorff_budget`` (in multiples of hbar)."""
+    ``dh_range`` (the J-range of the Duistermaat-Heckman profile), and the
+    privileged polygon (zero twisting, upward cut): ``polygon_vertices``,
+    ``polygon_slice(x)`` and ``hausdorff_budget`` (in multiples of hbar)."""
 
     kind: str
     r1: float = 1.0
@@ -85,7 +84,6 @@ class _SpinOscillator(ModelSpec):
     j_range = None
     strip = (-0.8, 2.0)
     dh_range = (-0.95, 2.5)
-    polygon_ymax = 2.6
     polygon_vertices = ((-1.0, -1.0), (1.0, 1.0))
     hausdorff_budget = 6.0
 
@@ -121,7 +119,6 @@ class _CoupledAngularMomenta(ModelSpec):
     exactly (the coupling only moves (l1,l2) -> (l1±1, l2∓1)).  Blocks are
     indexed by s, chains by l1 (l2 = s - l1)."""
 
-    polygon_ymax = 1.2
     hausdorff_budget = 8.0
 
     def __post_init__(self):

@@ -47,7 +47,7 @@ __all__ = [
     "column_ladder",
     "build_probe_family",
     "locate_critical_values",
-    "cut_cloud",
+    "label_strip",
     "recover_all",
     "polygon_run",
     "dh_profile",
@@ -167,14 +167,20 @@ def locate_critical_values(model: ModelSpec, k0: int,
     return (x0, y0), others
 
 
-def cut_cloud(k: int, points: np.ndarray, origin) -> PointCloud:
-    """The cloud of ``points`` less the cut above the focus-focus value
-    origin = (x0, y0): the points of the column nearest x0 at and above
-    y0, which no column transport crosses.  A nan origin (none located)
-    cuts nothing."""
+def label_strip(model: ModelSpec, k: int, origin) -> tuple[np.ndarray, np.ndarray]:
+    """The labelled spectrum that ``semitoric label`` writes and
+    ``polygon_run`` fits: the joint spectrum on the model's strip (y within
+    2.6, which it never leaves) less the cut above the focus-focus value
+    origin = (x0, y0), labelled by column transport from the strip's last
+    column.  The cut is the points of the column nearest x0 at and above
+    y0, which no column transport crosses; a nan origin (none located)
+    cuts nothing.  Returns (points, labels), matching (n, 2) arrays."""
+    pts = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6)).as_array()
     x0, y0 = origin
-    cut = (np.abs(points[:, 0] - x0) < 0.5 / k) & (points[:, 1] >= y0)
-    return PointCloud(k, points[~cut])
+    cut = (np.abs(pts[:, 0] - x0) < 0.5 / k) & (pts[:, 1] >= y0)
+    cloud = PointCloud(k, pts[~cut])
+    points, labels, _ = label_semitoric(cloud).arrays(cloud)
+    return points, labels
 
 
 def _check_column_resolution(probes: ProbeConfig) -> None:
@@ -315,17 +321,13 @@ def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
     """Quantum cartographic cloud on the model's strip and the
     fitted polygon.
 
-    The critical values are located from the spectrum first.  The cloud
-    leaves out the cut alone (``cut_cloud``, as ``semitoric label`` does);
-    the edge fits keep away from the focus-focus and corner abscissae.
+    The critical values are located from the spectrum first, and the
+    cloud is ``label_strip``'s, the labels ``semitoric label`` writes; the
+    edge fits keep away from the focus-focus and corner abscissae.
     """
-    strip = model.strip
     origin, corner_xs = locate_critical_values(model, k)
-    window = Rect(*strip, -model.polygon_ymax, model.polygon_ymax)
-    cloud = cut_cloud(k, joint_spectrum(model, k, window).as_array(), origin)
-    lab = label_semitoric(cloud, seed_x=strip[1] - 0.1 * (strip[1] - strip[0]))
-    points, labels, _ = lab.arrays(cloud)
-    return polygon_recover(points, labels, 1.0 / k, [origin[0]] + list(corner_xs), strip)
+    points, labels = label_strip(model, k, origin)
+    return polygon_recover(points, labels, 1.0 / k, [origin[0]] + list(corner_xs), model.strip)
 
 
 def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):

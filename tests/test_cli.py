@@ -92,6 +92,28 @@ def test_label_leaves_out_the_cut_above_the_focus_focus_value(tmp_path, r1, r2, 
     assert np.sum(np.abs(x - x0) < 1e-9) == np.sum(np.abs(spec.x - x0) < 1e-9) - cut > 0
 
 
+@pytest.mark.parametrize("model, k", [
+    (ModelSpec(SPIN_OSCILLATOR), 12),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.35), 20),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.5), 20),
+], ids=["spin-k12", "coupled-t0.5", "coupled-t0.35", "coupled-r1-0.5"])
+def test_label_and_polygon_read_one_labelled_strip(tmp_path, model, k):
+    # polygon fits the labels that label writes: one strip, one cut and one
+    # column transport seeded at the strip's last column, so the polygon's
+    # cloud is hbar (j, l) of the labelled points, with no translation
+    rc = main(["label", "--model", model.kind, "--r1", repr(model.r1), "--r2", repr(model.r2),
+               "--t", repr(model.t), "--k", str(k), "--out", str(tmp_path)])
+    assert rc == 0
+    rows = np.loadtxt(tmp_path / f"labels_k{k}.csv", delimiter=",", skiprows=1)
+    x, labels = rows[:, 1], rows[:, 3:]
+    est = semitoric.pipeline.polygon_run(model, k)
+    cloud = (1.0 / k) * labels
+    assert np.array_equal(cloud[np.lexsort(cloud.T[::-1])],
+                          est.cloud[np.lexsort(est.cloud.T[::-1])])
+    assert np.abs(x - cloud[:, 0] - est.x_translation).max() <= 1e-12
+
+
 R23 = ["--model", "coupled", "--r1", repr(2 / 3), "--r2", repr(5 / 3)]
 
 
@@ -415,12 +437,15 @@ def test_dh_reads_the_exact_columns(tmp_path, model, kinks):
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="known defect: column transport raises AmbiguousNeighbor "
                           "next to the cut, exit 4")
-@pytest.mark.parametrize("k", ["20", "40"])
-@pytest.mark.parametrize("t", ["0.65", "0.7"])
-@pytest.mark.parametrize("command", ["label", "polygon"])
+@pytest.mark.parametrize("command, t, k", [
+    *((c, t, k) for c in ("label", "polygon") for t in ("0.65", "0.7") for k in ("20", "40")),
+    ("polygon", "0.6", "100"),
+])
 def test_coupled_column_transport_above_t_0_6(tmp_path, capsys, command, t, k):
-    # coupled (1, 5/2, t) labels for t = 0.35 ... 0.6; beyond, the row
-    # match between two columns next to the cut finds no agreement
+    # coupled (1, 5/2, t) labels for t = 0.35 ... 0.6 at k = 20 and 40;
+    # beyond, the row match between two columns next to the cut finds no
+    # agreement.  At k = 100 that already happens at t = 0.6 (between
+    # columns 179 and 178), so the range that labels depends on k
     rc = main([command, "--model", "coupled", "--t", t, "--k", k, "--out", str(tmp_path)])
     assert rc == 0, capsys.readouterr().err
 

@@ -67,6 +67,18 @@ def test_coupled_spectrum_bounds():
     assert np.all(np.abs(pts[:, 1]) <= 1.0 + 2.0 / 10)
 
 
+@pytest.mark.parametrize("model", [SPIN] + [
+    ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=t) for t in (0.0, 0.5, 1.0)
+], ids=["spin", "coupled-t0", "coupled-t0.5", "coupled-t1"])
+@pytest.mark.parametrize("k", [2, 5, 20])
+def test_label_window_cuts_no_eigenvalue_of_the_strip(model, k):
+    # label and polygon read the strip's spectrum with |y| <= 2.6, the
+    # window spectrum writes; no model needs a y-extent of its own, since
+    # that window keeps every eigenvalue of the strip's blocks
+    spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
+    assert len(spec) == build_blocks(model, k, model.strip).sizes.sum()
+
+
 def test_spin_k15_window():
     spec = joint_spectrum(SPIN, 15, Rect(-1, 2, -1.2, 1.2))
     pts = spec.as_array()

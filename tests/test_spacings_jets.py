@@ -221,7 +221,7 @@ def test_block_labels_are_column_transport_labels(model, origin):
         labels = np.concatenate([np.column_stack((np.full(len(ls), j), ls))
                                  for j, (ls, _) in ladders.items()])
         cloud = PointCloud(k, pts)
-        _, transport, idx = label_semitoric(cloud, seed_x=pts[:, 0].max()).arrays(cloud)
+        _, transport, idx = label_semitoric(cloud).arrays(cloud)
         shift = transport - labels[idx]
         assert len(shift) > 300
         assert (shift == shift[0]).all()
