@@ -23,7 +23,6 @@ from .errors import (
     NumericalFailure,
     SemitoricError,
 )
-from .geometry import Rect
 from .lattice import (
     label_half_lattice,
     label_regular,
@@ -121,7 +120,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 def cmd_spectrum(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     for k in cfg.probes.k_list:
-        spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
+        spec = joint_spectrum(model, k, model.strip)
         rows = list(zip(spec.x.tolist(), spec.y.tolist(), spec.block.tolist(), spec.idx.tolist()))
         _write_csv(out / f"spectrum_k{k}.csv", "k,x,y,block,idx", [(k, *r) for r in rows])
         _write(out / f"spectrum_k{k}.json", json.dumps({

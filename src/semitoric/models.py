@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CommutatorViolation, ConfigurationError, DimensionMismatch, EmptyWindow
-from .geometry import Rect
 from .tridiag import eigs_in_window, eigs_sym_tridiagonal
 
 SPIN_OSCILLATOR = "spin-oscillator"
@@ -41,10 +40,10 @@ class ModelSpec:
     ``__post_init__`` and supplies ``check_dimensions``, ``j_value(k, ids)``
     (the J value of each block id), ``_id_bounds(k)``, ``_chain_bounds(k,
     ids)``, the builder ``_block(k, id)`` of a block's matrix (diag,
-    offdiag), ``j_range`` (None when J is unbounded), ``strip``,
-    ``dh_range`` (the J-range of the Duistermaat-Heckman profile), and the
-    privileged polygon (zero twisting, upward cut): ``polygon_vertices``,
-    ``polygon_slice(x)`` and ``hausdorff_budget`` (in multiples of hbar)."""
+    offdiag), ``strip``, ``dh_range`` (the J-range of the
+    Duistermaat-Heckman profile), and the privileged polygon (zero
+    twisting, upward cut): ``polygon_vertices``, ``polygon_slice(x)`` and
+    ``hausdorff_budget`` (in multiples of hbar)."""
 
     kind: str
     r1: float = 1.0
@@ -81,7 +80,6 @@ class _SpinOscillator(ModelSpec):
     1 + (n-l)/k, so blocks are chains of constant m = n - l, indexed by the
     sphere index l."""
 
-    j_range = None
     strip = (-0.8, 2.0)
     dh_range = (-0.95, 2.5)
     polygon_vertices = ((-1.0, -1.0), (1.0, 1.0))
@@ -146,10 +144,6 @@ class _CoupledAngularMomenta(ModelSpec):
         return round(2 * k * self.r1), round(2 * k * self.r2)
 
     @property
-    def j_range(self) -> tuple[float, float]:
-        return (-(self.r1 + self.r2), self.r1 + self.r2)
-
-    @property
     def strip(self) -> tuple[float, float]:
         return (-(self.r1 + self.r2) + 0.2, self.r1 + self.r2 - 0.4)
 
@@ -197,8 +191,9 @@ _KINDS = {SPIN_OSCILLATOR: _SpinOscillator, COUPLED_ANGULAR_MOMENTA: _CoupledAng
 
 @dataclass(frozen=True)
 class JointSpectrum:
-    """Joint eigenvalues as parallel arrays sorted by (block, idx): point i is
-    (x[i], y[i]), eigenvalue number idx[i] (ascending) of block block[i]."""
+    """The joint eigenvalues of whole J-columns as parallel arrays sorted by
+    (block, idx): point i is (x[i], y[i]), eigenvalue number idx[i]
+    (ascending) of block block[i]."""
 
     k: int
     x: np.ndarray
@@ -213,16 +208,14 @@ class JointSpectrum:
         return len(self.x)
 
 
-def _spectrum(k: int, columns, ylo: float = -np.inf, yhi: float = np.inf) -> JointSpectrum:
-    """Spectrum from per-column triples (x, block id, ascending eigenvalues);
-    y is cut to [ylo, yhi] after idx has counted each whole column."""
+def _spectrum(k: int, columns) -> JointSpectrum:
+    """Spectrum from per-column triples (x, block id, ascending eigenvalues),
+    every column whole."""
     xs, ids, evs = zip(*columns)
     sizes = [len(ev) for ev in evs]
     y = np.concatenate(evs)
     idx = np.arange(len(y)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    keep = (ylo <= y) & (y <= yhi)
-    x, block = np.repeat(xs, sizes)[keep], np.repeat(ids, sizes)[keep]
-    y, idx = y[keep], idx[keep]
+    x, block = np.repeat(xs, sizes), np.repeat(ids, sizes)
     order = np.lexsort((idx, block))
     return JointSpectrum(k, x[order], y[order], block[order], idx[order])
 
@@ -270,6 +263,8 @@ def build_blocks(model: ModelSpec, k: int, j_window) -> BlockSequence:
     of that map, clamped to the model's id bounds."""
     model.check_dimensions(k)
     xlo, xhi = j_window
+    if not (np.isfinite(xlo) and np.isfinite(xhi)):
+        raise ConfigurationError(f"j_window {j_window} must have finite ends")
     if xhi < xlo:
         raise EmptyWindow("empty j_window")
     j0, sign = model.j_value(k, 0), model.j_sign(k)
@@ -281,14 +276,10 @@ def build_blocks(model: ModelSpec, k: int, j_window) -> BlockSequence:
     return BlockSequence(model, k, ids)
 
 
-def joint_spectrum(model: ModelSpec, k: int, window: Rect | None = None) -> JointSpectrum:
-    """All joint eigenvalues (x, y) with x in the window's x-range; y filtered
-    to the window's y-range but indexed by position in the full block spectrum."""
-    if window is None:
-        if model.j_range is None:
-            raise EmptyWindow(f"{model.kind} needs a finite window (J unbounded)")
-        window = Rect(*model.j_range, -2.0, 2.0)
-    blocks = build_blocks(model, k, (window.xmin, window.xmax))
+def joint_spectrum(model: ModelSpec, k: int, j_window) -> JointSpectrum:
+    """Every joint eigenvalue (x, y) of the blocks whose J value x lies in
+    [j_window[0], j_window[1]]: whole J-columns, as ``build_blocks`` selects."""
+    blocks = build_blocks(model, k, j_window)
     columns = zip(blocks.j_values, blocks.ids, map(blocks.eigenvalues, range(len(blocks))))
-    return _spectrum(k, columns, window.ymin, window.ymax)
+    return _spectrum(k, columns)
 

@@ -13,7 +13,6 @@ from semitoric import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
     ModelSpec,
-    Rect,
     build_blocks,
     joint_spectrum,
 )
@@ -69,13 +68,13 @@ def report(criterion, name, value, tol, ok=None):
 def test_criterion_1_oracle_equivalence():
     worst_eig, worst_comm = 0.0, 0.0
     for k in (1, 2, 3):
-        spec = joint_spectrum(COUPLED, k)
+        spec = joint_spectrum(COUPLED, k, (-3.5, 3.5))
         oracle = dense_oracle_spectrum(COUPLED, k)       # checks commutator
         a, b = spectrum_columns(spec), spectrum_columns(oracle)
         worst_eig = max(worst_eig, max(np.abs(a[i] - b[i]).max() for i in a))
     n_max = 60
     for k in (1, 2, 3):
-        spec = joint_spectrum(SPIN, k, Rect(0.0, 1 + (n_max - 2 * k) / k + 0.01, -9, 9))
+        spec = joint_spectrum(SPIN, k, (0.0, 1 + (n_max - 2 * k) / k + 0.01))
         oracle = dense_oracle_spectrum(SPIN, k, n_max=n_max)
         a, b = spectrum_columns(spec), spectrum_columns(oracle)
         interior = [m for m in a if m <= n_max - 2 * k]

@@ -11,7 +11,7 @@ import semitoric
 import semitoric.cli
 import semitoric.models
 import semitoric.pipeline
-from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec, Rect, joint_spectrum
+from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec, joint_spectrum
 from semitoric.cli import main
 from semitoric.config import ProbeConfig
 from semitoric.errors import ConfigurationError
@@ -86,7 +86,7 @@ def test_label_leaves_out_the_cut_above_the_focus_focus_value(tmp_path, r1, r2, 
                "--t", repr(t), "--k", str(k), "--out", str(tmp_path)])
     assert rc == 0
     x = np.loadtxt(tmp_path / f"labels_k{k}.csv", delimiter=",", skiprows=1, usecols=1)
-    spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
+    spec = joint_spectrum(model, k, model.strip)
     x0 = r1 - r2
     assert len(x) == len(spec) - cut
     assert np.sum(np.abs(x - x0) < 1e-9) == np.sum(np.abs(spec.x - x0) < 1e-9) - cut > 0

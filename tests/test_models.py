@@ -12,7 +12,6 @@ from semitoric import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,
     ModelSpec,
-    Rect,
     build_blocks,
     joint_spectrum,
 )
@@ -29,6 +28,11 @@ from semitoric.tridiag import sturm_count_below
 
 SPIN = ModelSpec(SPIN_OSCILLATOR)
 COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
+
+
+def full_range(model: ModelSpec) -> tuple[float, float]:
+    """The J-window that holds every block of a coupled model."""
+    return (-(model.r1 + model.r2), model.r1 + model.r2)
 
 
 def test_spin_k1_single_block():
@@ -50,7 +54,7 @@ def test_coupled_t0_is_diagonal():
 def test_coupled_t0_constant_lines():
     # H = (1-t) z1 term only: eigenvalues take at most 2*k*r1 distinct values
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.0)
-    spec = joint_spectrum(model, 2)
+    spec = joint_spectrum(model, 2, full_range(model))
     ys = np.unique(np.round(spec.y, 12))
     assert len(ys) <= round(2 * 2 * model.r1)
 
@@ -61,26 +65,14 @@ def test_coupled_total_dimension():
 
 
 def test_coupled_spectrum_bounds():
-    spec = joint_spectrum(COUPLED, 10)
+    spec = joint_spectrum(COUPLED, 10, full_range(COUPLED))
     pts = spec.as_array()
     assert np.all(np.abs(pts[:, 0]) <= 3.5)
     assert np.all(np.abs(pts[:, 1]) <= 1.0 + 2.0 / 10)
 
 
-@pytest.mark.parametrize("model", [SPIN] + [
-    ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=t) for t in (0.0, 0.5, 1.0)
-], ids=["spin", "coupled-t0", "coupled-t0.5", "coupled-t1"])
-@pytest.mark.parametrize("k", [2, 5, 20])
-def test_label_window_cuts_no_eigenvalue_of_the_strip(model, k):
-    # label and polygon read the strip's spectrum with |y| <= 2.6, the
-    # window spectrum writes; no model needs a y-extent of its own, since
-    # that window keeps every eigenvalue of the strip's blocks
-    spec = joint_spectrum(model, k, Rect(*model.strip, -2.6, 2.6))
-    assert len(spec) == build_blocks(model, k, model.strip).sizes.sum()
-
-
 def test_spin_k15_window():
-    spec = joint_spectrum(SPIN, 15, Rect(-1, 2, -1.2, 1.2))
+    spec = joint_spectrum(SPIN, 15, (-1, 2))
     pts = spec.as_array()
     assert len(pts) > 300
     assert pts[:, 0].min() >= -1 and pts[:, 0].max() <= 2
@@ -97,7 +89,7 @@ def test_oracle_equivalence_coupled(k, twice_r1, twice_r2, t):
     # half-integer spins 1/2 <= r1 < r2 <= 3, any coupling t
     assume(twice_r1 < twice_r2)
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=twice_r1 / 2, r2=twice_r2 / 2, t=t)
-    spec = joint_spectrum(model, k)
+    spec = joint_spectrum(model, k, full_range(model))
     oracle = dense_oracle_spectrum(model, k)
     a, b = spectrum_columns(spec), spectrum_columns(oracle)
     assert set(a) == set(b)
@@ -131,7 +123,7 @@ def test_closed_form_sizes_and_unbounded_count(mk, lo, width):
     model, k, (xmin, xmax) = mk
     xlo = xmin + lo * (xmax - xmin)
     xhi = xlo + width * (xmax - xlo)
-    spec = joint_spectrum(model, k, Rect(xmin, xmax, -np.inf, np.inf))
+    spec = joint_spectrum(model, k, (xmin, xmax))
     # no column within rounding of a window edge
     assume(np.min(np.abs(np.unique(spec.x)[:, None] - [xlo, xhi])) > 1e-6)
     expected = int(np.sum((xlo <= spec.x) & (spec.x <= xhi)))
@@ -155,7 +147,7 @@ def test_window_ends_on_columns_select_exactly_their_blocks(spin, twice_r1, t, k
     else:
         twice_r2 = data.draw(st.integers(twice_r1 + 1, 10), label="twice_r2")
         model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=twice_r1 / 2, r2=twice_r2 / 2, t=t)
-    full = build_blocks(model, k, model.j_range or (-1.0, 3.0))
+    full = build_blocks(model, k, (-1.0, 3.0) if spin else full_range(model))
     i, j = (data.draw(st.integers(0, len(full) - 1)) for _ in range(2))
     xlo, xhi = sorted((full.j_values[i], full.j_values[j]))
     inside = (xlo <= full.j_values) & (full.j_values <= xhi)
@@ -235,7 +227,7 @@ def test_closed_form_j_check_matches_the_per_state_loop(twice_r1, twice_r2, k, e
 @pytest.mark.parametrize("k", [1, 2])
 def test_oracle_equivalence_spin(k):
     n_max = 40
-    spec = joint_spectrum(SPIN, k, Rect(0.0, 1 + (n_max - 2 * k) / k, -3, 3))
+    spec = joint_spectrum(SPIN, k, (0.0, 1 + (n_max - 2 * k) / k))
     oracle = dense_oracle_spectrum(SPIN, k, n_max=n_max)
     a, b = spectrum_columns(spec), spectrum_columns(oracle)
     for m in a:
@@ -244,8 +236,8 @@ def test_oracle_equivalence_spin(k):
 
 
 def test_block_enumeration_order_independent():
-    s1 = joint_spectrum(COUPLED, 3).as_array()
-    s2 = joint_spectrum(COUPLED, 3).as_array()
+    s1 = joint_spectrum(COUPLED, 3, full_range(COUPLED)).as_array()
+    s2 = joint_spectrum(COUPLED, 3, full_range(COUPLED)).as_array()
     assert np.array_equal(s1, s2)
     blocks = build_blocks(COUPLED, 3, (-3.6, 3.6))
     order = range(len(blocks))
@@ -287,6 +279,19 @@ def test_empty_window():
         build_blocks(COUPLED, 2, (10.0, 11.0))
 
 
+@pytest.mark.parametrize("model", [SPIN, COUPLED], ids=["spin", "coupled"])
+@pytest.mark.parametrize("window", [(0.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (0.0, np.nan)],
+                         ids=["to-inf", "from-inf", "nan-lo", "nan-hi"])
+def test_a_non_finite_window_end_is_a_configuration_error(model, window):
+    # a typed error, and not EmptyWindow, which a count reads as 0
+    for call in (lambda: build_blocks(model, 4, window),
+                 lambda: joint_spectrum(model, 4, window),
+                 lambda: ModelCounter(model, [4]).count(4, *window)):
+        with pytest.raises(ConfigurationError, match="finite ends") as err:
+            call()
+        assert not isinstance(err.value, EmptyWindow)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=2.5, r2=1.0)
@@ -317,14 +322,21 @@ def test_a_model_is_its_kinds_subclass_with_value_semantics():
 
 
 def test_exports(tmp_path):
-    # the files of `semitoric spectrum`, read against the spectrum they hold
-    assert main(["spectrum", "--model", "coupled", "--k", "2", "--out", str(tmp_path)]) == 0
-    spec = joint_spectrum(COUPLED, 2, Rect(*COUPLED.strip, -2.6, 2.6))
-    lines = (tmp_path / "spectrum_k2.csv").read_text().strip().split("\n")
-    assert lines[0] == "k,x,y,block,idx"
-    assert len(lines) == len(spec) + 1
-    data = json.loads((tmp_path / "spectrum_k2.json").read_text())
-    assert data["k"] == 2 and len(data["points"]) == len(spec)
-    # round trip at full precision
-    x0 = float(lines[1].split(",")[1])
-    assert x0 == spec.x[0]
+    # the files of `semitoric spectrum`, read against the spectrum they hold:
+    # every block of the strip, whole, with idx = 0 .. size - 1
+    for model in (SPIN, COUPLED):
+        out = tmp_path / model.kind
+        assert main(["spectrum", "--model", model.kind, "--k", "2", "--out", str(out)]) == 0
+        spec = joint_spectrum(model, 2, model.strip)
+        lines = (out / "spectrum_k2.csv").read_text().strip().split("\n")
+        assert lines[0] == "k,x,y,block,idx"
+        rows = np.loadtxt(out / "spectrum_k2.csv", delimiter=",", skiprows=1, ndmin=2)
+        blocks = build_blocks(model, 2, model.strip)
+        ids, sizes = np.unique(rows[:, 3], return_counts=True)
+        assert ids.tolist() == list(blocks.ids) and sizes.tolist() == blocks.sizes.tolist()
+        assert rows[:, 4].tolist() == [i for n in sizes for i in range(n)]
+        data = json.loads((out / "spectrum_k2.json").read_text())
+        assert data["k"] == 2 and len(data["points"]) == len(spec) == len(rows)
+        # round trip at full precision
+        x0 = float(lines[1].split(",")[1])
+        assert x0 == spec.x[0]
