@@ -7,17 +7,18 @@ searched where the locally transported step vectors predict them.  Labels
 are unique up to one orientation-preserving integer affine map GA+(2,Z),
 which is exactly the freedom of the unknown chart.
 
-Two transport engines are provided:
+One transport engine, ``label_regular``, does generic breadth-first
+transport with per-point frame refresh; it works for arbitrary charts.
 
-* ``label_regular`` - generic breadth-first transport with per-point frame
-  refresh; works for arbitrary charts.
-* ``label_semitoric`` - for clouds whose first coordinate is already an
-  hbar-grid (joint spectra of systems with an S^1 symmetry): clusters exact
-  columns and chains their integer offsets with a drift-carried row match.
-  This is the "label vertically" strategy natural to the semitoric case.
+Clouds whose first coordinate is already an hbar-grid (joint spectra of
+systems with an S^1 symmetry) need no transport: ``label_semitoric``
+clusters exact columns and labels each point (column, rank + anchor), with
+the column anchors in closed form from the column sizes.  This is the
+"label vertically" strategy natural to the semitoric case.
 
 Half-lattices (hbar * (Z x N), spectra near an elliptic-transverse value)
-get the dedicated bottom-anchored algorithm ``label_half_lattice``.
+get the dedicated bottom-anchored algorithm ``label_half_lattice``, whose
+admissibility check reads the same closed-form anchors.
 """
 
 from __future__ import annotations
@@ -351,9 +352,8 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
 
 
 # ---------------------------------------------------------------------------
-# semitoric column transport
+# semitoric column labels
 
-_MIN_VOTE = 0.6    # least row-match confidence accepted between neighbouring columns
 _COLUMN_GAP = 0.5  # an x gap above this fraction of hbar starts a new column
 
 
@@ -376,90 +376,40 @@ def _column_labels(cols, c0: int, anchor) -> dict[int, tuple[int, int]]:
     return dict(zip(idx.tolist(), zip(j.tolist(), l.tolist())))
 
 
-def _match_columns(A: np.ndarray, B: np.ndarray, drift):
-    """Integer offset o with B[i+o] ~ A[i] + drift(y).
-
-    Candidate offsets come from nearest-to-prediction votes; the winner is
-    the one whose matched-row deviations from the carried drift stay small
-    (a wrong offset is off by a full level spacing somewhere).  Returns
-    (offset, drift table for the next pair, confidence in [0,1]).
-    """
-    if len(A) < 2 or len(B) < 2:
-        return None, drift, 0.0
-    n = len(A)
-    i0, i1 = int(0.12 * n), max(int(np.ceil(0.88 * n)), int(0.12 * n) + 1)
-    ia = np.arange(i0, min(i1, n))
-    pred = A[ia] + (np.interp(A[ia], drift[0], drift[1]) if drift is not None else 0.0)
-    ib = np.clip(np.searchsorted(B, pred), 1, len(B) - 1)
-    ib = np.where(np.abs(B[ib] - pred) < np.abs(B[ib - 1] - pred), ib, ib - 1)
-    candidates = np.unique(np.concatenate([ib - ia, ib - ia + 1, ib - ia - 1]))
-    spacing = float(np.median(np.diff(A)))
-
-    def residual(o):
-        ii = np.arange(max(i0, -o), min(min(i1, n), len(B) - o))
-        if len(ii) < 2:
-            return np.inf
-        d = B[ii + o] - A[ii]
-        ref = np.interp(A[ii], drift[0], drift[1]) if drift is not None else 0.0
-        return float(np.median(np.abs(d - ref)))
-
-    scored = sorted((residual(int(o)), int(o)) for o in candidates)
-    best_r, o = scored[0]
-    if drift is None:
-        # no transported reference yet: the minimal-row-step choice fixes the
-        # (equally valid) action chart, so it is accepted as is
-        confidence = 1.0
-    else:
-        margin = scored[1][0] / max(best_r, 1e-12) if len(scored) > 1 else np.inf
-        confidence = 1.0 if (best_r < 0.35 * spacing and margin > 1.5) else 0.0
-    ii = np.arange(max(0, -o), min(len(A), len(B) - o))
-    table = (A[ii], B[ii + o] - A[ii]) if len(ii) else None
-    return o, table, confidence
-
-
 def label_semitoric(cloud: PointCloud) -> Labelling:
-    """Column-sweep transport for semitoric clouds (x already on an hbar grid).
+    """Column labels for semitoric clouds (x already on an hbar grid).
 
     j counts columns, ell counts within a column, both 0 at the lowest
-    point of the last column; the ell anchor of each column is chained from
-    its right neighbour through a drift-carried row match, which is
-    parallel transport done one column at a time.
+    point of the last column; the ell anchor of each column is the closed
+    form of ``_column_anchors``.
     """
     pts = cloud.points
     if len(pts) < _MIN_REGION_POINTS:
         raise TooSparse(f"only {len(pts)} points")
     h = cloud.hbar
     cols, colx = _columns(pts, h)
-    c0 = len(cols) - 1
-    anchor = _column_anchors(pts, cols, colx, h, c0)
-    return Labelling(_column_labels(cols, c0, anchor), REGULAR)
+    anchor = _column_anchors(pts, cols, colx, h)
+    return Labelling(_column_labels(cols, len(cols) - 1, anchor), REGULAR)
 
 
-def _column_anchors(pts, cols, colx, h: float, c0: int) -> np.ndarray:
-    """The ell of each column's lowest point, chained outwards from column
-    c0 (anchor 0) by drift-carried row matches between neighbours."""
-    ncol = len(cols)
+def _column_anchors(pts, cols, colx, h: float) -> np.ndarray:
+    """The ell of each column's lowest point, in closed form.
+
+    The anchors are piecewise linear in the column index and bend only at
+    a vertex of the bottom edge, there by minus the second difference of
+    the column sizes (Vu Ngoc, Adv. Math. 2007).  A size kink is on the
+    bottom edge when the lowest points of its three columns bend more than
+    the highest.  Gauge: slope 0 on the first columns, anchor 0 on the
+    last column.
+    """
     if np.any(np.diff(colx) > 1.6 * h):
         raise Disconnected("column chain has a gap wider than 1.6*hbar")
-    ys = [pts[c, 1] for c in cols]
-    anchor = np.zeros(ncol, dtype=int)
-    for step in (+1, -1):
-        drift = None
-        c = c0
-        while 0 <= c + step < ncol:
-            cn = c + step
-            o, drift, frac = _match_columns(ys[c], ys[cn], drift)
-            if o is None:
-                anchor[cn] = anchor[c]
-            else:
-                if frac < _MIN_VOTE:
-                    raise AmbiguousNeighbor(
-                        f"row match between columns {c} and {cn} got only "
-                        f"{frac:.0%} agreement"
-                    )
-                anchor[cn] = anchor[c] - o
-            c = cn
-    return anchor
+    lo, hi = np.array([pts[c[[0, -1]], 1] for c in cols]).T
+    d2 = np.diff([len(c) for c in cols], 2)
+    bend = np.where(np.abs(np.diff(lo, 2)) > np.abs(np.diff(hi, 2)), -d2, 0)
+    anchor = np.zeros(len(cols), dtype=int)
+    anchor[2:] = np.cumsum(np.cumsum(bend))
+    return anchor - anchor[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +421,8 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
     Steps: nearest point mu to c (ties broken lexicographically); the lowest
     point of mu's column is lambda_(0,0); the next one up is lambda_(0,1);
     lambda_(1,0) needs a column one hbar to the right (within
-    hbar^(3/2) / 2 of x(mu) + hbar); then transport restricted to ell >= 0.
+    hbar^(3/2) / 2 of x(mu) + hbar).  Each point is then labelled
+    (column - column of mu, rank in its column).
     """
     pts = cloud.points
     if len(pts) < _MIN_REGION_POINTS:
@@ -487,12 +438,10 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
         raise EmptyStrip("column of mu has no point above lambda_(0,0)")
     if not np.any(np.abs(colx - (pts[mu_i, 0] + h)) <= 0.5 * h ** 1.5):
         raise EmptyStrip("no column one hbar to the right of mu")
-    # admissibility cross-check: in column-transport coordinates (seeded at
-    # mu's column) the bottom row, the column anchors, must be a
-    # straight lattice line (affine in the column index); a kink means the
-    # domain crosses a corner
-    anchor = _column_anchors(pts, cols, colx, h, c00)
-    if len(np.unique(np.diff(anchor))) > 1:
+    # admissibility: the bottom row, the closed-form column anchors, must
+    # be a straight lattice line (affine in the column index); a kink means
+    # the domain crosses a corner
+    if len(np.unique(np.diff(_column_anchors(pts, cols, colx, h)))) > 1:
         raise Disconnected("bottom row is not a lattice line (domain not admissible)")
     return Labelling(_column_labels(cols, c00, 0), HALF_LATTICE)
 

@@ -169,11 +169,11 @@ def locate_critical_values(model: ModelSpec, k0: int,
 def label_strip(model: ModelSpec, k: int, origin) -> tuple[np.ndarray, np.ndarray]:
     """The labelled spectrum that ``semitoric label`` writes and
     ``polygon_run`` fits: the joint spectrum on the model's strip less the
-    cut above the focus-focus value origin = (x0, y0), labelled by column
-    transport from the strip's last column.  The cut is the points of the
-    column nearest x0 at and above y0, which no column transport crosses;
-    a nan origin (none located) cuts nothing.  Returns (points, labels),
-    matching (n, 2) arrays."""
+    cut above the focus-focus value origin = (x0, y0), labelled by
+    ``label_semitoric``'s closed-form column anchors, (0, 0) at the lowest
+    point of the strip's last column.  The cut is the points of the column
+    nearest x0 at and above y0; a nan origin (none located) cuts nothing.
+    Returns (points, labels), matching (n, 2) arrays."""
     pts = joint_spectrum(model, k, model.strip).as_array()
     x0, y0 = origin
     cut = (np.abs(pts[:, 0] - x0) < 0.5 / k) & (pts[:, 1] >= y0)

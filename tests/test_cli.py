@@ -434,20 +434,21 @@ def test_dh_reads_the_exact_columns(tmp_path, model, kinks):
     assert np.abs(est - theory).max() <= 1e-12
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="known defect: column transport raises AmbiguousNeighbor "
-                          "next to the cut, exit 4")
 @pytest.mark.parametrize("command, t, k", [
     *((c, t, k) for c in ("label", "polygon") for t in ("0.65", "0.7") for k in ("20", "40")),
     ("polygon", "0.6", "100"),
 ])
-def test_coupled_column_transport_above_t_0_6(tmp_path, capsys, command, t, k):
-    # coupled (1, 5/2, t) labels for t = 0.35 ... 0.6 at k = 20 and 40;
-    # beyond, the row match between two columns next to the cut finds no
-    # agreement.  At k = 100 that already happens at t = 0.6 (between
-    # columns 179 and 178), so the range that labels depends on k
+def test_coupled_label_and_polygon_above_t_0_6(tmp_path, capsys, command, t, k):
+    # coupled (1, 5/2, t) beyond t = 0.6 (at k = 100 already at 0.6) is where
+    # a row match between the two columns next to the cut found no agreement;
+    # the closed-form column anchors read no rows, and the polygon fits as
+    # well as at t = 0.5
     rc = main([command, "--model", "coupled", "--t", t, "--k", k, "--out", str(tmp_path)])
     assert rc == 0, capsys.readouterr().err
+    if command == "polygon":
+        report = json.loads((tmp_path / "polygon_report.json").read_text())
+        assert report["column_end_error"] <= 0.5 / int(k) + 1e-9
+        assert max(report["vertex_errors"]) <= 0.1
 
 
 def test_synth_command(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from semitoric import Rect
+from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec, Rect
 from semitoric.errors import (
     AmbiguousNeighbor,
     CocycleViolation,
@@ -15,6 +15,7 @@ from semitoric.errors import (
     Inconsistent,
     InjectivityFailure,
     NonSimplyConnected,
+    NoPeak,
     TooSparse,
 )
 from semitoric.lattice import (
@@ -25,6 +26,8 @@ from semitoric.lattice import (
     ChartSpec,
     Labelling,
     PointCloud,
+    _column_labels,
+    _columns,
     _kdtree,
     glue_global,
     label_half_lattice,
@@ -35,6 +38,7 @@ from semitoric.lattice import (
     synth_lattice,
     transition,
 )
+from semitoric.pipeline import label_strip, locate_critical_values
 from semitoric.testing import random_chart
 
 # a chart maps points along the last axis: one (2,) point or an (n, 2) grid
@@ -172,6 +176,20 @@ def test_label_semitoric_matches_truth():
     affine_map_between(lab, cloud.true_labels)
 
 
+@pytest.mark.parametrize("sizes", [[12], [12, 10]], ids=["one", "two"])
+def test_label_semitoric_few_columns(sizes):
+    # with fewer than three columns there is no size second difference:
+    # every anchor is 0, so a point's label is (column - last column, rank)
+    k = 10
+    pts = np.concatenate([np.column_stack((np.full(n, c / k), np.arange(n) / k))
+                          for c, n in enumerate(sizes)])
+    cloud = PointCloud(k, pts)
+    _, labels, idx = label_semitoric(cloud).arrays(cloud)
+    want = np.concatenate([np.column_stack((np.full(n, c - len(sizes) + 1), np.arange(n)))
+                           for c, n in enumerate(sizes)])
+    assert np.array_equal(labels, want[idx])
+
+
 def test_label_half_lattice_identity():
     chart = ChartSpec(lambda xi: xi.copy(), np.zeros_like, Rect(-0.5, 0.5, 0.0, 0.9), half=True)
     cloud = synth_lattice(chart, 20)
@@ -183,12 +201,10 @@ def test_label_half_lattice_identity():
     assert np.all(got == cloud.true_labels + shift)
 
 
-@pytest.mark.parametrize("seed", [1, 2])
-def test_label_half_lattice_nonlinear(seed):
-    rng = np.random.default_rng(seed)
-    chart = random_chart(rng, half=True)
-    cloud = synth_lattice(chart, 50)
-    lab = label_half_lattice(cloud, np.asarray(chart.g0(np.array([0.0, 0.2])), float))
+def assert_half_lattice_labels(chart, k, y):
+    """label_half_lattice from g0(0, y) gives the true labels up to a shift."""
+    cloud = synth_lattice(chart, k)
+    lab = label_half_lattice(cloud, np.asarray(chart.g0(np.array([0.0, y])), float))
     got = np.array([lab.assignment[i] for i in range(len(cloud.points))])
     # per the half-lattice uniqueness: identity matrix, horizontal shift only
     shift = got[0] - cloud.true_labels[0]
@@ -196,11 +212,40 @@ def test_label_half_lattice_nonlinear(seed):
     assert np.all(got == cloud.true_labels + shift)
 
 
+@pytest.mark.parametrize("seed", [1, 2])
+def test_label_half_lattice_nonlinear(seed):
+    assert_half_lattice_labels(random_chart(np.random.default_rng(seed), half=True), 50, 0.2)
+
+
 def test_half_lattice_empty_strip():
     pts = np.array([[i * 0.1, 0.0] for i in range(12)])   # single row
     cloud = PointCloud(10, pts)
     with pytest.raises(EmptyStrip):
         label_half_lattice(cloud, (0.5, 0.0))
+
+
+def _v_cloud(bottom, k=20, top=15):
+    """Half-lattice columns j = -10..10 at x = j hbar, rows bottom(j)..top."""
+    pts = [(j / k, m / k) for j in range(-10, 11) for m in range(bottom(j), top + 1)]
+    return PointCloud(k, np.array(pts, float))
+
+
+@pytest.mark.parametrize("bottom", [abs, lambda j: max(j, 0), lambda j: max(-j, 0)],
+                         ids=["both", "right", "left"])
+def test_half_lattice_refuses_a_bent_bottom_row(bottom):
+    # the bottom row bends up at column 0: a corner of the domain, where the
+    # column sizes have a second difference and the lowest points bend
+    cloud = _v_cloud(bottom)
+    with pytest.raises(Disconnected, match="domain not admissible"):
+        label_half_lattice(cloud, (0.0, 0.3))
+
+
+@pytest.mark.parametrize("seed,index,k", [(18, 0, 20), (18, 0, 50), (60, 0, 20), (65, 0, 20)])
+def test_half_lattice_labels_what_the_transport_refused(seed, index, k):
+    # admissible charts whose bottom row the drift-carried column transport
+    # (label_semitoric_reference's) read as bent; the closed-form anchors of
+    # a rectangle in label space are all 0
+    assert_half_lattice_labels(_nth_chart(seed, index, True), k, 0.25)
 
 
 # -- transitions and gluing --------------------------------------------------
@@ -452,6 +497,63 @@ def label_regular_reference(cloud: PointCloud, basis) -> Labelling:
     return Labelling(dict(labels), REGULAR)
 
 
+def _match_columns_reference(A: np.ndarray, B: np.ndarray, drift):
+    """Integer offset o with B[i+o] ~ A[i] + drift(y), by a drift-carried row
+    match: (offset, drift table for the next pair, confidence in [0, 1])."""
+    if len(A) < 2 or len(B) < 2:
+        return None, drift, 0.0
+    n = len(A)
+    i0, i1 = int(0.12 * n), max(int(np.ceil(0.88 * n)), int(0.12 * n) + 1)
+    ia = np.arange(i0, min(i1, n))
+    pred = A[ia] + (np.interp(A[ia], drift[0], drift[1]) if drift is not None else 0.0)
+    ib = np.clip(np.searchsorted(B, pred), 1, len(B) - 1)
+    ib = np.where(np.abs(B[ib] - pred) < np.abs(B[ib - 1] - pred), ib, ib - 1)
+    candidates = np.unique(np.concatenate([ib - ia, ib - ia + 1, ib - ia - 1]))
+    spacing = float(np.median(np.diff(A)))
+
+    def residual(o):
+        ii = np.arange(max(i0, -o), min(min(i1, n), len(B) - o))
+        if len(ii) < 2:
+            return np.inf
+        d = B[ii + o] - A[ii]
+        ref = np.interp(A[ii], drift[0], drift[1]) if drift is not None else 0.0
+        return float(np.median(np.abs(d - ref)))
+
+    scored = sorted((residual(int(o)), int(o)) for o in candidates)
+    best_r, o = scored[0]
+    if drift is None:
+        confidence = 1.0   # the minimal-row-step choice fixes the gauge
+    else:
+        margin = scored[1][0] / max(best_r, 1e-12) if len(scored) > 1 else np.inf
+        confidence = 1.0 if (best_r < 0.35 * spacing and margin > 1.5) else 0.0
+    ii = np.arange(max(0, -o), min(len(A), len(B) - o))
+    table = (A[ii], B[ii + o] - A[ii]) if len(ii) else None
+    return o, table, confidence
+
+
+def label_semitoric_reference(cloud: PointCloud) -> Labelling:
+    """label_semitoric by column transport: each column's anchor is chained
+    leftwards from the last column (anchor 0) by drift-carried row matches
+    between neighbours, the heuristic the closed-form anchors replace."""
+    h = cloud.hbar
+    cols, colx = _columns(cloud.points, h)
+    if np.any(np.diff(colx) > 1.6 * h):
+        raise Disconnected("column chain has a gap wider than 1.6*hbar")
+    ys = [cloud.points[c, 1] for c in cols]
+    anchor = np.zeros(len(cols), dtype=int)
+    drift = None
+    for c in range(len(cols) - 1, 0, -1):
+        o, drift, frac = _match_columns_reference(ys[c], ys[c - 1], drift)
+        if o is None:
+            anchor[c - 1] = anchor[c]
+            continue
+        if frac < 0.6:
+            raise AmbiguousNeighbor(
+                f"row match between columns {c} and {c - 1} got only {frac:.0%} agreement")
+        anchor[c - 1] = anchor[c] - o
+    return Labelling(_column_labels(cols, len(cols) - 1, anchor), REGULAR)
+
+
 def _outcome(fn, *args):
     """The labelling's assignment, or the (type, message) of what fn raised."""
     try:
@@ -483,10 +585,9 @@ def test_synth_and_label_regular_match_references(seed, half, k):
     assert got == _regular_outcome(label_regular_reference, ref)
 
 
-# the four known labelling failures on freshly drawn charts:
+# the known labelling failures on freshly drawn charts:
 # (rng seed, index among that seed's draws, half, k)
-KNOWN_DEFECT_CHARTS = [(0, 2, False, 50), (60, 2, False, 100), (75, 2, False, 50),
-                       (18, 0, True, 50)]
+KNOWN_DEFECT_CHARTS = [(0, 2, False, 50), (60, 2, False, 100), (75, 2, False, 50)]
 
 
 @pytest.mark.parametrize("seed,index,half,k", KNOWN_DEFECT_CHARTS)
@@ -495,16 +596,54 @@ def test_known_defects_raise_as_the_references(seed, index, half, k):
     cloud, ref = synth_lattice(chart, k), synth_lattice_reference(chart, k)
     assert np.array_equal(cloud.points, ref.points)
     assert np.array_equal(cloud.true_labels, ref.true_labels)
-    if half:
-        anchor = np.asarray(chart.g0(np.array([0.0, 0.25])), float)
-        got = _outcome(label_half_lattice, cloud, anchor)
-        want = _outcome(label_half_lattice, ref, anchor)
-        assert want == (Disconnected, "bottom row is not a lattice line (domain not admissible)")
-    else:
-        got = _regular_outcome(label_regular, cloud)
-        want = _regular_outcome(label_regular_reference, ref)
+    got = _regular_outcome(label_regular, cloud)
+    want = _regular_outcome(label_regular_reference, ref)
     assert isinstance(want, tuple)
     assert got == want
+
+
+def _strip(model, k):
+    """``label_strip``'s cloud, cut where ``semitoric label`` cuts it."""
+    try:
+        origin, _ = locate_critical_values(model, k)
+    except NoPeak:
+        origin = (np.nan, np.nan)
+    return PointCloud(k, label_strip(model, k, origin)[0])
+
+
+def _coupled(r1, r2, t):
+    return ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t)
+
+
+# every strip that the column transport labels
+@pytest.mark.parametrize("model,k", [
+    *((ModelSpec(SPIN_OSCILLATOR), k) for k in (12, 25, 100)),
+    *((_coupled(1.0, 2.5, t), 20) for t in (0.35, 0.5, 0.6)),
+    (_coupled(1.0, 2.5, 0.6), 40),
+    *((_coupled(1.0, 2.5, t), 100) for t in (0.35, 0.45, 0.5)),
+    *((_coupled(r1, r2, 0.5), k) for r1, r2 in ((0.5, 1.5), (1.0, 2.0)) for k in (20, 100)),
+], ids=lambda v: (str(v) if not isinstance(v, ModelSpec) else v.kind
+                  if v.kind == SPIN_OSCILLATOR else f"coupled-{v.r1}-{v.r2}-{v.t}"))
+def test_label_semitoric_is_the_column_transport(model, k):
+    cloud = _strip(model, k)
+    assert label_semitoric(cloud).assignment == label_semitoric_reference(cloud).assignment
+
+
+@pytest.mark.parametrize("model", [
+    *(_coupled(1.0, 2.5, t) for t in (0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)),
+    _coupled(0.5, 1.5, 0.5), _coupled(1.0, 2.0, 0.5),
+], ids=lambda m: f"{m.r1}-{m.r2}-{m.t}")
+@pytest.mark.parametrize("k", [20, 40])
+def test_size_kinks_are_clearly_top_or_bottom(model, k):
+    # the anchors bend where the lowest points bend more than the highest;
+    # at every size kink of the strips one end bends at least 10x the other
+    # (measured: 25x at t = 0.3, k = 40, with no cut; 600x or more with one)
+    cloud = _strip(model, k)
+    cols, _ = _columns(cloud.points, cloud.hbar)
+    ends = np.array([cloud.points[c[[0, -1]], 1] for c in cols])
+    bends = np.abs(np.diff(ends, 2, axis=0))[np.diff([len(c) for c in cols], 2) != 0]
+    assert len(bends) >= 2
+    assert np.all(bends.max(axis=1) >= 10 * bends.min(axis=1))
 
 
 def test_label_regular_needs_the_cross_frame_refresh():

@@ -207,10 +207,10 @@ def test_missing_neighbor():
 ], ids=["spin-oscillator", "coupled"])
 def test_block_labels_are_column_transport_labels(model, origin):
     # J's spectrum is an exact hbar-lattice of columns, so the probe family's
-    # (sign * block, idx) labels are the column-transport labels of the same
-    # points up to one translation.  The columns are those from x0 - 0.45/k
-    # to x0 + 0.24 + 4/k, the probes' reach: further across the coupled
-    # focus-focus cut, column transport picks up the monodromy shear
+    # (sign * block, idx) labels are label_semitoric's labels of the same
+    # points up to one translation: its closed-form column anchors have
+    # slope 0 on the columns from x0 - 0.45/k to x0 + 0.24 + 4/k, the
+    # probes' reach.  Across a bottom-edge vertex the anchors bend
     x0 = origin[0]
     family = build_probe_family(model, [40, 80])
     for k, sp in family.items():
