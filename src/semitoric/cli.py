@@ -82,12 +82,8 @@ def _config_from_args(args) -> RunConfig:
             setattr(cfg, name, v)
     if getattr(args, "k", None):
         cfg.probes.k_list = sorted(args.k)
-    if getattr(args, "k_max", None) is not None:
-        cfg.probes.k_list = [k for k in cfg.probes.k_list if k <= args.k_max]
     if getattr(args, "x", None):
         cfg.probes.x_schedule = sorted(args.x, reverse=True)
-    if getattr(args, "mu", None) is not None:
-        cfg.probes.mu = args.mu
     if getattr(args, "out", None):
         cfg.output_dir = args.out
     cfg.validate()
@@ -121,12 +117,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def cmd_spectrum(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     for k in cfg.probes.k_list:
         spec = joint_spectrum(model, k, model.strip)
-        rows = list(zip(spec.x.tolist(), spec.y.tolist(), spec.block.tolist(), spec.idx.tolist()))
-        _write_csv(out / f"spectrum_k{k}.csv", "k,x,y,block,idx", [(k, *r) for r in rows])
-        _write(out / f"spectrum_k{k}.json", json.dumps({
-            "k": k,
-            "points": [{"x": x, "y": y, "block": b, "idx": i} for x, y, b, i in rows],
-        }, indent=2))
+        _write_csv(out / f"spectrum_k{k}.csv", "k,x,y,block,idx",
+                   ((k, *row) for row in zip(spec.x.tolist(), spec.y.tolist(),
+                                             spec.block.tolist(), spec.idx.tolist())))
     return 0
 
 
@@ -228,13 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
             q.add_argument("--t", type=float, default=None)
         q.add_argument("--k", type=int, action="append",
                        help="k value; repeat for a schedule")
-        q.add_argument("--k-max", type=int, default=None)
         q.add_argument("--out", default=None)
         q.add_argument("--config", default=None, help="JSON RunConfig file")
         if name == "invariants":
             q.add_argument("--x", type=float, action="append",
                            help="probe offset; repeat for a schedule")
-            q.add_argument("--mu", type=float, default=None)
         if name == "synth":
             q.add_argument("--half", action="store_true")
     return p

@@ -24,7 +24,6 @@ class ProbeConfig:
     x_taylor: list[float] = field(
         default_factory=lambda: [0.12, 0.10, 0.08, 0.07, 0.06, 0.05, 0.04, 0.03, 0.02, 0.01]
     )
-    mu: float = 2.0
     mu_list: list[float] = field(default_factory=lambda: [1.0, 1.5, 2.0])
 
     def validate(self) -> None:
@@ -36,7 +35,7 @@ class ProbeConfig:
         if ks[0] < 1:
             raise ConfigurationError(f"k values must be at least 1, got {ks[0]}")
         # inf and nan pass the ordering and sign checks below
-        for name in ("x_schedule", "x_taylor", "mu", "mu_list"):
+        for name in ("x_schedule", "x_taylor", "mu_list"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigurationError(f"{name} values must be finite")
         xs = self.x_schedule
@@ -46,18 +45,12 @@ class ProbeConfig:
         # 6 x values, and its order-1 jet and Taylor solves take n + 2 = 3 mus
         if len(self.x_taylor) < 6 or min(self.x_taylor) <= 0:
             raise ConfigurationError("x_taylor needs at least 6 values, all positive")
-        # the gradient scale 2 pi / ln(mu) is undefined at mu <= 0 and mu = 1
-        if not (self.mu > 0 and self.mu != 1):
-            raise ConfigurationError("mu must be positive and different from 1")
-        # the gradient probe's second offset mu x must stay within the span of
-        # offsets the recovery already reads, which needs that span nonempty
+        # the gradient's second offset 2 x (``recover_fr_gradient`` at its
+        # mu = 2) must stay within the span of offsets the recovery reads
         lo, hi = min(xs), max(self.x_taylor)
-        if lo > hi:
+        if 2 * lo > hi:
             raise ConfigurationError(
-                f"min(x_schedule) = {lo:g} must be at most max(x_taylor) = {hi:g}")
-        if not lo <= self.mu * lo <= hi:
-            raise ConfigurationError(
-                f"mu * min(x_schedule) = {self.mu * lo:g} must lie in [{lo:g}, {hi:g}]")
+                f"2 * min(x_schedule) = {2 * lo:g} must be at most max(x_taylor) = {hi:g}")
         if len(self.mu_list) != 3 or len(set(self.mu_list)) != 3:
             raise ConfigurationError("mu_list must hold 3 distinct values")
         # each g_mu probe (x, mu x) must stay within the x_taylor span

@@ -98,13 +98,18 @@ def recover_sigma1(ks, xs, a1, a2, s0: float) -> tuple[float, dict]:
     sigma_tilde_1(x) = (E_(j,l)-E_(j+1,l))/(E_(j,l+1)-E_(j,l))
                        + hbar*s0/(E_(j,l+1)-E_(j,l)) = a1 + s0*a2,
     extrapolated hbar -> 0 and then x -> 0.  A per-k value an integer away
-    from its column's median is an integer action jump, undone by the
-    composition with (j,l) -> (j, l+n*j) on the odd k out.  info is
-    ``double_limit``'s plus the k x x table it fitted, after that
-    correction ("per_k").
+    from its column's median means that k's labels chose another action
+    (an integer action jump), and raises ActionDiscontinuity naming that k
+    and x.  info is ``double_limit``'s plus the k x x table it fitted
+    ("per_k").
     """
     vals = a1 + s0 * a2
-    vals = vals - np.round(vals - np.median(vals, axis=0))
+    jumps = np.round(vals - np.median(vals, axis=0))
+    if jumps.any():
+        i, j = np.argwhere(jumps)[0]
+        raise ActionDiscontinuity(
+            f"sigma1 probe at k={ks[i]}, x={xs[j]:g} lies {jumps[i, j]:+.0f} from the "
+            f"median over k: an integer action jump")
     val, info = double_limit(ks, xs, vals)
     # a jump of ~ an integer across the schedule means the action changed chart
     steps = np.diff(info["per_x"])

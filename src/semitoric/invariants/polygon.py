@@ -73,7 +73,7 @@ def polygon_recover(points: np.ndarray, labels: np.ndarray, hbar: float,
         on = (col_x >= lo + _EDGE_MARGIN) & (col_x <= hi - _EDGE_MARGIN)
         if on.sum() < 5:
             raise EdgeFitFailure(
-                f"only {on.sum()} columns available on segment [{lo:.2f}, {hi:.2f}]"
+                f"only {on.sum()} columns available on segment [{lo + tx:.2f}, {hi + tx:.2f}]"
             )
         top.append(np.polyfit(col_x[on], col_hi[on], 1))
         bottom.append(np.polyfit(col_x[on], col_lo[on], 1))

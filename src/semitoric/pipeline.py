@@ -184,19 +184,15 @@ def label_strip(model: ModelSpec, k: int, origin) -> tuple[np.ndarray, np.ndarra
 
 def _check_column_resolution(probes: ProbeConfig) -> None:
     """The coarsest k must resolve the probe offsets: a probe closer to x0
-    than one column reads the critical column itself, and the gradient's
-    offsets x and mu x in one column difference a column with itself.
-    Either gives an O(1) error with no failure to show for it."""
-    k, x = probes.k_list[0], min(probes.x_schedule)
-    x_any = min(x, min(probes.x_taylor))
+    than one column reads the critical column itself, an O(1) error with no
+    failure to show for it.  The gradient's offsets x and 2 x then lie a
+    column apart as well."""
+    k = probes.k_list[0]
+    x_any = min(min(probes.x_schedule), min(probes.x_taylor))
     if k * x_any < 1:
         raise ConfigurationError(
             f"min(k_list) * min(x_schedule, x_taylor) = {k * x_any:g} must be at least 1: "
             f"every probe must lie at least one column (1/k) from x0")
-    if k * x * abs(probes.mu - 1) < 1:
-        raise ConfigurationError(
-            f"min(k_list) * min(x_schedule) * |mu - 1| = {k * x * abs(probes.mu - 1):g} "
-            f"must be at least 1: the gradient's offsets x and mu x must lie a column apart")
 
 
 def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
@@ -211,7 +207,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     # decreasing schedule; the figures show the per-k samples there
     ks, xs = sorted(family), list(probes.x_schedule)
     x_probe = xs[-1]
-    dxfr, dyfr, grad_info = recover_fr_gradient(family, x_probe, probes.mu)
+    dxfr, dyfr, grad_info = recover_fr_gradient(family, x_probe)
     jet1 = FrJet({(1, 0): dxfr, (0, 1): dyfr})
     s0 = jet1.slope_s0
 

@@ -351,7 +351,7 @@ def test_criterion_9_d0_consistency():
 
     probes = ProbeConfig(k_list=[100, 200, 300, 400, 500],
                          x_schedule=[0.01], x_taylor=[0.04, 0.03, 0.02, 0.01],
-                         mu_list=[1.0, 2.0, 4.0], mu=4.0)
+                         mu_list=[1.0, 2.0, 4.0])
     family = located_family(SPIN, probes.k_list)
     dx, dy, _ = recover_fr_gradient(family, 0.01, 2.0)
     worst = 0.0

@@ -50,8 +50,13 @@ def test_spectrum_deterministic(tmp_path):
     c2 = (out2 / "spectrum_k3.csv").read_text()
     assert c1 == c2
     assert c1.startswith("k,x,y,block,idx\n")
-    data = json.loads((out1 / "spectrum_k3.json").read_text())
-    assert data["k"] == 3
+    # the CSV is the spectrum's one copy: x and y round-trip bit for bit
+    assert sorted(p.name for p in out1.iterdir()) == ["spectrum_k3.csv"]
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA)
+    spec = joint_spectrum(model, 3, model.strip)
+    rows = [line.split(",") for line in c1.splitlines()[1:]]
+    assert [float(r[1]) for r in rows] == spec.x.tolist()
+    assert [float(r[2]) for r in rows] == spec.y.tolist()
 
 
 def test_label_csv(tmp_path):
@@ -153,9 +158,7 @@ def test_bad_schedule_exits_2(tmp_path):
     {"probes": {"x_taylor": [0.02, 0.01]}},
     {"probes": {"mu_list": [1.0, 1.0, 2.0]}},
     {"model": "spin"},
-    {"probes": {"mu": 1.0}},
-    {"probes": {"mu": -2.0}},
-    {"probes": {"mu": 0.0}},
+    {"probes": {"mu": 2.0}},
     {"probes": {"x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, -0.01]}},
     {"probes": {"x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, 0.0]}},
     {"probes": {"delta": 0.3}},
@@ -165,7 +168,7 @@ def test_bad_schedule_exits_2(tmp_path):
     {"seed": -1},
 ], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
         "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
-        "unknown-model", "mu-one", "negative-mu", "zero-mu", "negative-x-taylor",
+        "unknown-model", "removed-mu", "negative-x-taylor",
         "zero-x-taylor", "removed-delta", "removed-c-width", "huge-mu-list-entry",
         "huge-negative-mu-list-entry", "negative-seed"])
 def test_bad_config_file_exits_2(tmp_path, config):
@@ -174,26 +177,6 @@ def test_bad_config_file_exits_2(tmp_path, config):
         path.write_text(json.dumps(config))
     rc = main(["spectrum", "--config", str(path), "--out", str(tmp_path)])
     assert rc == 2
-
-
-def test_mu_one_flag_exits_2_before_solving(tmp_path, capsys):
-    rc = main(["invariants", "--model", "coupled", "--mu", "1", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "mu must be positive and different from 1" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("mu", ["1e-300", "0.5", "13", "1e300"])
-def test_mu_far_from_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, mu):
-    # the probe offset mu * min(x_schedule) must lie in [0.01, 0.12], the
-    # offsets the recovery reads: 1e-300 used to give dy f_r = 0.001 against
-    # 2 with exit 0, and 1e300 an OverflowError after the locate stage
-    def no_solve(*args, **kwargs):
-        raise AssertionError("eigensolve reached")
-
-    monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
-    rc = main(["invariants", "--mu", mu, "--out", str(tmp_path)])
-    assert rc == 2
-    assert "mu * min(x_schedule)" in capsys.readouterr().err
 
 
 def test_repeated_k_exits_2_before_solving(tmp_path, monkeypatch, capsys):
@@ -248,15 +231,11 @@ def test_out_not_a_directory_exits_2_before_solving(tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("flags, product", [
     (["--k", "50", "--k", "100", "--k", "200", "--k", "300"], "min(x_schedule, x_taylor) = 0.5"),
-    (["--mu", "1.2"], "|mu - 1| = 0.2"),
-    (["--mu", "1.5"], "|mu - 1| = 0.5"),
-], ids=["k50", "mu-1.2", "mu-1.5"])
+], ids=["k50"])
 def test_probe_finer_than_a_column_exits_2_before_solving(tmp_path, monkeypatch, capsys,
                                                           flags, product):
-    # a probe within one column of x0 reads the critical column, and
-    # gradient offsets x and mu x within one column difference a column
-    # with itself: these runs used to exit 0 with dy f_r = 2.63, 4.50 and
-    # 1.16 against 2
+    # a probe within one column of x0 reads the critical column: this run
+    # used to exit 0 with dy f_r = 2.63 against 2
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve reached")
 
@@ -268,8 +247,8 @@ def test_probe_finer_than_a_column_exits_2_before_solving(tmp_path, monkeypatch,
 
 
 def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, capsys):
-    # an x_schedule offset above every x_taylor offset leaves no span for the
-    # gradient probe; the message says so instead of printing an empty interval
+    # the gradient's second offset 2 min(x_schedule) must lie within the
+    # x_taylor span; the message names both schedules
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve reached")
 
@@ -277,14 +256,14 @@ def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, c
     rc = main(["invariants", "--x", "0.5", "--out", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == (
-        "configuration error: min(x_schedule) = 0.5 must be at most max(x_taylor) = 0.12\n")
+        "configuration error: 2 * min(x_schedule) = 1 must be at most max(x_taylor) = 0.12\n")
 
 
 @pytest.mark.parametrize("argv, config", [
     (["invariants", "--x", "inf"], None),
     (["invariants", "--x", "nan"], None),
-    (["invariants", "--mu", "inf"], None),
     (["invariants"], b'{"probes": {"mu": Infinity}}'),
+    (["invariants"], b'{"probes": {"x_taylor": [Infinity, 0.1, 0.08, 0.06, 0.04, 0.02]}}'),
     (["invariants"], b'{"probes": {"mu": '),
     (["invariants"], b'\xff\xfe{}'),
     (["spectrum", "--model", "coupled", "--r1", "0.5", "--r2", "inf", "--k", "4"], None),
@@ -302,7 +281,7 @@ def test_x_schedule_above_x_taylor_names_both_schedules(tmp_path, monkeypatch, c
       "--k", "4", "--k", "5"], None),
     (["label", "--model", "coupled", "--r1", "0.25", "--r2", "2.5",
       "--k", "4", "--k", "5"], None),
-], ids=["x-inf", "x-nan", "mu-inf", "config-mu-infinity", "config-malformed",
+], ids=["x-inf", "x-nan", "config-mu-infinity", "config-x-taylor-infinity", "config-malformed",
         "config-not-text", "spectrum-r2-inf", "polygon-r2-inf", "spectrum-r1-no-states",
         "dh-r1-no-states", "spectrum-r2-off-grid", "invariants-r1-off-grid-at-last-k",
         "spectrum-r1-off-grid-at-last-k", "label-r1-off-grid-at-last-k"])
@@ -348,6 +327,16 @@ def test_labelling_failure_exits_4(tmp_path, capsys):
     assert capsys.readouterr().err == "labelling failure: only 9 points\n"
 
 
+def test_polygon_edge_fit_failure_names_the_segment_in_x(tmp_path, capsys):
+    # the first segment runs from the spin-oscillator's strip start, x = -0.8,
+    # to its focus-focus value, x0 = 1: the message names it in x, not in
+    # the label frame's [-2.80, -1.00]
+    rc = main(["polygon", "--model", "spin-oscillator", "--k", "3", "--out", str(tmp_path)])
+    assert rc == 4
+    assert capsys.readouterr().err == (
+        "labelling failure: only 4 columns available on segment [-0.80, 1.00]\n")
+
+
 def test_recover_all_raises_configuration_error_before_solving(monkeypatch):
     # a library caller gets the typed error (still a ValueError), not a bare
     # ValueError, and no eigensolve runs first
@@ -378,18 +367,6 @@ def test_negative_mu_gets_the_x_cap_of_its_magnitude(monkeypatch):
     assert offsets[-2.0] == offsets[2.0] == [0.06, 0.05, 0.04, 0.03, 0.02, 0.01]
 
 
-@pytest.mark.parametrize("k_max", ["0", "10"])
-def test_k_max_below_every_k_exits_2(tmp_path, monkeypatch, k_max):
-    # --k-max 0 filters out every k like --k-max 10 does, so both leave an
-    # empty schedule, and no block window is built
-    built = []
-    monkeypatch.setattr(semitoric.models.BlockSequence, "__init__",
-                        lambda self, *args: built.append(args))
-    rc = main(["dh", "--model", "coupled", "--k", "20", "--k-max", k_max,
-               "--out", str(tmp_path)])
-    assert rc == 2 and built == []
-
-
 @pytest.mark.parametrize("argv", [
     # the height and the DH profile read exact columns, so no command
     # takes a strip width exponent
@@ -399,11 +376,14 @@ def test_k_max_below_every_k_exits_2(tmp_path, monkeypatch, k_max):
     ["label", "--mu", "2"],
     ["polygon", "--x", "0.02"],
     ["dh", "--mu", "2"],
+    # the gradient reads x and 2 x, and --k states the whole schedule
+    ["invariants", "--mu", "2"],
+    ["label", "--k-max", "10"],
     # a synthetic chart is no model system
     ["synth", "--model", "coupled"],
     ["synth", "--r1", "1"],
 ], ids=["invariants-delta", "dh-delta", "spectrum-x", "label-mu", "polygon-x", "dh-mu",
-        "synth-model", "synth-r1"])
+        "invariants-mu", "label-k-max", "synth-model", "synth-r1"])
 def test_a_command_refuses_a_flag_it_does_not_read(tmp_path, argv):
     # a flag a command would ignore is a usage error, not a silent no-op
     with pytest.raises(SystemExit) as exc:

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import json
 import pickle
 
 import numpy as np
@@ -335,8 +334,9 @@ def test_exports(tmp_path):
         ids, sizes = np.unique(rows[:, 3], return_counts=True)
         assert ids.tolist() == list(blocks.ids) and sizes.tolist() == blocks.sizes.tolist()
         assert rows[:, 4].tolist() == [i for n in sizes for i in range(n)]
-        data = json.loads((out / "spectrum_k2.json").read_text())
-        assert data["k"] == 2 and len(data["points"]) == len(spec) == len(rows)
-        # round trip at full precision
-        x0 = float(lines[1].split(",")[1])
-        assert x0 == spec.x[0]
+        # the CSV is the spectrum's one copy: every x and y round-trips bit
+        # for bit
+        assert sorted(p.name for p in out.iterdir()) == ["spectrum_k2.csv"]
+        assert len(rows) == len(spec)
+        assert [float(line.split(",")[1]) for line in lines[1:]] == spec.x.tolist()
+        assert [float(line.split(",")[2]) for line in lines[1:]] == spec.y.tolist()

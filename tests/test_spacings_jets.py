@@ -308,10 +308,22 @@ def test_manufactured_sigma1_and_s01():
 
 
 
+def test_sigma1_row_an_integer_off_raises_action_discontinuity():
+    # one k's probes an integer above the other ks' mean that k's labels
+    # chose another action: a refusal naming that k and x, never a silent
+    # relabelling of the odd k out
+    jet = FrJet({(1, 0): -0.5, (0, 1): 2.5})
+    fam = ManufacturedFamily(jet, s10=0.3, s01=0.65, ks=[100, 200, 300])
+    xs = [0.04, 0.03, 0.02, 0.01]
+    a1, a2 = ray_samples(fam, jet.slope_s0, xs)
+    a1[1] += 1.0
+    with pytest.raises(ActionDiscontinuity, match=r"k=200, x=0.04 lies \+1 from the median"):
+        recover_sigma1(sorted(fam), xs, a1, a2, jet.slope_s0)
+
+
 def test_sigma1_column_an_integer_off_raises_action_discontinuity():
-    # the per-column median correction undoes an integer jump at one k; a
-    # whole x column an integer above the others keeps its offset, so the
-    # action changed chart across the schedule
+    # a whole x column an integer above the others passes the per-k check
+    # and keeps its offset, so the action changed chart across the schedule
     jet = FrJet({(1, 0): -0.5, (0, 1): 2.5})
     fam = ManufacturedFamily(jet, s10=0.3, s01=0.65, ks=[100, 200, 300])
     xs = [0.04, 0.03, 0.02, 0.01]
