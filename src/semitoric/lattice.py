@@ -23,10 +23,10 @@ admissibility check reads the same closed-form anchors.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -95,14 +95,17 @@ class PointCloud:
         d, _ = self._tree.query(self.points, k=2)
         return float(d[:, 1].min())
 
-    def check_separation(self) -> float:
-        sep = self.min_separation()
+    def check_separation(self) -> None:
+        """InjectivityFailure when two points are closer than eps0 *
+        hbar^N0.  Only the pairs within that floor are read; the minimum
+        separation is computed for the message alone."""
         floor = _SEPARATION_EPS0 * self.hbar ** _SEPARATION_N0
-        if sep < floor:
+        pairs = self._tree.query_pairs(floor, output_type="ndarray")
+        d = self.points[pairs[:, 0]] - self.points[pairs[:, 1]]
+        if np.any(np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]) < floor):
             raise InjectivityFailure(
-                f"min pairwise separation {sep:.3e} below {floor:.3e}"
+                f"min pairwise separation {self.min_separation():.3e} below {floor:.3e}"
             )
-        return sep
 
     def restrict(self, region: Rect) -> "PointCloud":
         m = region.contains(self.points)
@@ -272,83 +275,153 @@ def label_regular(cloud: PointCloud, basis: AffineBasis) -> Labelling:
     local step of lambda_(n,m) + (lambda_(n,m) - lambda_(n-1,m)); frames are
     refreshed from already-labelled neighbors so curvature is tracked.
     Every point must be reached (Disconnected otherwise).
+
+    Breadth first, one generation at a time: the G points of a generation
+    take 4 G steps, ordered by point, then +a, -a, +b, -b, in one batch of
+    array operations with the outcome of taking them one by one.  A step
+    on a held label checks its target against the holder (AmbiguousNeighbor
+    beyond 2.5 search radii, at the first that fails).  A step on a free
+    label takes the nearest point of its ball not labelled before it,
+    unless a second is within the ambiguity ratio; the new point's cross
+    step comes from the neighbour labelled before it.  In the batch the
+    first step with a choice claims its label and later steps on it check
+    it; the batch is cut at the first step whose ball holds a point an
+    earlier step claimed, and the rest is resolved again.
     """
     pts = cloud.points
-    if len(pts) < _MIN_REGION_POINTS:
-        raise TooSparse(f"only {len(pts)} points")
+    n = len(pts)
+    if n < _MIN_REGION_POINTS:
+        raise TooSparse(f"only {n} points")
     tree = cloud._tree
-    # the transport runs on Python floats: per step it touches 2-vectors
-    # only, where numpy's per-call overhead dominates
-    P = pts.tolist()
-    labels: dict[int, tuple[int, int]] = {}
-    by_label: dict[tuple[int, int], int] = {}
-    frames: dict[int, tuple[tuple[float, float], tuple[float, float]]] = {}
+    never = np.iinfo(np.intp).max
+    # points as complex numbers; index n, cKDTree's "no neighbour", is at inf
+    pc = np.append(pts[:, 0] + 1j * pts[:, 1], np.inf)
+    done = np.zeros(n + 1, dtype=bool)          # labelled, per point
+    done[n] = True
+    claim = np.full(n + 1, never)               # a batch's claiming row, per point
+    width = 2 * n + 4                           # label (a, b) -> key a * width + b
+    key = np.zeros(n, dtype=np.int64)           # per point: its label's key
+    frame = np.zeros((n, 2), dtype=complex)     # per point: its steps u, v
+    dkey = np.array([width, -width, 1, -1])     # the steps +a, -a, +b, -b
+    holder: dict[int, int] = {}                 # label key -> point
+    order, ambiguous = [], 0
 
-    def put(i, lab, frame):
-        labels[i] = lab
-        by_label[lab] = i
-        frames[i] = frame
+    def held(keys):
+        return np.fromiter(map(holder.get, keys.tolist(), repeat(-1)), np.intp, len(keys))
 
-    f0 = (tuple(map(float, basis.v1)), tuple(map(float, basis.v2)))
-    put(basis.lam00, (0, 0), f0)
-    put(basis.lam10, (1, 0), f0)
-    put(basis.lam01, (0, 1), f0)
-    generation = [basis.lam00, basis.lam10, basis.lam01]
-    ambiguous = 0
-    while generation:
-        # breadth first, one generation at a time: every frame it reads was
-        # set before it began, so its targets and radii are known up front
-        # and one ball query serves the steps whose label is still free
-        steps = []
-        for i in generation:
-            px, py = P[i]
-            f = frames[i]
-            (ux, uy), (vx, vy) = f
-            la, lb = labels[i]
-            radius = _SEARCH_RADIUS * min(math.hypot(ux, uy), math.hypot(vx, vy))
-            for da, db, sx, sy in ((1, 0, ux, uy), (-1, 0, -ux, -uy),
-                                   (0, 1, vx, vy), (0, -1, -vx, -vy)):
-                steps.append((i, f, (la + da, lb + db), da, db, px + sx, py + sy, radius))
-        ask = [n for n, step in enumerate(steps) if step[2] not in by_label]
-        balls = dict(zip(ask, tree.query_ball_point(
-            [steps[n][5:7] for n in ask], [steps[n][7] for n in ask], return_sorted=False,
-        ))) if ask else {}
-        generation = []
-        for n, (i, f, nl, da, db, tx, ty, radius) in enumerate(steps):
-            if nl in by_label:
-                qx, qy = P[by_label[nl]]
-                if math.hypot(qx - tx, qy - ty) > 2.5 * radius:
-                    raise AmbiguousNeighbor(
-                        f"transport inconsistency at label {nl} (hbar too large?)"
-                    )
-                continue
-            cand = [c for c in balls[n] if c not in labels]
-            if not cand:
-                continue
-            if len(cand) == 1:
-                j = cand[0]
-            else:
-                ranked = sorted((math.hypot(P[c][0] - tx, P[c][1] - ty), c) for c in cand)
-                if ranked[1][0] < _AMBIGUITY_RATIO * ranked[0][0]:
-                    ambiguous += 1
-                    continue
-                j = ranked[0][1]
-            px, py = P[i]
-            jx, jy = P[j]
-            if da:
-                prev = by_label.get((nl[0], nl[1] - 1))
-                nf = (((jx - px) * da, (jy - py) * da),
-                      f[1] if prev is None else (jx - P[prev][0], jy - P[prev][1]))
-            else:
-                prev = by_label.get((nl[0] - 1, nl[1]))
-                nf = (f[0] if prev is None else (jx - P[prev][0], jy - P[prev][1]),
-                      ((jx - px) * db, (jy - py) * db))
-            put(j, nl, nf)
-            generation.append(j)
-    missed = len(pts) - len(labels)
-    if missed > 0:
-        raise Disconnected(f"{missed} points unreachable ({ambiguous} ambiguous searches)")
-    return Labelling(dict(labels), REGULAR)
+    def commit(js, keys, frames):
+        key[js], frame[js], done[js] = keys, frames, True
+        holder.update(zip(keys.tolist(), js.tolist()))
+        order.append(js)
+
+    gen = np.array([basis.lam00, basis.lam10, basis.lam01])
+    commit(gen, np.array([0, width, 1]), [[complex(*basis.v1), complex(*basis.v2)]] * 3)
+    while gen.size:
+        S = 4 * len(gen)
+        fr = frame[gen]
+        keys = (key[gen][:, None] + dkey).ravel()
+        step = fr[:, [0, 0, 1, 1]]
+        step[:, 1::2] = -step[:, 1::2]
+        target = (pc[gen][:, None] + step).ravel()
+        radius = np.repeat(_SEARCH_RADIUS * np.sqrt(np.minimum(_sq(fr[:, 0]), _sq(fr[:, 1]))), 4)
+        h = held(keys)
+        cand, dist = _by_distance(*_balls(tree, pc, target, radius, h < 0), done)
+        grown, s0 = [gen[:0]], 0
+        while s0 < S:
+            c, d, kk, hold, rows = cand[s0:], dist[s0:], keys[s0:], h[s0:], np.arange(S - s0)
+            j = c[:, 0]
+            amb = d[:, 1] < _AMBIGUITY_RATIO * d[:, 0]
+            choose = np.flatnonzero((hold < 0) & (j < n) & ~amb)
+            # the first step with a choice claims its label: key, row, point
+            uk, first = np.unique(kk[choose], return_index=True)
+            tc = choose[first]
+            ck, cr, cj = np.append(uk, never), np.append(tc, never), np.append(j[tc], -1)
+
+            def claimed(keys, before):
+                """The point an earlier row of this pass claimed each key for, or -1."""
+                pos = np.searchsorted(ck, keys)
+                return np.where((ck[pos] == keys) & (cr[pos] < before), cj[pos], -1)
+
+            q = np.where(hold >= 0, hold, claimed(kk, rows))   # the holder a step checks
+            search = q < 0
+            # cut at the first search whose ball holds a point an earlier row
+            # claimed; a point's earliest claim is the one that counts
+            tc.sort()
+            pj, fi = np.unique(j[tc], return_index=True)
+            claim[pj] = tc[fi]
+            cut = search & (claim[c] < rows[:, None]).any(1)
+            claim[pj] = never
+            stop = int(cut.argmax()) if cut.any() else len(rows)
+            s = s0 + np.flatnonzero(~search[:stop])
+            bad = s[np.sqrt(_sq(pc[q[s - s0]] - target[s])) > 2.5 * radius[s]]
+            if bad.size:
+                raise AmbiguousNeighbor(f"transport inconsistency at label "
+                                        f"{_labels(int(keys[bad[0]]), width)} (hbar too large?)")
+            ambiguous += int(np.count_nonzero(search[:stop] & amb[:stop]))
+            r = tc[tc < stop]
+            s, jj = s0 + r, j[r]
+            g, along = s >> 2, (s >> 1) & 1         # along: 0 on a +-a step, 1 on a +-b step
+            # the cross neighbour: one label back across the step, if held by then
+            back = keys[s] - np.where(along, width, 1)
+            prev = held(back)
+            prev = np.where(prev >= 0, prev, claimed(back, r))
+            own = np.where(s & 1, pc[gen[g]] - pc[jj], pc[jj] - pc[gen[g]])
+            new = np.column_stack((own, np.where(prev >= 0, pc[jj] - pc[prev], fr[g, 1 - along])))
+            new[along == 1] = new[along == 1, ::-1]
+            commit(jj, keys[s], new)
+            grown.append(jj)
+            s0 += stop
+            if s0 < S:
+                h = held(keys)
+                cand[s0:], dist[s0:] = _by_distance(cand[s0:], dist[s0:], done)
+        gen = np.concatenate(grown)
+    idx = np.concatenate(order)
+    if len(idx) < n:
+        raise Disconnected(f"{n - len(idx)} points unreachable ({ambiguous} ambiguous searches)")
+    a, b = _labels(key[idx], width)
+    return Labelling(dict(zip(idx.tolist(), zip(a.tolist(), b.tolist()))), REGULAR)
+
+
+def _sq(z):
+    """|z|^2 of complex z as x * x + y * y, as cKDTree sums squares."""
+    return z.real * z.real + z.imag * z.imag
+
+
+def _labels(keys, width: int):
+    """The labels (a, b) of keys a * width + b with |b| < width / 2."""
+    b = (keys + width // 2) % width - width // 2
+    return (keys - b) // width, b
+
+
+def _balls(tree, pc, target, radius, ask):
+    """The ball of each asked row, as cKDTree's ball query finds it (d^2 <=
+    r^2): its three nearest points, or the whole ball where the third is
+    inside it; n elsewhere.  Returns (points, distances)."""
+    n = len(pc) - 1
+    xy = np.column_stack((target.real, target.imag))
+    cand = np.full((len(target), 3), n)
+    if ask.any():
+        cand[ask] = tree.query(xy[ask], k=3, distance_upper_bound=(
+            radius[ask].max() * (1 + 1e-9)))[1]
+    d2 = _sq(pc[cand] - target[:, None])
+    cand = np.where(d2 <= (radius * radius)[:, None], cand, n)
+    big = np.flatnonzero(cand[:, 2] < n)
+    if big.size:
+        balls = tree.query_ball_point(xy[big], radius[big])
+        cand = np.column_stack((cand, np.full((len(cand), max(map(len, balls)) - 3), n)))
+        for row, ball in zip(big, balls):
+            cand[row, :len(ball)] = ball
+        d2 = _sq(pc[cand] - target[:, None])
+    return cand, np.sqrt(d2)
+
+
+def _by_distance(cand, dist, done):
+    """Each row's candidates not yet labelled, sorted by (distance, index);
+    a labelled or missing one reads (n, inf), n = len(done) - 1."""
+    free = ~done[cand]
+    cand, dist = np.where(free, cand, len(done) - 1), np.where(free, dist, np.inf)
+    rows, o = np.arange(len(cand))[:, None], np.lexsort((cand, dist))
+    return cand[rows, o], dist[rows, o]
 
 
 # ---------------------------------------------------------------------------

@@ -246,10 +246,11 @@ class BlockSequence(Sequence):
         coincide, since H must have a simple spectrum on each J-eigenspace."""
         return self._simple(i, eigs_sym_tridiagonal(*self[i]))
 
-    def eigenvalue_window(self, i: int, lo: int, hi: int) -> np.ndarray:
+    def eigenvalue_window(self, i: int, lo: int, hi: int, matrix=None) -> np.ndarray:
         """Eigenvalues number lo..hi (both included) of block i's ascending
-        spectrum, solved alone; CommutatorViolation as for ``eigenvalues``."""
-        return self._simple(i, eigs_in_window(*self[i], lo, hi))
+        spectrum, solved alone; CommutatorViolation as for ``eigenvalues``.
+        ``matrix`` is block i's (diag, offdiag) when the caller keeps it."""
+        return self._simple(i, eigs_in_window(*(matrix or self[i]), lo, hi))
 
     def _simple(self, i: int, ev: np.ndarray) -> np.ndarray:
         if np.any(np.diff(ev) <= 0):

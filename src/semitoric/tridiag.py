@@ -33,17 +33,17 @@ def _as_tridiag(diag, offdiag):
 def sturm_count_below(diag, offdiag, y):
     """Number of eigenvalues strictly below y (LDL^T pivot sign count)."""
     d, e = _as_tridiag(diag, offdiag)
-    # Python floats: a pivot near zero sends e^2/q to +-inf without the
-    # overflow warning numpy scalars raise, and the sign count is the same
-    d, e, y = d.tolist(), e.tolist(), float(y)
-    count = 0
-    q = d[0] - y
-    if q < 0:
-        count += 1
-    for i in range(1, len(d)):
+    # d - y and e^2 are the first operations of each step, the same IEEE
+    # operations on arrays; the pivots run on Python floats, where a pivot
+    # near zero sends e^2/q to +-inf without the overflow warning numpy
+    # scalars raise, and the sign count is the same
+    dy, e2 = (d - float(y)).tolist(), (e * e).tolist()
+    q = dy[0]
+    count = int(q < 0)
+    for a, b in zip(dy[1:], e2):
         if q == 0.0:
             q = 1e-300
-        q = d[i] - y - e[i - 1] * e[i - 1] / q
+        q = a - b / q
         if q < 0:
             count += 1
     return count
@@ -71,5 +71,6 @@ def eigs_in_window(diag, offdiag, lo, hi):
         return d.copy()
     from scipy.linalg import eigvalsh_tridiagonal
 
-    return eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi),
-                                lapack_driver="stebz")
+    # a copy: LAPACK's result is a view of a buffer as long as the block
+    w = eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi), lapack_driver="stebz")
+    return w.copy()

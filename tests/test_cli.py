@@ -484,8 +484,9 @@ def test_invariants_command_small(tmp_path, monkeypatch):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    probes, probing, read_in_probe = [], [], []
+    probes, probing, read_in_probe, counts, window_reads = [], [], [], [], []
     a1a2 = LabelledSpectrum.a1a2_interpolated
+    heights = semitoric.pipeline.BlockSpectrum._heights
     ladder = LabelledSpectrum.ladder
 
     def counted_probe(self, c):
@@ -499,12 +500,17 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     def counted_count(*args, **kwargs):
         n = count(*args, **kwargs)
         probing[-1][3] = n
+        counts.append(probing[-1][0])
         return n
 
     def counted_window(diag, offdiag, lo, hi):
         key = (diag.tobytes(), offdiag.tobytes(), lo, hi)
         windows.setdefault(key, []).append(tuple(probing[-1]) if probing else None)
         return solve_window(diag, offdiag, lo, hi)
+
+    def counted_heights(self, j, lo, hi):
+        window_reads.append((self.k, j, lo, hi))
+        return heights(self, j, lo, hi)
 
     def counted_read(self, j):
         reads.add((self.k, j))
@@ -518,6 +524,7 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     monkeypatch.setattr(semitoric.pipeline, "sturm_count_below", counted_count)
     monkeypatch.setattr(LabelledSpectrum, "a1a2_interpolated", counted_probe)
     monkeypatch.setattr(LabelledSpectrum, "ladder", counted_read)
+    monkeypatch.setattr(semitoric.pipeline.BlockSpectrum, "_heights", counted_heights)
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "model": "spin-oscillator", "r1": 1.0, "r2": 2.5, "t": 0.5,
@@ -546,14 +553,13 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     assert len(blocks) == len(solves)
     # a probe reads one Sturm count, and an index window in each of its two
     # columns (a third when column j + 1 is too short to share the rows
-    # around the height).  A block's window is solved again only for another
-    # probe of the same k and abscissa whose height lies in the same row gap
-    # (the same Sturm count), which reads the same rows
-    assert all(None not in by for by in windows.values())
-    assert 2 * len(probes) <= sum(map(len, windows.values())) <= 3 * len(probes)
-    for by in windows.values():
-        assert len({probe for probe, *_ in by}) == len(by)
-        assert len({tuple(gap) for _, *gap in by}) == 1
+    # around the height).  Each window is solved once, inside the first
+    # probe that reads it: a later probe of the same k and abscissa whose
+    # height lies in the same row gap reads the same rows, and the kept solve
+    assert counts == list(range(1, len(probes) + 1))
+    assert 2 * len(probes) <= len(window_reads) <= 3 * len(probes)
+    assert len(windows) == len(set(window_reads)) < len(window_reads)
+    assert all(len(by) == 1 and by[0] is not None for by in windows.values())
     # the figures are the per-k samples behind the reported limits
     per_k = report["diagnostics"]["per_k"]
     assert per_k["k"] == [100, 200] and per_k["x"] == 0.01

@@ -1,3 +1,4 @@
+import re
 from collections import deque
 
 import numpy as np
@@ -23,6 +24,9 @@ from semitoric.lattice import (
     _AMBIGUITY_RATIO,
     _MIN_REGION_POINTS,
     _SEARCH_RADIUS,
+    _SEPARATION_EPS0,
+    _SEPARATION_N0,
+    AffineBasis,
     ChartSpec,
     Labelling,
     PointCloud,
@@ -85,7 +89,8 @@ def test_synth_shear_is_unipotent_image():
 def test_synth_collision_raises():
     fold = ChartSpec(lambda xi: np.stack([xi[..., 0] ** 2, xi[..., 1]], axis=-1), np.zeros_like,
                      Rect(-0.5, 0.5, -0.5, 0.5))
-    with pytest.raises(InjectivityFailure):
+    with pytest.raises(InjectivityFailure,
+                       match=r"^min pairwise separation 0\.000e\+00 below 5\.000e-03$"):
         synth_lattice(fold, 10)
 
 
@@ -394,7 +399,26 @@ def test_glue_point_with_two_labels_raises():
 
 def test_separation_invariant():
     cloud = synth_lattice(IDENTITY, 10)
-    assert cloud.check_separation() == pytest.approx(0.1)
+    assert cloud.check_separation() is None
+    assert cloud.min_separation() == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+def test_separation_floor_refuses_only_a_closer_pair(below):
+    # one pair at the floor's distance on a grid of spacing 1 is accepted;
+    # one a unit in the last place closer is refused
+    k = 10
+    floor = _SEPARATION_EPS0 * (1.0 / k) ** _SEPARATION_N0
+    gap = np.nextafter(floor, 0.0) if below else floor
+    grid = np.stack(np.meshgrid(np.arange(4.0), np.arange(4.0)), axis=-1).reshape(-1, 2)
+    cloud = PointCloud(k, np.vstack([grid, [[gap, 0.0]]]))
+    assert cloud.min_separation() == gap
+    if below:
+        with pytest.raises(InjectivityFailure, match=re.escape(
+                f"min pairwise separation {gap:.3e} below {floor:.3e}")):
+            cloud.check_separation()
+    else:
+        assert cloud.check_separation() is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -600,6 +624,65 @@ def test_known_defects_raise_as_the_references(seed, index, half, k):
     want = _regular_outcome(label_regular_reference, ref)
     assert isinstance(want, tuple)
     assert got == want
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_label_regular_matches_the_reference_on_fresh_charts(seed):
+    # three fresh draws per seed at k = 20, their failures included
+    rng = np.random.default_rng(seed)
+    for chart in [random_chart(rng) for _ in range(3)]:
+        cloud = synth_lattice(chart, 20)
+        assert (_regular_outcome(label_regular, cloud)
+                == _regular_outcome(label_regular_reference, cloud))
+
+
+def _manufactured(points, v1, v2):
+    """A cloud of the given points with the affine basis (points 0, 1, 2;
+    steps v1, v2), and the labelling outcome of each implementation."""
+    cloud = PointCloud(1, np.array(points, dtype=float))
+    basis = AffineBasis(0, 1, 2, np.array(v1, float), np.array(v2, float))
+    return (_outcome(label_regular, cloud, basis),
+            _outcome(label_regular_reference, cloud, basis))
+
+
+FAR = [(10.0, 10.0 * i) for i in range(1, 6)]   # never reached
+
+
+def test_label_regular_cuts_a_generation_at_a_shared_candidate():
+    # v2 is nearly v1, so the steps -a and -b of point 0 aim 0.1 apart.  The
+    # first claims x, which is also in the second's ball; taken one by one,
+    # the second then finds only y, so the batch is cut there and resolved
+    # again without x (without the cut, or with the later claim of x
+    # counting, x would be claimed twice), and z is reached from y alone
+    x, y, z = (-1.0, -0.05), (-1.0, -0.3), (-2.0, -0.6)
+    got, want = _manufactured([(0, 0), (1, 0), (1, 0.1), x, y, z, *FAR], (1, 0), (1, 0.1))
+    assert want == (Disconnected, "5 points unreachable (0 ambiguous searches)")
+    assert got == want
+
+
+def test_label_regular_reads_the_whole_ball_past_three_points():
+    # v2 is nearly v1, so three labels aim within 0.04 of each other: +a of
+    # point 1 at c1, +b of point 1 at c2 and +b of point 2 at (2, 0.04).
+    # Each of their balls holds c1 ... c4, so each reads the whole ball.
+    # When the last of them is taken, c1 and c2 are claimed: its candidates
+    # are c3 and c4, ambiguous, where its three nearest points would leave c3
+    c1, c2, c3, c4 = (2.0, 0.0), (2.0, 0.02), (2.2, 0.04), (2.21, 0.04)
+    got, want = _manufactured([(0, 0), (1, 0), (1, 0.02), c1, c2, c3, c4, *FAR],
+                              (1, 0), (1, 0.02))
+    assert want == (Disconnected, "7 points unreachable (1 ambiguous searches)")
+    assert got == want
+
+
+def test_label_regular_on_a_long_thin_diagonal_strip():
+    # labels (t + i, t), 4 x 4000 of them: their bounding box is 4000 x
+    # 4000, and the keys of the label map stay unique
+    t, i = np.meshgrid(np.arange(4000), np.arange(4), indexing="ij")
+    truth = np.column_stack([(t + i).ravel(), t.ravel()])
+    cloud = PointCloud(50, truth / 50.0 + 0.002 * np.sin(truth[:, ::-1] / 7.0), truth)
+    got = _regular_outcome(label_regular, cloud)
+    assert isinstance(got, dict) and len(got) == len(truth)
+    assert got == _regular_outcome(label_regular_reference, cloud)
+    affine_map_between(Labelling(got), truth)
 
 
 def _strip(model, k):
