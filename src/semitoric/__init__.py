@@ -7,7 +7,6 @@ from .geometry import Rect
 from .lattice import (
     AffineBasis,
     ChartSpec,
-    ChartTransition,
     GlobalLabelling,
     Labelling,
     PointCloud,

@@ -23,14 +23,6 @@ class Rect:
             & (p[:, 1] <= self.ymax)
         )
 
-    def intersects(self, other: "Rect") -> bool:
-        return not (
-            self.xmax < other.xmin
-            or other.xmax < self.xmin
-            or self.ymax < other.ymin
-            or other.ymax < self.ymin
-        )
-
     def intersection(self, other: "Rect") -> "Rect":
         return Rect(
             max(self.xmin, other.xmin),

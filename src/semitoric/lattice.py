@@ -48,7 +48,6 @@ __all__ = [
     "ChartSpec",
     "AffineBasis",
     "Labelling",
-    "ChartTransition",
     "GlobalLabelling",
     "synth_lattice",
     "select_affine_basis",
@@ -522,42 +521,21 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
 # ---------------------------------------------------------------------------
 # transitions and gluing
 
-@dataclass(frozen=True)
-class ChartTransition:
-    a_matrix: np.ndarray              # 2x2 int, det +1
-    kappa: tuple[int, int]
-
-    def __post_init__(self):
-        A = np.asarray(self.a_matrix)
-        if round(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]) != 1:
-            raise Inconsistent("transition matrix must have determinant +1")
-
-    def apply(self, lab: Labelling) -> Labelling:
-        return lab.compose_affine(self.a_matrix, self.kappa)
-
-    def inverse(self) -> "ChartTransition":
-        (a, b), (c, d) = np.asarray(self.a_matrix).tolist()
-        A = np.array([[d, -b], [-c, a]])    # the adjugate: det A = +1
-        kap = -(A @ np.array(self.kappa))
-        return ChartTransition(A, (int(kap[0]), int(kap[1])))
-
-    def compose(self, other: "ChartTransition") -> "ChartTransition":
-        A = np.asarray(self.a_matrix) @ np.asarray(other.a_matrix)
-        kap = np.asarray(self.a_matrix) @ np.array(other.kappa) + np.array(self.kappa)
-        return ChartTransition(A.astype(int), (int(kap[0]), int(kap[1])))
-
-    def is_identity(self) -> bool:
-        return (
-            np.array_equal(np.asarray(self.a_matrix), np.eye(2, dtype=int))
-            and tuple(self.kappa) == (0, 0)
-        )
+def _inverse(t: np.ndarray) -> np.ndarray:
+    """The exact inverse of a transition [[A, kappa], [0, 0, 1]]: A^-1 is
+    the adjugate of A, since det A = +1."""
+    (a, b, x), (c, d, y), _ = t.tolist()
+    return np.array([[d, -b, b * y - d * x], [-c, a, c * x - a * y], [0, 0, 1]], dtype=np.int64)
 
 
 def transition(lab1: Labelling, lab2: Labelling, cloud: PointCloud,
-               overlap: Rect | None = None) -> ChartTransition:
-    """The unique (A, kappa), A in SL(2,Z), with lab2 = A∘lab1 + kappa on the
-    overlap: one least-squares solve of [L1 | 1] M = L2 over all common
-    points, rounded to integers and verified exactly on every one of them."""
+               overlap: Rect | None = None) -> np.ndarray:
+    """The unique orientation-preserving integer affine map with
+    lab2 = A lab1 + kappa on the overlap, as the (3, 3) int64 matrix
+    [[A, kappa], [0, 0, 1]] acting on homogeneous labels (n, m, 1): one
+    least-squares solve of [L1 | 1] M = L2 over all common points, rounded
+    to integers and verified exactly on every one of them.  A disjoint
+    overlap holds no common point and raises ``Inconsistent``."""
     common = sorted(set(lab1.assignment) & set(lab2.assignment))
     if overlap is not None:
         inside = overlap.contains(cloud.points)
@@ -573,64 +551,65 @@ def transition(lab1: Labelling, lab2: Labelling, cloud: PointCloud,
     M = np.rint(M).astype(np.int64)
     if np.any(X @ M != L2):
         raise Inconsistent("affine map fails on some common point")
-    return ChartTransition(M[:2].T, (int(M[2, 0]), int(M[2, 1])))
+    if M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0] != 1:
+        raise Inconsistent("transition matrix must have determinant +1")
+    return np.vstack([M.T, [0, 0, 1]])
 
 
 @dataclass
 class GlobalLabelling:
-    transitions: dict                            # (i, j) -> ChartTransition
+    transitions: dict                            # (i, j) -> (3, 3) int64 transition
     merged: Labelling                            # every chart's labels in chart 0's frame
 
 
 def glue_global(cloud: PointCloud, charts: list[tuple[Rect, Labelling]]) -> GlobalLabelling:
     """Fix chart 0 and propagate its labelling along chains of overlaps.
 
-    Verifies the cocycle condition on every overlap cycle; a failing cycle
-    means the union is not simply connected (or a chart is mislabelled).
+    Each chart i gets the integer matrix G_i from its labels to chart 0's,
+    built from products of the pairwise ``transition`` matrices; a pair
+    whose overlap fixes no transition (disjoint, too small, collinear or
+    inconsistent) is no edge.  Verifies the cocycle condition on every
+    overlap cycle; a failing cycle means the union is not simply connected
+    (or a chart is mislabelled).
     """
     n = len(charts)
     edges = {}
     for i in range(n):
         for j in range(i + 1, n):
-            ri, rj = charts[i][0], charts[j][0]
-            if not ri.intersects(rj):
-                continue
+            (ri, lab_i), (rj, lab_j) = charts[i], charts[j]
             try:
-                edges[(i, j)] = transition(
-                    charts[i][1], charts[j][1], cloud, ri.intersection(rj)
-                )
+                edges[(i, j)] = transition(lab_i, lab_j, cloud, ri.intersection(rj))
             except Inconsistent:
                 continue
-    # breadth-first over the chart graph: G_j = G_i ∘ t^-1 along an edge (i, j)
-    to_global: dict[int, ChartTransition] = {
-        0: ChartTransition(np.eye(2, dtype=int), (0, 0))
-    }
+    # breadth-first over the chart graph: G_j = G_i @ inv(T) along an edge (i, j)
+    to_global = {0: np.eye(3, dtype=np.int64)}
     q = deque([0])
     while q:
         c = q.popleft()
         for (i, j), t in edges.items():
             if c == i and j not in to_global:
-                to_global[j] = to_global[i].compose(t.inverse())
+                to_global[j] = to_global[i] @ _inverse(t)
                 q.append(j)
             elif c == j and i not in to_global:
-                to_global[i] = to_global[j].compose(t)
+                to_global[i] = to_global[j] @ t
                 q.append(i)
     if len(to_global) < n:
         raise Disconnected("chart cover is not connected")
     # cocycle check on every edge; a tree edge closes exactly
     for (i, j), t in edges.items():
-        loop = to_global[j].inverse().compose(to_global[i]).compose(t.inverse())
-        if not loop.is_identity():
-            if not np.array_equal(loop.a_matrix, np.eye(2, dtype=int)):
-                raise NonSimplyConnected(
-                    f"cycle through charts {i},{j} has nontrivial holonomy"
-                )
+        residual = to_global[j] @ t - to_global[i]
+        if residual[:2, :2].any():
+            raise NonSimplyConnected(
+                f"cycle through charts {i},{j} has nontrivial holonomy"
+            )
+        if residual.any():
             raise CocycleViolation(
                 f"translation mismatch on cycle through charts {i},{j}"
             )
-    glued = [(r, to_global[i].apply(lab)) for i, (r, lab) in enumerate(charts)]
+    glued = [lab.compose_affine(to_global[i][:2, :2], to_global[i][:2, 2])
+             for i, (_, lab) in enumerate(charts)]
     merged: dict[int, tuple[int, int]] = {}
-    for _, lab in glued:
+    for lab in glued:
         for idx, l in lab.assignment.items():
             if idx in merged and merged[idx] != l:
                 raise CocycleViolation(f"point {idx} received two labels")

@@ -263,7 +263,14 @@ def test_transition_identity():
     cloud = synth_lattice(IDENTITY, 12)
     lab = _grid_labelling(cloud)
     t = transition(lab, lab, cloud)
-    assert t.is_identity()
+    assert t.dtype == np.int64 and np.array_equal(t, np.eye(3))
+
+
+def test_transition_refuses_a_reflection():
+    cloud = synth_lattice(IDENTITY, 12)
+    lab = _grid_labelling(cloud)
+    with pytest.raises(Inconsistent, match=r"determinant \+1"):
+        transition(lab, lab.compose_affine([[0, 1], [1, 0]], (0, 0)), cloud)
 
 
 def test_transition_constructed():
@@ -272,9 +279,9 @@ def test_transition_constructed():
     A = np.array([[1, 0], [1, 1]])
     lab2 = lab1.compose_affine(A, (3, -1))
     t = transition(lab1, lab2, cloud)
-    assert np.array_equal(t.a_matrix, A) and tuple(t.kappa) == (3, -1)
+    assert np.array_equal(t, [[1, 0, 3], [1, 1, -1], [0, 0, 1]])
     # exactness on every common point
-    relabelled = t.apply(lab1)
+    relabelled = lab1.compose_affine(t[:2, :2], t[:2, 2])
     assert relabelled.assignment == lab2.assignment
 
 
@@ -304,15 +311,12 @@ def test_transition_roundtrip_random_sl2(n, k1, k2, seed):
     cloud = synth_lattice(IDENTITY, 8)
     lab1 = _grid_labelling(cloud)
     # random SL(2,Z) word from unipotent generators
-    A = np.eye(2, dtype=int)
     L = np.array([[1, 0], [n, 1]])
     U = np.array([[1, int(rng.integers(-3, 4))], [0, 1]])
     A = L @ U
     lab2 = lab1.compose_affine(A, (k1, k2))
     t = transition(lab1, lab2, cloud)
-    assert np.array_equal(t.a_matrix, A)
-    assert tuple(t.kappa) == (k1, k2)
-    assert t.compose(t.inverse()).is_identity() and t.inverse().compose(t).is_identity()
+    assert np.array_equal(t, [[*A[0], k1], [*A[1], k2], [0, 0, 1]])
 
 
 def test_glue_two_charts_and_order_independence():
@@ -339,7 +343,7 @@ def test_glue_two_charts_and_order_independence():
     m1 = np.array([glob.merged.assignment[i] for i in range(len(cloud.points))])
     lab2 = Labelling({i: tuple(m1[i]) for i in range(len(m1))})
     t = transition(glob2.merged, lab2, cloud)    # exists and is exact
-    assert round(np.linalg.det(np.asarray(t.a_matrix))) == 1
+    assert round(np.linalg.det(t[:2, :2])) == 1
 
 
 def test_glue_single_chart_identity():
@@ -347,6 +351,40 @@ def test_glue_single_chart_identity():
     lab = _grid_labelling(cloud)
     glob = glue_global(cloud, [(Rect(-1, 1, -1, 1), lab)])
     assert glob.merged.assignment == lab.assignment
+
+
+def _strip_chart(cloud, region, a_matrix=((1, 0), (0, 1)), kappa=(0, 0)):
+    inside = region.contains(cloud.points)
+    lab = Labelling({i: l for i, l in _grid_labelling(cloud).assignment.items() if inside[i]})
+    return region, lab.compose_affine(a_matrix, kappa)
+
+
+@pytest.mark.parametrize("cover", ["reflection", "disjoint"])
+def test_glue_refuses_a_cover_without_a_transition(cover):
+    cloud = synth_lattice(IDENTITY, 12)
+    if cover == "reflection":
+        whole = Rect(-1, 1, -1, 1)
+        charts = [_strip_chart(cloud, whole), _strip_chart(cloud, whole, [[0, 1], [1, 0]])]
+    else:
+        charts = [_strip_chart(cloud, Rect(-1, -0.1, -1, 1)),
+                  _strip_chart(cloud, Rect(0.1, 1, -1, 1))]
+    with pytest.raises(Disconnected, match="chart cover is not connected"):
+        glue_global(cloud, charts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-3, 3), st.integers(-3, 3), st.integers(-5, 5), st.integers(-5, 5))
+def test_glue_undoes_random_transitions_along_and_against_edges(n, u, k1, k2):
+    # charts left, right, middle: breadth-first from the left chart reaches
+    # the middle along the edge (0, 2) and the right against the edge (1, 2)
+    cloud = synth_lattice(IDENTITY, 12)
+    A = np.array([[1, 0], [n, 1]]) @ np.array([[1, u], [0, 1]])
+    charts = [_strip_chart(cloud, Rect(-1, -0.05, -1, 1)),
+              _strip_chart(cloud, Rect(0.05, 1, -1, 1), A @ A, (-k1, k2 + 1)),
+              _strip_chart(cloud, Rect(-0.2, 0.2, -1, 1), A, (k1, k2))]
+    glob = glue_global(cloud, charts)
+    assert sorted(glob.transitions) == [(0, 2), (1, 2)]
+    assert glob.merged.assignment == _grid_labelling(cloud).assignment
 
 
 def _ring_cover(a_matrix, kappa):
