@@ -43,8 +43,8 @@ def main():
         path = out / f"dh_{model.kind}_k{kdh}.csv"
         with path.open("w") as f:
             f.write("x,estimate,reference\n")
-            for x, val in prof:
-                f.write(f"{x:.17g},{val:.17g},{reference_rho(model, x):.17g}\n")
+            for x, val, rho in zip(*prof.T, reference_rho(model, prof[:, 0])):
+                f.write(f"{x:.17g},{val:.17g},{rho:.17g}\n")
         print(f"{model.kind}: DH kinks {np.round(detect_kinks(prof), 3)} -> {path}")
 
 

@@ -106,10 +106,11 @@ def _write(path: Path, text: str) -> None:
 
 def _write_csv(path: Path, header: str, rows) -> None:
     """One CSV line per row: a float (numpy's float64 is one) at full
-    precision (.17g), any other value as its text."""
-    lines = [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
-             for row in rows]
-    _write(path, "\n".join([header, *lines]) + "\n")
+    precision (.17g), any other value as its text.  Each column holds one
+    type, so the first row's types make the one format of every line."""
+    rows = [tuple(row) for row in rows]
+    line = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n" if rows else ""
+    _write(path, header + "\n" + "".join([line % row for row in rows]))
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +178,7 @@ def cmd_dh(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
     profile = dh_profile(build_blocks(model, k, model.dh_range))
     _write_csv(out / f"dh_profile_k{k}.csv", "abscissa,estimate,theory",
-               ((xx, val, reference_rho(model, xx)) for xx, val in profile))
+               zip(*profile.T.tolist(), reference_rho(model, profile[:, 0]).tolist()))
     _write(out / "dh_report.json", json.dumps(
         {"k": k, "kinks": detect_kinks(profile)}, indent=2))
     return 0

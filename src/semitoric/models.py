@@ -42,8 +42,10 @@ class ModelSpec:
     ids)``, the builder ``_block(k, id)`` of a block's matrix (diag,
     offdiag), ``strip``, ``dh_range`` (the J-range of the
     Duistermaat-Heckman profile), and the privileged polygon (zero
-    twisting, upward cut): ``polygon_vertices``, ``polygon_slice(x)`` and
-    ``hausdorff_budget`` (in multiples of hbar)."""
+    twisting, upward cut): ``polygon_vertices``, ``polygon_slice(x)`` (the
+    arrays lo, hi of the vertical slice at each abscissa of the array x,
+    hi < lo off the polygon) and ``hausdorff_budget`` (in multiples of
+    hbar)."""
 
     kind: str
     r1: float = 1.0
@@ -102,10 +104,10 @@ class _SpinOscillator(ModelSpec):
         ) / (2 * np.sqrt(2) * k)
         return diag, off
 
-    def polygon_slice(self, x: float) -> tuple[float, float]:
-        if x < -1.0:
-            return (0.0, -1.0)
-        return (-1.0, min(x, 1.0))
+    def polygon_slice(self, x):
+        x = np.asarray(x, dtype=float)
+        out = x < -1.0
+        return np.where(out, 0.0, -1.0), np.where(out, -1.0, np.minimum(x, 1.0))
 
 
 class _CoupledAngularMomenta(ModelSpec):
@@ -179,11 +181,12 @@ class _CoupledAngularMomenta(ModelSpec):
         )
         return diag, off
 
-    def polygon_slice(self, x: float) -> tuple[float, float]:
+    def polygon_slice(self, x):
         r1, r2 = self.r1, self.r2
-        if abs(x) > r1 + r2:
-            return (0.0, -1.0)
-        return (max(-r1, x - r2), min(r1, x + r2))
+        x = np.asarray(x, dtype=float)
+        out = np.abs(x) > r1 + r2
+        return (np.where(out, 0.0, np.maximum(-r1, x - r2)),
+                np.where(out, -1.0, np.minimum(r1, x + r2)))
 
 
 _KINDS = {SPIN_OSCILLATOR: _SpinOscillator, COUPLED_ANGULAR_MOMENTA: _CoupledAngularMomenta}

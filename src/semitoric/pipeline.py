@@ -355,12 +355,12 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     """
     tx = est.x_translation
     x, lo, hi = est.columns.T
-    ref = np.array([model.polygon_slice(c) for c in x + tx])
-    resid = np.concatenate((ref[:, 0] - lo, ref[:, 1] - hi))
+    ref_lo, ref_hi = model.polygon_slice(x + tx)
+    resid = np.concatenate((ref_lo - lo, ref_hi - hi))
     shift = np.array([tx, (resid.min() + resid.max()) / 2])
     end_error = float(resid.max() - resid.min()) / 2
     theory = sample_polygon_region(model, model.strip, 0.35 * (1.0 / k))
-    dist = float(hausdorff(est.cloud + shift, theory))
+    dist = hausdorff(est.cloud, theory, 1.0 / k, shift)
     moved = np.reshape(est.fitted_vertices, (-1, 1, 2)) + shift
     gap = moved - np.asarray(model.polygon_vertices, dtype=float)
     vert_err = np.hypot(gap[..., 0], gap[..., 1]).min(axis=1).tolist()

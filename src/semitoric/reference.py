@@ -42,7 +42,8 @@ def reference_invariants(model: ModelSpec) -> dict | None:
     return None
 
 
-def reference_rho(model: ModelSpec, x: float) -> float:
-    """Duistermaat-Heckman density = slice length of the reference polygon."""
+def reference_rho(model: ModelSpec, x) -> np.ndarray:
+    """Duistermaat-Heckman density = slice length of the reference polygon,
+    at each abscissa of the array x."""
     lo, hi = model.polygon_slice(x)
-    return max(hi - lo, 0.0)
+    return np.maximum(hi - lo, 0.0)

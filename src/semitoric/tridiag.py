@@ -69,8 +69,12 @@ def eigs_in_window(diag, offdiag, lo, hi):
         raise ValueError(f"index window {lo}..{hi} outside 0..{len(d) - 1}")
     if len(d) == 1:
         return d.copy()
-    from scipy.linalg import eigvalsh_tridiagonal
+    from scipy.linalg.lapack import dstebz
 
-    # a copy: LAPACK's result is a view of a buffer as long as the block
-    w = eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi), lapack_driver="stebz")
-    return w.copy()
+    # the call eigvalsh_tridiagonal(select="i", lapack_driver="stebz") makes:
+    # range 2 (by index), 1-based indices, tolerance 0, order "E" (ascending)
+    m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info = {info})")
+    # a copy: LAPACK's result is a buffer as long as the block
+    return w[:m].copy()

@@ -213,7 +213,7 @@ def test_criterion_6_dh_profile():
     k = 200
     profile = dh_profile(build_blocks(COUPLED, k, COUPLED.dh_range))
     x = profile[:, 0]
-    rho = np.array([reference_rho(COUPLED, xx) for xx in x])
+    rho = reference_rho(COUPLED, x)
     kinks_theory = [-3.5, -1.5, 1.5, 3.5]   # slope changes of rho_J incl. support ends
     mask = np.ones(len(x), dtype=bool)
     for c in kinks_theory:

@@ -136,6 +136,27 @@ def test_polygon_and_invariants_locate_on_the_grid_of_the_smallest_k(tmp_path):
     assert report["focus_focus"][0] == -1.0
 
 
+def per_value_csv(header, rows):
+    """The reference CSV text: each value formatted on its own, a float
+    (numpy's float64 is one) at .17g, any other value as its text."""
+    lines = [",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+             for row in rows]
+    return "\n".join([header, *lines]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [(1, 0.1, np.float64(-0.0), np.int64(7), "", 1e-300),
+     (-3, -0.0, np.float64(0.1), np.int64(-2 ** 40), "", 2.5)],
+    [(np.int64(0), np.float64(1e-300), 0.1, 3, "x", -0.0)] * 3,
+    [(np.float64(np.nan), float("inf"), -1e300, 12345678901234567, np.float64(5e-324), "")],
+    [],
+], ids=["mixed", "repeated", "extremes", "empty"])
+def test_write_csv_keeps_the_per_value_bytes(tmp_path, rows):
+    path = tmp_path / "t.csv"
+    semitoric.cli._write_csv(path, "a,b,c,d,e,f", iter(rows))
+    assert path.read_text() == per_value_csv("a,b,c,d,e,f", rows)
+
+
 def test_bad_model_exits_2(tmp_path, capsys):
     rc = main(["spectrum", "--model", "coupled", "--r2", "2.5", "--r1", "3.0",
                "--out", str(tmp_path)])

@@ -268,7 +268,7 @@ def test_weyl_law_strip_density_reads_the_column_profile(model, xs):
     # the kinks to within its own resolution
     k = 500
     prof = dh_profile(build_blocks(model, k, model.dh_range))
-    rho = np.array([reference_rho(model, x) for x in prof[:, 0]])
+    rho = reference_rho(model, prof[:, 0])
     assert np.abs(prof[:, 1] - rho).max() <= 1e-12
     for x in xs:
         column = prof[np.argmin(np.abs(prof[:, 0] - x)), 1]

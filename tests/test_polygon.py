@@ -11,16 +11,25 @@ from semitoric.invariants import (
     sample_polygon_region,
 )
 from semitoric.pipeline import polygon_reference_distance, polygon_run
+from semitoric.reference import reference_rho
+
+
+def two_tree_hausdorff(a, b):
+    """The reference: every point of each set queried against a k-d tree
+    of the other (the two-tree body ``hausdorff`` bounds its way around)."""
+    from scipy.spatial import cKDTree
+
+    return max(cKDTree(b).query(a)[0].max(), cKDTree(a).query(b)[0].max())
 
 
 def test_hausdorff_identical():
     a = np.random.default_rng(0).normal(size=(40, 2))
-    assert hausdorff(a, a) == 0.0
+    assert hausdorff(a, a, 0.1, (0.0, 0.0)) == 0.0
 
 
 def test_hausdorff_shifted_squares():
     sq = np.array([(x, y) for x in np.linspace(0, 1, 21) for y in np.linspace(0, 1, 21)])
-    assert hausdorff(sq + [0.1, 0.0], sq) == pytest.approx(0.1, abs=1e-12)
+    assert hausdorff(sq, sq, 0.05, (0.1, 0.0)) == pytest.approx(0.1, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -29,7 +38,67 @@ def test_hausdorff_symmetry(seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(15, 2))
     b = rng.normal(size=(12, 2))
-    assert hausdorff(a, b) == pytest.approx(hausdorff(b, a), rel=1e-12)
+    assert hausdorff(a, b, 0.1, (0.0, 0.0)) == pytest.approx(hausdorff(b, a, 0.1, (0.0, 0.0)),
+                                                             rel=1e-12)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 12), st.floats(0.2, 0.8),
+       st.booleans(), st.sampled_from([0.0, 0.1]))
+def test_hausdorff_on_a_lattice_cloud_is_the_brute_force_value(seed, k, step, cut, holes):
+    """A lattice cloud, with or without a cut column and holes, at a
+    random shift, against a column sample of its region whose ends miss
+    the cloud's by up to a column (so some cloud points lie outside the
+    sample): the bounded queries give the brute-force distance, bit for
+    bit."""
+    from scipy.spatial.distance import cdist
+
+    rng = np.random.default_rng(seed)
+    h = 1.0 / k
+    cols = np.arange(-k, k + 1)
+    lo = rng.integers(-k, 0, size=len(cols))
+    hi = lo + rng.integers(0, 2 * k, size=len(cols))
+    labels = np.array([(j, l) for j, a, b in zip(cols, lo, hi) for l in range(a, b + 1)])
+    keep = (labels[:, 0] != (rng.choice(cols) if cut else k + 1)) & (rng.random(len(labels)) >= holes)
+    cloud = h * labels[keep]
+    shift = rng.uniform(-3 * h, 3 * h, size=2)
+    xs = np.arange(rng.uniform(-1.1, -0.9), rng.uniform(0.9, 1.1), step * h)
+    col = np.clip(np.rint(xs / h).astype(int) + k, 0, 2 * k)
+    start = h * lo[col] - rng.uniform(-0.5 * h, h, size=len(xs))
+    stop = np.maximum(h * hi[col] + rng.uniform(-0.5 * h, h, size=len(xs)), start) + step * h / 2
+    ys = [np.arange(a, b, step * h) for a, b in zip(start, stop)]
+    sample = np.column_stack((np.repeat(xs, [len(y) for y in ys]), np.concatenate(ys))) + shift
+    d = cdist(cloud + shift, sample)
+    assert hausdorff(cloud, sample, h, shift) == max(d.min(axis=1).max(), d.min(axis=0).max())
+
+
+def test_hausdorff_attained_where_a_cloud_point_bounds_the_sample_point():
+    """The corners of a sample grid that overhangs a full lattice block by
+    0.45 hbar attain the distance, 0.45 sqrt(2) hbar; the one sample point
+    with no cloud point on its node lies only 0.55 hbar off, so the
+    maximum is reached among the points the first queries skip."""
+    from scipy.spatial.distance import cdist
+
+    h, n = 0.1, 6
+    cloud = h * np.array([(j, l) for j in range(n + 1) for l in range(n + 1)], dtype=float)
+    ticks = np.arange(-0.45 * h, (n + 0.46) * h, 0.3 * h)
+    grid = np.array([(x, y) for x in ticks for y in ticks])
+    sample = np.concatenate((grid, [((n + 0.55) * h, 0.0)]))
+    d = cdist(cloud, sample)
+    want = max(d.min(axis=1).max(), d.min(axis=0).max())
+    assert want == pytest.approx(0.45 * np.sqrt(2) * h)
+    assert hausdorff(cloud, sample, h, (0.0, 0.0)) == want
+
+
+@pytest.mark.parametrize("model, k", [
+    (ModelSpec(SPIN_OSCILLATOR), 100),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.7), 40),
+], ids=["spin-100", "coupled-0.7-40"])
+def test_hausdorff_to_reference_is_the_two_tree_value(model, k):
+    est = polygon_run(model, k)
+    dist, shift, _, _ = polygon_reference_distance(model, est, k)
+    sample = sample_polygon_region(model, model.strip, 0.35 / k)
+    assert dist == two_tree_hausdorff(est.cloud + shift, sample)
 
 
 def polygon_grid_cloud(k, slice_fn, strip):
@@ -85,6 +154,30 @@ def test_polygon_recover_needs_columns():
     labels = np.array([[0, 0], [1, 0]])
     with pytest.raises(EdgeFitFailure):
         polygon_recover(pts, labels, 0.1, [], (0.0, 0.1))
+
+
+def scalar_slice(model, x):
+    """The reference slice at one abscissa, as a scalar branch computes it."""
+    if model.kind == SPIN_OSCILLATOR:
+        return (0.0, -1.0) if x < -1.0 else (-1.0, min(x, 1.0))
+    r1, r2 = model.r1, model.r2
+    return (0.0, -1.0) if abs(x) > r1 + r2 else (max(-r1, x - r2), min(r1, x + r2))
+
+
+@pytest.mark.parametrize("model, kinks", [
+    (ModelSpec(SPIN_OSCILLATOR), [-1.0, 1.0]),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5), [-3.5, -1.5, 1.5, 3.5]),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.3), [-2.0, -1.0, 1.0, 2.0]),
+], ids=["spin", "coupled", "coupled-0.5-1.5"])
+def test_polygon_slice_of_an_array_is_the_scalar_slice(model, kinks):
+    # every kink, a last bit to either side, the strip and DH-range ends
+    x = np.array([*model.strip, *model.dh_range, *kinks])
+    x = np.concatenate((x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf),
+                        np.linspace(-5.0, 5.0, 101)))
+    lo, hi = model.polygon_slice(x)
+    want = np.array([scalar_slice(model, float(v)) for v in x])
+    assert np.array_equal(lo, want[:, 0]) and np.array_equal(hi, want[:, 1])
+    assert np.array_equal(reference_rho(model, x), [max(b - a, 0.0) for a, b in want])
 
 
 def test_reference_slices_consistent_with_vertices():

@@ -106,6 +106,22 @@ def test_index_window_is_a_slice_of_the_full_solve(n, seed, data):
     assert np.abs(win - ev[lo:hi + 1]).max() <= 1e-12 * max(spectral_radius_bound(d, e), 1.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 31 - 1), st.data())
+def test_index_window_is_scipys_stebz_window_bit_for_bit(n, seed, data):
+    """The direct dstebz call makes the call eigvalsh_tridiagonal's stebz
+    driver makes, so the window keeps its bits."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 3
+    e = rng.normal(size=n - 1)
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo, n - 1))
+    want = eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi), lapack_driver="stebz")
+    assert np.array_equal(eigs_in_window(d, e, lo, hi), want)
+
+
 @pytest.mark.parametrize("lo,hi", [(-1, 2), (0, 5), (3, 2), (5, 5)])
 def test_index_window_out_of_range(lo, hi):
     d = np.arange(5.0)
