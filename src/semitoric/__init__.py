@@ -3,21 +3,7 @@ the classical symplectic invariants from the spectrum alone."""
 
 from . import errors
 from .config import ProbeConfig, RunConfig
-from .geometry import Rect
-from .lattice import (
-    AffineBasis,
-    ChartSpec,
-    GlobalLabelling,
-    Labelling,
-    PointCloud,
-    glue_global,
-    label_half_lattice,
-    label_regular,
-    label_semitoric,
-    select_affine_basis,
-    synth_lattice,
-    transition,
-)
+from .lattice import label_semitoric
 from .models import (
     COUPLED_ANGULAR_MOMENTA,
     SPIN_OSCILLATOR,

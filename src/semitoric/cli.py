@@ -1,7 +1,8 @@
 """Command-line driver.
 
-Subcommands: spectrum, label, invariants, polygon, dh, synth.  All outputs
-are deterministic CSV/JSON ('.' decimal separator, fixed column order).
+Subcommands: spectrum, label, invariants, polygon, dh; each runs on the
+configured model.  All outputs are deterministic CSV/JSON ('.' decimal
+separator, fixed column order).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 labelling failure.
 """
@@ -22,12 +23,6 @@ from .errors import (
     NoPeak,
     NumericalFailure,
     SemitoricError,
-)
-from .lattice import (
-    label_half_lattice,
-    label_regular,
-    select_affine_basis,
-    synth_lattice,
 )
 from .models import (
     COUPLED_ANGULAR_MOMENTA,
@@ -77,16 +72,16 @@ def _config_from_args(args) -> RunConfig:
         cfg = RunConfig()
     # flags override the file
     for name in ("model", "r1", "r2", "t"):
-        v = getattr(args, name, None)
+        v = getattr(args, name)
         if v is not None:
             setattr(cfg, name, v)
-    if getattr(args, "k", None):
+    if args.k:
         cfg.probes.k_list = sorted(args.k)
-    if getattr(args, "x", None):
+    if getattr(args, "x", None):   # invariants alone reads --x
         cfg.probes.x_schedule = sorted(args.x, reverse=True)
-    if getattr(args, "out", None):
+    if args.out:
         cfg.output_dir = args.out
-    cfg.validate()
+    cfg.probes.validate()
     return cfg
 
 
@@ -115,7 +110,7 @@ def _write_csv(path: Path, header: str, rows) -> None:
 
 # ---------------------------------------------------------------------------
 
-def cmd_spectrum(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
+def cmd_spectrum(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     for k in cfg.probes.k_list:
         spec = joint_spectrum(model, k, model.strip)
         _write_csv(out / f"spectrum_k{k}.csv", "k,x,y,block,idx",
@@ -124,21 +119,20 @@ def cmd_spectrum(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     return 0
 
 
-def cmd_label(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
+def cmd_label(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     # with no focus-focus value located there is no cut
     try:
         origin, _ = locate_critical_values(model, cfg.probes.k_list[0])
     except NoPeak:
         origin = (np.nan, np.nan)
     for k in cfg.probes.k_list:
-        pts, labs = label_strip(model, k, origin)
-        order = np.lexsort((pts[:, 1], pts[:, 0]))
+        pts, labs = label_strip(model, k, origin)   # in (column, height) order
         _write_csv(out / f"labels_k{k}.csv", "k,x,y,j,l",
-                   ((k, *pts[i].tolist(), *labs[i].tolist()) for i in order))
+                   ((k, *p, *l) for p, l in zip(pts.tolist(), labs.tolist())))
     return 0
 
 
-def cmd_invariants(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
+def cmd_invariants(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     report = recover_all(model, cfg.probes)
     _write(out / "invariants.json", json.dumps(report, indent=2, sort_keys=True))
     _write_figures(out, model, report)
@@ -156,7 +150,7 @@ def _write_figures(out: Path, model: ModelSpec, report: dict) -> None:
                    ((k, est, theory) for k, est in zip(per_k["k"], per_k[name])))
 
 
-def cmd_polygon(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
+def cmd_polygon(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
     est = polygon_run(model, k)
     dist, shift, end_error, vert_err = polygon_reference_distance(model, est, k)
@@ -174,31 +168,13 @@ def cmd_polygon(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     return 0
 
 
-def cmd_dh(args, cfg: RunConfig, model: ModelSpec, out: Path) -> int:
+def cmd_dh(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
     profile = dh_profile(build_blocks(model, k, model.dh_range))
     _write_csv(out / f"dh_profile_k{k}.csv", "abscissa,estimate,theory",
                zip(*profile.T.tolist(), reference_rho(model, profile[:, 0]).tolist()))
     _write(out / "dh_report.json", json.dumps(
         {"k": k, "kinks": detect_kinks(profile)}, indent=2))
-    return 0
-
-
-def cmd_synth(args, cfg: RunConfig, model: None, out: Path) -> int:
-    rng = np.random.default_rng(cfg.seed)
-    from .testing import random_chart  # deterministic chart generator
-
-    chart = random_chart(rng, half=args.half)
-    k = cfg.probes.k_list[-1]
-    cloud = synth_lattice(chart, k)
-    if args.half:
-        lab = label_half_lattice(cloud, (0.0, 0.0))
-    else:
-        basis = select_affine_basis(cloud, np.mean(cloud.points, axis=0))
-        lab = label_regular(cloud, basis)
-    _write_csv(out / f"synth_k{k}.csv", "k,x,y,j,l,true_j,true_l",
-               ((k, *cloud.points[i].tolist(), j, l, *cloud.true_labels[i])
-                for i, (j, l) in sorted(lab.assignment.items())))
     return 0
 
 
@@ -211,15 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, fn in (("spectrum", cmd_spectrum), ("label", cmd_label),
                      ("invariants", cmd_invariants), ("polygon", cmd_polygon),
-                     ("dh", cmd_dh), ("synth", cmd_synth)):
+                     ("dh", cmd_dh)):
         # each command takes only the flags it reads
         q = sub.add_parser(name)
         q.set_defaults(func=fn)
-        if name != "synth":
-            q.add_argument("--model", default=None, choices=sorted(MODEL_NAMES))
-            q.add_argument("--r1", type=float, default=None)
-            q.add_argument("--r2", type=float, default=None)
-            q.add_argument("--t", type=float, default=None)
+        q.add_argument("--model", default=None, choices=sorted(MODEL_NAMES))
+        q.add_argument("--r1", type=float, default=None)
+        q.add_argument("--r2", type=float, default=None)
+        q.add_argument("--t", type=float, default=None)
         q.add_argument("--k", type=int, action="append",
                        help="k value; repeat for a schedule")
         q.add_argument("--out", default=None)
@@ -227,8 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "invariants":
             q.add_argument("--x", type=float, action="append",
                            help="probe offset; repeat for a schedule")
-        if name == "synth":
-            q.add_argument("--half", action="store_true")
     return p
 
 
@@ -236,8 +209,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-        model = None if args.command == "synth" else _model(cfg)
-        return args.func(args, cfg, model, _outdir(cfg))
+        return args.func(cfg, _model(cfg), _outdir(cfg))
     except ConfigurationError as e:
         print(f"configuration error: {e}", file=sys.stderr)
         return 2

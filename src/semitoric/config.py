@@ -71,13 +71,6 @@ class RunConfig:
     t: float = 0.5
     probes: ProbeConfig = field(default_factory=ProbeConfig)
     output_dir: str = "out"
-    seed: int = 0
-
-    def validate(self) -> None:
-        # numpy's generator seeds take no negative integer
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
-        self.probes.validate()
 
     @classmethod
     def from_json(cls, path: str | Path) -> "RunConfig":

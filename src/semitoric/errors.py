@@ -60,7 +60,8 @@ class InjectivityFailure(LabellingError):
 
 
 class TooSparse(LabellingError):
-    """Not enough points near the seed to build an affine basis."""
+    """Not enough points near the seed to build an affine basis, or a
+    column cloud of fewer than 10 points to label."""
 
 
 class AmbiguousNeighbor(LabellingError):

@@ -14,7 +14,11 @@ Clouds whose first coordinate is already an hbar-grid (joint spectra of
 systems with an S^1 symmetry) need no transport: ``label_semitoric``
 clusters exact columns and labels each point (column, rank + anchor), with
 the column anchors in closed form from the column sizes.  This is the
-"label vertically" strategy natural to the semitoric case.
+"label vertically" strategy natural to the semitoric case, and the only
+part of this module the program runs: an (n, 2) array of points in, the
+same points in (column, height) order and their (n, 2) labels out.  The
+transport, half-lattice and gluing routes serve the synthetic-lattice
+benchmark and its tests.
 
 Half-lattices (hbar * (Z x N), spectra near an elliptic-transverse value)
 get the dedicated bottom-anchored algorithm ``label_half_lattice``, whose
@@ -246,11 +250,6 @@ class Labelling:
         if self.kind == HALF_LATTICE and any(l < 0 for _, l in labs):
             raise Inconsistent("half-lattice labels must have ell >= 0")
 
-    def arrays(self, cloud: PointCloud):
-        idx = np.fromiter(self.assignment.keys(), dtype=int, count=len(self.assignment))
-        lab = np.array(list(self.assignment.values()), dtype=int)
-        return cloud.points[idx], lab, idx
-
     def compose_affine(self, a_matrix, kappa) -> "Labelling":
         lab = np.array(list(self.assignment.values()), dtype=int).reshape(-1, 2)
         new = lab @ np.asarray(a_matrix, dtype=int).T + np.asarray(kappa, dtype=int)
@@ -430,42 +429,46 @@ _COLUMN_GAP = 0.5  # an x gap above this fraction of hbar starts a new column
 
 
 def _columns(pts: np.ndarray, h: float):
-    """Cluster points into x-columns (gap threshold a fraction of hbar)."""
-    order = np.argsort(pts[:, 0], kind="stable")
-    starts = np.flatnonzero(np.diff(pts[order, 0]) > _COLUMN_GAP * h) + 1
-    cols = [idx[np.argsort(pts[idx, 1])] for idx in np.split(order, starts)]
-    colx = np.array([pts[c, 0].mean() for c in cols])
-    return cols, colx
+    """The x-columns of pts (split where sorted x gaps exceed a fraction of
+    hbar), as (order, starts, sizes, colx): the rows of pts in (column,
+    height) order, where each column starts in that order, its size and
+    its mean x."""
+    xo = np.argsort(pts[:, 0], kind="stable")
+    col = np.concatenate(([0], np.cumsum(np.diff(pts[xo, 0]) > _COLUMN_GAP * h)))
+    order = xo[np.lexsort((pts[xo, 1], col))]
+    sizes = np.bincount(col)
+    starts = np.cumsum(sizes) - sizes
+    return order, starts, sizes, np.add.reduceat(pts[order, 0], starts) / sizes
 
 
-def _column_labels(cols, c0: int, anchor) -> dict[int, tuple[int, int]]:
-    """(column - c0, rank in column + anchor[column]) for every point of the
-    columns, keyed by point index."""
-    sizes = [len(c) for c in cols]
-    idx = np.concatenate(cols)
-    j = np.repeat(np.arange(len(cols)) - c0, sizes)
-    l = np.arange(len(idx)) - np.repeat(np.cumsum(sizes) - sizes - anchor, sizes)
-    return dict(zip(idx.tolist(), zip(j.tolist(), l.tolist())))
+def _column_labels(starts, sizes, c0: int, anchor) -> np.ndarray:
+    """(column - c0, rank in column + anchor[column]) of every point, in
+    (column, height) order, as an (n, 2) int array."""
+    j = np.repeat(np.arange(len(sizes)) - c0, sizes)
+    l = np.arange(len(j)) - np.repeat(starts - anchor, sizes)
+    return np.column_stack((j, l))
 
 
-def label_semitoric(cloud: PointCloud) -> Labelling:
-    """Column labels for semitoric clouds (x already on an hbar grid).
+def label_semitoric(points: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column labels for semitoric clouds (x already on an hbar = 1/k grid).
 
     j counts columns, ell counts within a column, both 0 at the lowest
     point of the last column; the ell anchor of each column is the closed
-    form of ``_column_anchors``.
+    form of ``_column_anchors``.  Returns (points, labels), matching (n, 2)
+    arrays with the rows of points in (column, height) order.
     """
-    pts = cloud.points
-    if len(pts) < _MIN_REGION_POINTS:
-        raise TooSparse(f"only {len(pts)} points")
-    h = cloud.hbar
-    cols, colx = _columns(pts, h)
-    anchor = _column_anchors(pts, cols, colx, h)
-    return Labelling(_column_labels(cols, len(cols) - 1, anchor), REGULAR)
+    if len(points) < _MIN_REGION_POINTS:
+        raise TooSparse(f"only {len(points)} points")
+    h = 1.0 / k
+    order, starts, sizes, colx = _columns(points, h)
+    pts = points[order]
+    anchor = _column_anchors(pts[:, 1], starts, sizes, colx, h)
+    return pts, _column_labels(starts, sizes, len(sizes) - 1, anchor)
 
 
-def _column_anchors(pts, cols, colx, h: float) -> np.ndarray:
-    """The ell of each column's lowest point, in closed form.
+def _column_anchors(y, starts, sizes, colx, h: float) -> np.ndarray:
+    """The ell of each column's lowest point, in closed form, from the
+    heights y in (column, height) order.
 
     The anchors are piecewise linear in the column index and bend only at
     a vertex of the bottom edge, there by minus the second difference of
@@ -476,10 +479,10 @@ def _column_anchors(pts, cols, colx, h: float) -> np.ndarray:
     """
     if np.any(np.diff(colx) > 1.6 * h):
         raise Disconnected("column chain has a gap wider than 1.6*hbar")
-    lo, hi = np.array([pts[c[[0, -1]], 1] for c in cols]).T
-    d2 = np.diff([len(c) for c in cols], 2)
+    lo, hi = y[starts], y[starts + sizes - 1]
+    d2 = np.diff(sizes, 2)
     bend = np.where(np.abs(np.diff(lo, 2)) > np.abs(np.diff(hi, 2)), -d2, 0)
-    anchor = np.zeros(len(cols), dtype=int)
+    anchor = np.zeros(len(sizes), dtype=int)
     anchor[2:] = np.cumsum(np.cumsum(bend))
     return anchor - anchor[-1]
 
@@ -504,18 +507,19 @@ def label_half_lattice(cloud: PointCloud, c) -> Labelling:
     d2 = np.sum((pts - cpt) ** 2, axis=1)
     near = np.where(d2 <= d2.min() + 1e-18)[0]
     mu_i = near[np.lexsort((pts[near, 1], pts[near, 0]))[0]]
-    cols, colx = _columns(pts, h)
-    c00 = next(ci for ci, idx in enumerate(cols) if mu_i in idx)
-    if len(cols[c00]) < 2:
+    order, starts, sizes, colx = _columns(pts, h)
+    c00 = int(np.searchsorted(starts, np.flatnonzero(order == mu_i)[0], side="right")) - 1
+    if sizes[c00] < 2:
         raise EmptyStrip("column of mu has no point above lambda_(0,0)")
     if not np.any(np.abs(colx - (pts[mu_i, 0] + h)) <= 0.5 * h ** 1.5):
         raise EmptyStrip("no column one hbar to the right of mu")
     # admissibility: the bottom row, the closed-form column anchors, must
     # be a straight lattice line (affine in the column index); a kink means
     # the domain crosses a corner
-    if len(np.unique(np.diff(_column_anchors(pts, cols, colx, h)))) > 1:
+    if len(np.unique(np.diff(_column_anchors(pts[order, 1], starts, sizes, colx, h)))) > 1:
         raise Disconnected("bottom row is not a lattice line (domain not admissible)")
-    return Labelling(_column_labels(cols, c00, 0), HALF_LATTICE)
+    j, l = _column_labels(starts, sizes, c00, 0).T
+    return Labelling(dict(zip(order.tolist(), zip(j.tolist(), l.tolist()))), HALF_LATTICE)
 
 
 # ---------------------------------------------------------------------------

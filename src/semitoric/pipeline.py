@@ -36,7 +36,7 @@ from .invariants import (
     solve_taylor_order,
     twisting_number,
 )
-from .lattice import PointCloud, label_semitoric
+from .lattice import label_semitoric
 from .models import ModelSpec, build_blocks, joint_spectrum
 from .tridiag import sturm_count_below
 
@@ -187,13 +187,12 @@ def label_strip(model: ModelSpec, k: int, origin) -> tuple[np.ndarray, np.ndarra
     ``label_semitoric``'s closed-form column anchors, (0, 0) at the lowest
     point of the strip's last column.  The cut is the points of the column
     nearest x0 at and above y0; a nan origin (none located) cuts nothing.
-    Returns (points, labels), matching (n, 2) arrays."""
+    Returns (points, labels), matching (n, 2) arrays in (column, height)
+    order."""
     pts = joint_spectrum(model, k, model.strip).as_array()
     x0, y0 = origin
     cut = (np.abs(pts[:, 0] - x0) < 0.5 / k) & (pts[:, 1] >= y0)
-    cloud = PointCloud(k, pts[~cut])
-    points, labels, _ = label_semitoric(cloud).arrays(cloud)
-    return points, labels
+    return label_semitoric(pts[~cut], k)
 
 
 def _check_column_resolution(probes: ProbeConfig) -> None:

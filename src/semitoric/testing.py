@@ -1,4 +1,4 @@
-"""Ground truth for tests and the synthetic CLI demo.
+"""Ground truth for the tests and the synthetic-lattice benchmark.
 
 ``random_chart`` draws valid synthetic charts.  A chart is usable as
 lattice ground truth only if its leading part is a comfortable

@@ -319,7 +319,7 @@ def test_criterion_9_mu_independence():
 
 def test_criterion_9_glue_order_independence():
     from semitoric.lattice import glue_global
-    from semitoric import Rect as R
+    from semitoric.geometry import Rect as R
 
     rng = np.random.default_rng(99)
     chart = random_chart(rng)

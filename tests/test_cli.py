@@ -16,7 +16,6 @@ from semitoric.cli import main
 from semitoric.config import ProbeConfig
 from semitoric.errors import ConfigurationError
 from semitoric.invariants import LabelledSpectrum, hbar_limit
-from semitoric.lattice import Labelling, PointCloud, transition
 
 
 def test_cli_startup_imports_no_scipy():
@@ -187,11 +186,13 @@ def test_bad_schedule_exits_2(tmp_path):
     {"probes": {"mu_list": [1.0, 1.5, 1e300]}},
     {"probes": {"mu_list": [1.0, 1.5, -1e300]}},
     {"seed": -1},
+    # no command draws a random chart any more, so seed is no key
+    {"seed": 0},
 ], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
         "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
         "unknown-model", "removed-mu", "negative-x-taylor",
         "zero-x-taylor", "removed-delta", "removed-c-width", "huge-mu-list-entry",
-        "huge-negative-mu-list-entry", "negative-seed"])
+        "huge-negative-mu-list-entry", "negative-seed", "removed-seed"])
 def test_bad_config_file_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -214,7 +215,7 @@ def test_repeated_k_exits_2_before_solving(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("ks", [["0"], ["-5", "100"]], ids=["zero", "negative"])
-@pytest.mark.parametrize("command", ["invariants", "polygon", "dh", "synth"])
+@pytest.mark.parametrize("command", ["invariants", "polygon", "dh"])
 def test_k_below_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, command, ks):
     # hbar = 1/k: a k below 1 is a configuration error, never a traceback
     def no_solve(*args, **kwargs):
@@ -222,16 +223,14 @@ def test_k_below_one_exits_2_before_solving(tmp_path, monkeypatch, capsys, comma
 
     monkeypatch.setattr(semitoric.models, "eigs_sym_tridiagonal", no_solve)
     flags = [arg for k in ks for arg in ("--k", k)]
-    if command != "synth":
-        flags += ["--model", "coupled"]
-    rc = main([command, *flags, "--out", str(tmp_path)])
+    rc = main([command, *flags, "--model", "coupled", "--out", str(tmp_path)])
     assert rc == 2
     assert "k values must be at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
 @pytest.mark.parametrize("command",
-                         ["spectrum", "label", "invariants", "polygon", "dh", "synth"])
+                         ["spectrum", "label", "invariants", "polygon", "dh"])
 def test_out_not_a_directory_exits_2_before_solving(tmp_path, monkeypatch, capsys,
                                                     command, under):
     # --out naming a regular file, or a path under one, is a configuration
@@ -343,9 +342,34 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
 
 
 def test_labelling_failure_exits_4(tmp_path, capsys):
-    rc = main(["synth", "--k", "3", "--out", str(tmp_path)])
+    # at k = 1 the spin-oscillator's strip holds too few points to label
+    rc = main(["label", "--model", "spin-oscillator", "--k", "1", "--out", str(tmp_path)])
     assert rc == 4
-    assert capsys.readouterr().err == "labelling failure: only 9 points\n"
+    assert capsys.readouterr().err == "labelling failure: only 4 points\n"
+
+
+def test_label_rows_are_in_column_and_height_order(tmp_path):
+    # the joint spectrum lists coupled blocks in descending x; the CSV rows
+    # come in the labeller's (column, height) order: x nondecreasing, and y
+    # ascending within each x
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA)
+    spec_x = joint_spectrum(model, 20, model.strip).x
+    assert spec_x[0] > spec_x[-1]
+    rc = main(["label", "--model", "coupled", "--k", "20", "--out", str(tmp_path)])
+    assert rc == 0
+    x, y = np.loadtxt(tmp_path / "labels_k20.csv", delimiter=",", skiprows=1, usecols=(1, 2)).T
+    assert len(x) > 100
+    assert np.all(np.diff(x) >= 0)
+    same = np.diff(x) == 0
+    assert np.all(np.diff(y)[same] > 0)
+
+
+def test_synth_is_no_command(tmp_path):
+    # a synthetic chart's labels are no invariant: the generic lattice
+    # labellers run only in the library
+    with pytest.raises(SystemExit) as exc:
+        main(["synth", "--k", "25", "--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_polygon_edge_fit_failure_names_the_segment_in_x(tmp_path, capsys):
@@ -400,11 +424,8 @@ def test_negative_mu_gets_the_x_cap_of_its_magnitude(monkeypatch):
     # the gradient reads x and 2 x, and --k states the whole schedule
     ["invariants", "--mu", "2"],
     ["label", "--k-max", "10"],
-    # a synthetic chart is no model system
-    ["synth", "--model", "coupled"],
-    ["synth", "--r1", "1"],
 ], ids=["invariants-delta", "dh-delta", "spectrum-x", "label-mu", "polygon-x", "dh-mu",
-        "invariants-mu", "label-k-max", "synth-model", "synth-r1"])
+        "invariants-mu", "label-k-max"])
 def test_a_command_refuses_a_flag_it_does_not_read(tmp_path, argv):
     # a flag a command would ignore is a usage error, not a silent no-op
     with pytest.raises(SystemExit) as exc:
@@ -452,31 +473,12 @@ def test_coupled_label_and_polygon_above_t_0_6(tmp_path, capsys, command, t, k):
         assert max(report["vertex_errors"]) <= 0.1
 
 
-def test_synth_command(tmp_path):
-    rc = main(["synth", "--k", "25", "--out", str(tmp_path)])
-    assert rc == 0
-    lines = (tmp_path / "synth_k25.csv").read_text().strip().split("\n")
-    assert lines[0] == "k,x,y,j,l,true_j,true_l"
-    assert len(lines) > 100
-
-
-def test_synth_half_lattice_command(tmp_path):
-    rc = main(["synth", "--k", "25", "--half", "--out", str(tmp_path)])
-    assert rc == 0
-    rows = np.loadtxt(tmp_path / "synth_k25.csv", delimiter=",", skiprows=1)
-    cloud = PointCloud(25, rows[:, 1:3])
-    got = Labelling(dict(enumerate(map(tuple, rows[:, 3:5].astype(int).tolist()))))
-    truth = Labelling(dict(enumerate(map(tuple, rows[:, 5:7].astype(int).tolist()))))
-    assert len(rows) > 100
-    transition(truth, got, cloud)    # one GA+(2,Z) map from the truth, or raise
-
-
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
         "model": "coupled", "r1": 1.0, "r2": 2.5, "t": 0.5,
         "probes": {"k_list": [2]},
-        "output_dir": str(tmp_path / "from_file"), "seed": 0,
+        "output_dir": str(tmp_path / "from_file"),
     }))
     rc = main(["spectrum", "--config", str(cfg)])
     assert rc == 0
@@ -555,7 +557,7 @@ def test_invariants_command_small(tmp_path, monkeypatch):
             "x_taylor": [0.06, 0.05, 0.04, 0.03, 0.02, 0.01],
             "mu_list": [1.0, 1.5, 2.0],
         },
-        "output_dir": str(tmp_path), "seed": 0,
+        "output_dir": str(tmp_path),
     }))
     rc = main(["invariants", "--config", str(cfg)])
     assert rc == 0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec, Rect
+from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
 from semitoric.errors import (
     AmbiguousNeighbor,
     CocycleViolation,
@@ -19,6 +19,7 @@ from semitoric.errors import (
     NoPeak,
     TooSparse,
 )
+from semitoric.geometry import Rect
 from semitoric.lattice import (
     REGULAR,
     _AMBIGUITY_RATIO,
@@ -72,6 +73,15 @@ def affine_map_between(lab: Labelling, truth: np.ndarray):
                     return A, kap
                 raise AssertionError("labelling differs from truth beyond one affine map")
     raise AssertionError("degenerate truth")
+
+
+def _row_indices(points, rows):
+    """The index in points of each of rows, asserting that rows is a
+    permutation of the (distinct) rows of points."""
+    where = {row: i for i, row in enumerate(map(tuple, points.tolist()))}
+    idx = [where[row] for row in map(tuple, rows.tolist())]
+    assert len(where) == len(points) and sorted(idx) == list(range(len(points)))
+    return idx
 
 
 def test_synth_identity_grid():
@@ -176,9 +186,9 @@ def test_label_semitoric_matches_truth():
     chart = random_chart(rng, half=True)   # semitoric structure, full lattice
     chart = ChartSpec(chart.g0, chart.g1, Rect(-0.5, 0.5, -0.5, 0.5), half=False)
     cloud = synth_lattice(chart, 40)
-    lab = label_semitoric(cloud)
-    assert len(lab) == len(cloud.points)
-    affine_map_between(lab, cloud.true_labels)
+    pts, labels = label_semitoric(cloud.points, 40)
+    idx = _row_indices(cloud.points, pts)
+    affine_map_between(Labelling(dict(zip(idx, map(tuple, labels.tolist())))), cloud.true_labels)
 
 
 @pytest.mark.parametrize("sizes", [[12], [12, 10]], ids=["one", "two"])
@@ -188,11 +198,11 @@ def test_label_semitoric_few_columns(sizes):
     k = 10
     pts = np.concatenate([np.column_stack((np.full(n, c / k), np.arange(n) / k))
                           for c, n in enumerate(sizes)])
-    cloud = PointCloud(k, pts)
-    _, labels, idx = label_semitoric(cloud).arrays(cloud)
+    got, labels = label_semitoric(pts, k)
     want = np.concatenate([np.column_stack((np.full(n, c - len(sizes) + 1), np.arange(n)))
                            for c, n in enumerate(sizes)])
-    assert np.array_equal(labels, want[idx])
+    assert np.array_equal(got, pts)   # already in (column, height) order
+    assert np.array_equal(labels, want)
 
 
 def test_label_half_lattice_identity():
@@ -593,18 +603,18 @@ def _match_columns_reference(A: np.ndarray, B: np.ndarray, drift):
     return o, table, confidence
 
 
-def label_semitoric_reference(cloud: PointCloud) -> Labelling:
+def label_semitoric_reference(points: np.ndarray, k: int):
     """label_semitoric by column transport: each column's anchor is chained
     leftwards from the last column (anchor 0) by drift-carried row matches
     between neighbours, the heuristic the closed-form anchors replace."""
-    h = cloud.hbar
-    cols, colx = _columns(cloud.points, h)
+    h = 1.0 / k
+    order, starts, sizes, colx = _columns(points, h)
     if np.any(np.diff(colx) > 1.6 * h):
         raise Disconnected("column chain has a gap wider than 1.6*hbar")
-    ys = [cloud.points[c, 1] for c in cols]
-    anchor = np.zeros(len(cols), dtype=int)
+    ys = np.split(points[order, 1], starts[1:])
+    anchor = np.zeros(len(sizes), dtype=int)
     drift = None
-    for c in range(len(cols) - 1, 0, -1):
+    for c in range(len(sizes) - 1, 0, -1):
         o, drift, frac = _match_columns_reference(ys[c], ys[c - 1], drift)
         if o is None:
             anchor[c - 1] = anchor[c]
@@ -613,7 +623,7 @@ def label_semitoric_reference(cloud: PointCloud) -> Labelling:
             raise AmbiguousNeighbor(
                 f"row match between columns {c} and {c - 1} got only {frac:.0%} agreement")
         anchor[c - 1] = anchor[c] - o
-    return Labelling(_column_labels(cols, len(cols) - 1, anchor), REGULAR)
+    return points[order], _column_labels(starts, sizes, len(sizes) - 1, anchor)
 
 
 def _outcome(fn, *args):
@@ -724,12 +734,12 @@ def test_label_regular_on_a_long_thin_diagonal_strip():
 
 
 def _strip(model, k):
-    """``label_strip``'s cloud, cut where ``semitoric label`` cuts it."""
+    """``label_strip``'s points, cut where ``semitoric label`` cuts them."""
     try:
         origin, _ = locate_critical_values(model, k)
     except NoPeak:
         origin = (np.nan, np.nan)
-    return PointCloud(k, label_strip(model, k, origin)[0])
+    return label_strip(model, k, origin)[0]
 
 
 def _coupled(r1, r2, t):
@@ -746,8 +756,48 @@ def _coupled(r1, r2, t):
 ], ids=lambda v: (str(v) if not isinstance(v, ModelSpec) else v.kind
                   if v.kind == SPIN_OSCILLATOR else f"coupled-{v.r1}-{v.r2}-{v.t}"))
 def test_label_semitoric_is_the_column_transport(model, k):
-    cloud = _strip(model, k)
-    assert label_semitoric(cloud).assignment == label_semitoric_reference(cloud).assignment
+    pts = _strip(model, k)
+    (got, labels), (want, ref) = label_semitoric(pts, k), label_semitoric_reference(pts, k)
+    assert np.array_equal(got, want) and np.array_equal(labels, ref)
+
+
+@settings(max_examples=12, deadline=None)
+@given(model=st.sampled_from([ModelSpec(SPIN_OSCILLATOR), _coupled(1.0, 2.5, 0.5),
+                              _coupled(1.0, 2.5, 0.35), _coupled(0.5, 1.5, 0.5)]),
+       k=st.integers(12, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_label_semitoric_of_shuffled_strips_is_the_column_transport(model, k, seed):
+    # the labels do not depend on the order of the input rows
+    pts = _strip(model, k)
+    got, labels = label_semitoric(np.random.default_rng(seed).permutation(pts), k)
+    want, ref = label_semitoric_reference(pts, k)
+    assert np.array_equal(got, want) and np.array_equal(labels, ref)
+
+
+@settings(max_examples=80, deadline=None)
+@given(k=st.integers(1, 200), sizes=st.lists(st.integers(1, 30), min_size=1, max_size=40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_label_semitoric_on_random_column_clouds(k, sizes, seed):
+    # columns one hbar apart with x jitter below 0.05 hbar, random heights
+    # and shuffled rows: the rows come back in (column, height) order, j is
+    # the column index less the last column's, ell counts up each column,
+    # and no two points share a label
+    rng = np.random.default_rng(seed)
+    h, first = 1.0 / k, int(rng.integers(-50, 50))
+    col = np.repeat(np.arange(len(sizes)), sizes)
+    x = (first + col + rng.uniform(-0.049, 0.049, len(col))) * h
+    pts = rng.permutation(np.column_stack((x, rng.uniform(-3.0, 3.0, len(col)))))
+    if len(pts) < _MIN_REGION_POINTS:
+        with pytest.raises(TooSparse):
+            label_semitoric(pts, k)
+        return
+    got, labels = label_semitoric(pts, k)
+    _row_indices(pts, got)
+    c = np.rint(got[:, 0] / h).astype(int) - first
+    same = np.diff(c) == 0
+    assert np.all(np.diff(c) >= 0) and np.all(np.diff(got[:, 1])[same] > 0)
+    assert len(np.unique(labels, axis=0)) == len(labels)
+    assert np.array_equal(labels[:, 0], c - (len(sizes) - 1))
+    assert np.all(np.diff(labels[:, 1])[same] == 1)
 
 
 @pytest.mark.parametrize("model", [
@@ -759,10 +809,11 @@ def test_size_kinks_are_clearly_top_or_bottom(model, k):
     # the anchors bend where the lowest points bend more than the highest;
     # at every size kink of the strips one end bends at least 10x the other
     # (measured: 25x at t = 0.3, k = 40, with no cut; 600x or more with one)
-    cloud = _strip(model, k)
-    cols, _ = _columns(cloud.points, cloud.hbar)
-    ends = np.array([cloud.points[c[[0, -1]], 1] for c in cols])
-    bends = np.abs(np.diff(ends, 2, axis=0))[np.diff([len(c) for c in cols], 2) != 0]
+    pts = _strip(model, k)
+    order, starts, sizes, _ = _columns(pts, 1.0 / k)
+    y = pts[order, 1]
+    ends = np.column_stack((y[starts], y[starts + sizes - 1]))
+    bends = np.abs(np.diff(ends, 2, axis=0))[np.diff(sizes, 2) != 0]
     assert len(bends) >= 2
     assert np.all(bends.max(axis=1) >= 10 * bends.min(axis=1))
 

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
 from semitoric.errors import ActionDiscontinuity, MissingNeighbor, SignError
-from semitoric.lattice import PointCloud, label_semitoric
+from semitoric.lattice import label_semitoric
 from semitoric.invariants import (
     FrJet,
     LabelledSpectrum,
@@ -220,8 +220,10 @@ def test_block_labels_are_column_transport_labels(model, origin):
                               for j, (_, ys) in ladders.items()])
         labels = np.concatenate([np.column_stack((np.full(len(ls), j), ls))
                                  for j, (ls, _) in ladders.items()])
-        cloud = PointCloud(k, pts)
-        _, transport, idx = label_semitoric(cloud).arrays(cloud)
+        got, transport = label_semitoric(pts, k)
+        # the labeller returns the rows in (column, height) order
+        idx = np.lexsort((pts[:, 1], pts[:, 0]))
+        assert np.array_equal(got, pts[idx])
         shift = transport - labels[idx]
         assert len(shift) > 300
         assert (shift == shift[0]).all()
