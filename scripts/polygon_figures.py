@@ -39,13 +39,14 @@ def main():
               f"max vertex error {max(vert_err):.4f} -> {path}")
 
         kdh = 200
-        prof = dh_profile(build_blocks(model, kdh, model.dh_range))
+        blocks = build_blocks(model, kdh, model.dh_range)
+        prof = dh_profile(blocks)
         path = out / f"dh_{model.kind}_k{kdh}.csv"
         with path.open("w") as f:
             f.write("x,estimate,reference\n")
             for x, val, rho in zip(*prof.T, reference_rho(model, prof[:, 0])):
                 f.write(f"{x:.17g},{val:.17g},{rho:.17g}\n")
-        print(f"{model.kind}: DH kinks {np.round(detect_kinks(prof), 3)} -> {path}")
+        print(f"{model.kind}: DH kinks {np.round(detect_kinks(blocks), 3)} -> {path}")
 
 
 if __name__ == "__main__":

@@ -154,8 +154,8 @@ def cmd_polygon(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
     est = polygon_run(model, k)
     dist, shift, end_error, vert_err = polygon_reference_distance(model, est, k)
-    _write_csv(out / f"polygon_cloud_k{k}.csv", "u,v",
-               est.cloud[np.lexsort((est.cloud[:, 1], est.cloud[:, 0]))].tolist())
+    # label_strip's (column, height) order
+    _write_csv(out / f"polygon_cloud_k{k}.csv", "u,v", est.cloud.tolist())
     _write(out / "polygon_report.json", json.dumps({
         "k": k,
         "hausdorff_to_reference": dist,
@@ -170,11 +170,12 @@ def cmd_polygon(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
 
 def cmd_dh(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
     k = cfg.probes.k_list[-1]
-    profile = dh_profile(build_blocks(model, k, model.dh_range))
+    blocks = build_blocks(model, k, model.dh_range)
+    profile = dh_profile(blocks)
     _write_csv(out / f"dh_profile_k{k}.csv", "abscissa,estimate,theory",
                zip(*profile.T.tolist(), reference_rho(model, profile[:, 0]).tolist()))
     _write(out / "dh_report.json", json.dumps(
-        {"k": k, "kinks": detect_kinks(profile)}, indent=2))
+        {"k": k, "kinks": detect_kinks(blocks)}, indent=2))
     return 0
 
 

@@ -3,7 +3,6 @@ from .counting import (
     detect_kinks,
     dh_profile,
     height_invariant,
-    locate_focus_focus,
     smallest_gap_midpoint,
 )
 from .extrap import (

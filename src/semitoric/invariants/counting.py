@@ -1,5 +1,5 @@
-"""Counting-based invariants: height, Duistermaat-Heckman profile, and
-location of the focus-focus critical value.
+"""Counting-based invariants: height, Duistermaat-Heckman profile and its
+kinks, and the smallest-gap ordinate of a focus-focus column.
 
 The paper's Weyl-type counting in vertical strips of width ~ hbar^delta
 recovers the reduced symplectic volume: with N_hbar(x, delta) the number of
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError, NoPeak, WindowTooNarrow
+from ..errors import ConfigurationError, WindowTooNarrow
 from .extrap import hbar_limit
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "column_height",
     "dh_profile",
     "detect_kinks",
-    "locate_focus_focus",
     "smallest_gap_midpoint",
 ]
 
@@ -86,20 +85,13 @@ def dh_profile(blocks) -> np.ndarray:
     return np.column_stack([blocks.j_values[order], blocks.sizes[order] / blocks.k])
 
 
-def detect_kinks(profile: np.ndarray) -> list[float]:
-    """Abscissae where a ``dh_profile`` changes slope: the columns where
-    the second difference of the integer column sizes is nonzero.  The
-    columns lie one hbar apart, so each size is its value over that
-    spacing, rounded.  The end columns have no second difference, so the
+def detect_kinks(blocks) -> list[float]:
+    """Abscissae where a window's ``dh_profile`` changes slope: the columns
+    where the second difference of the integer column sizes, in ascending
+    x, is nonzero.  The end columns have no second difference, so the
     profile's ends are never reported."""
-    x, rho = np.asarray(profile, dtype=float).T
-    if len(x) < 3:
-        return []
-    sizes = np.rint(rho * (len(x) - 1) / (x[-1] - x[0]))
-    return x[1:-1][np.diff(sizes, 2) != 0].tolist()
-
-
-_PEAK_FACTOR = 1.8    # least ratio of the hbar/spacing peak to its column median
+    order = np.argsort(blocks.j_values)
+    return blocks.j_values[order][1:-1][np.diff(blocks.sizes[order], 2) != 0].tolist()
 
 
 def smallest_gap_midpoint(ev) -> tuple[int, float]:
@@ -108,30 +100,3 @@ def smallest_gap_midpoint(ev) -> tuple[int, float]:
     -ln|y - y0|, so y is the column's estimate of the ordinate y0."""
     i = int(np.argmin(np.diff(ev)))
     return i, float(0.5 * (ev[i] + ev[i + 1]))
-
-
-def locate_focus_focus(ladder_provider, k: int, x_candidates) -> tuple[float, float]:
-    """The first candidate abscissa whose vertical line shows the
-    log-divergence of inverse level spacings of a focus-focus value.
-
-    ladder_provider(k, x) must return (x_actual, ascending eigenvalue array)
-    for the spectral column nearest x.  A focus-focus value shows an interior
-    peak of hbar/spacing growing like -C ln|y - y0|; elliptic candidates do
-    not.  Each candidate is an exact column abscissa, so only its own column
-    is read: a peak at least _PEAK_FACTOR times the median inside the middle
-    90% of the ladder gives (x_actual, smallest_gap_midpoint).  Raises NoPeak
-    if no candidate qualifies.
-    """
-    hb = 1.0 / k
-    for xc in x_candidates:
-        x_act, ev = ladder_provider(k, xc)
-        if len(ev) < 8:
-            continue
-        i, y = smallest_gap_midpoint(ev)
-        span = ev[-1] - ev[0]
-        if not (ev[0] + 0.05 * span < y < ev[-1] - 0.05 * span):
-            continue
-        inv = hb / np.diff(ev)
-        if inv[i] / np.median(inv) >= _PEAK_FACTOR:
-            return float(x_act), y
-    raise NoPeak("no interior spacing peak among the candidates")

@@ -24,7 +24,6 @@ from .invariants import (
     fit_log_expansion,
     g_mu_sample,
     hausdorff,
-    locate_focus_focus,
     polygon_recover,
     ray_samples,
     recover_S01,
@@ -44,6 +43,7 @@ __all__ = [
     "ModelCounter",
     "BlockSpectrum",
     "column_ladder",
+    "locate_focus_focus",
     "build_probe_family",
     "locate_critical_values",
     "label_strip",
@@ -88,55 +88,74 @@ def column_ladder(spec: LabelledSpectrum, x: float):
     return spec.column_x[j], spec.ladder(j)[1]
 
 
+_PEAK_FACTOR = 1.8    # least ratio of the hbar/spacing peak to its column median
+
+
+def locate_focus_focus(spec: LabelledSpectrum, x_candidates) -> tuple[float, float]:
+    """The first candidate abscissa whose column of spec shows the
+    log-divergence of inverse level spacings of a focus-focus value.
+
+    A focus-focus value shows an interior peak of hbar/spacing growing like
+    -C ln|y - y0|; elliptic candidates do not.  Each candidate is an exact
+    column abscissa, so only its own column is read (``column_ladder``): a
+    peak at least _PEAK_FACTOR times the median inside the middle 90% of
+    the ladder gives (x_actual, smallest_gap_midpoint).  Raises NoPeak if
+    no candidate qualifies.
+    """
+    for xc in x_candidates:
+        x_act, ev = column_ladder(spec, xc)
+        if len(ev) < 8:
+            continue
+        i, y = smallest_gap_midpoint(ev)
+        span = ev[-1] - ev[0]
+        if not (ev[0] + 0.05 * span < y < ev[-1] - 0.05 * span):
+            continue
+        inv = spec.hbar / np.diff(ev)
+        if inv[i] / np.median(inv) >= _PEAK_FACTOR:
+            return float(x_act), y
+    raise NoPeak("no interior spacing peak among the candidates")
+
+
 class BlockSpectrum(LabelledSpectrum):
-    """The labelled spectrum of a window's J-blocks: (j, l) = (sign * block
-    id, idx), a lattice label since J's spectrum is an exact hbar-lattice of
-    columns; sign makes j grow with x.  A column read whole is its block's
-    full solve, kept; a probe's index windows are a Sturm count and
-    bisection solves of the rows it reads.  Each window is solved once and
-    kept; the last block matrix built is kept, which a probe's Sturm count
-    and windows on one column share; a column's size is closed-form."""
+    """The labelled spectrum of a window's J-blocks ``blocks``: (j, l) =
+    (sign * block id, idx), a lattice label since J's spectrum is an exact
+    hbar-lattice of columns; sign makes j grow with x.  A column read whole
+    is its block's full solve, kept; a probe's index windows are a Sturm
+    count and bisection solves of the rows it reads, each window solved
+    once and kept, on the block matrix that ``blocks`` keeps; a column's
+    size is closed-form."""
 
     def __init__(self, blocks):
-        self._blocks = blocks
+        self.blocks = blocks
         self._sign = blocks.model.j_sign(blocks.k)
-        self._last = (None, None)   # (position, matrix) of the last block built
         self._windows: dict[tuple[int, int, int], np.ndarray] = {}
         js = self._sign * np.asarray(blocks.ids)
         super().__init__(blocks.k, dict(zip(js.tolist(), blocks.j_values.tolist())),
                          self._whole_column)
 
     def _whole_column(self, j: int):
-        ev = self._blocks.eigenvalues(self._position(j))
+        ev = self.blocks.eigenvalues(self._position(j))
         return np.arange(len(ev)), ev
 
     def _position(self, j: int) -> int:
         if j not in self.column_x:
             raise MissingNeighbor(f"no column j={j}")
-        return self._blocks.ids.index(self._sign * j)
+        return self.blocks.ids.index(self._sign * j)
 
     def _column(self, j: int) -> tuple[int, int]:
-        return 0, int(self._blocks.sizes[self._position(j)])
-
-    def _matrix(self, i: int):
-        # keeping every probed matrix saves another 1% of a recovery's time
-        # and adds 1.6 MB (2.6%) to the invariants workload's peak memory
-        if self._last[0] != i:
-            self._last = (i, self._blocks[i])
-        return self._last[1]
+        return 0, int(self.blocks.sizes[self._position(j)])
 
     def _count_below(self, j: int, y: float) -> int:
-        return sturm_count_below(*self._matrix(self._position(j)), y)
+        return sturm_count_below(*self.blocks[self._position(j)], y)
 
     def _heights(self, j: int, lo: int, hi: int) -> np.ndarray:
         i = self._position(j)
         if (i, lo, hi) not in self._windows:
-            self._windows[i, lo, hi] = self._blocks.eigenvalue_window(
-                i, lo, hi - 1, self._matrix(i))
+            self._windows[i, lo, hi] = self.blocks.eigenvalue_window(i, lo, hi - 1)
         return self._windows[i, lo, hi]
 
 
-def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
+def build_probe_family(model: ModelSpec, ks) -> dict[int, BlockSpectrum]:
     """One labelled spectrum per k of ks over the model's ``dh_range``,
     where the locate stage and every probe read their columns.  Nothing is
     solved here, so every k's dimensions are checked before the first
@@ -145,13 +164,13 @@ def build_probe_family(model: ModelSpec, ks) -> dict[int, LabelledSpectrum]:
 
 
 def locate_critical_values(model: ModelSpec, k0: int,
-                           family: dict[int, LabelledSpectrum] | None = None):
-    """DH kinks -> candidate columns -> spacing-peak classification, at the
-    smallest multiple of k0 that is at least 200, read from that k's
-    spectrum of ``family`` when it holds one.  k0's dimensions are checked
-    first, and a multiple of it is then on the radii's 1/(2k) grid.
-    The candidates are the kinks of that k's ``dh_profile``, which
-    ``semitoric dh`` reports too.
+                           family: dict[int, BlockSpectrum] | None = None):
+    """DH kinks -> candidate columns -> spacing-peak classification, in one
+    spectrum: that of the smallest multiple of k0 that is at least 200,
+    read from ``family`` when it holds that k and built otherwise.  k0's
+    dimensions are checked first, and a multiple of it is then on the
+    radii's 1/(2k) grid.  The candidates are the kinks of that spectrum's
+    blocks, which ``semitoric dh`` reports too.
 
     Each spectrum of ``family`` then gets its .origin, that k's focus-focus
     value: the critical column's abscissa and the smallest-gap midpoint of
@@ -166,17 +185,17 @@ def locate_critical_values(model: ModelSpec, k0: int,
     model.check_dimensions(k0)
     family = family or {}
     k_locate = k0 * -(-200 // k0)
-    blocks = build_blocks(model, k_locate, model.dh_range)
-    kinks = detect_kinks(dh_profile(blocks))
+    spec = family.get(k_locate) or BlockSpectrum(build_blocks(model, k_locate, model.dh_range))
+    kinks = detect_kinks(spec.blocks)
     if not kinks:
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
 
-    spec = family.get(k_locate) or BlockSpectrum(blocks)
-    x0, y0 = locate_focus_focus(lambda k, x: column_ladder(spec, x), k_locate, kinks)
+    x0, y0 = locate_focus_focus(spec, kinks)
     for sp in family.values():
         x, ev = column_ladder(sp, x0)
         sp.origin = (x, smallest_gap_midpoint(ev)[1])
-    others = [x for x in kinks if abs(x - x0) > 0.1]
+    # every kink is an exact column abscissa, x0 among them
+    others = [x for x in kinks if x != x0]
     return (x0, y0), others
 
 

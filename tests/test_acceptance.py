@@ -211,7 +211,8 @@ def test_criterion_5_focus_focus_location(spin_report, coupled_report):
 def test_criterion_6_dh_profile():
     # hbar times the size of each column of the DH range
     k = 200
-    profile = dh_profile(build_blocks(COUPLED, k, COUPLED.dh_range))
+    blocks = build_blocks(COUPLED, k, COUPLED.dh_range)
+    profile = dh_profile(blocks)
     x = profile[:, 0]
     rho = reference_rho(COUPLED, x)
     kinks_theory = [-3.5, -1.5, 1.5, 3.5]   # slope changes of rho_J incl. support ends
@@ -220,7 +221,7 @@ def test_criterion_6_dh_profile():
         mask &= np.abs(x - c) >= 0.3
     sup_err = np.abs(profile[:, 1] - rho)[mask].max()
     report(6, "DH sup error away from kinks", sup_err, 0.08)
-    kinks = detect_kinks(profile)
+    kinks = detect_kinks(blocks)
     for target in (-1.5, 1.5):
         err = min(abs(kk - target) for kk in kinks)
         report(6, f"kink near {target}", err, 0.2)

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from semitoric.config import ProbeConfig
 from semitoric.errors import NoPeak, WindowTooNarrow
 from semitoric.invariants import (
     LabelledSpectrum,
@@ -10,7 +11,6 @@ from semitoric.invariants import (
     detect_kinks,
     dh_profile,
     height_invariant,
-    locate_focus_focus,
 )
 from semitoric.models import (
     COUPLED_ANGULAR_MOMENTA,
@@ -23,6 +23,7 @@ from semitoric.pipeline import (
     ModelCounter,
     build_probe_family,
     locate_critical_values,
+    locate_focus_focus,
     recover_all,
 )
 from semitoric.reference import reference_rho
@@ -157,10 +158,11 @@ def test_dh_profile_flat_on_rectangle():
     # profile is in ascending x whichever way the blocks run
     k = 200
     for descending in (False, True):
-        prof = dh_profile(block_columns(k, [241] * 401, descending))
+        blocks = block_columns(k, [241] * 401, descending)
+        prof = dh_profile(blocks)
         assert np.all(np.diff(prof[:, 0]) > 0)
         assert np.all(prof[:, 1] == 241 / k)
-        assert detect_kinks(prof) == []
+        assert detect_kinks(blocks) == []
 
 
 def test_dh_kinks_on_trapezoid():
@@ -169,9 +171,8 @@ def test_dh_kinks_on_trapezoid():
     k = 300
     j = np.arange(901)
     sizes = 1 + np.clip(j - k // 2, k // 2, k)
-    prof = dh_profile(block_columns(k, sizes, descending=True))
-    assert detect_kinks(prof) == [1.0, 1.5]
-    assert detect_kinks(prof[:2]) == []
+    assert detect_kinks(block_columns(k, sizes, descending=True)) == [1.0, 1.5]
+    assert detect_kinks(block_columns(k, sizes[:2])) == []
 
 
 def synthetic_log_ladder(k, y0=0.12, lo=-1.0, hi=1.0):
@@ -184,13 +185,22 @@ def synthetic_log_ladder(k, y0=0.12, lo=-1.0, hi=1.0):
     return np.array(ys)
 
 
+def ladder_spectrum(k, ladders, calls=None):
+    """A LabelledSpectrum whose column j, at x = ladders[j][0], has the
+    ladder ladders[j][1]; each column read whole is recorded in calls."""
+    def solve(j):
+        if calls is not None:
+            calls.append(j)
+        ev = ladders[j][1]
+        return np.arange(len(ev)), ev
+
+    return LabelledSpectrum(k, {j: x for j, (x, _) in enumerate(ladders)}, solve)
+
+
 def test_locate_focus_focus_peak():
     k = 200
-
-    def provider(k_, x):
-        return x, synthetic_log_ladder(k_)
-
-    x0, y0 = locate_focus_focus(provider, k, [0.3])
+    spec = ladder_spectrum(k, [(0.3, synthetic_log_ladder(k))])
+    x0, y0 = locate_focus_focus(spec, [0.3])
     assert x0 == pytest.approx(0.3)
     assert y0 == pytest.approx(0.12, abs=0.02)
 
@@ -200,16 +210,11 @@ def test_locate_focus_focus_stops_at_the_first_peak():
     # and the candidate after it is never solved
     k = 200
     calls = []
-
-    def provider(k_, x):
-        calls.append(x)
-        if abs(x - 0.3) < 0.1:
-            return x, synthetic_log_ladder(k_)
-        return x, np.linspace(-1, 1, 180)
-
-    x0, _ = locate_focus_focus(provider, k, [0.3, 0.0])
+    spec = ladder_spectrum(k, [(0.0, np.linspace(-1, 1, 180)),
+                               (0.3, synthetic_log_ladder(k))], calls)
+    x0, _ = locate_focus_focus(spec, [0.3, 0.0])
     assert x0 == pytest.approx(0.3)
-    assert calls == [0.3]
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("model", [SPIN, COUPLED], ids=["spin", "coupled"])
@@ -257,7 +262,33 @@ def test_dh_kinks_exclude_the_grid_ends(model):
     else:
         assert kinks == [model.r1 - model.r2, model.r2 - model.r1]
     for k in (20, 60, 200):
-        assert detect_kinks(dh_profile(build_blocks(model, k, model.dh_range))) == kinks
+        assert detect_kinks(build_blocks(model, k, model.dh_range)) == kinks
+
+
+def test_a_kink_near_the_focus_is_another_critical_abscissa():
+    # at (1, 1.025, 1/2) the corner x = r2 - r1 lies 0.05 from the focus
+    # x0 = r1 - r2; every kink and x0 are the same exact column floats, so
+    # only x0 itself is left out, however close the corner
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=1.025, t=0.5)
+    (x0, _), others = locate_critical_values(model, 200)
+    assert x0 == pytest.approx(-0.025) and others == [pytest.approx(0.025)]
+    assert sorted([x0, *others]) == detect_kinks(build_blocks(model, 200, model.dh_range))
+
+
+@pytest.mark.parametrize("model", [SPIN, COUPLED], ids=["spin", "coupled"])
+def test_recovery_builds_one_block_sequence_per_k(model, monkeypatch):
+    # the locate stage reads the probe family's k = 200 spectrum, blocks
+    # and kinks included, and builds none of its own
+    built = []
+    init = BlockSequence.__init__
+
+    def recorded(self, owner, k, ids):
+        built.append(k)
+        init(self, owner, k, ids)
+
+    monkeypatch.setattr(BlockSequence, "__init__", recorded)
+    recover_all(model)
+    assert built == ProbeConfig().k_list
 
 
 @pytest.mark.parametrize("model, xs", [(SPIN, (-0.5, 0.0, 1.8)), (COUPLED, (-2.5, 0.0, 2.5))],
@@ -277,12 +308,9 @@ def test_weyl_law_strip_density_reads_the_column_profile(model, xs):
 
 def test_locate_focus_focus_no_peak():
     k = 200
-
-    def provider(k_, x):
-        return x, np.linspace(-1, 1, 180)   # regular ladder
-
+    spec = ladder_spectrum(k, [(0.0, np.linspace(-1, 1, 180))])   # regular ladder
     with pytest.raises(NoPeak):
-        locate_focus_focus(provider, k, [0.0])
+        locate_focus_focus(spec, [0.0])
     # at (1/2, 3/2, 0.75) the critical column x0 = r1 - r2 = -1 shows no
     # qualifying peak at k = 200; a scan of neighbouring columns used to
     # return x0 = -0.99 instead, two columns off

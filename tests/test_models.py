@@ -253,6 +253,23 @@ def test_blocks_monotone_simple():
             assert np.all(np.diff(ev) > 0)
 
 
+def test_a_block_sequence_keeps_the_last_matrix_built(monkeypatch):
+    # a probe's Sturm count and index windows on one column read one
+    # matrix: it is built once, until another block is read
+    blocks = build_blocks(COUPLED, 5, (-3.0, 3.0))
+    built = []
+    block = type(COUPLED)._block
+    monkeypatch.setattr(type(COUPLED), "_block",
+                        lambda self, k, s: built.append(s) or block(self, k, s))
+    matrix = blocks[3]
+    assert blocks[3] is matrix
+    window = blocks.eigenvalue_window(3, 1, 2)
+    assert np.abs(window - blocks.eigenvalues(3)[1:3]).max() < 1e-12
+    blocks[4]
+    assert blocks[3] is not matrix
+    assert built == [blocks.ids[3], blocks.ids[4], blocks.ids[3]]
+
+
 def test_a_repeated_eigenvalue_is_a_commutator_violation(monkeypatch, tmp_path, capsys):
     # H has a simple spectrum on each J-eigenspace; a block with a double
     # eigenvalue fails both solves, and the error names the block's id
