@@ -3,6 +3,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from semitoric import tridiag
+from semitoric.config import ProbeConfig
+from semitoric.invariants import ray_samples
+from semitoric.models import COUPLED_ANGULAR_MOMENTA, ModelSpec
+from semitoric.pipeline import build_probe_family, locate_critical_values
 from semitoric.tridiag import eigs_in_window, eigs_sym_tridiagonal, sturm_count_below
 
 
@@ -106,20 +111,82 @@ def test_index_window_is_a_slice_of_the_full_solve(n, seed, data):
     assert np.abs(win - ev[lo:hi + 1]).max() <= 1e-12 * max(spectral_radius_bound(d, e), 1.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 60), st.integers(0, 2 ** 31 - 1), st.data())
-def test_index_window_is_scipys_stebz_window_bit_for_bit(n, seed, data):
-    """The direct dstebz call makes the call eigvalsh_tridiagonal's stebz
-    driver makes, so the window keeps its bits."""
+def stebz_window(d, e, lo, hi):
+    """Full-precision bisection by index, the window's fallback."""
     from scipy.linalg import eigvalsh_tridiagonal
 
+    return eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi), lapack_driver="stebz")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 31 - 1), st.data())
+def test_index_window_is_within_8_eps_of_scipys_stebz_window(n, seed, data):
+    """A certified Rayleigh quotient is within eps*||T|| of its eigenvalue,
+    and full-precision bisection within about as much."""
     rng = np.random.default_rng(seed)
     d = rng.normal(size=n) * 3
     e = rng.normal(size=n - 1)
     lo = data.draw(st.integers(0, n - 1))
     hi = data.draw(st.integers(lo, n - 1))
-    want = eigvalsh_tridiagonal(d, e, select="i", select_range=(lo, hi), lapack_driver="stebz")
-    assert np.array_equal(eigs_in_window(d, e, lo, hi), want)
+    want = stebz_window(d, e, lo, hi)
+    got = eigs_in_window(d, e, lo, hi)
+    assert len(got) == len(want)
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps * spectral_radius_bound(d, e)
+
+
+def test_a_window_the_brackets_do_not_isolate_is_bisected_whole():
+    # Wilkinson's W21+: its top two eigenvalues lie 7.1e-14 apart, far
+    # inside one coarse bracket
+    d = np.abs(np.arange(21.0) - 10)
+    e = np.ones(20)
+    want = stebz_window(d, e, 19, 20)
+    assert want[1] - want[0] < 1e-13
+    assert np.array_equal(eigs_in_window(d, e, 19, 20), want)
+
+
+def _not_converged(z, info):
+    return z, 1
+
+
+def _perturbed(z, info):
+    # a residual near 1e-6 ||T||: Kato-Temple's bound is then ~1e-12 ||T||
+    z = z + 1e-6 * np.random.default_rng(0).normal(size=z.shape)
+    return z / np.linalg.norm(z, axis=0), info
+
+
+@pytest.mark.parametrize("spoil", [_not_converged, _perturbed])
+def test_a_window_inverse_iteration_does_not_certify_is_bisected_whole(monkeypatch, spoil):
+    import scipy.linalg.lapack as lapack
+
+    rng = np.random.default_rng(7)
+    d, e = rng.normal(size=50) * 3, rng.normal(size=49)
+    dstein = lapack.dstein
+    calls = []
+
+    def spoiled_dstein(*args):
+        calls.append(args)
+        return spoil(*dstein(*args))
+
+    monkeypatch.setattr(lapack, "dstein", spoiled_dstein)
+    assert np.array_equal(eigs_in_window(d, e, 20, 25), stebz_window(d, e, 20, 25))
+    assert calls
+
+
+def test_every_window_of_a_default_probe_ray_is_certified(monkeypatch):
+    certify = tridiag._certified_window
+    results = []
+
+    def recorded(*args):
+        results.append(certify(*args))
+        return results[-1]
+
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
+    family = build_probe_family(model, [100])
+    locate_critical_values(model, 100, family)
+    monkeypatch.setattr(tridiag, "_certified_window", recorded)
+    ray_samples(family, 0.0, ProbeConfig().x_schedule)
+    assert results
+    assert all(w is not None for w in results)
 
 
 @pytest.mark.parametrize("lo,hi", [(-1, 2), (0, 5), (3, 2), (5, 5)])
@@ -128,6 +195,25 @@ def test_index_window_out_of_range(lo, hi):
     e = 0.1 * np.ones(4)
     with pytest.raises(ValueError, match="index window"):
         eigs_in_window(d, e, lo, hi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 80), st.integers(0, 2 ** 31 - 1))
+def test_whole_spectrum_is_scipys_sterf_driver_bit_for_bit(n, seed):
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 3
+    e = rng.normal(size=n - 1)
+    want = eigvalsh_tridiagonal(d, e, lapack_driver="sterf")
+    assert np.array_equal(eigs_sym_tridiagonal(d, e), want)
+
+
+def test_sturm_count_below_refuses_a_nan_height():
+    with pytest.raises(ValueError, match="NaN"):
+        sturm_count_below([1.0, 2.0], [0.5], np.nan)
+    assert sturm_count_below([1.0, 2.0], [0.5], -np.inf) == 0
+    assert sturm_count_below([1.0, 2.0], [0.5], np.inf) == 2
 
 
 def test_shape_validation():
