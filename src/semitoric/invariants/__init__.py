@@ -27,7 +27,6 @@ from .polygon import (
 )
 from .spacings import LabelledSpectrum, ray_samples
 from .taylor import (
-    expansion_along_ray,
     fit_log_expansion,
     g_mu_sample,
     solve_jet_order,

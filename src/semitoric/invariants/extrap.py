@@ -18,6 +18,12 @@ __all__ = ["hbar_limit", "hbar_limits", "x_limit", "double_limit", "loglog_slope
 
 _MAX_CONDITION = 1e9   # least-squares design matrices above this condition number are refused
 
+# A sample within _ROUNDING * max(1, max |sample|) of its limit is no error
+# to a convergence slope: samples read from O(1) eigenvalues keep a few eps
+# of absolute rounding where the value vanishes by symmetry (spin sigma1 and
+# dx f_r, within 1.4e-15 at every k), and a slope fitted to that is noise.
+_ROUNDING = 1e-12
+
 
 def hbar_limit(ks, vals):
     """Fit vals ~ a0 + a1*hbar + a2*hbar^2 (degree len(ks) - 1 for fewer
@@ -25,7 +31,7 @@ def hbar_limit(ks, vals):
 
     info carries the fit residual and the empirical convergence order (the
     log-log regression slope of |val_k - limit| against k; None when it is
-    not finite, as when fewer than two samples differ from the limit)."""
+    not finite, as when fewer than two samples are off by more than rounding)."""
     ks = np.asarray(ks, dtype=float)
     vals = np.asarray(vals, dtype=float)
     order = min(2, len(ks) - 1)
@@ -33,7 +39,9 @@ def hbar_limit(ks, vals):
     A = np.vstack([hb ** i for i in range(order + 1)]).T
     coef, res, *_ = np.linalg.lstsq(A, vals, rcond=None)
     rms = float(np.sqrt(res[0] / len(ks))) if len(res) else 0.0
-    slope = loglog_slope(ks, vals - coef[0])
+    errs = vals - coef[0]
+    errs[np.abs(errs) <= _ROUNDING * max(1.0, float(np.max(np.abs(vals))))] = 0.0
+    slope = loglog_slope(ks, errs)
     return float(coef[0]), {"rms": rms, "slope": slope if np.isfinite(slope) else None}
 
 

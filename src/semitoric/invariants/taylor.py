@@ -1,4 +1,4 @@
-"""Higher-order Taylor coefficients from the log-expansion of g_mu.
+"""Order-2 Taylor coefficients from the log-expansion of g_mu.
 
 Along the ray c = (x, mu*x) off the critical value, the combination
 
@@ -10,22 +10,28 @@ the jet of the normal-form function f_r,
     d_n(mu) = -(1/(2 pi n!)) sum_l binom(n+1, l) mu^(n+1-l)
               d_x^l d_y^(n+1-l) f_r(0),
 
-and, once the jet and lower-order coefficients are known, the power
-coefficients determine the order-(n+1) Taylor invariants through
+and, once the jet is known, the power coefficient c_1 determines the
+order-2 Taylor invariants through
 
-    c_n(mu) - c~_n(mu) = (n+1) sum_l A^(n+1-l) S_{l, n+1-l},
+    c_1(mu) - c~_1(mu) = 2 sum_l A^(2-l) S_{l, 2-l},
     A = d_x f_r(0) + mu d_y f_r(0),
 
-a scaled Vandermonde system in A.  The known part c~_n(mu) is assembled
-here by explicit series bookkeeping of
+a scaled Vandermonde system in A.  The known part c~_1(mu) is the x^1
+coefficient of g_mu with S known to order 1, where
 
     a2 = (sigma2 - ln(x)/2pi - ln(1+phi^2)/4pi) * d_y f_r,
     a1 = sigma1 - arctan(phi)/2pi + (same bracket) * d_x f_r,
 
-with phi = f_r(x, mu x)/x and sigma1, sigma2 the smooth extensions whose
-values are read through the composite (x, y) -> (x, f_r(x, y)).
+phi = f_r(x, mu x)/x and sigma1, sigma2 are the smooth extensions read
+through the composite (x, y) -> (x, f_r(x, y)).  Write f_r(x, mu x) =
+A x + B x^2 + ..., B = (d_x^2 f_r + 2 mu d_x d_y f_r + mu^2 d_y^2 f_r)(0)/2.
+Then sigma1 = S_10 and sigma2 = S_01 are constant, phi = A + B x + ... and
+(d_x + mu d_y) f_r = A + 2 B x + ..., so the x^1 terms of g_mu are
+-B/(2pi (1+A^2)) + 2 B (S_01 - ln(1+A^2)/4pi) - A^2 B/(2pi (1+A^2)):
 
-Both order-(n+1) systems are solved by one routine that can pin some
+    c~_1(mu) = B (2 S_01 - (1 + ln(1 + A^2)) / 2pi),   free of S_10.
+
+Both order-2 systems are solved by one routine that can pin some
 coefficients to known values: the purely-mixed route (dx^2 f_r(0) =
 dy^2 f_r(0) = 0 and S_{2,0} = S_{0,2} = 0, exact for the spin-oscillator)
 is the pair of solves at a single mu with those two coefficients pinned.
@@ -44,99 +50,11 @@ from .spacings import LabelledSpectrum, ray_samples
 
 __all__ = [
     "g_mu_sample",
-    "expansion_along_ray",
     "fit_log_expansion",
     "solve_jet_order",
     "solve_taylor_order",
 ]
 
-
-# -- truncated power series helpers (ascending coefficients, fixed length) --
-
-def _pmul(a, b, n):
-    return np.convolve(a, b)[:n]
-
-def _ppow(a, p, n):
-    out = np.zeros(n)
-    out[0] = 1.0
-    for _ in range(p):
-        out = _pmul(out, a, n)
-    return out
-
-def _pseries(coeffs, w, n):
-    """sum_m coeffs[m] w^m for a series with w[0] = 0."""
-    out = np.zeros(n)
-    term = np.zeros(n)
-    term[0] = 1.0
-    for a in coeffs:
-        out += a * term
-        term = _pmul(term, w, n)
-    return out
-
-def _shift(a, p, n):
-    """x^p times the series a, truncated to n terms."""
-    return np.concatenate((np.zeros(p), a))[:n]
-
-
-def _partial_series(jet: FrJet, mu: float, dx_extra: int, dy_extra: int, n: int):
-    """Series of (d_x^dx_extra d_y^dy_extra f_r)(x, mu x)."""
-    out = np.zeros(n)
-    for (a, b), v in jet.derivs.items():
-        aa, bb = a - dx_extra, b - dy_extra
-        if aa < 0 or bb < 0 or aa + bb >= n:
-            continue
-        out[aa + bb] += v * mu ** bb / (math.factorial(aa) * math.factorial(bb))
-    return out
-
-
-def expansion_along_ray(jet: FrJet, s_coeffs: dict, mu: float, n_orders: int):
-    """(c_0..c_{n-1}, d_0..d_{n-1}) of g_mu assembled from a jet and Taylor
-    coefficients.  Coefficients of total order m enter c_n only for m <= n+1,
-    so passing S only up to order n yields the known part c~_n in slot n.
-    """
-    n = n_orders
-    ndeep = n + 2
-    f = _partial_series(jet, mu, 0, 0, ndeep)          # f_r(x, mu x), f[0] = 0
-    phi = np.zeros(ndeep)
-    phi[:-1] = f[1:]                                   # f/x
-    dxf = _partial_series(jet, mu, 1, 0, ndeep)
-    dyf = _partial_series(jet, mu, 0, 1, ndeep)
-    sig1 = np.zeros(ndeep)
-    sig2 = np.zeros(ndeep)
-    for (p, q), s in s_coeffs.items():
-        if p >= 1:
-            sig1 += p * s * _shift(_ppow(f, q, ndeep), p - 1, ndeep)
-        if q >= 1:
-            sig2 += q * s * _shift(_ppow(f, q - 1, ndeep), p, ndeep)
-    A = phi[0]
-    # ln(1 + phi^2) = ln(1+A^2) + log1p((phi^2 - A^2)/(1+A^2))
-    phi2 = _pmul(phi, phi, ndeep)
-    w = phi2.copy()
-    w[0] = 0.0
-    w = w / (1.0 + A * A)
-    # the series ln(1 + w) = sum_m (-1)^(m+1) w^m / m
-    log_term = _pseries([0.0] + [(-1) ** (m + 1) / m for m in range(1, ndeep)], w, ndeep)
-    log_term[0] = np.log(1.0 + A * A)
-    # arctan(phi) = arctan(A) + integral of phi' / (1 + phi^2)
-    dphi = np.array([(m + 1) * phi[m + 1] for m in range(ndeep - 1)] + [0.0])
-    inv1p = _pseries([(-1.0) ** m for m in range(ndeep)], w, ndeep)   # 1/(1 + w)
-    integrand = _pmul(dphi, inv1p, ndeep) / (1.0 + A * A)
-    atan = np.zeros(ndeep)
-    atan[0] = np.arctan(A)
-    atan[1:] = integrand[:-1] / np.arange(1, ndeep)
-    tau2_poly = sig2 - log_term / (4 * np.pi)
-    direction = dxf + mu * dyf
-    P = sig1 - atan / (2 * np.pi) + _pmul(tau2_poly, direction, ndeep)
-    Q = -direction / (2 * np.pi)
-    return P[:n], Q[:n]
-
-
-def _jet_row(n: int, mu: float) -> list[float]:
-    """Weights of d_x^l d_y^(n+1-l) f_r(0), l = 0..n+1, in -2 pi n! d_n(mu)."""
-    return [math.comb(n + 1, l) * mu ** (n + 1 - l) for l in range(n + 2)]
-
-
-# -- sampling and fitting ---------------------------------------------------
 
 def g_mu_sample(family: dict[int, LabelledSpectrum], mu: float, xs) -> np.ndarray:
     """g_mu(x) = a1(x, mu x) + mu a2(x, mu x), hbar -> 0, at each x of xs,
@@ -197,25 +115,31 @@ def solve_jet_order(n: int, mus, d_values, fixed=None) -> dict[tuple[int, int], 
     solve (binom(n+1, j) mu_i^(n+1-j)) v = -2 pi n! d.  Derivatives given
     in ``fixed`` are pinned; the others need one mu each."""
     scale = -2 * np.pi * math.factorial(n)
-    return _solve_order(n, mus, d_values, lambda m: _jet_row(n, m),
+    return _solve_order(n, mus, d_values,
+                        lambda m: [math.comb(n + 1, l) * m ** (n + 1 - l) for l in range(n + 2)],
                         lambda m, d: scale * d, fixed, "jet system")
 
 
-def solve_taylor_order(n: int, mus, c_values, jet: FrJet, s_known: dict,
+def solve_taylor_order(mus, c_values, jet: FrJet, s01: float,
                        fixed=None) -> dict[tuple[int, int], float]:
-    """Order-(n+1) Taylor coefficients from c_n at distinct mu values.
+    """Order-2 Taylor coefficients from c_1 at distinct mu values, given
+    the jet of f_r to order 2 and S_01.
 
-    The unknowns enter linearly with matrix (n+1) * A_i^(n+1-l), a scaled
+    The unknowns enter linearly with matrix 2 * A_i^(2-l), a scaled
     Vandermonde in A_i = dx f_r(0) + mu_i dy f_r(0) with determinant
-    (n+1)^(n+2) * (dy f_r(0))^((n+1)(n+2)/2) * prod_(i>j) (mu_i - mu_j)
-    when no coefficient is pinned.  Coefficients given in ``fixed`` are
-    pinned; the others need one mu each.
+    8 * (dy f_r(0))^3 * prod_(i>j) (mu_i - mu_j) when no coefficient is
+    pinned; each c_1 is read less its known part c~_1 (module docstring).
+    Coefficients given in ``fixed`` are pinned; the others need one mu each.
     """
+    d = jet.derivs
+
     def row(m):
         a = jet.dx + m * jet.dy
-        return [(n + 1) * a ** (n + 1 - l) for l in range(n + 2)]
+        return [2 * a ** (2 - l) for l in range(3)]
 
     def rhs(m, c):
-        return c - expansion_along_ray(jet, s_known, m, n + 1)[0][n]
+        a = jet.dx + m * jet.dy
+        b = (d.get((2, 0), 0.0) + 2 * m * d.get((1, 1), 0.0) + m * m * d.get((0, 2), 0.0)) / 2
+        return c - b * (2 * s01 - (1 + math.log(1 + a * a)) / (2 * np.pi))
 
-    return _solve_order(n, mus, c_values, row, rhs, fixed, "Taylor system")
+    return _solve_order(1, mus, c_values, row, rhs, fixed, "Taylor system")

@@ -258,7 +258,6 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     # schedule is capped per mu to keep the probes (x, mu x) equally close to
     # the critical value across the mu list.
     mus = list(probes.mu_list)
-    s_known = {(1, 0): sigma1, (0, 1): s01}
     x_top = max(probes.x_taylor)
     c1s, d1s = [], []
     fit_conds = {}
@@ -274,8 +273,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
         d1s.append(d1)
         fit_conds[str(mu)] = [info0["cond"], info1["cond"]]
     jet2 = solve_jet_order(1, mus, d1s)
-    full_jet = FrJet({**jet1.derivs, **jet2})
-    s2 = solve_taylor_order(1, mus, c1s, full_jet, s_known)
+    s2 = solve_taylor_order(mus, c1s, FrJet({**jet1.derivs, **jet2}), s01)
 
     # the same order-1 solves at the one mu nearest 1 under the purely-mixed
     # hypothesis, dx^2 f_r = dy^2 f_r = S20 = S02 = 0 (exact for the
@@ -284,8 +282,8 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     i_star = mus.index(mu_star)
     pure = {(2, 0): 0.0, (0, 2): 0.0}
     jet2_mixed = solve_jet_order(1, [mu_star], [d1s[i_star]], fixed=pure)
-    s2_mixed = solve_taylor_order(1, [mu_star], [c1s[i_star]],
-                                  FrJet({**jet1.derivs, **jet2_mixed}), s_known, fixed=pure)
+    s2_mixed = solve_taylor_order([mu_star], [c1s[i_star]],
+                                  FrJet({**jet1.derivs, **jet2_mixed}), s01, fixed=pure)
 
     return {
         "model": model.kind,

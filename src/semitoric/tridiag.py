@@ -79,6 +79,12 @@ def eigs_sym_tridiagonal(diag, offdiag):
 # none at 1e-6 and 4 at 3e-6.
 _COARSE = 1e-6
 
+# Outside this ||T|| range LAPACK's bisection overflows (dstebz fails at
+# ~1e300) or misreads subnormals (~1e-320), so the window scales such a
+# matrix by an exact power of two; model blocks (||T|| 0.58 to 0.81) keep
+# their bits.
+_NORM_RANGE = (2.0 ** -256, 2.0 ** 256)
+
 
 def eigs_in_window(diag, offdiag, lo, hi):
     """Eigenvalues number lo..hi (0-based, both included), ascending;
@@ -92,7 +98,8 @@ def eigs_in_window(diag, offdiag, lo, hi):
     on every row, the gap to the neighbouring eigenvalues bounded by their
     brackets.  A window whose brackets do not isolate its eigenvalues, or
     that fails the bound, is bisected to full precision (``dstebz`` at
-    tolerance 0) instead; LinAlgError if that fails."""
+    tolerance 0) instead; LinAlgError if that fails.  A matrix with
+    ||T|| outside _NORM_RANGE is solved scaled by an exact power of two."""
     d, e = _as_tridiag(diag, offdiag)
     lo, hi = operator.index(lo), operator.index(hi)
     if not 0 <= lo <= hi < len(d):
@@ -101,24 +108,27 @@ def eigs_in_window(diag, offdiag, lo, hi):
         return d.copy()
     from scipy.linalg.lapack import dstebz
 
-    w = _certified_window(d, e, lo, hi)
-    if w is not None:
-        return w
-    # the call eigvalsh_tridiagonal(select="i", lapack_driver="stebz") makes:
-    # range 2 (by index), 1-based indices, tolerance 0, order "E" (ascending)
-    m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
-    if info:
-        raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info = {info})")
-    # a copy: LAPACK's result is a buffer as long as the block
-    return w[:m].copy()
-
-
-def _certified_window(d, e, lo, hi):
-    """Eigenvalues lo..hi as certified Rayleigh quotients, or None."""
-    from scipy.linalg.lapack import dstebz, dstein
-
     ae = np.abs(e)
     norm = float(np.max(np.abs(d) + np.append(ae, 0.0) + np.append(0.0, ae)))
+    p = 0 if _NORM_RANGE[0] <= norm <= _NORM_RANGE[1] else np.frexp(norm)[1]
+    d, e, norm = np.ldexp(d, -p), np.ldexp(e, -p), np.ldexp(norm, -p)
+    w = _certified_window(d, e, lo, hi, norm)
+    if w is None:
+        # the call eigvalsh_tridiagonal(select="i", lapack_driver="stebz") makes:
+        # range 2 (by index), 1-based indices, tolerance 0, order "E" (ascending)
+        m, w, _, _, info = dstebz(d, e, 2, 0.0, 1.0, lo + 1, hi + 1, 0.0, "E")
+        if info:
+            raise np.linalg.LinAlgError(f"LAPACK dstebz failed (info = {info})")
+        w = w[:m]
+    # a new array, never LAPACK's result buffer, which is as long as the block
+    return np.ldexp(w, p)
+
+
+def _certified_window(d, e, lo, hi, norm):
+    """Eigenvalues lo..hi as certified Rayleigh quotients, or None; norm is
+    the Gershgorin bound on ||T||."""
+    from scipy.linalg.lapack import dstebz, dstein
+
     tau = _COARSE * norm
     if not tau > 0:     # the zero matrix: no bracket has a width
         return None

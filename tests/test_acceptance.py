@@ -185,6 +185,14 @@ def test_spin_height_counts_exactly(spin_report):
     assert spin_report["diagnostics"]["convergence_slopes"]["height"] is None
 
 
+def test_spin_symmetric_leaves_have_no_convergence_slope(spin_report):
+    # sigma1 and dx f_r vanish by symmetry, so every per-k sample lies
+    # within rounding of its limit and no hbar convergence order exists
+    slopes = spin_report["diagnostics"]["convergence_slopes"]
+    assert all(v is None for v in slopes["sigma1_hbar"].values())
+    assert [v[0] for v in slopes["gradient_hbar"].values()] == [None]
+
+
 def test_coupled_height_from_the_critical_column(coupled_report):
     ref = reference_invariants(COUPLED)["S00"]
     report(4, "coupled S00 from the column count", abs(coupled_report["S"]["0,0"] - ref), 1e-3)

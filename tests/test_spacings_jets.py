@@ -310,6 +310,16 @@ def test_manufactured_sigma1_and_s01():
 
 
 
+def test_hbar_limit_counts_no_error_at_rounding_level():
+    ks = np.array([100, 200, 300, 400, 500], dtype=float)
+    # a value that vanishes by symmetry, read with rounding noise only: no
+    # convergence order can be read off it
+    noise = np.array([1.1e-15, -4e-16, 7e-16, 0.0, -1.4e-15])
+    assert hbar_limit(ks, noise)[1]["slope"] is None
+    # the same noise on a value with an hbar term keeps that term's order
+    assert hbar_limit(ks, 0.3 + 2 / ks + noise)[1]["slope"] == pytest.approx(-1.0, abs=1e-6)
+
+
 def test_sigma1_row_an_integer_off_raises_action_discontinuity():
     # one k's probes an integer above the other ks' mean that k's labels
     # chose another action: a refusal naming that k and x, never a silent

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+import hypothesis.strategies as st
 
 from semitoric.errors import DuplicateMu, IllConditioned
 from semitoric.invariants import (
     FrJet,
-    expansion_along_ray,
     fit_log_expansion,
     solve_jet_order,
     solve_taylor_order,
@@ -14,6 +15,91 @@ from semitoric.invariants import (
 )
 
 RNG = np.random.default_rng(2024)
+
+
+# -- the series oracle: truncated power series of g_mu at any order ----------
+# (ascending coefficients, fixed length)
+
+def _pmul(a, b, n):
+    return np.convolve(a, b)[:n]
+
+
+def _ppow(a, p, n):
+    out = np.zeros(n)
+    out[0] = 1.0
+    for _ in range(p):
+        out = _pmul(out, a, n)
+    return out
+
+
+def _pseries(coeffs, w, n):
+    """sum_m coeffs[m] w^m for a series with w[0] = 0."""
+    out = np.zeros(n)
+    term = np.zeros(n)
+    term[0] = 1.0
+    for a in coeffs:
+        out += a * term
+        term = _pmul(term, w, n)
+    return out
+
+
+def _shift(a, p, n):
+    """x^p times the series a, truncated to n terms."""
+    return np.concatenate((np.zeros(p), a))[:n]
+
+
+def _partial_series(jet, mu, dx_extra, dy_extra, n):
+    """Series of (d_x^dx_extra d_y^dy_extra f_r)(x, mu x)."""
+    out = np.zeros(n)
+    for (a, b), v in jet.derivs.items():
+        aa, bb = a - dx_extra, b - dy_extra
+        if aa < 0 or bb < 0 or aa + bb >= n:
+            continue
+        out[aa + bb] += v * mu ** bb / (math.factorial(aa) * math.factorial(bb))
+    return out
+
+
+def expansion_along_ray(jet, s_coeffs, mu, n_orders):
+    """(c_0..c_{n-1}, d_0..d_{n-1}) of g_mu assembled from a jet and Taylor
+    coefficients by explicit series bookkeeping of a1 + mu a2 as
+    semitoric.invariants.taylor's docstring writes them.  Coefficients of total order m enter c_n only for m <= n+1,
+    so passing S only up to order n yields the known part c~_n in slot n.
+    """
+    n = n_orders
+    ndeep = n + 2
+    f = _partial_series(jet, mu, 0, 0, ndeep)          # f_r(x, mu x), f[0] = 0
+    phi = np.zeros(ndeep)
+    phi[:-1] = f[1:]                                   # f/x
+    dxf = _partial_series(jet, mu, 1, 0, ndeep)
+    dyf = _partial_series(jet, mu, 0, 1, ndeep)
+    sig1 = np.zeros(ndeep)
+    sig2 = np.zeros(ndeep)
+    for (p, q), s in s_coeffs.items():
+        if p >= 1:
+            sig1 += p * s * _shift(_ppow(f, q, ndeep), p - 1, ndeep)
+        if q >= 1:
+            sig2 += q * s * _shift(_ppow(f, q - 1, ndeep), p, ndeep)
+    A = phi[0]
+    # ln(1 + phi^2) = ln(1+A^2) + log1p((phi^2 - A^2)/(1+A^2))
+    phi2 = _pmul(phi, phi, ndeep)
+    w = phi2.copy()
+    w[0] = 0.0
+    w = w / (1.0 + A * A)
+    # the series ln(1 + w) = sum_m (-1)^(m+1) w^m / m
+    log_term = _pseries([0.0] + [(-1) ** (m + 1) / m for m in range(1, ndeep)], w, ndeep)
+    log_term[0] = np.log(1.0 + A * A)
+    # arctan(phi) = arctan(A) + integral of phi' / (1 + phi^2)
+    dphi = np.array([(m + 1) * phi[m + 1] for m in range(ndeep - 1)] + [0.0])
+    inv1p = _pseries([(-1.0) ** m for m in range(ndeep)], w, ndeep)   # 1/(1 + w)
+    integrand = _pmul(dphi, inv1p, ndeep) / (1.0 + A * A)
+    atan = np.zeros(ndeep)
+    atan[0] = np.arctan(A)
+    atan[1:] = integrand[:-1] / np.arange(1, ndeep)
+    tau2_poly = sig2 - log_term / (4 * np.pi)
+    direction = dxf + mu * dyf
+    P = sig1 - atan / (2 * np.pi) + _pmul(tau2_poly, direction, ndeep)
+    Q = -direction / (2 * np.pi)
+    return P[:n], Q[:n]
 
 
 def random_jet(rng, order=3):
@@ -145,10 +231,9 @@ def test_solve_taylor_order_roundtrip():
     rng = np.random.default_rng(12)
     jet = random_jet(rng)
     s = random_s(rng, order=2)
-    s_known = {k: v for k, v in s.items() if sum(k) <= 1}
     mus = [0.8, 1.4, 2.2]
     c_vals = [expansion_along_ray(jet, s, mu, 2)[0][1] for mu in mus]
-    got = solve_taylor_order(1, mus, c_vals, jet, s_known)
+    got = solve_taylor_order(mus, c_vals, jet, s[(0, 1)])
     for key, v in got.items():
         assert v == pytest.approx(s[key], rel=1e-8, abs=1e-10)
 
@@ -180,12 +265,11 @@ def manufactured_spin_g(mu, xs):
 PURE = {(2, 0): 0.0, (0, 2): 0.0}
 
 
-def pinned_route(mu, d1, c1, jet1, s_known):
+def pinned_route(mu, d1, c1, jet1, s01):
     """(dxdy f_r(0), S_11) from d_1 and c_1 at one mu: the order-1 jet and
     Taylor solves with the pure coefficients pinned, as in the recovery."""
     jet2 = solve_jet_order(1, [mu], [d1], fixed=PURE)
-    s2 = solve_taylor_order(1, [mu], [c1], FrJet({**jet1.derivs, **jet2}), s_known,
-                            fixed=PURE)
+    s2 = solve_taylor_order([mu], [c1], FrJet({**jet1.derivs, **jet2}), s01, fixed=PURE)
     return jet2[(1, 1)], s2[(1, 1)]
 
 
@@ -209,7 +293,7 @@ def mixed_route(mu, xs):
     g = manufactured_spin_g(mu, xs)
     c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
     c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
-    return pinned_route(mu, d1, c1, SPIN_JET1, {(1, 0): 0.0, (0, 1): SPIN_S01})
+    return pinned_route(mu, d1, c1, SPIN_JET1, SPIN_S01)
 
 
 def test_cross_derivative_shortcut_identity_sanity():
@@ -239,8 +323,7 @@ def test_mixed_helpers_consistency():
     mu = 1.2
     c, d = expansion_along_ray(jet, s, mu, 2)
     jet1 = FrJet({(1, 0): 0.0, (0, 1): 2.0})
-    s_known = {(1, 0): 0.1, (0, 1): SPIN_S01}
-    dxdy, s11 = pinned_route(mu, d[1], c[1], jet1, s_known)
+    dxdy, s11 = pinned_route(mu, d[1], c[1], jet1, SPIN_S01)
     assert dxdy == pytest.approx(-0.25, rel=1e-12)
     assert s11 == pytest.approx(1 / (8 * np.pi), rel=1e-10)
 
@@ -248,31 +331,56 @@ def test_mixed_helpers_consistency():
 def test_pinned_route_matches_closed_forms():
     # the generic solves with S_20, S_02 and the pure second derivatives
     # pinned reduce to the hand-derived closed forms, also for dx f_r != 0
-    # and sigma1 != 0
     rng = np.random.default_rng(31)
     for _ in range(50):
         dx = float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
         jet1 = FrJet({(1, 0): dx, (0, 1): float(rng.uniform(0.3, 3.0))})
-        dxdy, s01, sigma1 = (float(v) for v in rng.normal(size=3))
+        dxdy, s01 = (float(v) for v in rng.normal(size=2))
         mu = float(rng.uniform(0.3, 3.0))
         c1, d1 = (float(v) for v in rng.normal(size=2))
-        s_known = {(1, 0): sigma1, (0, 1): s01}
-        got_dxdy, _ = pinned_route(mu, d1, c1, jet1, s_known)
+        got_dxdy, _ = pinned_route(mu, d1, c1, jet1, s01)
         assert got_dxdy == pytest.approx(closed_form_dxdy(d1, mu), rel=1e-12, abs=1e-12)
         # S_11 read with a given dxdy, as the closed form takes it
-        s2 = solve_taylor_order(1, [mu], [c1], FrJet({**jet1.derivs, **PURE, (1, 1): dxdy}),
-                                s_known, fixed=PURE)
+        s2 = solve_taylor_order([mu], [c1], FrJet({**jet1.derivs, **PURE, (1, 1): dxdy}),
+                                s01, fixed=PURE)
         assert s2[(2, 0)] == 0.0 and s2[(0, 2)] == 0.0
         want = closed_form_s11(c1, mu, jet1, s01, dxdy)
         assert s2[(1, 1)] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+COEFF = st.floats(-3, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(COEFF, st.floats(0.1, 3), COEFF, COEFF, COEFF, COEFF, COEFF, COEFF, st.booleans())
+@example(0.0, 2.0, 0.0, -0.25, 0.0, SPIN_S01, 0.0, 1.0, True)     # the spin jet
+@example(-0.7, 1.3, 0.4, 0.9, -0.2, -1.1, 0.4, -2.5, False)
+def test_known_part_is_the_series_x1_coefficient(dx, dy, dxx, dxy, dyy, s01, s10, mu, pinned):
+    # with S_20 and S_02 pinned to 0 and c_1 = 0, the one-mu solve returns
+    # S_11 = -c~_1 / 2A, so -2A S_11 is the closed form's known part; the
+    # series oracle gives it as the x^1 coefficient with S up to order 1.
+    # A pinned jet is the purely-mixed one, dx^2 f_r = dy^2 f_r = 0
+    if pinned:
+        dxx = dyy = 0.0
+    jet = FrJet({(1, 0): dx, (0, 1): dy, (2, 0): dxx, (1, 1): dxy, (0, 2): dyy})
+    a = dx + mu * dy
+    assume(abs(a) > 1e-3)
+    s2 = solve_taylor_order([mu], [0.0], jet, s01, fixed=PURE)
+    got = -2 * a * s2[(1, 1)]
+    want = expansion_along_ray(jet, {(1, 0): s10, (0, 1): s01}, mu, 2)[0][1]
+    # relative to the size of the terms, and no finer than the smallest
+    # normal float, below which tiny jets round to subnormal products
+    b_abs = (abs(dxx) + 2 * abs(mu * dxy) + mu * mu * abs(dyy)) / 2
+    scale = b_abs * (1 + 2 * abs(s01) + math.log(1 + a * a))
+    assert abs(got - want) <= 1e-12 * scale + np.finfo(float).tiny
 
 
 @pytest.mark.parametrize("solve", ["jet", "taylor"])
 def test_fixed_count_must_match_mu_count(solve):
     jet = FrJet({(1, 0): -0.3, (0, 1): 2.0, (1, 1): 0.5})
     call = {"jet": lambda mus, fixed: solve_jet_order(1, mus, [0.1] * len(mus), fixed=fixed),
-            "taylor": lambda mus, fixed: solve_taylor_order(1, mus, [0.1] * len(mus), jet,
-                                                            {(0, 1): 0.4}, fixed=fixed)}[solve]
+            "taylor": lambda mus, fixed: solve_taylor_order(mus, [0.1] * len(mus), jet, 0.4,
+                                                            fixed=fixed)}[solve]
     with pytest.raises(ValueError, match="need exactly 1 mu values"):
         call([1.5, 2.0], PURE)
     with pytest.raises(ValueError, match="need exactly 3 mu values"):
@@ -290,7 +398,7 @@ NEAR = 1.0 + 1e-6 * np.arange(3)        # distinct but almost equal mu values
     (lambda: fit_log_expansion(0.01 * (1 + 1e-9 * np.arange(6)), np.arange(6.0), 0, [], []),
      "log-basis fit condition"),
     (lambda: solve_jet_order(1, NEAR, [0.1, 0.2, 0.3]), "jet system condition"),
-    (lambda: solve_taylor_order(1, NEAR, [0.1, 0.2, 0.3], FrJet({(0, 1): 1.0}), {}),
+    (lambda: solve_taylor_order(NEAR, [0.1, 0.2, 0.3], FrJet({(0, 1): 1.0}), 0.0),
      "Taylor system condition"),
 ], ids=["x_limit", "fit_log_expansion", "jet", "taylor"])
 def test_ill_conditioned_fits_raise(fit, prefix):

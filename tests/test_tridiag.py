@@ -197,6 +197,34 @@ def test_index_window_out_of_range(lo, hi):
         eigs_in_window(d, e, lo, hi)
 
 
+@pytest.mark.parametrize("d,e", [([1e300] * 3, [1e300] * 2), ([1e-320, 2e-320], [0.0])],
+                         ids=["near-overflow", "subnormal"])
+def test_every_index_window_at_an_extreme_scale_is_a_slice_of_the_full_solve(d, e):
+    # LAPACK's bisection fails on the first matrix (dstebz info 4) and reads
+    # 2e-320 for eigenvalue 0 of the second, unless the window scales the
+    # matrix by a power of two first
+    full = eigs_sym_tridiagonal(d, e)
+    for lo in range(len(d)):
+        for hi in range(lo, len(d)):
+            got = eigs_in_window(d, e, lo, hi)
+            assert len(got) == hi - lo + 1
+            assert np.abs(got - full[lo:hi + 1]).max() <= \
+                8 * np.finfo(float).eps * spectral_radius_bound(d, e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2 ** 31 - 1), st.integers(-1000, 1000), st.data())
+def test_index_window_of_a_matrix_scaled_by_a_power_of_two(n, seed, scale, data):
+    rng = np.random.default_rng(seed)
+    d = np.ldexp(rng.normal(size=n) * 3, scale)
+    e = np.ldexp(rng.normal(size=n - 1), scale)
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo, n - 1))
+    got = eigs_in_window(d, e, lo, hi)
+    want = eigs_sym_tridiagonal(d, e)[lo:hi + 1]
+    assert np.abs(got - want).max() <= 1e-12 * spectral_radius_bound(d, e)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 80), st.integers(0, 2 ** 31 - 1))
 def test_whole_spectrum_is_scipys_sterf_driver_bit_for_bit(n, seed):
