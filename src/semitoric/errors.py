@@ -94,7 +94,3 @@ class NonSimplyConnected(LabellingError):
 
 class ActionDiscontinuity(LabellingError):
     """Successive radial probes disagree by about an integer (action jumped)."""
-
-
-class EdgeFitFailure(LabellingError):
-    """Too few boundary points to fit a polygon edge."""

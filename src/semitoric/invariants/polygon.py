@@ -3,18 +3,18 @@
 hbar times the global labels of the spectrum restricted to a strip (less
 the cut: the column above the focus-focus value) converges to the image of
 the cartographic map: a convex polygon, up to one undetermined translation.
-Edges are fitted to the per-column label extremes between critical
-abscissae, _EDGE_MARGIN away from each, and the vertices are read off the
-pairwise edge intersections.
+Its column ends are integer labels whose steps are constant along an edge
+(Vu Ngoc, Adv. Math. 2007), so each chain splits at the critical abscissae
+into exact lines, and the vertices are their exact crossings.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from ..errors import EdgeFitFailure
 from ..models import ModelSpec
 
 __all__ = [
@@ -24,8 +24,6 @@ __all__ = [
     "sample_polygon_region",
 ]
 
-_EDGE_MARGIN = 0.15    # edge fits keep this far from cuts, corners and the strip ends
-_MIN_SLOPE_GAP = 0.2   # edges whose slopes differ by less meet at no vertex
 _ROWS = 4096           # sample points per pass of hausdorff's node lookup
 _SKIP = 1.0 - 1e-9     # a bound below the running maximum times this cannot attain it
 
@@ -109,65 +107,64 @@ class PolygonEstimate:
     cloud: np.ndarray                      # hbar * labels
     fitted_vertices: list
     x_translation: float                   # exact column alignment to momentum x
-    columns: np.ndarray                    # (abscissa, lo, hi) of the columns the edges fit
+    columns: np.ndarray                    # (abscissa, lo, hi) of every column; hi nan at the cut
 
 
 def polygon_recover(points: np.ndarray, labels: np.ndarray, hbar: float,
                     critical_xs, strip) -> PolygonEstimate:
-    """Fit polygon edges to the labelled cloud.
+    """Read the polygon off the labelled cloud's two integer chains.
 
-    points, labels: matching (n,2) arrays; critical_xs: abscissae of cuts and
-    corners (fits keep _EDGE_MARGIN away from them); strip: (xlo, xhi).
+    points, labels: matching (n,2) arrays; critical_xs: column abscissae
+    of the cut (first) and the corners; strip: (xlo, xhi).
     """
     labels = np.asarray(labels, dtype=float)
     cloud = hbar * labels
-    # everything below lives in the hbar*label frame; the momentum abscissae
+    # everything below lives in the label frame; the momentum abscissae
     # (criticals, strip) are carried over by the exact column translation
     tx = float(np.median(points[:, 0] - cloud[:, 0]))
     # each column's abscissa and its lowest and highest label
     j = np.rint(labels[:, 0])
     order = np.lexsort((labels[:, 1], j))
     col_j, first, size = np.unique(j[order], return_index=True, return_counts=True)
-    col_x = hbar * col_j
-    col_lo = hbar * labels[order, 1][first]
-    col_hi = hbar * labels[order, 1][first + size - 1]
-    crit = sorted(c - tx for c in critical_xs)
-    strip = (strip[0] - tx, strip[1] - tx)
-    seg_bounds = [strip[0]] + [c for c in crit if strip[0] < c < strip[1]] + [strip[1]]
-    top, bottom = [], []
-    fitted = np.zeros(len(col_x), dtype=bool)
-    for lo, hi in zip(seg_bounds, seg_bounds[1:]):
-        on = (col_x >= lo + _EDGE_MARGIN) & (col_x <= hi - _EDGE_MARGIN)
-        if on.sum() < 5:
-            raise EdgeFitFailure(
-                f"only {on.sum()} columns available on segment [{lo + tx:.2f}, {hi + tx:.2f}]"
-            )
-        top.append(np.polyfit(col_x[on], col_hi[on], 1))
-        bottom.append(np.polyfit(col_x[on], col_lo[on], 1))
-        fitted |= on
-    columns = np.column_stack((col_x, col_lo, col_hi))[fitted]
-    return PolygonEstimate(cloud, _edge_intersections(top, bottom, strip), tx, columns)
+    col_lo = labels[order, 1][first]
+    col_hi = labels[order, 1][first + size - 1]
+    crit = np.rint((np.asarray(critical_xs, dtype=float) - tx) / hbar)
+    # the cut column's top is the focus-focus value, not the polygon's edge
+    col_hi[np.isin(col_j, crit[:1])] = np.nan
+    ends = [col_j[0], *sorted(c for c in crit if col_j[0] < c < col_j[-1]), col_j[-1]]
+    bottom, top = (_chain(col_j, end, ends) for end in (col_lo, col_hi))
+    verts = {v for chain in (bottom, top) for v in map(_cross, chain, chain[1:])} - {None}
+    # where the chains meet each other beyond the strip ends
+    xlo, xhi = ((x - tx) / hbar for x in strip)
+    for b, t in zip(bottom[:1] + bottom[-1:], top[:1] + top[-1:]):
+        v = _cross(t, b)
+        if v is not None and xlo - 0.6 / hbar <= v[0] <= xhi + 0.6 / hbar:
+            verts.add(v)
+    columns = np.column_stack((col_j, col_lo, col_hi)) * hbar
+    return PolygonEstimate(cloud, [(hbar * float(x), hbar * float(y)) for x, y in sorted(verts)],
+                           tx, columns)
 
 
-def _edge_intersections(top, bottom, strip):
-    """Vertices of the two chains of (slope, intercept) edges, each chain
-    ordered by abscissa: the crossings of consecutive edges, and where the
-    chains meet each other beyond the strip ends."""
-    verts = [v for chain in (top, bottom) for v in map(_cross, chain, chain[1:])
-             if v is not None]
-    for pick in (0, -1):
-        v = _cross(top[pick], bottom[pick])
-        if v is not None and strip[0] - 0.6 <= v[0] <= strip[1] + 0.6:
-            verts.append(v)
-    return sorted(verts)
+def _chain(col_j, col_end, ends) -> list:
+    """The lines (slope, j, l) of one chain of column ends, one per segment
+    between consecutive ends: through the segment's first and last column
+    that has an end, at the exact rise over run of their labels."""
+    lines = []
+    for a, b in zip(ends, ends[1:]):
+        on = np.flatnonzero((col_j >= a) & (col_j <= b) & ~np.isnan(col_end))
+        if len(on) > 1:
+            j0, j1 = col_j[on[[0, -1]]]
+            l0, l1 = col_end[on[[0, -1]]]
+            lines.append((Fraction(int(l1 - l0), int(j1 - j0)), int(j0), int(l0)))
+    return lines
 
 
 def _cross(e1, e2):
-    (s1, i1), (s2, i2) = e1, e2
-    if abs(s1 - s2) < _MIN_SLOPE_GAP:
-        return None
-    x = (i2 - i1) / (s1 - s2)
-    return (float(x), float(s1 * x + i1))
+    """The exact crossing of two lines (slope, j, l), None when parallel."""
+    (s1, j1, l1), (s2, j2, l2) = e1, e2
+    if s1 != s2:
+        x = (l2 - l1 + s1 * j1 - s2 * j2) / (s1 - s2)
+        return (x, l1 + s1 * (x - j1))
 
 
 def sample_polygon_region(model: ModelSpec, strip, step: float) -> np.ndarray:

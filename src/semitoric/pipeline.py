@@ -344,11 +344,11 @@ def _by_x(xs, values) -> dict:
 
 def polygon_run(model: ModelSpec, k: int) -> PolygonEstimate:
     """Quantum cartographic cloud on the model's strip and the
-    fitted polygon.
+    polygon read off it.
 
     The critical values are located from the spectrum first, and the
-    cloud is ``label_strip``'s, the labels ``semitoric label`` writes; the
-    edge fits keep away from the focus-focus and corner abscissae.
+    cloud is ``label_strip``'s, the labels ``semitoric label`` writes; its
+    column-end chains are split at the focus-focus and corner abscissae.
     """
     origin, corner_xs = locate_critical_values(model, k)
     points, labels = label_strip(model, k, origin)
@@ -361,18 +361,18 @@ def polygon_reference_distance(model: ModelSpec, est: PolygonEstimate, k: int):
     (Hausdorff distance, translation, column end error, vertex errors).
 
     The x component is the exact column alignment (the abscissae are an
-    exact hbar grid).  The y component is closed form: over the columns the
-    edges fit, the reference slice ``model.polygon_slice`` less each
-    column's lowest and highest point gives signed end residuals, and the
-    translation is the midpoint of their range, whose half is the column
-    end error.  At that translation the cloud is measured against a 0.35
-    hbar sample of the reference, and each fitted vertex against the
-    nearest reference vertex.
+    exact hbar grid).  The y component is closed form: over every column,
+    the reference slice ``model.polygon_slice`` less the column's lowest
+    and highest point (the cut column's lowest only) gives signed end
+    residuals, and the translation is the midpoint of their range, whose
+    half is the column end error.  At that translation the cloud is
+    measured against a 0.35 hbar sample of the reference, and each vertex
+    against the nearest reference vertex.
     """
     tx = est.x_translation
     x, lo, hi = est.columns.T
     ref_lo, ref_hi = model.polygon_slice(x + tx)
-    resid = np.concatenate((ref_lo - lo, ref_hi - hi))
+    resid = np.concatenate((ref_lo - lo, (ref_hi - hi)[~np.isnan(hi)]))
     shift = np.array([tx, (resid.min() + resid.max()) / 2])
     end_error = float(resid.max() - resid.min()) / 2
     theory = sample_polygon_region(model, model.strip, 0.35 * (1.0 / k))

@@ -372,14 +372,15 @@ def test_synth_is_no_command(tmp_path):
     assert exc.value.code == 2
 
 
-def test_polygon_edge_fit_failure_names_the_segment_in_x(tmp_path, capsys):
-    # the first segment runs from the spin-oscillator's strip start, x = -0.8,
-    # to its focus-focus value, x0 = 1: the message names it in x, not in
-    # the label frame's [-2.80, -1.00]
+def test_polygon_at_k3_reads_both_vertices(tmp_path):
+    # at k = 3 the spin-oscillator's strip start, x = -0.8, lies only five
+    # columns from its focus-focus value, x0 = 1; the chains need two
+    # columns a segment, and the two vertices lie 0.50 hbar and
+    # sqrt(5)/2 hbar from their references
     rc = main(["polygon", "--model", "spin-oscillator", "--k", "3", "--out", str(tmp_path)])
-    assert rc == 4
-    assert capsys.readouterr().err == (
-        "labelling failure: only 4 columns available on segment [-0.80, 1.00]\n")
+    assert rc == 0
+    report = json.loads((tmp_path / "polygon_report.json").read_text())
+    assert report["vertex_errors"] == pytest.approx([np.sqrt(5) / 6, 1 / 6], abs=1e-12)
 
 
 def test_recover_all_raises_configuration_error_before_solving(monkeypatch):

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from semitoric import COUPLED_ANGULAR_MOMENTA, SPIN_OSCILLATOR, ModelSpec
-from semitoric.errors import EdgeFitFailure
 from semitoric.invariants import (
     hausdorff,
     polygon_recover,
@@ -120,11 +119,19 @@ def test_polygon_recover_exact_cloud():
     strip = (-3.3, 3.1)
     pts, labels = polygon_grid_cloud(k, model.polygon_slice, strip)
     est = polygon_recover(pts, labels, 1.0 / k, [-1.5, 1.5], strip)
-    verts = np.asarray(model.polygon_vertices, dtype=float)
-    assert len(est.fitted_vertices) == 4
-    for v in est.fitted_vertices:
-        err = min(np.hypot(v[0] - a, v[1] - b) for a, b in verts)
-        assert err < 1.5 / k   # discretization only
+    assert np.allclose(est.fitted_vertices, model.polygon_vertices, rtol=0, atol=1e-12)
+
+
+def test_polygon_recover_reads_a_half_integer_slope():
+    """A bottom edge of slope 1/2 between lattice points, at k = 10: its
+    column ends step 0, 1, 0, 1, ..., and the chain reads the slope from the
+    segment's rise over run, so the crossing with the top edge beyond the
+    strip end lands exactly at (6.4, 2.2)."""
+    k = 10
+    strip = (0.0, 6.0)
+    pts, labels = polygon_grid_cloud(k, lambda x: (max(0.0, (x - 2.0) / 2), 2.2), strip)
+    est = polygon_recover(pts, labels, 1.0 / k, [2.0], strip)
+    assert np.allclose(est.fitted_vertices, [(2.0, 0.0), (6.4, 2.2)], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("model, critical_xs", [
@@ -133,9 +140,9 @@ def test_polygon_recover_exact_cloud():
 ], ids=["coupled", "spin"])
 @pytest.mark.parametrize("p, q", [(0, 0), (7, -3), (-40, 11)])
 def test_one_translation_for_every_check(model, critical_xs, p, q):
-    """Labels offset by (p, q) move the cloud by hbar (p, q); the closed-form
-    translation undoes that, and the vertex errors are measured at the
-    translation the report gives."""
+    """Labels offset by (p, q) move the cloud and its vertices by hbar (p,
+    q) exactly; the closed-form translation undoes that, and the vertex
+    errors are measured at the translation the report gives."""
     k = 40
     h = 1.0 / k
     pts, labels = polygon_grid_cloud(k, model.polygon_slice, model.strip)
@@ -144,16 +151,11 @@ def test_one_translation_for_every_check(model, critical_xs, p, q):
     assert shift[0] == pytest.approx(-p * h, abs=1e-12)
     assert shift[1] == pytest.approx(-q * h, abs=h / 2)
     assert end_error <= h / 2
+    assert np.allclose(np.asarray(est.fitted_vertices) - (p * h, q * h), model.polygon_vertices,
+                       rtol=0, atol=1e-12)
     moved = np.asarray(est.fitted_vertices) + shift
     assert vert_err == [min(np.hypot(vx - rx, vy - ry) for rx, ry in model.polygon_vertices)
                         for vx, vy in moved]
-
-
-def test_polygon_recover_needs_columns():
-    pts = np.array([[0.0, 0.0], [0.1, 0.0]])
-    labels = np.array([[0, 0], [1, 0]])
-    with pytest.raises(EdgeFitFailure):
-        polygon_recover(pts, labels, 0.1, [], (0.0, 0.1))
 
 
 def scalar_slice(model, x):
@@ -205,14 +207,22 @@ def test_sample_polygon_region_inside():
     (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=0.5, r2=1.5, t=0.5), 20),
     (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.0, t=0.5), 20),
     (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.6), 40),
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=1.025, t=0.5), 40),
 ], ids=["spin-12", "spin-25", "coupled-0.35-20", "coupled-0.5-20", "coupled-0.6-20",
-        "coupled-0.5-1.5-20", "coupled-1-2-20", "coupled-0.6-40"])
+        "coupled-0.5-1.5-20", "coupled-1-2-20", "coupled-0.6-40", "coupled-1-1.025-40"])
 def test_polygon_within_two_columns(model, k):
     # the cloud leaves out only the cut, one column above the focus-focus
     # value, so the reference lies about one column from it; a band and
     # corner balls of radius max(3 hbar, 0.35 sqrt(hbar)) used to leave
-    # 3.2-4.2 hbar, and at coupled (1, 5/2, 0.6), k = 40, exit 4
+    # 3.2-4.2 hbar, and at coupled (1, 5/2, 0.6), k = 40, exit 4.  Every
+    # reference vertex inside the strip is found, the two of (1, 1.025) at
+    # x = -0.025 and +0.025 as well, although only one column lies between
+    # their kink columns at k = 40
     est = polygon_run(model, k)
-    dist, _, _, vert_err = polygon_reference_distance(model, est, k)
+    dist, shift, _, vert_err = polygon_reference_distance(model, est, k)
     assert dist <= 2.0 / k
     assert max(vert_err) <= 0.1
+    moved = np.asarray(est.fitted_vertices) + shift
+    for rx, ry in model.polygon_vertices:
+        if model.strip[0] < rx < model.strip[1]:
+            assert np.hypot(moved[:, 0] - rx, moved[:, 1] - ry).min() <= 0.1
