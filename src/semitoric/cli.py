@@ -182,6 +182,16 @@ def cmd_dh(cfg: RunConfig, model: ModelSpec, out: Path) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # the flags every command reads, declared once
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--model", default=None, choices=sorted(MODEL_NAMES))
+    common.add_argument("--r1", type=float, default=None)
+    common.add_argument("--r2", type=float, default=None)
+    common.add_argument("--t", type=float, default=None)
+    common.add_argument("--k", type=int, action="append",
+                        help="k value; repeat for a schedule")
+    common.add_argument("--out", default=None)
+    common.add_argument("--config", default=None, help="JSON RunConfig file")
     p = argparse.ArgumentParser(prog="semitoric",
                                 description="joint spectra of quantum semitoric "
                                             "models and invariant recovery")
@@ -190,16 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
                      ("invariants", cmd_invariants), ("polygon", cmd_polygon),
                      ("dh", cmd_dh)):
         # each command takes only the flags it reads
-        q = sub.add_parser(name)
+        q = sub.add_parser(name, parents=[common])
         q.set_defaults(func=fn)
-        q.add_argument("--model", default=None, choices=sorted(MODEL_NAMES))
-        q.add_argument("--r1", type=float, default=None)
-        q.add_argument("--r2", type=float, default=None)
-        q.add_argument("--t", type=float, default=None)
-        q.add_argument("--k", type=int, action="append",
-                       help="k value; repeat for a schedule")
-        q.add_argument("--out", default=None)
-        q.add_argument("--config", default=None, help="JSON RunConfig file")
         if name == "invariants":
             q.add_argument("--x", type=float, action="append",
                            help="probe offset; repeat for a schedule")

@@ -58,17 +58,17 @@ def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple
 
 def column_height(family) -> tuple[float, dict]:
     """S_{0,0} = lim hbar #{column at x0, y < y0} over a probe family
-    {k: LabelledSpectrum}, read off the ladder of the column at each
-    spectrum's origin (x0, y0).  info carries the n_k / k in ascending k
-    ("raw") and the hbar_limit slope (None when fewer than two samples
-    differ from the limit)."""
+    {k: LabelledSpectrum}: one count of the heights of the column at each
+    spectrum's origin (x0, y0) below y0, which solves no column, since y0
+    is a gap midpoint of that column.  info carries the n_k / k in
+    ascending k ("raw") and the hbar_limit slope (None when fewer than two
+    samples differ from the limit)."""
     ks = sorted(family)
     raw = []
     for k in ks:
         spec = family[k]
         x0, y0 = spec.origin
-        _, ev = spec.ladder(spec.nearest_column(x0))
-        n = int(np.searchsorted(ev, y0))
+        n = spec._count_below(spec.nearest_column(x0), y0)
         if n < 10:
             raise WindowTooNarrow(f"k={k}: column at x={x0} holds only {n} points below y0")
         raw.append(n / k)

@@ -129,10 +129,15 @@ def ray_samples(family: dict[int, LabelledSpectrum], slope: float,
 def _interp_cubic(xs, ys, x):
     """Value at x of the cubic through the two ascending nodes below x and
     the two above it (the four end nodes near an end of xs; fewer nodes,
-    a lower degree).  The stencil depends on where x lies among the nodes,
-    not on distance ranks, so the interpolant is continuous in x: nodes
-    symmetric about x leave no tie for rounding noise in x to break."""
+    a lower degree), by Neville's scheme on the nodes' offsets from x.
+    The stencil depends on where x lies among the nodes, not on distance
+    ranks, so the interpolant is continuous in x: nodes symmetric about x
+    leave no tie for rounding noise in x to break."""
     i = min(max(int(np.searchsorted(xs, x)) - 2, 0), max(len(xs) - 4, 0))
-    xs, ys = xs[i:i + 4], ys[i:i + 4]
-    return float(np.polyfit(xs - x, ys, len(xs) - 1)[-1])
-
+    t = (xs[i:i + 4] - x).tolist()
+    p = ys[i:i + 4].tolist()
+    # p[a] becomes the value at x of the polynomial through nodes a..a + s
+    for s in range(1, len(t)):
+        for a in range(len(t) - s):
+            p[a] = (t[a + s] * p[a] - t[a] * p[a + 1]) / (t[a + s] - t[a])
+    return p[0]

@@ -120,10 +120,10 @@ class BlockSpectrum(LabelledSpectrum):
     """The labelled spectrum of a window's J-blocks ``blocks``: (j, l) =
     (sign * block id, idx), a lattice label since J's spectrum is an exact
     hbar-lattice of columns; sign makes j grow with x.  A column read whole
-    is its block's full solve, kept; a probe's index windows are a Sturm
-    count and bisection solves of the rows it reads, each window solved
-    once and kept, on the block matrix that ``blocks`` keeps; a column's
-    size is closed-form."""
+    is its block's full solve, kept; an index window of rows (an origin's
+    or a probe's) is a bisection solve of those rows alone, each window
+    solved once and kept, on the block matrix that ``blocks`` keeps; a
+    Sturm count solves nothing, and a column's size is closed-form."""
 
     def __init__(self, blocks):
         self.blocks = blocks
@@ -170,15 +170,19 @@ def locate_critical_values(model: ModelSpec, k0: int,
     read from ``family`` when it holds that k and built otherwise.  k0's
     dimensions are checked first, and a multiple of it is then on the
     radii's 1/(2k) grid.  The candidates are the kinks of that spectrum's
-    blocks, which ``semitoric dh`` reports too.
+    blocks, which ``semitoric dh`` reports too.  The located column is the
+    one column the run solves whole.
 
     Each spectrum of ``family`` then gets its .origin, that k's focus-focus
     value: the critical column's abscissa and the smallest-gap midpoint of
-    its ladder, which solves that column whole.  Probes measure offsets
-    from it, and a1 responds to an ordinate error like e2/(2 pi x), so the
-    error must shrink like hbar for the extrapolations to converge: the
-    one-off located ordinate would leave a floor.  Only the probes read
-    origins, so a caller that reads the focus alone passes no family.
+    an index window of its ladder around the located ordinate
+    (``_window_origin``), so that no other column is solved whole; the
+    located spectrum's is the located value, its whole ladder's.  Probes
+    measure offsets from it, and a1 responds to an ordinate error like
+    e2/(2 pi x), so the error must shrink like hbar for the extrapolations
+    to converge: the one-off located ordinate would leave a floor.  Only
+    the probes read origins, so a caller that reads the focus alone passes
+    no family.
 
     Returns (focus (x0, y0), other kink abscissae).
     """
@@ -192,11 +196,37 @@ def locate_critical_values(model: ModelSpec, k0: int,
 
     x0, y0 = locate_focus_focus(spec, kinks)
     for sp in family.values():
-        x, ev = column_ladder(sp, x0)
-        sp.origin = (x, smallest_gap_midpoint(ev)[1])
+        sp.origin = (x0, y0) if sp is spec else _window_origin(sp, x0, y0)
     # every kink is an exact column abscissa, x0 among them
     others = [x for x in kinks if x != x0]
     return (x0, y0), others
+
+
+# half-width, in rows, of an origin's first index window, and the least
+# distance, in rows, from the window's smallest gap to a window edge that
+# is not a column end
+_ORIGIN_ROWS = 8
+_ORIGIN_MARGIN = 4
+
+
+def _window_origin(spec: LabelledSpectrum, x0: float, y0: float) -> tuple[float, float]:
+    """(x, y): the abscissa of the column of spec nearest x0 and the
+    smallest-gap midpoint of that column's rows r - h .. r + h, r the count
+    of its heights below y0, clipped to the column.  The window's smallest
+    gap is the whole ladder's as long as no smaller gap lies outside it;
+    the peak of a focus-focus column falls within a few rows of r (y0 is
+    the k = 200 estimate, so the offset grows like k), and a smallest gap
+    within _ORIGIN_MARGIN rows of an inner window edge doubles h."""
+    j = spec.nearest_column(x0)
+    _, n = spec._column(j)
+    r = spec._count_below(j, y0)
+    h = _ORIGIN_ROWS
+    while True:
+        lo, hi = max(r - h, 0), min(r + h + 1, n)
+        i, y = smallest_gap_midpoint(spec._heights(j, lo, hi))
+        if (lo == 0 or i >= _ORIGIN_MARGIN) and (hi == n or hi - lo - 2 - i >= _ORIGIN_MARGIN):
+            return spec.column_x[j], y
+        h *= 2
 
 
 def label_strip(model: ModelSpec, k: int, origin) -> tuple[np.ndarray, np.ndarray]:

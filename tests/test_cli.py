@@ -508,7 +508,7 @@ def test_invariants_command_small(tmp_path, monkeypatch):
         solves.append(args)
         return solve(*args, **kwargs)
 
-    probes, probing, read_in_probe, counts, window_reads = [], [], [], [], []
+    probes, probing, read_in_probe, counts, window_reads, origin_reads = [], [], [], [], [], []
     a1a2 = LabelledSpectrum.a1a2_interpolated
     heights = semitoric.pipeline.BlockSpectrum._heights
     ladder = LabelledSpectrum.ladder
@@ -523,8 +523,9 @@ def test_invariants_command_small(tmp_path, monkeypatch):
 
     def counted_count(*args, **kwargs):
         n = count(*args, **kwargs)
-        probing[-1][3] = n
-        counts.append(probing[-1][0])
+        if probing:
+            probing[-1][3] = n
+        counts.append(probing[-1][0] if probing else None)
         return n
 
     def counted_window(diag, offdiag, lo, hi):
@@ -533,7 +534,7 @@ def test_invariants_command_small(tmp_path, monkeypatch):
         return solve_window(diag, offdiag, lo, hi)
 
     def counted_heights(self, j, lo, hi):
-        window_reads.append((self.k, j, lo, hi))
+        (window_reads if probing else origin_reads).append((self.k, j, lo, hi))
         return heights(self, j, lo, hi)
 
     def counted_read(self, j):
@@ -568,22 +569,28 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     assert len(families) == 1
     # sigma1 and S01 share one probe table: no probe is read twice
     assert probes and len(set(probes)) == len(probes)
-    # a column is solved whole only when the locate stage, an origin or the
-    # height reads its whole ladder, never for a probe, and no block is
-    # solved whole twice in the run
+    # the run solves one column whole, the locate stage's at k = 200; no
+    # origin, height or probe reads a whole ladder
     assert not read_in_probe
-    assert len(solves) == len(reads)
-    blocks = {(diag.tobytes(), offdiag.tobytes()) for diag, offdiag in solves}
-    assert len(blocks) == len(solves)
+    assert len(solves) == len(reads) == 1 and [k for k, _ in reads] == [200]
+    # the k = 100 origin solves an index window of its critical column,
+    # outside any probe, and its Sturm count falls outside a probe too; the
+    # k = 200 origin is the located value and reads nothing.  The height
+    # counts once per k
+    assert origin_reads and {k for k, *_ in origin_reads} == {100}
+    origin_windows = [key for key, by in windows.items() if by == [None]]
+    assert len(origin_windows) == len(set(origin_reads))
+    assert counts.count(None) == 1 + 2
     # a probe reads one Sturm count, and an index window in each of its two
     # columns (a third when column j + 1 is too short to share the rows
     # around the height).  Each window is solved once, inside the first
     # probe that reads it: a later probe of the same k and abscissa whose
     # height lies in the same row gap reads the same rows, and the kept solve
-    assert counts == list(range(1, len(probes) + 1))
+    assert [c for c in counts if c is not None] == list(range(1, len(probes) + 1))
     assert 2 * len(probes) <= len(window_reads) <= 3 * len(probes)
-    assert len(windows) == len(set(window_reads)) < len(window_reads)
-    assert all(len(by) == 1 and by[0] is not None for by in windows.values())
+    probe_windows = [by for by in windows.values() if by != [None]]
+    assert len(probe_windows) == len(set(window_reads)) < len(window_reads)
+    assert all(len(by) == 1 and by[0] is not None for by in probe_windows)
     # the figures are the per-k samples behind the reported limits
     per_k = report["diagnostics"]["per_k"]
     assert per_k["k"] == [100, 200] and per_k["x"] == 0.01

@@ -229,7 +229,8 @@ def test_located_ordinate_is_the_k200_refinement(model):
 
 def test_locate_without_a_family_solves_no_origin_column(monkeypatch):
     # polygon and label read the focus alone: the only whole columns solved
-    # are the locate stage's, at k = 200, and none at the caller's k = 20
+    # are the locate stage's, at k = 200, and none at the caller's k = 20;
+    # with a family, each origin reads an index window, no whole column
     solved = []
     eigenvalues = BlockSequence.eigenvalues
 
@@ -242,7 +243,41 @@ def test_locate_without_a_family_solves_no_origin_column(monkeypatch):
     assert solved and set(solved) == {200}
     family = build_probe_family(COUPLED, [20])
     locate_critical_values(COUPLED, 20, family)
-    assert solved.count(20) == 1 and family[20].origin is not None
+    assert 20 not in solved and family[20].origin is not None
+
+
+# the focus-focus points of the coupled t sweep at k = 100 ... 500, and the
+# two whose window offsets are largest at k = 1000 and 2000; at (1/2, 3/2,
+# 0.35) the locate stage ends in NoPeak
+SWEEP = [(SPIN, (100, 200, 300, 400, 500))] + [
+    (ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t), (100, 200, 300, 400, 500))
+    for r1, r2 in ((1.0, 2.5), (0.5, 1.5), (1.0, 2.0))
+    for t in (0.35, 0.4, 0.45, 0.5, 0.55, 0.6, 0.65, 0.7)
+    if (r1, r2, t) != (0.5, 1.5, 0.35)
+] + [(ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=r1, r2=r2, t=t), (200, 1000, 2000))
+     for r1, r2, t in ((1.0, 2.0, 0.7), (1.0, 2.5, 0.35))]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("model, ks", SWEEP, ids=[
+    ("spin" if m.kind == SPIN_OSCILLATOR else f"coupled-{m.r1}-{m.r2}-{m.t}") + f"-k{max(ks)}"
+    for m, ks in SWEEP])
+def test_window_origin_is_the_whole_ladders_smallest_gap(model, ks):
+    # each origin reads an index window around the located ordinate's row;
+    # it must find the smallest gap of the whole ladder, the same row, and
+    # its midpoint within rounding of the whole ladder's
+    family = build_probe_family(model, ks)
+    locate_critical_values(model, min(ks), family)
+    for k in ks:
+        spec = family[k]
+        x0, y0 = spec.origin
+        i = spec.blocks.ids.index(spec._sign * spec.nearest_column(x0))
+        ev = spec.blocks.eigenvalues(i)
+        row = int(np.argmin(np.diff(ev)))
+        assert int(np.searchsorted(ev, y0)) - 1 == row
+        d, e = spec.blocks[i]
+        norm = np.max(np.abs(d) + np.append(np.abs(e), 0) + np.append(0, np.abs(e)))
+        assert abs(y0 - 0.5 * (ev[row] + ev[row + 1])) <= 8 * np.finfo(float).eps * norm
 
 
 RADII = [(1.0, 2.5), (0.5, 1.5), (1.0, 2.0)]

@@ -226,3 +226,18 @@ def test_polygon_within_two_columns(model, k):
     for rx, ry in model.polygon_vertices:
         if model.strip[0] < rx < model.strip[1]:
             assert np.hypot(moved[:, 0] - rx, moved[:, 1] - ry).min() <= 0.1
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(40, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 29: label_semitoric puts no bend at a corner in the "
+        "column next to the cut column; column_end_error reads 32.5 hbar"))),
+    80,
+])
+def test_close_corner_column_ends_within_half_a_column(k):
+    # at (1, 1.0125, 1/2) the corners x = -0.0125 (the focus-focus column)
+    # and +0.0125 lie in adjacent columns at k = 40, one column apart at 80
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=1.0125, t=0.5)
+    est = polygon_run(model, k)
+    _, _, end_error, _ = polygon_reference_distance(model, est, k)
+    assert end_error <= 0.5 / k + 1e-12

@@ -55,6 +55,33 @@ def spectral_radius_bound(d, e):
     return float(np.max(np.abs(d) + pad))
 
 
+def python_sturm_count(d, e, y):
+    """The reference count: the number of negative pivots of the LDL^T
+    factorisation of T - y, the recurrence q_i = (d_i - y) - e_(i-1)^2 /
+    q_(i-1) in Python floats."""
+    # d - y and e^2 are the first operations of each step, the same IEEE
+    # operations on arrays; the pivots run on Python floats, where a pivot
+    # near zero sends e^2/q to +-inf without the overflow warning numpy
+    # scalars raise, and the sign count is the same
+    dy, e2 = (np.asarray(d, float) - y).tolist(), (np.asarray(e, float) ** 2).tolist()
+    q = dy[0]
+    count = int(q < 0)
+    for a, b in zip(dy[1:], e2):
+        if q == 0.0:
+            q = 1e-300
+        q = a - b / q
+        if q < 0:
+            count += 1
+    return count
+
+
+def count_agrees(got, want, ev, y, norm):
+    """Two counts below y agree, or differ by one within 4 n eps ||T|| of an
+    eigenvalue, where rounding may put it on either side of y."""
+    near = np.min(np.abs(ev - y)) <= 4 * len(ev) * np.finfo(float).eps * norm
+    return got == want or (near and abs(got - want) == 1)
+
+
 def test_one_by_one():
     assert eigs_sym_tridiagonal([3.7], []) == pytest.approx([3.7])
 
@@ -94,6 +121,33 @@ def test_sturm_count_consistent(n, seed, y):
     e = rng.normal(size=n - 1)
     ev = eigs_sym_tridiagonal(d, e)
     assert sturm_count_below(d, e, y) == int(np.sum(ev < y))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 31 - 1), st.integers(-1000, 1000), st.data())
+def test_sturm_count_is_the_pivot_recurrence(n, seed, scale, data):
+    """LAPACK's count by value against the Python recurrence, at heights
+    drawn uniformly over the Gershgorin interval and beyond, and at the
+    eigenvalues themselves; the matrix and height scaled by 2^scale, which
+    leaves the count unchanged (the recurrence runs on the unscaled ones)."""
+    rng = np.random.default_rng(seed)
+    d = rng.normal(size=n) * 3
+    e = rng.normal(size=n - 1)
+    ev = eigs_sym_tridiagonal(d, e)
+    norm = spectral_radius_bound(d, e)
+    if data.draw(st.booleans()):
+        y = float(ev[data.draw(st.integers(0, n - 1))])
+    else:
+        y = data.draw(st.floats(-1.2 * norm, 1.2 * norm))
+    got = sturm_count_below(np.ldexp(d, scale), np.ldexp(e, scale), np.ldexp(y, scale))
+    assert count_agrees(got, python_sturm_count(d, e, y), ev, y, norm)
+
+
+def test_sturm_count_is_strict_at_an_exact_eigenvalue():
+    # with no coupling the eigenvalues are the diagonal, exactly
+    d, e = np.array([3.0, 1.0, 2.0, 2.5]), np.zeros(3)
+    for y, n in ((1.0, 0), (2.0, 1), (2.5, 2), (3.0, 3), (np.nextafter(3.0, 4.0), 4)):
+        assert sturm_count_below(d, e, y) == python_sturm_count(d, e, y) == n
 
 
 @settings(max_examples=40, deadline=None)
@@ -144,14 +198,14 @@ def test_a_window_the_brackets_do_not_isolate_is_bisected_whole():
     assert np.array_equal(eigs_in_window(d, e, 19, 20), want)
 
 
-def _not_converged(z, info):
-    return z, 1
+def _not_converged(x, info):
+    return x, 1
 
 
-def _perturbed(z, info):
+def _perturbed(x, info):
     # a residual near 1e-6 ||T||: Kato-Temple's bound is then ~1e-12 ||T||
-    z = z + 1e-6 * np.random.default_rng(0).normal(size=z.shape)
-    return z / np.linalg.norm(z, axis=0), info
+    noise = 1e-6 * np.random.default_rng(0).normal(size=x.shape)
+    return x + np.abs(x).max() * noise, info
 
 
 @pytest.mark.parametrize("spoil", [_not_converged, _perturbed])
@@ -160,15 +214,18 @@ def test_a_window_inverse_iteration_does_not_certify_is_bisected_whole(monkeypat
 
     rng = np.random.default_rng(7)
     d, e = rng.normal(size=50) * 3, rng.normal(size=49)
-    dstein = lapack.dstein
+    # unspoiled, these rows certify: no gap near them is much below the
+    # mean spacing, which the coarse brackets are a hundredth of
+    assert tridiag._certified_window(d, e, 18, 23, spectral_radius_bound(d, e)) is not None
+    dgttrs = lapack.dgttrs
     calls = []
 
-    def spoiled_dstein(*args):
+    def spoiled_dgttrs(*args, **kwargs):
         calls.append(args)
-        return spoil(*dstein(*args))
+        return spoil(*dgttrs(*args, **kwargs))
 
-    monkeypatch.setattr(lapack, "dstein", spoiled_dstein)
-    assert np.array_equal(eigs_in_window(d, e, 20, 25), stebz_window(d, e, 20, 25))
+    monkeypatch.setattr(lapack, "dgttrs", spoiled_dgttrs)
+    assert np.array_equal(eigs_in_window(d, e, 18, 23), stebz_window(d, e, 18, 23))
     assert calls
 
 
@@ -242,6 +299,20 @@ def test_sturm_count_below_refuses_a_nan_height():
         sturm_count_below([1.0, 2.0], [0.5], np.nan)
     assert sturm_count_below([1.0, 2.0], [0.5], -np.inf) == 0
     assert sturm_count_below([1.0, 2.0], [0.5], np.inf) == 2
+
+
+@pytest.mark.parametrize("d,e", [([1e300] * 3, [1e300] * 2), ([1e-320, 2e-320], [0.0])],
+                         ids=["near-overflow", "subnormal"])
+def test_sturm_count_at_an_extreme_scale_is_the_full_solves(d, e):
+    # the count scales such a matrix by the power of two its windows use:
+    # LAPACK's counts overflow on the first and misread the second unscaled
+    with pytest.raises(ValueError, match="NaN"):
+        sturm_count_below(d, e, np.nan)
+    ev = eigs_sym_tridiagonal(d, e)
+    norm = spectral_radius_bound(d, e)
+    mids = 0.5 * (ev[1:] + ev[:-1])
+    for y in (*ev, *mids, ev[0] - norm, ev[-1] + norm, -np.inf, np.inf):
+        assert count_agrees(sturm_count_below(d, e, y), int(np.sum(ev < y)), ev, y, norm)
 
 
 def test_shape_validation():
