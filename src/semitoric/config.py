@@ -42,7 +42,7 @@ class ProbeConfig:
         if not xs or any(b >= a for a, b in zip(xs, xs[1:])) or min(xs) <= 0:
             raise ConfigurationError("x_schedule must be strictly decreasing and positive")
         # the recovery fits each mu's log expansion in ln x through at least
-        # 6 x values, and its order-1 jet and Taylor solves take n + 2 = 3 mus
+        # 6 x values, and its order-2 jet and Taylor solves are 3x3, one row per mu
         if len(self.x_taylor) < 6 or min(self.x_taylor) <= 0:
             raise ConfigurationError("x_taylor needs at least 6 values, all positive")
         # the gradient's second offset 2 x (``recover_fr_gradient`` at its

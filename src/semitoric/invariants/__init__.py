@@ -30,6 +30,7 @@ from .taylor import (
     fit_log_expansion,
     g_mu_sample,
     solve_jet_order,
+    solve_mixed,
     solve_taylor_order,
 )
 

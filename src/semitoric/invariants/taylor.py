@@ -31,10 +31,11 @@ Then sigma1 = S_10 and sigma2 = S_01 are constant, phi = A + B x + ... and
 
     c~_1(mu) = B (2 S_01 - (1 + ln(1 + A^2)) / 2pi),   free of S_10.
 
-Both order-2 systems are solved by one routine that can pin some
-coefficients to known values: the purely-mixed route (dx^2 f_r(0) =
-dy^2 f_r(0) = 0 and S_{2,0} = S_{0,2} = 0, exact for the spin-oscillator)
-is the pair of solves at a single mu with those two coefficients pinned.
+Each order-2 system is one 3x3 least-squares solve, a row per mu.  The
+purely-mixed route (dx^2 f_r(0) = dy^2 f_r(0) = 0 and S_20 = S_02 = 0,
+exact for the spin-oscillator) reads its two unknowns at a single mu in
+closed form: dx dy f_r(0) = -2 pi d_1 / (2 mu), then
+S_11 = (c_1 - c~_1(mu)) / (2 A).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 
 import numpy as np
 
-from ..errors import DuplicateMu
+from ..errors import DuplicateMu, IllConditioned
 from .extrap import _guarded_lstsq, hbar_limits
 from .jets import FrJet
 from .spacings import LabelledSpectrum, ray_samples
@@ -53,6 +54,7 @@ __all__ = [
     "fit_log_expansion",
     "solve_jet_order",
     "solve_taylor_order",
+    "solve_mixed",
 ]
 
 
@@ -64,82 +66,72 @@ def g_mu_sample(family: dict[int, LabelledSpectrum], mu: float, xs) -> np.ndarra
     return hbar_limits(sorted(family), a1 + mu * a2)[0]
 
 
-def fit_log_expansion(xs, g, n: int, c_known, d_known):
-    """Recover (c_n, d_n) of g_mu sampled as g at xs, given all lower
-    coefficients.
+def fit_log_expansion(xs, g):
+    """(c_0, d_0, c_1, d_1, info) of g_mu sampled as g at xs.
 
-    d_n = lim (g - sum_{l<n} x^l (c_l + d_l ln x)) / (x^n ln x), then c_n;
-    realized as one weighted least-squares fit on the residual with basis
-    {ln x, 1, x ln x, x} (the two extra columns absorb the next order).
+    Two weighted least-squares fits with basis {ln x, 1, x ln x, x} (the
+    two extra columns absorb the next order): the order-0 fit on g, then
+    the order-1 fit on (g - c_0 - d_0 ln x) / x, weighted by x to
+    downweight small x, where the hbar residue blows up.  info["cond"]
+    holds the two condition numbers.
     """
     xs = np.asarray(xs, dtype=float)
-    resid = np.array(g, dtype=float)
-    for l in range(n):
-        resid -= xs ** l * (c_known[l] + d_known[l] * np.log(xs))
-    resid /= xs ** n
     A = np.vstack([np.log(xs), np.ones_like(xs), xs * np.log(xs), xs]).T
-    W = np.diag(xs ** n)      # downweight small x where hbar residue blows up
-    coef, cond = _guarded_lstsq(W @ A, W @ resid, "log-basis fit")
-    d_n, c_n = float(coef[0]), float(coef[1])
-    return c_n, d_n, {"cond": cond}
+    (d0, c0, *_), cond0 = _guarded_lstsq(A, g, "log-basis fit")
+    resid = (g - (c0 + d0 * np.log(xs))) / xs
+    (d1, c1, *_), cond1 = _guarded_lstsq(xs[:, None] * A, xs * resid, "log-basis fit")
+    return float(c0), float(d0), float(c1), float(d1), {"cond": [cond0, cond1]}
 
 
-def _solve_order(n: int, mus, values, row, rhs, fixed, what: str):
-    """The order-(n+1) coefficients v_(l, n+1-l), l = 0..n+1, from one
-    equation row(mu) . v = rhs(mu, value) per (mu, value) pair.  The
-    coefficients in ``fixed`` keep their given values (their columns move
-    to the right-hand side), and one distinct mu is needed per remaining
-    unknown."""
-    mus = np.asarray(mus, dtype=float)
+def _solve(mus: np.ndarray, rows, b, what: str) -> dict[tuple[int, int], float]:
+    """The order-2 coefficients keyed (0, 2), (1, 1), (2, 0) from one row
+    per distinct mu."""
     if len(set(mus.tolist())) != len(mus):
         raise DuplicateMu("mu values must be pairwise distinct")
-    keys = [(l, n + 1 - l) for l in range(n + 2)]
-    fixed = fixed or {}
-    if not set(fixed) < set(keys):
-        raise ValueError(f"fixed coefficients must be of order {n + 1} and leave one free")
-    free = [i for i, key in enumerate(keys) if key not in fixed]
-    pinned = [i for i, key in enumerate(keys) if key in fixed]
-    if len(mus) != len(free):
-        raise ValueError(f"need exactly {len(free)} mu values for order {n} "
-                         f"with {len(fixed)} coefficients fixed")
-    M = np.array([row(m) for m in mus])
-    b = np.array([rhs(m, v) for m, v in zip(mus, values)])
-    b = b - M[:, pinned] @ np.array([fixed[keys[i]] for i in pinned], dtype=float)
-    v, _ = _guarded_lstsq(M[:, free], b, what)
-    solved = {**fixed, **{keys[i]: x for i, x in zip(free, v)}}
-    return {key: float(solved[key]) for key in keys}
+    if len(mus) != 3:
+        raise ValueError("need exactly 3 mu values for order 2")
+    v, _ = _guarded_lstsq(np.array(rows), np.array(b), what)
+    return {key: float(x) for key, x in zip([(0, 2), (1, 1), (2, 0)], v)}
 
 
-def solve_jet_order(n: int, mus, d_values, fixed=None) -> dict[tuple[int, int], float]:
-    """Order-(n+1) derivatives of f_r from d_n at distinct mu values:
-    solve (binom(n+1, j) mu_i^(n+1-j)) v = -2 pi n! d.  Derivatives given
-    in ``fixed`` are pinned; the others need one mu each."""
-    scale = -2 * np.pi * math.factorial(n)
-    return _solve_order(n, mus, d_values,
-                        lambda m: [math.comb(n + 1, l) * m ** (n + 1 - l) for l in range(n + 2)],
-                        lambda m, d: scale * d, fixed, "jet system")
+def solve_jet_order(mus, d1s) -> dict[tuple[int, int], float]:
+    """Second derivatives of f_r from d_1 at three distinct mu values:
+    solve (mu_i^2, 2 mu_i, 1) . (dy^2, dx dy, dx^2) f_r(0) = -2 pi d_1."""
+    mus = np.asarray(mus, dtype=float)
+    return _solve(mus, [[m ** 2, 2 * m, 1.0] for m in mus],
+                  [-2 * np.pi * d for d in d1s], "jet system")
 
 
-def solve_taylor_order(mus, c_values, jet: FrJet, s01: float,
-                       fixed=None) -> dict[tuple[int, int], float]:
-    """Order-2 Taylor coefficients from c_1 at distinct mu values, given
-    the jet of f_r to order 2 and S_01.
-
-    The unknowns enter linearly with matrix 2 * A_i^(2-l), a scaled
-    Vandermonde in A_i = dx f_r(0) + mu_i dy f_r(0) with determinant
-    8 * (dy f_r(0))^3 * prod_(i>j) (mu_i - mu_j) when no coefficient is
-    pinned; each c_1 is read less its known part c~_1 (module docstring).
-    Coefficients given in ``fixed`` are pinned; the others need one mu each.
-    """
+def _c1_known(mu: float, jet: FrJet, s01: float) -> float:
+    """c~_1(mu) = B (2 S_01 - (1 + ln(1 + A^2)) / 2 pi) (module docstring)."""
     d = jet.derivs
+    a = jet.dx + mu * jet.dy
+    b = (d.get((2, 0), 0.0) + 2 * mu * d.get((1, 1), 0.0) + mu * mu * d.get((0, 2), 0.0)) / 2
+    return b * (2 * s01 - (1 + math.log(1 + a * a)) / (2 * np.pi))
 
-    def row(m):
-        a = jet.dx + m * jet.dy
-        return [2 * a ** (2 - l) for l in range(3)]
 
-    def rhs(m, c):
-        a = jet.dx + m * jet.dy
-        b = (d.get((2, 0), 0.0) + 2 * m * d.get((1, 1), 0.0) + m * m * d.get((0, 2), 0.0)) / 2
-        return c - b * (2 * s01 - (1 + math.log(1 + a * a)) / (2 * np.pi))
+def solve_taylor_order(mus, c1s, jet: FrJet, s01: float) -> dict[tuple[int, int], float]:
+    """Order-2 Taylor coefficients from c_1 at three distinct mu values,
+    given the jet of f_r to order 2 and S_01.
 
-    return _solve_order(1, mus, c_values, row, rhs, fixed, "Taylor system")
+    The unknowns (S_02, S_11, S_20) enter linearly with row
+    (2 A^2, 2 A, 2), a scaled Vandermonde in A = dx f_r(0) + mu dy f_r(0)
+    with determinant 8 (dy f_r(0))^3 prod_(i>j) (mu_i - mu_j); each c_1 is
+    read less its known part c~_1 (module docstring).
+    """
+    mus = np.asarray(mus, dtype=float)
+    a = jet.dx + mus * jet.dy
+    return _solve(mus, [[2 * x ** 2, 2 * x, 2.0] for x in a],
+                  [c - _c1_known(m, jet, s01) for m, c in zip(mus, c1s)], "Taylor system")
+
+
+def solve_mixed(mu: float, c1: float, d1: float, jet1: FrJet,
+                s01: float) -> tuple[float, float]:
+    """(dx dy f_r(0), S_11) from c_1 and d_1 at one mu under the
+    purely-mixed hypothesis (module docstring), given the order-1 jet."""
+    a = jet1.dx + mu * jet1.dy
+    if mu == 0 or a == 0:
+        raise IllConditioned(f"{'jet' if mu == 0 else 'Taylor'} system condition inf")
+    dxdy = -2 * np.pi * d1 / (2 * mu)
+    jet = FrJet({**jet1.derivs, (2, 0): 0.0, (1, 1): dxdy, (0, 2): 0.0})
+    return float(dxdy), float((c1 - _c1_known(mu, jet, s01)) / (2 * a))

@@ -471,17 +471,20 @@ def _column_anchors(y, starts, sizes, colx, h: float) -> np.ndarray:
     heights y in (column, height) order.
 
     The anchors are piecewise linear in the column index and bend only at
-    a vertex of the bottom edge, there by minus the second difference of
-    the column sizes (Vu Ngoc, Adv. Math. 2007).  A size kink is on the
-    bottom edge when the lowest points of its three columns bend more than
-    the highest.  Gauge: slope 0 on the first columns, anchor 0 on the
-    last column.
+    a vertex of the bottom edge (Vu Ngoc, Adv. Math. 2007), there by the
+    second difference of the lowest points in units of the bottom row
+    spacing, rounded: the bottom chain alone, so a short top (the cut
+    column's) cannot hide a corner next to it.  The spacing of three
+    columns is the largest gap between the two lowest points of each; a
+    one-point column has none, and three of them in a row read no bend.
+    Gauge: slope 0 on the first columns, anchor 0 on the last column.
     """
     if np.any(np.diff(colx) > 1.6 * h):
         raise Disconnected("column chain has a gap wider than 1.6*hbar")
-    lo, hi = y[starts], y[starts + sizes - 1]
-    d2 = np.diff(sizes, 2)
-    bend = np.where(np.abs(np.diff(lo, 2)) > np.abs(np.diff(hi, 2)), -d2, 0)
+    lo = y[starts]
+    gap = np.where(sizes > 1, y[np.minimum(starts + 1, len(y) - 1)] - lo, np.nan)
+    g = np.fmax(np.fmax(gap[:-2], gap[1:-1]), gap[2:])
+    bend = np.nan_to_num(np.rint(np.diff(lo, 2) / g)).astype(int)
     anchor = np.zeros(len(sizes), dtype=int)
     anchor[2:] = np.cumsum(np.cumsum(bend))
     return anchor - anchor[-1]

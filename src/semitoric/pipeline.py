@@ -32,6 +32,7 @@ from .invariants import (
     sample_polygon_region,
     smallest_gap_midpoint,
     solve_jet_order,
+    solve_mixed,
     solve_taylor_order,
     twisting_number,
 )
@@ -297,23 +298,20 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
             xs_mu = sorted(probes.x_taylor)[:6]
         xs_mu = sorted(xs_mu, reverse=True)
         g = g_mu_sample(family, mu, xs_mu)
-        c0, d0, info0 = fit_log_expansion(xs_mu, g, 0, [], [])
-        c1, d1, info1 = fit_log_expansion(xs_mu, g, 1, [c0], [d0])
+        _, _, c1, d1, fit_info = fit_log_expansion(xs_mu, g)
         c1s.append(c1)
         d1s.append(d1)
-        fit_conds[str(mu)] = [info0["cond"], info1["cond"]]
-    jet2 = solve_jet_order(1, mus, d1s)
+        fit_conds[str(mu)] = fit_info["cond"]
+    jet2 = solve_jet_order(mus, d1s)
     s2 = solve_taylor_order(mus, c1s, FrJet({**jet1.derivs, **jet2}), s01)
 
-    # the same order-1 solves at the one mu nearest 1 under the purely-mixed
+    # the order-2 leaves at the one mu nearest 1 under the purely-mixed
     # hypothesis, dx^2 f_r = dy^2 f_r = S20 = S02 = 0 (exact for the
-    # spin-oscillator); far better conditioned than the 3-mu solve
+    # spin-oscillator), in closed form; far better conditioned than the
+    # 3-mu solve
     mu_star = min(mus, key=lambda m: abs(m - 1.0))
     i_star = mus.index(mu_star)
-    pure = {(2, 0): 0.0, (0, 2): 0.0}
-    jet2_mixed = solve_jet_order(1, [mu_star], [d1s[i_star]], fixed=pure)
-    s2_mixed = solve_taylor_order([mu_star], [c1s[i_star]],
-                                  FrJet({**jet1.derivs, **jet2_mixed}), s01, fixed=pure)
+    dxdy_mixed, s11_mixed = solve_mixed(mu_star, c1s[i_star], d1s[i_star], jet1, s01)
 
     return {
         "model": model.kind,
@@ -329,8 +327,8 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
         "S": {"0,0": s00, "0,1": s01, "0,2": s2[(0, 2)],
               "1,0": s10, "1,1": s2[(1, 1)], "2,0": s2[(2, 0)]},
         "quadratic_mixed": {
-            "dxdy_fr": jet2_mixed[(1, 1)],
-            "S11": s2_mixed[(1, 1)],
+            "dxdy_fr": dxdy_mixed,
+            "S11": s11_mixed,
             "mu": mu_star,
         },
         "diagnostics": {

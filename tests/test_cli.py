@@ -341,6 +341,16 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
         "numerical failure: no interior spacing peak among the candidates\n")
 
 
+def test_mixed_route_at_mu_zero_exits_3(tmp_path, capsys):
+    # mu_list [0, -1, 3] is a valid 3-mu solve, but its mu nearest 1 is 0,
+    # where the purely-mixed route's one-mu jet solve is singular
+    (tmp_path / "run.json").write_text(json.dumps({"probes": {"mu_list": [0, -1, 3]}}))
+    rc = main(["invariants", "--model", "coupled", "--k", "100", "--k", "200",
+               "--config", str(tmp_path / "run.json"), "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == "numerical failure: jet system condition inf\n"
+
+
 def test_labelling_failure_exits_4(tmp_path, capsys):
     # at k = 1 the spin-oscillator's strip holds too few points to label
     rc = main(["label", "--model", "spin-oscillator", "--k", "1", "--out", str(tmp_path)])

@@ -228,16 +228,15 @@ def test_polygon_within_two_columns(model, k):
             assert np.hypot(moved[:, 0] - rx, moved[:, 1] - ry).min() <= 0.1
 
 
-@pytest.mark.parametrize("k", [
-    pytest.param(40, marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 29: label_semitoric puts no bend at a corner in the "
-        "column next to the cut column; column_end_error reads 32.5 hbar"))),
-    80,
-])
-def test_close_corner_column_ends_within_half_a_column(k):
+@pytest.mark.parametrize("r2, k", [(1.0125, 40), (1.0125, 80), (1.025, 20)],
+                         ids=["40", "80", "1.025-20"])
+def test_close_corner_column_ends_within_half_a_column(r2, k):
     # at (1, 1.0125, 1/2) the corners x = -0.0125 (the focus-focus column)
-    # and +0.0125 lie in adjacent columns at k = 40, one column apart at 80
-    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=1.0125, t=0.5)
+    # and +0.0125 lie in adjacent columns at k = 40, one column apart at 80;
+    # at (1, 1.025, 1/2) and k = 20 the corners x = -0.025 and +0.025 do as
+    # well.  A corner next to the cut column must bend the anchors although
+    # the cut's short top bends there too
+    model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=r2, t=0.5)
     est = polygon_run(model, k)
     _, _, end_error, _ = polygon_reference_distance(model, est, k)
     assert end_error <= 0.5 / k + 1e-12

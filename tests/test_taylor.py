@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from semitoric.errors import DuplicateMu, IllConditioned
@@ -10,9 +10,12 @@ from semitoric.invariants import (
     FrJet,
     fit_log_expansion,
     solve_jet_order,
+    solve_mixed,
     solve_taylor_order,
     x_limit,
 )
+from semitoric.invariants.extrap import _guarded_lstsq
+from semitoric.invariants.taylor import _c1_known
 
 RNG = np.random.default_rng(2024)
 
@@ -116,6 +119,71 @@ def random_s(rng, order=2):
             for p in range(m + 1) for q in [m - p]}
 
 
+# -- the generic solvers: any order n, coefficients pinned -------------------
+
+def generic_log_fit(xs, g, n, c_known, d_known):
+    """(c_n, d_n, cond) of g given all lower coefficients: one weighted fit
+    of (g - sum_(l<n) x^l (c_l + d_l ln x)) / x^n, weight diag(x^n), with
+    basis {ln x, 1, x ln x, x}."""
+    xs = np.asarray(xs, dtype=float)
+    resid = np.array(g, dtype=float)
+    for l in range(n):
+        resid -= xs ** l * (c_known[l] + d_known[l] * np.log(xs))
+    resid /= xs ** n
+    A = np.vstack([np.log(xs), np.ones_like(xs), xs * np.log(xs), xs]).T
+    W = np.diag(xs ** n)
+    coef, cond = _guarded_lstsq(W @ A, W @ resid, "log-basis fit")
+    return float(coef[1]), float(coef[0]), cond
+
+
+def generic_solve(n, mus, values, row, rhs, fixed, what):
+    """The order-(n+1) coefficients v_(l, n+1-l), l = 0..n+1, from one
+    equation row(mu) . v = rhs(mu, value) per (mu, value) pair; the
+    coefficients in ``fixed`` keep their values (their columns move to the
+    right-hand side), and one distinct mu is needed per remaining unknown."""
+    mus = np.asarray(mus, dtype=float)
+    if len(set(mus.tolist())) != len(mus):
+        raise DuplicateMu("mu values must be pairwise distinct")
+    keys = [(l, n + 1 - l) for l in range(n + 2)]
+    fixed = fixed or {}
+    assert set(fixed) < set(keys)
+    free = [i for i, key in enumerate(keys) if key not in fixed]
+    pinned = [i for i, key in enumerate(keys) if key in fixed]
+    assert len(mus) == len(free)
+    M = np.array([row(m) for m in mus])
+    b = np.array([rhs(m, v) for m, v in zip(mus, values)])
+    b = b - M[:, pinned] @ np.array([fixed[keys[i]] for i in pinned], dtype=float)
+    v, _ = _guarded_lstsq(M[:, free], b, what)
+    solved = {**fixed, **{keys[i]: x for i, x in zip(free, v)}}
+    return {key: float(solved[key]) for key in keys}
+
+
+def generic_jet_order(n, mus, d_values, fixed=None):
+    """Order-(n+1) derivatives of f_r from d_n: (binom(n+1, j) mu^(n+1-j)) v
+    = -2 pi n! d."""
+    scale = -2 * np.pi * math.factorial(n)
+    return generic_solve(n, mus, d_values,
+                         lambda m: [math.comb(n + 1, l) * m ** (n + 1 - l) for l in range(n + 2)],
+                         lambda m, d: scale * d, fixed, "jet system")
+
+
+def generic_taylor_order(mus, c_values, jet, s01, fixed=None):
+    """Order-2 Taylor coefficients from c_1: rows 2 A^(2-l), right-hand
+    side c_1 less its known part c~_1."""
+    d = jet.derivs
+
+    def row(m):
+        a = jet.dx + m * jet.dy
+        return [2 * a ** (2 - l) for l in range(3)]
+
+    def rhs(m, c):
+        a = jet.dx + m * jet.dy
+        b = (d.get((2, 0), 0.0) + 2 * m * d.get((1, 1), 0.0) + m * m * d.get((0, 2), 0.0)) / 2
+        return c - b * (2 * s01 - (1 + math.log(1 + a * a)) / (2 * np.pi))
+
+    return generic_solve(1, mus, c_values, row, rhs, fixed, "Taylor system")
+
+
 def d_n_from_jet(jet, mu, n):
     """Closed form of the x^n ln x coefficient of g_mu:
     -(1/(2 pi n!)) sum_l binom(n+1, l) mu^(n+1-l) d_x^l d_y^(n+1-l) f_r(0)."""
@@ -193,38 +261,48 @@ def test_fit_log_expansion_manufactured():
     xs = np.geomspace(1e-3, 1e-1, 14)
     g = eval_g(jet, s, mu, xs, orders=2)
     c_th, d_th = expansion_along_ray(jet, s, mu, 2)
-    c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
+    c0, d0, c1, d1, info = fit_log_expansion(xs, g)
     assert c0 == pytest.approx(c_th[0], abs=1e-6)
     assert d0 == pytest.approx(d_th[0], abs=1e-6)
-    c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
     assert c1 == pytest.approx(c_th[1], abs=1e-3)
     assert d1 == pytest.approx(d_th[1], abs=1e-3)
+    assert len(info["cond"]) == 2
 
 
 def test_fit_log_expansion_no_log_part():
     xs = np.geomspace(1e-3, 1e-1, 10)
     g = 0.7 + 0.2 * xs        # pure polynomial
-    c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
+    _, d0, c1, d1, _ = fit_log_expansion(xs, g)
     assert d0 == pytest.approx(0.0, abs=1e-12)
-    c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
     assert d1 == pytest.approx(0.0, abs=1e-10)
     assert c1 == pytest.approx(0.2, abs=1e-10)
+
+
+def test_fit_log_expansion_is_the_generic_fit_at_orders_0_and_1():
+    # bit for bit: the order-1 weight x * A is diag(x) @ A
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        xs = np.sort(rng.uniform(0.005, 0.12, size=int(rng.integers(6, 12))))[::-1]
+        g = rng.normal() + rng.normal() * np.log(xs) + rng.normal(size=len(xs)) * xs
+        c0, d0, cond0 = generic_log_fit(xs, g, 0, [], [])
+        c1, d1, cond1 = generic_log_fit(xs, g, 1, [c0], [d0])
+        assert fit_log_expansion(xs, g) == (c0, d0, c1, d1, {"cond": [cond0, cond1]})
 
 
 def test_solve_jet_order_roundtrip():
     rng = np.random.default_rng(1)
     jet = random_jet(rng)
-    for n in (0, 1, 2):
-        mus = [0.5 + 0.9 * i for i in range(n + 2)]
-        d_vals = [d_n_from_jet(jet, mu, n) for mu in mus]
-        got = solve_jet_order(n, mus, d_vals)
-        for key, v in got.items():
-            assert v == pytest.approx(jet.derivs[key], rel=1e-9, abs=1e-11)
+    mus = [0.5, 1.4, 2.3]
+    d_vals = [d_n_from_jet(jet, mu, 1) for mu in mus]
+    got = solve_jet_order(mus, d_vals)
+    assert got == generic_jet_order(1, mus, d_vals)
+    for key, v in got.items():
+        assert v == pytest.approx(jet.derivs[key], rel=1e-9, abs=1e-11)
 
 
 def test_solve_jet_duplicate_mu():
     with pytest.raises(DuplicateMu):
-        solve_jet_order(0, [1.0, 1.0], [0.1, 0.1])
+        solve_jet_order([1.0, 1.0, 2.0], [0.1, 0.1, 0.2])
 
 
 def test_solve_taylor_order_roundtrip():
@@ -234,6 +312,7 @@ def test_solve_taylor_order_roundtrip():
     mus = [0.8, 1.4, 2.2]
     c_vals = [expansion_along_ray(jet, s, mu, 2)[0][1] for mu in mus]
     got = solve_taylor_order(mus, c_vals, jet, s[(0, 1)])
+    assert got == generic_taylor_order(mus, c_vals, jet, s[(0, 1)])
     for key, v in got.items():
         assert v == pytest.approx(s[key], rel=1e-8, abs=1e-10)
 
@@ -266,10 +345,10 @@ PURE = {(2, 0): 0.0, (0, 2): 0.0}
 
 
 def pinned_route(mu, d1, c1, jet1, s01):
-    """(dxdy f_r(0), S_11) from d_1 and c_1 at one mu: the order-1 jet and
-    Taylor solves with the pure coefficients pinned, as in the recovery."""
-    jet2 = solve_jet_order(1, [mu], [d1], fixed=PURE)
-    s2 = solve_taylor_order([mu], [c1], FrJet({**jet1.derivs, **jet2}), s01, fixed=PURE)
+    """(dxdy f_r(0), S_11) from d_1 and c_1 at one mu: the generic order-1
+    jet and Taylor solves with the pure coefficients pinned."""
+    jet2 = generic_jet_order(1, [mu], [d1], fixed=PURE)
+    s2 = generic_taylor_order([mu], [c1], FrJet({**jet1.derivs, **jet2}), s01, fixed=PURE)
     return jet2[(1, 1)], s2[(1, 1)]
 
 
@@ -288,12 +367,10 @@ def closed_form_s11(c1, mu, jet1, s01, dxdy):
 
 def mixed_route(mu, xs):
     """(dxdy f_r(0), S_11) by the purely-mixed route of the recovery on the
-    manufactured g_mu: fit_log_expansion at order 0, then order 1, then the
-    pinned solves."""
+    manufactured g_mu: fit_log_expansion, then solve_mixed."""
     g = manufactured_spin_g(mu, xs)
-    c0, d0, _ = fit_log_expansion(xs, g, 0, [], [])
-    c1, d1, _ = fit_log_expansion(xs, g, 1, [c0], [d0])
-    return pinned_route(mu, d1, c1, SPIN_JET1, SPIN_S01)
+    _, _, c1, d1, _ = fit_log_expansion(xs, g)
+    return solve_mixed(mu, c1, d1, SPIN_JET1, SPIN_S01)
 
 
 def test_cross_derivative_shortcut_identity_sanity():
@@ -323,14 +400,15 @@ def test_mixed_helpers_consistency():
     mu = 1.2
     c, d = expansion_along_ray(jet, s, mu, 2)
     jet1 = FrJet({(1, 0): 0.0, (0, 1): 2.0})
-    dxdy, s11 = pinned_route(mu, d[1], c[1], jet1, SPIN_S01)
+    dxdy, s11 = solve_mixed(mu, c[1], d[1], jet1, SPIN_S01)
     assert dxdy == pytest.approx(-0.25, rel=1e-12)
     assert s11 == pytest.approx(1 / (8 * np.pi), rel=1e-10)
 
 
 def test_pinned_route_matches_closed_forms():
     # the generic solves with S_20, S_02 and the pure second derivatives
-    # pinned reduce to the hand-derived closed forms, also for dx f_r != 0
+    # pinned reduce to the hand-derived closed forms, also for dx f_r != 0,
+    # and solve_mixed is that pinned route
     rng = np.random.default_rng(31)
     for _ in range(50):
         dx = float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
@@ -338,14 +416,25 @@ def test_pinned_route_matches_closed_forms():
         dxdy, s01 = (float(v) for v in rng.normal(size=2))
         mu = float(rng.uniform(0.3, 3.0))
         c1, d1 = (float(v) for v in rng.normal(size=2))
-        got_dxdy, _ = pinned_route(mu, d1, c1, jet1, s01)
+        got_dxdy, got_s11 = pinned_route(mu, d1, c1, jet1, s01)
         assert got_dxdy == pytest.approx(closed_form_dxdy(d1, mu), rel=1e-12, abs=1e-12)
+        assert solve_mixed(mu, c1, d1, jet1, s01) == pytest.approx(
+            (got_dxdy, got_s11), rel=1e-12, abs=1e-12)
         # S_11 read with a given dxdy, as the closed form takes it
-        s2 = solve_taylor_order([mu], [c1], FrJet({**jet1.derivs, **PURE, (1, 1): dxdy}),
-                                s01, fixed=PURE)
+        s2 = generic_taylor_order([mu], [c1], FrJet({**jet1.derivs, **PURE, (1, 1): dxdy}),
+                                  s01, fixed=PURE)
         assert s2[(2, 0)] == 0.0 and s2[(0, 2)] == 0.0
         want = closed_form_s11(c1, mu, jet1, s01, dxdy)
         assert s2[(1, 1)] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("mu, dx", [(0.0, -0.3), (0.15, -0.3)], ids=["mu-0", "A-0"])
+def test_solve_mixed_refuses_a_singular_one_mu_solve(mu, dx):
+    # mu = 0 leaves d_1 free of dx dy f_r, and A = dx f_r + mu dy f_r = 0
+    # leaves c_1 free of S_11: a typed failure (exit 3), not a division
+    jet1 = FrJet({(1, 0): dx, (0, 1): 2.0})
+    with pytest.raises(IllConditioned, match="system condition inf"):
+        solve_mixed(mu, 0.1, 0.2, jet1, 0.4)
 
 
 COEFF = st.floats(-3, 3)
@@ -356,17 +445,14 @@ COEFF = st.floats(-3, 3)
 @example(0.0, 2.0, 0.0, -0.25, 0.0, SPIN_S01, 0.0, 1.0, True)     # the spin jet
 @example(-0.7, 1.3, 0.4, 0.9, -0.2, -1.1, 0.4, -2.5, False)
 def test_known_part_is_the_series_x1_coefficient(dx, dy, dxx, dxy, dyy, s01, s10, mu, pinned):
-    # with S_20 and S_02 pinned to 0 and c_1 = 0, the one-mu solve returns
-    # S_11 = -c~_1 / 2A, so -2A S_11 is the closed form's known part; the
-    # series oracle gives it as the x^1 coefficient with S up to order 1.
-    # A pinned jet is the purely-mixed one, dx^2 f_r = dy^2 f_r = 0
+    # c~_1, the closed form both order-2 Taylor routes read, is the series
+    # oracle's x^1 coefficient with S known to order 1.  A pinned jet is the
+    # purely-mixed one, dx^2 f_r = dy^2 f_r = 0
     if pinned:
         dxx = dyy = 0.0
     jet = FrJet({(1, 0): dx, (0, 1): dy, (2, 0): dxx, (1, 1): dxy, (0, 2): dyy})
     a = dx + mu * dy
-    assume(abs(a) > 1e-3)
-    s2 = solve_taylor_order([mu], [0.0], jet, s01, fixed=PURE)
-    got = -2 * a * s2[(1, 1)]
+    got = _c1_known(mu, jet, s01)
     want = expansion_along_ray(jet, {(1, 0): s10, (0, 1): s01}, mu, 2)[0][1]
     # relative to the size of the terms, and no finer than the smallest
     # normal float, below which tiny jets round to subnormal products
@@ -376,17 +462,13 @@ def test_known_part_is_the_series_x1_coefficient(dx, dy, dxx, dxy, dyy, s01, s10
 
 
 @pytest.mark.parametrize("solve", ["jet", "taylor"])
-def test_fixed_count_must_match_mu_count(solve):
+def test_order2_solve_needs_exactly_three_mus(solve):
     jet = FrJet({(1, 0): -0.3, (0, 1): 2.0, (1, 1): 0.5})
-    call = {"jet": lambda mus, fixed: solve_jet_order(1, mus, [0.1] * len(mus), fixed=fixed),
-            "taylor": lambda mus, fixed: solve_taylor_order(mus, [0.1] * len(mus), jet, 0.4,
-                                                            fixed=fixed)}[solve]
-    with pytest.raises(ValueError, match="need exactly 1 mu values"):
-        call([1.5, 2.0], PURE)
-    with pytest.raises(ValueError, match="need exactly 3 mu values"):
-        call([1.5], None)
-    with pytest.raises(ValueError, match="of order 2"):
-        call([1.5], {(1, 0): 0.0, (2, 0): 0.0})
+    call = {"jet": lambda mus: solve_jet_order(mus, [0.1] * len(mus)),
+            "taylor": lambda mus: solve_taylor_order(mus, [0.1] * len(mus), jet, 0.4)}[solve]
+    for mus in ([1.5, 2.0], [1.0, 1.5, 2.0, 3.0]):
+        with pytest.raises(ValueError, match="need exactly 3 mu values"):
+            call(mus)
 
 
 NEAR = 1.0 + 1e-6 * np.arange(3)        # distinct but almost equal mu values
@@ -395,9 +477,9 @@ NEAR = 1.0 + 1e-6 * np.arange(3)        # distinct but almost equal mu values
 @pytest.mark.parametrize("fit,prefix", [
     (lambda: x_limit(0.01 * (1 + 1e-9 * np.arange(3)), [1.0, 2.0, 3.0]),
      "x-limit design matrix condition"),
-    (lambda: fit_log_expansion(0.01 * (1 + 1e-9 * np.arange(6)), np.arange(6.0), 0, [], []),
+    (lambda: fit_log_expansion(0.01 * (1 + 1e-9 * np.arange(6)), np.arange(6.0)),
      "log-basis fit condition"),
-    (lambda: solve_jet_order(1, NEAR, [0.1, 0.2, 0.3]), "jet system condition"),
+    (lambda: solve_jet_order(NEAR, [0.1, 0.2, 0.3]), "jet system condition"),
     (lambda: solve_taylor_order(NEAR, [0.1, 0.2, 0.3], FrJet({(0, 1): 1.0}), 0.0),
      "Taylor system condition"),
 ], ids=["x_limit", "fit_log_expansion", "jet", "taylor"])
