@@ -45,15 +45,17 @@ class ProbeConfig:
         # 6 x values, and its order-2 jet and Taylor solves are 3x3, one row per mu
         if len(self.x_taylor) < 6 or min(self.x_taylor) <= 0:
             raise ConfigurationError("x_taylor needs at least 6 values, all positive")
-        # the gradient's second offset 2 x (``recover_fr_gradient`` at its
-        # mu = 2) must stay within the span of offsets the recovery reads
+        # the gradient's second offset 2 x must stay within the span of
+        # offsets the recovery reads
         lo, hi = min(xs), max(self.x_taylor)
         if 2 * lo > hi:
             raise ConfigurationError(
                 f"2 * min(x_schedule) = {2 * lo:g} must be at most max(x_taylor) = {hi:g}")
         if len(self.mu_list) != 3 or len(set(self.mu_list)) != 3:
             raise ConfigurationError("mu_list must hold 3 distinct values")
-        # each g_mu probe (x, mu x) must stay within the x_taylor span
+        # the smallest g_mu probe, at x = min(x_taylor), must stay within the
+        # x_taylor span (the per-mu fallback reads past it: |mu| x up to 0.18
+        # for mu = 3 at the defaults)
         lo, hi = min(self.x_taylor), max(self.x_taylor)
         for m in self.mu_list:
             if abs(m) * lo > hi:

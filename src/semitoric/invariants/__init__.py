@@ -28,7 +28,6 @@ from .polygon import (
 from .spacings import LabelledSpectrum, ray_samples
 from .taylor import (
     fit_log_expansion,
-    g_mu_sample,
     solve_jet_order,
     solve_mixed,
     solve_taylor_order,

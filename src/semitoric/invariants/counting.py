@@ -13,9 +13,9 @@ column's size is rho_J at that column with no strip width to choose:
 dh_profile reads the sizes, and detect_kinks finds the slope changes as
 the columns where the integer sizes' second difference is nonzero.
 Counting only below the focus-focus ordinate gives the height invariant
-S_{0,0}, the sub-critical reduced volume: column_height counts the one
-column at x0, and height_invariant is the paper's strip route, kept as
-the reference.
+S_{0,0}, the sub-critical reduced volume: column_height takes the counts
+of the one column at x0, which the pipeline reads, and height_invariant
+is the paper's strip route, kept as the reference.
 """
 
 from __future__ import annotations
@@ -56,21 +56,16 @@ def height_invariant(counter, x0: float, y0: float, delta: float = 0.4) -> tuple
     return float(coef[0]), {"raw": raw}
 
 
-def column_height(family) -> tuple[float, dict]:
-    """S_{0,0} = lim hbar #{column at x0, y < y0} over a probe family
-    {k: LabelledSpectrum}: one count of the heights of the column at each
-    spectrum's origin (x0, y0) below y0, which solves no column, since y0
-    is a gap midpoint of that column.  info carries the n_k / k in
-    ascending k ("raw") and the hbar_limit slope (None when fewer than two
-    samples differ from the limit)."""
-    ks = sorted(family)
+def column_height(ks, counts) -> tuple[float, dict]:
+    """S_{0,0} = lim hbar #{column at x0, y < y0} from counts[i], the
+    number of heights of the critical column below the focus-focus
+    ordinate at ks[i] (ascending).  info carries the n_k / k ("raw") and
+    the hbar_limit slope (None when fewer than two samples differ from
+    the limit)."""
     raw = []
-    for k in ks:
-        spec = family[k]
-        x0, y0 = spec.origin
-        n = spec._count_below(spec.nearest_column(x0), y0)
+    for k, n in zip(ks, counts):
         if n < 10:
-            raise WindowTooNarrow(f"k={k}: column at x={x0} holds only {n} points below y0")
+            raise WindowTooNarrow(f"k={k}: the critical column holds only {n} points below y0")
         raw.append(n / k)
     lim, info = hbar_limit(ks, raw)
     return lim, {"raw": raw, "slope": info["slope"]}

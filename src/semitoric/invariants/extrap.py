@@ -29,9 +29,10 @@ def hbar_limit(ks, vals):
     """Fit vals ~ a0 + a1*hbar + a2*hbar^2 (degree len(ks) - 1 for fewer
     than three ks); return (a0, info).
 
-    info carries the fit residual and the empirical convergence order (the
-    log-log regression slope of |val_k - limit| against k; None when it is
-    not finite, as when fewer than two samples are off by more than rounding)."""
+    info carries the root-mean-square fit residual ("rms") and the empirical
+    convergence order ("slope": the log-log regression slope of |val_k -
+    limit| against k; None when it is not finite, as when fewer than two
+    samples are off by more than rounding)."""
     ks = np.asarray(ks, dtype=float)
     vals = np.asarray(vals, dtype=float)
     order = min(2, len(ks) - 1)

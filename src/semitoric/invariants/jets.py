@@ -1,10 +1,11 @@
 """First-order invariants: gradient of the normal-form function, the
 rotation coefficient sigma1(0), the twisting number, and S_{0,1}.
 
-All recoveries follow the same pattern: evaluate spacing functionals at
-probes offset by x*(1, slope) from the focus-focus value (``ray_samples``),
-extrapolate hbar -> 0 over the k family, then send x -> 0 along the
-schedule (``double_limit``).
+All recoveries follow the same pattern on a probe table, the spacing
+functionals at offsets x*(1, slope) from the focus-focus value with one
+row per k and one column per x (``ray_samples``, which the pipeline
+reads): extrapolate hbar -> 0 over the k family, then send x -> 0 along
+the schedule (``double_limit``).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from ..errors import ActionDiscontinuity, SignError
 from .extrap import double_limit, hbar_limits
-from .spacings import LabelledSpectrum, ray_samples
 
 __all__ = [
     "FrJet",
@@ -69,20 +69,17 @@ def twisting_number(sigma1: float) -> tuple[int, float]:
     return p, sigma1 - p if sigma1 > p else 0.0
 
 
-def recover_fr_gradient(family: dict[int, LabelledSpectrum], x: float,
-                        mu: float = 2.0) -> tuple[float, float, dict]:
-    """(dx f_r(0), dy f_r(0), info) from probes at horizontal offsets x and mu*x.
+def recover_fr_gradient(ks, xs, a1, a2) -> tuple[float, float, dict]:
+    """(dx f_r(0), dy f_r(0), info) from the probe table of the ray of
+    slope 0 at the two offsets xs = (x, mu*x) (``ray_samples``).
 
     dx f_r(0) ~ 2*pi*(a1(x,0) - a1(mu*x,0)) / ln(mu), same for dy with a2;
     the error budget is O(x ln x) + O(hbar).  info holds the per-k samples
     the hbar limits were fitted to ("per_k", a k x 2 array of the scaled
     differences for dx and dy) and the two fits' convergence slopes
     ("hbar_slopes", [dx, dy]).
-    Every spectrum of ``family`` must carry an ``origin`` (see ``ray_samples``).
     """
-    ks = sorted(family)
-    scale = 2 * np.pi / np.log(mu)
-    a1, a2 = ray_samples(family, 0.0, [x, mu * x])
+    scale = 2 * np.pi / np.log(xs[1] / xs[0])
     diffs = np.column_stack([a1[:, 0] - a1[:, 1], a2[:, 0] - a2[:, 1]])
     lims, slopes = hbar_limits(ks, diffs)
     dxfr, dyfr = float(scale * lims[0]), float(scale * lims[1])

@@ -45,12 +45,10 @@ import math
 import numpy as np
 
 from ..errors import DuplicateMu, IllConditioned
-from .extrap import _guarded_lstsq, hbar_limits
+from .extrap import _guarded_lstsq
 from .jets import FrJet
-from .spacings import LabelledSpectrum, ray_samples
 
 __all__ = [
-    "g_mu_sample",
     "fit_log_expansion",
     "solve_jet_order",
     "solve_taylor_order",
@@ -58,16 +56,9 @@ __all__ = [
 ]
 
 
-def g_mu_sample(family: dict[int, LabelledSpectrum], mu: float, xs) -> np.ndarray:
-    """g_mu(x) = a1(x, mu x) + mu a2(x, mu x), hbar -> 0, at each x of xs,
-    (x, mu x) taken from each spectrum's ``origin``, which every spectrum of
-    ``family`` must carry."""
-    a1, a2 = ray_samples(family, mu, xs)
-    return hbar_limits(sorted(family), a1 + mu * a2)[0]
-
-
 def fit_log_expansion(xs, g):
-    """(c_0, d_0, c_1, d_1, info) of g_mu sampled as g at xs.
+    """(c_0, d_0, c_1, d_1, info) of g_mu sampled as g at xs: the hbar
+    limits of a1 + mu a2 over the probe table of the ray (x, mu x).
 
     Two weighted least-squares fits with basis {ln x, 1, x ln x, x} (the
     two extra columns absorb the next order): the order-0 fit on g, then

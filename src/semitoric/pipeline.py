@@ -5,7 +5,8 @@ spectrum (Duistermaat-Heckman kinks read off J's exact column sizes, then
 the peak of inverse level spacings), each k's columns are labelled by
 (J-block, position in the block) in one spectrum that the locate stage and
 every probe read, and every invariant is extracted by the double-limit
-schedules; the height is a count on the critical column.
+schedules; the height is a count on the critical column.  The estimators
+take the probe tables and counts that ``recover_all`` reads here.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ from .invariants import (
     detect_kinks,
     dh_profile,
     fit_log_expansion,
-    g_mu_sample,
     hausdorff,
+    hbar_limits,
     polygon_recover,
     ray_samples,
     recover_S01,
@@ -230,6 +231,13 @@ def _window_origin(spec: LabelledSpectrum, x0: float, y0: float) -> tuple[float,
         h *= 2
 
 
+def _counts_below_origin(family: dict[int, LabelledSpectrum]) -> list[int]:
+    """Per k, ascending: the number of heights below the origin's ordinate
+    on the column nearest its abscissa (``column_height``'s counts)."""
+    return [sp._count_below(sp.nearest_column(sp.origin[0]), sp.origin[1])
+            for _, sp in sorted(family.items())]
+
+
 def label_strip(model: ModelSpec, k: int, origin) -> tuple[np.ndarray, np.ndarray]:
     """The labelled spectrum that ``semitoric label`` writes and
     ``polygon_run`` fits: the joint spectrum on the model's strip less the
@@ -267,10 +275,11 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     origin, other_kinks = locate_critical_values(model, min(family), family)
 
     # the gradient is read at the smallest offset, the last of the
-    # decreasing schedule; the figures show the per-k samples there
+    # decreasing schedule, and twice it; the figures show its per-k samples
     ks, xs = sorted(family), list(probes.x_schedule)
     x_probe = xs[-1]
-    dxfr, dyfr, grad_info = recover_fr_gradient(family, x_probe)
+    xs_grad = [x_probe, 2 * x_probe]
+    dxfr, dyfr, grad_info = recover_fr_gradient(ks, xs_grad, *ray_samples(family, 0.0, xs_grad))
     jet1 = FrJet({(1, 0): dxfr, (0, 1): dyfr})
     s0 = jet1.slope_s0
 
@@ -280,7 +289,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     p, s10 = twisting_number(sigma1)
     s01, s01_info = recover_S01(ks, xs, a2, dyfr)
 
-    s00, height_info = column_height(family)
+    s00, height_info = column_height(ks, _counts_below_origin(family))
 
     # order-1 log expansion over the mu list -> quadratic jet and S coefficients.
     # (c0, d0) are refit from the same samples rather than assembled from the
@@ -297,7 +306,8 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
         if len(xs_mu) < 6:
             xs_mu = sorted(probes.x_taylor)[:6]
         xs_mu = sorted(xs_mu, reverse=True)
-        g = g_mu_sample(family, mu, xs_mu)
+        a1, a2 = ray_samples(family, mu, xs_mu)
+        g = hbar_limits(ks, a1 + mu * a2)[0]
         _, _, c1, d1, fit_info = fit_log_expansion(xs_mu, g)
         c1s.append(c1)
         d1s.append(d1)

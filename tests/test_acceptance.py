@@ -316,10 +316,15 @@ def test_criterion_9_privileged_idempotence(spin_report, coupled_report):
         report(9, f"{rep['model']} privileged in [0,1) with p=0", 0.0 if ok else 1.0, 0.5, ok=ok)
 
 
+def gradient(family, ks, xs):
+    """recover_fr_gradient on the family's probe table of slope 0 at xs."""
+    return recover_fr_gradient(ks, xs, *ray_samples(family, 0.0, xs))
+
+
 def test_criterion_9_mu_independence():
-    family = located_family(COUPLED, [100, 200, 300, 400, 500])
-    grads = [recover_fr_gradient(family, 0.01, mu)
-             for mu in (2.0, 3.0, 4.0)]
+    ks = [100, 200, 300, 400, 500]
+    family = located_family(COUPLED, ks)
+    grads = [gradient(family, ks, [0.01, mu * 0.01]) for mu in (2.0, 3.0, 4.0)]
     spread_dx = max(g[0] for g in grads) - min(g[0] for g in grads)
     spread_dy = max(g[1] for g in grads) - min(g[1] for g in grads)
     report(9, "jet recovery mu-independence (dx)", spread_dx, 0.05)
@@ -356,16 +361,18 @@ def test_criterion_9_glue_order_independence():
 def test_criterion_9_d0_consistency():
     # d0(mu) fitted from g_mu must match -(dx f_r + mu dy f_r)/2pi from the
     # spacing-difference gradient, mu in {1, 2, 4}
-    from semitoric.invariants import fit_log_expansion, g_mu_sample
+    from semitoric.invariants import fit_log_expansion, hbar_limits
 
     probes = ProbeConfig(k_list=[100, 200, 300, 400, 500],
                          x_schedule=[0.01], x_taylor=[0.04, 0.03, 0.02, 0.01],
                          mu_list=[1.0, 2.0, 4.0])
     family = located_family(SPIN, probes.k_list)
-    dx, dy, _ = recover_fr_gradient(family, 0.01, 2.0)
+    ks = probes.k_list
+    dx, dy, _ = gradient(family, ks, [0.01, 0.02])
     worst = 0.0
     for mu in (1.0, 2.0, 4.0):
-        g = g_mu_sample(family, mu, probes.x_taylor)
+        a1, a2 = ray_samples(family, mu, probes.x_taylor)
+        g = hbar_limits(ks, a1 + mu * a2)[0]
         _, d0, *_ = fit_log_expansion(probes.x_taylor, g)
         worst = max(worst, abs(d0 - (-(dx + mu * dy) / (2 * np.pi))))
     report(9, "d0(mu) vs gradient, mu in {1,2,4}", worst, 0.05)

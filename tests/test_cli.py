@@ -409,18 +409,23 @@ def test_recover_all_raises_configuration_error_before_solving(monkeypatch):
 def test_negative_mu_gets_the_x_cap_of_its_magnitude(monkeypatch):
     # the log-expansion fit of each mu reads offsets x with |mu| x within
     # max(x_taylor), so the probes (x, mu x) stay as close to the critical
-    # value for mu = -2 as for mu = 2
-    offsets = {}
-    sample = semitoric.pipeline.g_mu_sample
+    # value for mu = -2 as for mu = 2; mu = 3 has only 4 such offsets, fewer
+    # than the fit's 6, and reads the 6 smallest
+    rays = []
+    sample = semitoric.pipeline.ray_samples
 
-    def recorded(family, mu, xs):
-        offsets[mu] = list(xs)
-        return sample(family, mu, xs)
+    def recorded(family, slope, xs):
+        rays.append((slope, list(xs)))
+        return sample(family, slope, xs)
 
-    monkeypatch.setattr(semitoric.pipeline, "g_mu_sample", recorded)
-    probes = ProbeConfig(k_list=[100, 200], x_schedule=[0.02, 0.01], mu_list=[2.0, 1.5, -2.0])
+    monkeypatch.setattr(semitoric.pipeline, "ray_samples", recorded)
+    mus = [2.0, -2.0, 3.0]
+    probes = ProbeConfig(k_list=[100, 200], x_schedule=[0.02, 0.01], mu_list=mus)
     semitoric.pipeline.recover_all(ModelSpec(SPIN_OSCILLATOR), probes)
-    assert offsets[-2.0] == offsets[2.0] == [0.06, 0.05, 0.04, 0.03, 0.02, 0.01]
+    # the mu rays are read last, in the order of mu_list
+    offsets = dict(rays[-3:])
+    assert list(offsets) == mus
+    assert offsets[-2.0] == offsets[2.0] == offsets[3.0] == [0.06, 0.05, 0.04, 0.03, 0.02, 0.01]
 
 
 @pytest.mark.parametrize("argv", [

@@ -21,6 +21,7 @@ from semitoric.models import (
 )
 from semitoric.pipeline import (
     ModelCounter,
+    _counts_below_origin,
     build_probe_family,
     locate_critical_values,
     locate_focus_focus,
@@ -85,12 +86,17 @@ def uniform_columns(k, x_range, y_range, origin):
                             lambda j: (np.arange(len(ys)), ys), origin)
 
 
+def origin_column_height(family):
+    """column_height on the counts the pipeline reads below each origin."""
+    return column_height(sorted(family), _counts_below_origin(family))
+
+
 def test_column_height_on_uniform_grid():
     # one column of the grid, counted up to y0 = 0.25 from ymin = -0.6
     ks = [100, 200, 400]
     family = {k: uniform_columns(k, (-0.8, 0.8), (-0.6, 0.9),
                                  (np.round(0.1 * k) / k, 0.25 + 0.5 / k)) for k in ks}
-    val, info = column_height(family)
+    val, info = origin_column_height(family)
     assert info["raw"] == [(round(0.85 * k) + 1) / k for k in ks]
     assert val == pytest.approx(0.85, abs=1e-9)
 
@@ -113,13 +119,13 @@ def test_column_height_off_the_lattice():
                                       (0.1 + dx / k, y0))
         return fam
 
-    _, on = column_height(family(0.0, 0.25))
-    _, off = column_height(family(0.4, 0.25))
-    _, next_column = column_height(family(1.0, 0.25))
+    _, on = origin_column_height(family(0.0, 0.25))
+    _, off = origin_column_height(family(0.4, 0.25))
+    _, next_column = origin_column_height(family(1.0, 0.25))
     assert off["raw"] == on["raw"]
     assert next_column["raw"] == [n - 1 / k for n, k in zip(on["raw"], ks)]
     with pytest.raises(WindowTooNarrow):
-        column_height(family(0.5, -0.555))
+        origin_column_height(family(0.5, -0.555))
 
 
 @pytest.mark.parametrize("r1, r2, t", [(0.5, 1.5, 0.5), (1.0, 2.0, 0.6)])
@@ -131,7 +137,7 @@ def test_column_height_matches_strip_count(r1, r2, t):
     ks = [100, 200, 300, 400, 500]
     family = build_probe_family(model, ks)
     origin, _ = locate_critical_values(model, min(ks), family)
-    column, info = column_height(family)
+    column, info = origin_column_height(family)
     counter = ModelCounter(model, ks)
     sturm = []
     for k in ks:

@@ -299,9 +299,15 @@ class _ManufacturedSpectrum:
 JET01 = FrJet({(1, 0): 0.0, (0, 1): 1.0})
 
 
+def gradient(fam, x=0.01):
+    """recover_fr_gradient on the family's probe table of slope 0 at x and 2 x."""
+    xs = [x, 2 * x]
+    return recover_fr_gradient(sorted(fam), xs, *ray_samples(fam, 0.0, xs))
+
+
 def test_manufactured_gradient_01():
     fam = ManufacturedFamily(JET01, s10=0.25, s01=0.4, ks=[100, 200, 300, 400])
-    dx, dy, _ = recover_fr_gradient(fam, 0.01, mu=2.0)
+    dx, dy, _ = gradient(fam)
     assert dx == pytest.approx(0.0, abs=2e-3)
     assert dy == pytest.approx(1.0, abs=5e-3)
 
@@ -309,7 +315,7 @@ def test_manufactured_gradient_01():
 def test_manufactured_gradient_generic():
     jet = FrJet({(1, 0): -0.5, (0, 1): 2.5})
     fam = ManufacturedFamily(jet, s10=0.1, s01=0.7, ks=[100, 200, 300, 400])
-    dx, dy, info = recover_fr_gradient(fam, 0.01, mu=2.0)
+    dx, dy, info = gradient(fam)
     assert dx == pytest.approx(-0.5, abs=2e-2)
     assert dy == pytest.approx(2.5, abs=2e-2)
     # one row per k of the (dx, dy) samples the hbar limits were fitted to
@@ -344,6 +350,23 @@ def test_hbar_limit_counts_no_error_at_rounding_level():
     assert hbar_limit(ks, noise)[1]["slope"] is None
     # the same noise on a value with an hbar term keeps that term's order
     assert hbar_limit(ks, 0.3 + 2 / ks + noise)[1]["slope"] == pytest.approx(-1.0, abs=1e-6)
+    # errors 4.8e-12 and 1.2e-12 at k = 100 and 200, below 1e-12 after:
+    # both lie above the rounding level, 1e-12 of max(1, |sample|), so the
+    # slope is the hbar^2 term's order, read off those two
+    assert hbar_limit(ks, 0.5 + 4.8e-8 / ks ** 2)[1]["slope"] == pytest.approx(-2.0, abs=1e-3)
+
+
+def test_hbar_limit_rms_is_the_root_mean_square_residual():
+    # a quadratic in hbar plus a residual r orthogonal to 1, hbar and
+    # hbar^2 (the weights of the third divided difference at the four hbar
+    # nodes): the fit returns the quadratic and rms = |r| / sqrt(4)
+    ks = np.array([100, 200, 300, 400], dtype=float)
+    hb = 1 / ks
+    w = np.array([1 / np.prod([a - b for b in hb if b != a]) for a in hb])
+    r = 2e-3 * w / np.linalg.norm(w)
+    lim, info = hbar_limit(ks, 0.5 + 3 * hb - 40 * hb ** 2 + r)
+    assert lim == pytest.approx(0.5, abs=1e-9)
+    assert info["rms"] == pytest.approx(1e-3, rel=1e-6)
 
 
 def test_sigma1_row_an_integer_off_raises_action_discontinuity():
@@ -383,7 +406,12 @@ def test_gradient_sign_error():
     base = ManufacturedFamily(jet, s10=0.0, s01=0.5, ks=[100, 200])
     fam = {k: FlippedSpectrum(base, k) for k in (100, 200)}
     with pytest.raises(SignError):
-        recover_fr_gradient(fam, 0.01, mu=2.0)
+        gradient(fam)
+    # equal a2 columns at x and 2 x: the dy samples and their hbar limit
+    # are exactly 0, which the orientation convention refuses as well
+    a1 = np.array([[0.3, 0.1], [0.31, 0.11], [0.32, 0.12]])
+    with pytest.raises(SignError, match="= 0.0000 <= 0"):
+        recover_fr_gradient([100, 200, 300], [0.01, 0.02], a1, np.full((3, 2), 0.7))
 
 
 def test_frjet_orientation():
