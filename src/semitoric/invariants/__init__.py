@@ -13,7 +13,6 @@ from .extrap import (
     x_limit,
 )
 from .jets import (
-    FrJet,
     recover_S01,
     recover_fr_gradient,
     recover_sigma1,

@@ -11,7 +11,6 @@ the schedule (``double_limit``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,37 +18,11 @@ from ..errors import ActionDiscontinuity, SignError
 from .extrap import double_limit, hbar_limits
 
 __all__ = [
-    "FrJet",
     "twisting_number",
     "recover_fr_gradient",
     "recover_sigma1",
     "recover_S01",
 ]
-
-
-@dataclass
-class FrJet:
-    """Partial derivatives of the Eliasson function f_r at the critical value,
-    keyed by multi-index (i, j) = (d/dx power, d/dy power), orders >= 1."""
-
-    derivs: dict[tuple[int, int], float]
-
-    def __post_init__(self):
-        if self.dy <= 0:
-            raise SignError(f"dy f_r(0) = {self.dy} <= 0 violates the orientation convention")
-
-    @property
-    def dx(self) -> float:
-        return self.derivs.get((1, 0), 0.0)
-
-    @property
-    def dy(self) -> float:
-        return self.derivs.get((0, 1), 0.0)
-
-    @property
-    def slope_s0(self) -> float:
-        """Tangent slope of the radial curve: -dx f_r / dy f_r."""
-        return -self.dx / self.dy
 
 
 _INTEGER_SNAP = 1e-9   # a sigma1 this close to an integer n counts as n

@@ -27,12 +27,12 @@ class LabelledSpectrum:
     """Eigenvalue ladders of the columns of a joint spectrum, labelled (j, l).
 
     ``column_x`` maps each column label j to the column's abscissa; columns
-    adjacent in x carry adjacent labels.  ``ladder(j)`` returns the
-    consecutive ascending row labels l of column j and their strictly
-    ascending heights; it is called the first time column j is read whole,
-    and its result is kept.
+    adjacent in x carry adjacent labels.  Each column's rows are numbered
+    l = 0, 1, ... from its lowest.  ``ladder(j)`` returns the strictly
+    ascending heights of column j; it is called the first time column j is
+    read whole, and its result is kept.
 
-    A probe reads index windows of two columns only, through ``_column``,
+    A probe reads index windows of two columns only, through ``_size``,
     ``_count_below`` and ``_heights``.  Here they read the kept ladders; a
     spectrum whose columns can be solved in part (``pipeline.BlockSpectrum``)
     overrides them, so that no probe solves a whole column.
@@ -46,28 +46,27 @@ class LabelledSpectrum:
         self._xs = np.fromiter(self.column_x.values(), dtype=float, count=len(self.column_x))
         self.origin = origin   # per-k estimate of the focus-focus value
         self._solve = ladder
-        self._ladders: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._ladders: dict[int, np.ndarray] = {}
 
-    def ladder(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(ascending l, heights) of column j."""
+    def ladder(self, j: int) -> np.ndarray:
+        """The ascending heights of column j."""
         if j not in self._ladders:
             if j not in self.column_x:
                 raise MissingNeighbor(f"no column j={j}")
             self._ladders[j] = self._solve(j)
         return self._ladders[j]
 
-    def _column(self, j: int) -> tuple[int, int]:
-        """(label of the lowest row, number of rows) of column j."""
-        ls, ys = self.ladder(j)
-        return int(ls[0]), len(ys)
+    def _size(self, j: int) -> int:
+        """Number of rows of column j."""
+        return len(self.ladder(j))
 
     def _count_below(self, j: int, y: float) -> int:
         """Number of heights of column j below y."""
-        return int(np.searchsorted(self.ladder(j)[1], y))
+        return int(np.searchsorted(self.ladder(j), y))
 
     def _heights(self, j: int, lo: int, hi: int) -> np.ndarray:
-        """Heights of rows lo..hi - 1 of column j, counted from its lowest."""
-        return self.ladder(j)[1][lo:hi]
+        """Heights of rows lo..hi - 1 of column j."""
+        return self.ladder(j)[lo:hi]
 
     def nearest_column(self, x: float) -> int:
         """The column whose abscissa is nearest x; ties go to the smaller j."""
@@ -80,15 +79,14 @@ class LabelledSpectrum:
 
         Only the stencils' nodes are read: the 5 heights of column j whose
         spacings the first cubic takes, and the 4 rows, nearest the height,
-        that column j shares with column j + 1."""
+        that column j shares with column j + 1: rows 0 .. stop - 1, stop the
+        shorter column's size."""
         j = self.nearest_column(c[0])
         y = float(c[1])
-        l0, n0 = self._column(j)
-        l1, n1 = self._column(j + 1)
-        # rows first..stop - 1 of column j carry the labels column j + 1 shares
-        first, stop = max(l0, l1) - l0, min(l0 + n0, l1 + n1) - l0
-        if stop - first < 2:
-            raise MissingNeighbor("columns share fewer than 2 labels")
+        n0 = self._size(j)
+        stop = min(n0, self._size(j + 1))
+        if stop < 2:
+            raise MissingNeighbor("columns share fewer than 2 rows")
         # rows r-3..r+2 around the count r of heights below y hold both
         # stencils, also when the count and the solved heights disagree by
         # one about a height tied with y; the stencils are chosen from the
@@ -98,13 +96,13 @@ class LabelledSpectrum:
         ys0 = self._heights(j, lo, hi)
         s_t = _interp_cubic(0.5 * (ys0[1:] + ys0[:-1]), np.diff(ys0), y)
         r = lo + int(np.searchsorted(ys0, y))
-        d_lo = min(max(r - 2, first), max(stop - 4, first))
+        d_lo = max(min(r - 2, stop - 4), 0)
         d_hi = min(d_lo + 4, stop)
         if lo <= d_lo and d_hi <= hi:
             d0 = ys0[d_lo - lo:d_hi - lo]
         else:
             d0 = self._heights(j, d_lo, d_hi)
-        d1 = self._heights(j + 1, d_lo + l0 - l1, d_hi + l0 - l1)
+        d1 = self._heights(j + 1, d_lo, d_hi)
         d_t = _interp_cubic(d0, d0 - d1, y)
         return d_t / s_t, self.hbar / s_t
 

@@ -46,7 +46,6 @@ import numpy as np
 
 from ..errors import DuplicateMu, IllConditioned
 from .extrap import _guarded_lstsq
-from .jets import FrJet
 
 __all__ = [
     "fit_log_expansion",
@@ -93,15 +92,15 @@ def solve_jet_order(mus, d1s) -> dict[tuple[int, int], float]:
                   [-2 * np.pi * d for d in d1s], "jet system")
 
 
-def _c1_known(mu: float, jet: FrJet, s01: float) -> float:
-    """c~_1(mu) = B (2 S_01 - (1 + ln(1 + A^2)) / 2 pi) (module docstring)."""
-    d = jet.derivs
-    a = jet.dx + mu * jet.dy
-    b = (d.get((2, 0), 0.0) + 2 * mu * d.get((1, 1), 0.0) + mu * mu * d.get((0, 2), 0.0)) / 2
+def _c1_known(mu: float, jet: dict, s01: float) -> float:
+    """c~_1(mu) = B (2 S_01 - (1 + ln(1 + A^2)) / 2 pi) (module docstring)
+    from jet, the f_r derivatives to order 2 keyed (d/dx power, d/dy power)."""
+    a = jet[1, 0] + mu * jet[0, 1]
+    b = (jet[2, 0] + 2 * mu * jet[1, 1] + mu * mu * jet[0, 2]) / 2
     return b * (2 * s01 - (1 + math.log(1 + a * a)) / (2 * np.pi))
 
 
-def solve_taylor_order(mus, c1s, jet: FrJet, s01: float) -> dict[tuple[int, int], float]:
+def solve_taylor_order(mus, c1s, jet: dict, s01: float) -> dict[tuple[int, int], float]:
     """Order-2 Taylor coefficients from c_1 at three distinct mu values,
     given the jet of f_r to order 2 and S_01.
 
@@ -111,18 +110,18 @@ def solve_taylor_order(mus, c1s, jet: FrJet, s01: float) -> dict[tuple[int, int]
     read less its known part c~_1 (module docstring).
     """
     mus = np.asarray(mus, dtype=float)
-    a = jet.dx + mus * jet.dy
+    a = jet[1, 0] + mus * jet[0, 1]
     return _solve(mus, [[2 * x ** 2, 2 * x, 2.0] for x in a],
                   [c - _c1_known(m, jet, s01) for m, c in zip(mus, c1s)], "Taylor system")
 
 
-def solve_mixed(mu: float, c1: float, d1: float, jet1: FrJet,
+def solve_mixed(mu: float, c1: float, d1: float, jet1: dict,
                 s01: float) -> tuple[float, float]:
     """(dx dy f_r(0), S_11) from c_1 and d_1 at one mu under the
     purely-mixed hypothesis (module docstring), given the order-1 jet."""
-    a = jet1.dx + mu * jet1.dy
+    a = jet1[1, 0] + mu * jet1[0, 1]
     if mu == 0 or a == 0:
         raise IllConditioned(f"{'jet' if mu == 0 else 'Taylor'} system condition inf")
     dxdy = -2 * np.pi * d1 / (2 * mu)
-    jet = FrJet({**jet1.derivs, (2, 0): 0.0, (1, 1): dxdy, (0, 2): 0.0})
+    jet = {**jet1, (2, 0): 0.0, (1, 1): dxdy, (0, 2): 0.0}
     return float(dxdy), float((c1 - _c1_known(mu, jet, s01)) / (2 * a))

@@ -16,7 +16,6 @@ import numpy as np
 from .config import ProbeConfig
 from .errors import ConfigurationError, EmptyWindow, MissingNeighbor, NoPeak
 from .invariants import (
-    FrJet,
     LabelledSpectrum,
     PolygonEstimate,
     column_height,
@@ -87,7 +86,7 @@ class ModelCounter:
 def column_ladder(spec: LabelledSpectrum, x: float):
     """(x_actual, ascending eigenvalues) of the column of spec nearest x."""
     j = spec.nearest_column(x)
-    return spec.column_x[j], spec.ladder(j)[1]
+    return spec.column_x[j], spec.ladder(j)
 
 
 _PEAK_FACTOR = 1.8    # least ratio of the hbar/spacing peak to its column median
@@ -133,19 +132,15 @@ class BlockSpectrum(LabelledSpectrum):
         self._windows: dict[tuple[int, int, int], np.ndarray] = {}
         js = self._sign * np.asarray(blocks.ids)
         super().__init__(blocks.k, dict(zip(js.tolist(), blocks.j_values.tolist())),
-                         self._whole_column)
-
-    def _whole_column(self, j: int):
-        ev = self.blocks.eigenvalues(self._position(j))
-        return np.arange(len(ev)), ev
+                         lambda j: blocks.eigenvalues(self._position(j)))
 
     def _position(self, j: int) -> int:
         if j not in self.column_x:
             raise MissingNeighbor(f"no column j={j}")
         return self.blocks.ids.index(self._sign * j)
 
-    def _column(self, j: int) -> tuple[int, int]:
-        return 0, int(self.blocks.sizes[self._position(j)])
+    def _size(self, j: int) -> int:
+        return int(self.blocks.sizes[self._position(j)])
 
     def _count_below(self, j: int, y: float) -> int:
         return sturm_count_below(*self.blocks[self._position(j)], y)
@@ -161,7 +156,7 @@ def build_probe_family(model: ModelSpec, ks) -> dict[int, BlockSpectrum]:
     """One labelled spectrum per k of ks over the model's ``dh_range``,
     where the locate stage and every probe read their columns.  Nothing is
     solved here, so every k's dimensions are checked before the first
-    eigensolve; ``locate_critical_values`` sets the origins."""
+    eigensolve; ``_set_origins`` sets the origins."""
     return {k: BlockSpectrum(build_blocks(model, k, model.dh_range)) for k in ks}
 
 
@@ -173,18 +168,7 @@ def locate_critical_values(model: ModelSpec, k0: int,
     dimensions are checked first, and a multiple of it is then on the
     radii's 1/(2k) grid.  The candidates are the kinks of that spectrum's
     blocks, which ``semitoric dh`` reports too.  The located column is the
-    one column the run solves whole.
-
-    Each spectrum of ``family`` then gets its .origin, that k's focus-focus
-    value: the critical column's abscissa and the smallest-gap midpoint of
-    an index window of its ladder around the located ordinate
-    (``_window_origin``), so that no other column is solved whole; the
-    located spectrum's is the located value, its whole ladder's.  Probes
-    measure offsets from it, and a1 responds to an ordinate error like
-    e2/(2 pi x), so the error must shrink like hbar for the extrapolations
-    to converge: the one-off located ordinate would leave a floor.  Only
-    the probes read origins, so a caller that reads the focus alone passes
-    no family.
+    one column the run solves whole.  Nothing is set on any spectrum.
 
     Returns (focus (x0, y0), other kink abscissae).
     """
@@ -197,8 +181,6 @@ def locate_critical_values(model: ModelSpec, k0: int,
         raise NoPeak("no kinks in the Duistermaat-Heckman profile")
 
     x0, y0 = locate_focus_focus(spec, kinks)
-    for sp in family.values():
-        sp.origin = (x0, y0) if sp is spec else _window_origin(sp, x0, y0)
     # every kink is an exact column abscissa, x0 among them
     others = [x for x in kinks if x != x0]
     return (x0, y0), others
@@ -211,31 +193,41 @@ _ORIGIN_ROWS = 8
 _ORIGIN_MARGIN = 4
 
 
-def _window_origin(spec: LabelledSpectrum, x0: float, y0: float) -> tuple[float, float]:
-    """(x, y): the abscissa of the column of spec nearest x0 and the
-    smallest-gap midpoint of that column's rows r - h .. r + h, r the count
-    of its heights below y0, clipped to the column.  The window's smallest
-    gap is the whole ladder's as long as no smaller gap lies outside it;
-    the peak of a focus-focus column falls within a few rows of r (y0 is
-    the k = 200 estimate, so the offset grows like k), and a smallest gap
-    within _ORIGIN_MARGIN rows of an inner window edge doubles h."""
+def _window_origin(spec: LabelledSpectrum, x0: float,
+                   y0: float) -> tuple[tuple[float, float], int]:
+    """((x, y), n): the abscissa of the column of spec nearest x0, the
+    smallest-gap midpoint y of that column's rows r - h .. r + h (r the
+    count of its heights below y0, clipped to the column) and the n rows
+    below y.  The window's smallest gap is the whole ladder's as long as
+    no smaller gap lies outside it; the peak of a focus-focus column falls
+    within a few rows of r (y0 is the k = 200 estimate, so the offset
+    grows like k), and a smallest gap within _ORIGIN_MARGIN rows of an
+    inner window edge doubles h."""
     j = spec.nearest_column(x0)
-    _, n = spec._column(j)
+    n = spec._size(j)
     r = spec._count_below(j, y0)
     h = _ORIGIN_ROWS
     while True:
         lo, hi = max(r - h, 0), min(r + h + 1, n)
         i, y = smallest_gap_midpoint(spec._heights(j, lo, hi))
         if (lo == 0 or i >= _ORIGIN_MARGIN) and (hi == n or hi - lo - 2 - i >= _ORIGIN_MARGIN):
-            return spec.column_x[j], y
+            return (spec.column_x[j], y), lo + i + 1
         h *= 2
 
 
-def _counts_below_origin(family: dict[int, LabelledSpectrum]) -> list[int]:
-    """Per k, ascending: the number of heights below the origin's ordinate
-    on the column nearest its abscissa (``column_height``'s counts)."""
-    return [sp._count_below(sp.nearest_column(sp.origin[0]), sp.origin[1])
-            for _, sp in sorted(family.items())]
+def _set_origins(family: dict[int, LabelledSpectrum], focus) -> list[int]:
+    """Sets each spectrum's .origin, that k's focus-focus value, by
+    ``_window_origin`` from the located focus (x0, y0), and returns, per k
+    ascending, the critical column's count of rows below it
+    (``column_height``'s counts).  Probes measure offsets from the origin;
+    a1 responds to an ordinate error like e2/(2 pi x), so the error must
+    shrink like hbar for the extrapolations to converge, which the one-off
+    located ordinate would not."""
+    counts = []
+    for _, sp in sorted(family.items()):
+        sp.origin, n = _window_origin(sp, *focus)
+        counts.append(n)
+    return counts
 
 
 def label_strip(model: ModelSpec, k: int, origin) -> tuple[np.ndarray, np.ndarray]:
@@ -273,6 +265,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     _check_column_resolution(probes)
     family = build_probe_family(model, probes.k_list)
     origin, other_kinks = locate_critical_values(model, min(family), family)
+    counts = _set_origins(family, origin)
 
     # the gradient is read at the smallest offset, the last of the
     # decreasing schedule, and twice it; the figures show its per-k samples
@@ -280,8 +273,8 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     x_probe = xs[-1]
     xs_grad = [x_probe, 2 * x_probe]
     dxfr, dyfr, grad_info = recover_fr_gradient(ks, xs_grad, *ray_samples(family, 0.0, xs_grad))
-    jet1 = FrJet({(1, 0): dxfr, (0, 1): dyfr})
-    s0 = jet1.slope_s0
+    jet1 = {(1, 0): dxfr, (0, 1): dyfr}
+    s0 = -dxfr / dyfr
 
     # sigma1 and S01 read one probe table on the radial ray (x, s0 x)
     a1, a2 = ray_samples(family, s0, xs)
@@ -289,7 +282,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
     p, s10 = twisting_number(sigma1)
     s01, s01_info = recover_S01(ks, xs, a2, dyfr)
 
-    s00, height_info = column_height(ks, _counts_below_origin(family))
+    s00, height_info = column_height(ks, counts)
 
     # order-1 log expansion over the mu list -> quadratic jet and S coefficients.
     # (c0, d0) are refit from the same samples rather than assembled from the
@@ -313,7 +306,7 @@ def recover_all(model: ModelSpec, probes: ProbeConfig | None = None) -> dict:
         d1s.append(d1)
         fit_conds[str(mu)] = fit_info["cond"]
     jet2 = solve_jet_order(mus, d1s)
-    s2 = solve_taylor_order(mus, c1s, FrJet({**jet1.derivs, **jet2}), s01)
+    s2 = solve_taylor_order(mus, c1s, {**jet1, **jet2}, s01)
 
     # the order-2 leaves at the one mu nearest 1 under the purely-mixed
     # hypothesis, dx^2 f_r = dy^2 f_r = S20 = S02 = 0 (exact for the

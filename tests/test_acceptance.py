@@ -33,6 +33,7 @@ from semitoric.lattice import (
 )
 from semitoric.pipeline import (
     ModelCounter,
+    _set_origins,
     build_probe_family,
     locate_critical_values,
     polygon_reference_distance,
@@ -248,9 +249,9 @@ def test_criterion_7_polygon():
 # -- criterion 8: convergence rate ---------------------------------------------
 
 def located_family(model, ks):
-    """The probe family of ks with each k's origin set by the locate stage."""
+    """The probe family of ks with each k's origin set from the located focus."""
     family = build_probe_family(model, ks)
-    locate_critical_values(model, min(ks), family)
+    _set_origins(family, locate_critical_values(model, min(ks), family)[0])
     return family
 
 
@@ -295,11 +296,13 @@ def test_criterion_9_relabelling_covariance():
     base = sigma1(family)
 
     def shear(sp, n):
-        # the spectrum relabelled as lambda'_{j,l} = lambda_{j, l+n*j}
-        def ladder(j):
-            ls, ys = sp.ladder(j)
-            return ls - n * j, ys
-        return LabelledSpectrum(sp.k, sp.column_x, ladder, origin=sp.origin)
+        # the spectrum relabelled as lambda'_{j,l} = lambda_{j, l+n*j}: rows
+        # are numbered from each column's bottom, so column j drops its
+        # lowest 40 + n (j - j0) rows, 18 .. 62 on the columns the probes
+        # read (j - j0 <= 0.02 k + 1), fewer than the rows below y0
+        j0 = sp.nearest_column(sp.origin[0])
+        return LabelledSpectrum(sp.k, sp.column_x, lambda j: sp.ladder(j)[40 + n * (j - j0):],
+                                origin=sp.origin)
 
     worst = 0.0
     for n in (-2, -1, 1, 2):

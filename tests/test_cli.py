@@ -188,11 +188,14 @@ def test_bad_schedule_exits_2(tmp_path):
     {"seed": -1},
     # no command draws a random chart any more, so seed is no key
     {"seed": 0},
+    # six offsets, three distinct: the log fit's 4 columns on 3 x values
+    {"probes": {"x_taylor": [0.12, 0.12, 0.06, 0.06, 0.04, 0.04]}},
 ], ids=["unknown-key", "unknown-probes-key", "missing-file", "string-r1",
         "string-in-x-schedule", "string-k-list", "short-x-taylor", "repeated-mu",
         "unknown-model", "removed-mu", "negative-x-taylor",
         "zero-x-taylor", "removed-delta", "removed-c-width", "huge-mu-list-entry",
-        "huge-negative-mu-list-entry", "negative-seed", "removed-seed"])
+        "huge-negative-mu-list-entry", "negative-seed", "removed-seed",
+        "repeated-x-taylor"])
 def test_bad_config_file_exits_2(tmp_path, config):
     path = tmp_path / "run.json"
     if config is not None:
@@ -588,14 +591,13 @@ def test_invariants_command_small(tmp_path, monkeypatch):
     # origin, height or probe reads a whole ladder
     assert not read_in_probe
     assert len(solves) == len(reads) == 1 and [k for k, _ in reads] == [200]
-    # the k = 100 origin solves an index window of its critical column,
-    # outside any probe, and its Sturm count falls outside a probe too; the
-    # k = 200 origin is the located value and reads nothing.  The height
-    # counts once per k
-    assert origin_reads and {k for k, *_ in origin_reads} == {100}
+    # every k's origin, the located k = 200's included, solves an index
+    # window of its critical column and reads one Sturm count, both outside
+    # any probe; the height reads the windows' row counts and counts nothing
+    assert {k for k, *_ in origin_reads} == {100, 200}
     origin_windows = [key for key, by in windows.items() if by == [None]]
     assert len(origin_windows) == len(set(origin_reads))
-    assert counts.count(None) == 1 + 2
+    assert counts.count(None) == 2
     # a probe reads one Sturm count, and an index window in each of its two
     # columns (a third when column j + 1 is too short to share the rows
     # around the height).  Each window is solved once, inside the first

@@ -21,7 +21,7 @@ from semitoric.models import (
 )
 from semitoric.pipeline import (
     ModelCounter,
-    _counts_below_origin,
+    _set_origins,
     build_probe_family,
     locate_critical_values,
     locate_focus_focus,
@@ -29,6 +29,7 @@ from semitoric.pipeline import (
 )
 from semitoric.reference import reference_rho
 from semitoric.testing import strip_density
+from semitoric.tridiag import sturm_count_below
 
 SPIN = ModelSpec(SPIN_OSCILLATOR)
 COUPLED = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
@@ -77,26 +78,32 @@ def test_height_window_too_narrow():
         height_invariant(counter, 0.0, 0.0)
 
 
-def uniform_columns(k, x_range, y_range, origin):
-    """A LabelledSpectrum of the uniform grid's columns, j = round(x k)."""
+def notched_columns(k, y0, raise_by=0):
+    """A LabelledSpectrum of the uniform grid's columns on [-0.8, 0.8] x
+    [-0.6, 0.9], j = round(x k), column j's ladder raised by raise_by * j
+    rows, and each ladder's rows above y0 + hbar/2 lowered by a quarter
+    spacing: the one smallest gap of a column lies just above y0."""
     h = 1.0 / k
-    js = range(round(x_range[0] * k), round(x_range[1] * k) + 1)
-    ys = np.arange(y_range[0], y_range[1] + h / 2, h)
-    return LabelledSpectrum(k, {j: j * h for j in js},
-                            lambda j: (np.arange(len(ys)), ys), origin)
+    js = range(round(-0.8 * k), round(0.8 * k) + 1)
+    ys = np.arange(-0.6, 0.9 + h / 2, h)
+
+    def ladder(j):
+        raised = ys + raise_by * j * h
+        return raised - 0.25 * h * (raised > y0 + h / 2)
+
+    return LabelledSpectrum(k, {j: j * h for j in js}, ladder)
 
 
-def origin_column_height(family):
+def origin_column_height(family, focus):
     """column_height on the counts the pipeline reads below each origin."""
-    return column_height(sorted(family), _counts_below_origin(family))
+    return column_height(sorted(family), _set_origins(family, focus))
 
 
 def test_column_height_on_uniform_grid():
     # one column of the grid, counted up to y0 = 0.25 from ymin = -0.6
     ks = [100, 200, 400]
-    family = {k: uniform_columns(k, (-0.8, 0.8), (-0.6, 0.9),
-                                 (np.round(0.1 * k) / k, 0.25 + 0.5 / k)) for k in ks}
-    val, info = origin_column_height(family)
+    family = {k: notched_columns(k, 0.25) for k in ks}
+    val, info = origin_column_height(family, (0.1, 0.25))
     assert info["raw"] == [(round(0.85 * k) + 1) / k for k in ks]
     assert val == pytest.approx(0.85, abs=1e-9)
 
@@ -107,25 +114,21 @@ def test_column_height_off_the_lattice():
     # typed error, never a height near 0
     ks = [100, 200]
 
-    def family(dx, y0):
+    def height(dx, y0):
         # column j's ladder is the uniform one raised by j / k, so each
-        # column holds one point fewer below y0 than the column before it
-        fam = {}
-        for k in ks:
-            h = 1.0 / k
-            ys = np.arange(-0.6, 0.9 + h / 2, h)
-            fam[k] = LabelledSpectrum(k, {j: j * h for j in range(-80, 81)},
-                                      lambda j, ys=ys, h=h: (np.arange(len(ys)), ys + j * h),
-                                      (0.1 + dx / k, y0))
-        return fam
+        # column holds one point fewer below y0 than the column before it;
+        # column 0.1 k starts at -0.5
+        counts = [_set_origins({k: notched_columns(k, y0, 1)}, (0.1 + dx / k, y0))[0]
+                  for k in ks]
+        return column_height(ks, counts)
 
-    _, on = origin_column_height(family(0.0, 0.25))
-    _, off = origin_column_height(family(0.4, 0.25))
-    _, next_column = origin_column_height(family(1.0, 0.25))
+    _, on = height(0.0, 0.25)
+    _, off = height(0.4, 0.25)
+    _, next_column = height(1.0, 0.25)
     assert off["raw"] == on["raw"]
     assert next_column["raw"] == [n - 1 / k for n, k in zip(on["raw"], ks)]
     with pytest.raises(WindowTooNarrow):
-        origin_column_height(family(0.5, -0.555))
+        height(0.5, -0.455)
 
 
 @pytest.mark.parametrize("r1, r2, t", [(0.5, 1.5, 0.5), (1.0, 2.0, 0.6)])
@@ -137,7 +140,7 @@ def test_column_height_matches_strip_count(r1, r2, t):
     ks = [100, 200, 300, 400, 500]
     family = build_probe_family(model, ks)
     origin, _ = locate_critical_values(model, min(ks), family)
-    column, info = origin_column_height(family)
+    column, info = origin_column_height(family, origin)
     counter = ModelCounter(model, ks)
     sturm = []
     for k in ks:
@@ -197,8 +200,7 @@ def ladder_spectrum(k, ladders, calls=None):
     def solve(j):
         if calls is not None:
             calls.append(j)
-        ev = ladders[j][1]
-        return np.arange(len(ev)), ev
+        return ladders[j][1]
 
     return LabelledSpectrum(k, {j: x for j, (x, _) in enumerate(ladders)}, solve)
 
@@ -226,11 +228,12 @@ def test_locate_focus_focus_stops_at_the_first_peak():
 @pytest.mark.parametrize("model", [SPIN, COUPLED], ids=["spin", "coupled"])
 def test_located_ordinate_is_the_k200_refinement(model):
     # one formula for the focus-focus ordinate: the locate stage at k = 200
-    # reads the same smallest-gap midpoint as the probe family's k = 200
-    # critical column, whether the family holds that spectrum or not
+    # reads the same smallest-gap midpoint of the k = 200 critical column
+    # whether the family holds that spectrum or not, and sets no origin
     family = build_probe_family(model, [200])
     origin, _ = locate_critical_values(model, 200, family)
-    assert family[200].origin == origin == locate_critical_values(model, 100)[0]
+    assert origin == locate_critical_values(model, 100)[0]
+    assert family[200].origin is None
 
 
 def test_locate_without_a_family_solves_no_origin_column(monkeypatch):
@@ -248,7 +251,7 @@ def test_locate_without_a_family_solves_no_origin_column(monkeypatch):
     locate_critical_values(COUPLED, 20)
     assert solved and set(solved) == {200}
     family = build_probe_family(COUPLED, [20])
-    locate_critical_values(COUPLED, 20, family)
+    _set_origins(family, locate_critical_values(COUPLED, 20, family)[0])
     assert 20 not in solved and family[20].origin is not None
 
 
@@ -269,12 +272,14 @@ SWEEP = [(SPIN, (100, 200, 300, 400, 500))] + [
     ("spin" if m.kind == SPIN_OSCILLATOR else f"coupled-{m.r1}-{m.r2}-{m.t}") + f"-k{max(ks)}"
     for m, ks in SWEEP])
 def test_window_origin_is_the_whole_ladders_smallest_gap(model, ks):
-    # each origin reads an index window around the located ordinate's row;
-    # it must find the smallest gap of the whole ladder, the same row, and
-    # its midpoint within rounding of the whole ladder's
+    # each origin, the located k's included, reads an index window around
+    # the located ordinate's row; it must find the smallest gap of the
+    # whole ladder, the same row, and its midpoint within rounding of the
+    # whole ladder's.  The window's count of rows below it is the Sturm
+    # count there, the count the height reads
     family = build_probe_family(model, ks)
-    locate_critical_values(model, min(ks), family)
-    for k in ks:
+    counts = _set_origins(family, locate_critical_values(model, min(ks), family)[0])
+    for k, n in zip(sorted(family), counts):
         spec = family[k]
         x0, y0 = spec.origin
         i = spec.blocks.ids.index(spec._sign * spec.nearest_column(x0))
@@ -282,6 +287,7 @@ def test_window_origin_is_the_whole_ladders_smallest_gap(model, ks):
         row = int(np.argmin(np.diff(ev)))
         assert int(np.searchsorted(ev, y0)) - 1 == row
         d, e = spec.blocks[i]
+        assert n == sturm_count_below(d, e, y0)
         norm = np.max(np.abs(d) + np.append(np.abs(e), 0) + np.append(0, np.abs(e)))
         assert abs(y0 - 0.5 * (ev[row] + ev[row + 1])) <= 8 * np.finfo(float).eps * norm
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 SUBPACKAGE = Path(__file__).resolve().parents[1] / "src" / "semitoric" / "invariants"
 READS = {"origin", "ladder", "nearest_column", "a1a2_interpolated",
-         "_count_below", "_heights", "_column"}
+         "_count_below", "_heights", "_size"}
 
 
 def _spacings_imports(tree):

@@ -7,7 +7,6 @@ import hypothesis.strategies as st
 
 from semitoric.errors import DuplicateMu, IllConditioned
 from semitoric.invariants import (
-    FrJet,
     fit_log_expansion,
     solve_jet_order,
     solve_mixed,
@@ -54,7 +53,7 @@ def _shift(a, p, n):
 def _partial_series(jet, mu, dx_extra, dy_extra, n):
     """Series of (d_x^dx_extra d_y^dy_extra f_r)(x, mu x)."""
     out = np.zeros(n)
-    for (a, b), v in jet.derivs.items():
+    for (a, b), v in jet.items():
         aa, bb = a - dx_extra, b - dy_extra
         if aa < 0 or bb < 0 or aa + bb >= n:
             continue
@@ -111,7 +110,7 @@ def random_jet(rng, order=3):
         for a in range(m + 1):
             derivs[(a, m - a)] = float(rng.normal())
     derivs[(0, 1)] = abs(derivs[(0, 1)]) + 0.5   # orientation
-    return FrJet(derivs)
+    return derivs
 
 
 def random_s(rng, order=2):
@@ -170,15 +169,14 @@ def generic_jet_order(n, mus, d_values, fixed=None):
 def generic_taylor_order(mus, c_values, jet, s01, fixed=None):
     """Order-2 Taylor coefficients from c_1: rows 2 A^(2-l), right-hand
     side c_1 less its known part c~_1."""
-    d = jet.derivs
-
     def row(m):
-        a = jet.dx + m * jet.dy
+        a = jet[1, 0] + m * jet[0, 1]
         return [2 * a ** (2 - l) for l in range(3)]
 
     def rhs(m, c):
-        a = jet.dx + m * jet.dy
-        b = (d.get((2, 0), 0.0) + 2 * m * d.get((1, 1), 0.0) + m * m * d.get((0, 2), 0.0)) / 2
+        a = jet[1, 0] + m * jet[0, 1]
+        b = (jet.get((2, 0), 0.0) + 2 * m * jet.get((1, 1), 0.0)
+             + m * m * jet.get((0, 2), 0.0)) / 2
         return c - b * (2 * s01 - (1 + math.log(1 + a * a)) / (2 * np.pi))
 
     return generic_solve(1, mus, c_values, row, rhs, fixed, "Taylor system")
@@ -187,7 +185,7 @@ def generic_taylor_order(mus, c_values, jet, s01, fixed=None):
 def d_n_from_jet(jet, mu, n):
     """Closed form of the x^n ln x coefficient of g_mu:
     -(1/(2 pi n!)) sum_l binom(n+1, l) mu^(n+1-l) d_x^l d_y^(n+1-l) f_r(0)."""
-    total = sum(math.comb(n + 1, l) * mu ** (n + 1 - l) * jet.derivs.get((l, n + 1 - l), 0.0)
+    total = sum(math.comb(n + 1, l) * mu ** (n + 1 - l) * jet.get((l, n + 1 - l), 0.0)
                 for l in range(n + 2))
     return -total / (2 * np.pi * math.factorial(n))
 
@@ -221,7 +219,7 @@ def test_dn_closed_form_matches_series():
 
 def test_spin_oscillator_coefficients():
     # known closed forms for the purely mixed jet of the model system
-    jet = FrJet({(1, 0): 0.0, (0, 1): 2.0, (2, 0): 0.0, (1, 1): -0.25, (0, 2): 0.0})
+    jet = {(1, 0): 0.0, (0, 1): 2.0, (2, 0): 0.0, (1, 1): -0.25, (0, 2): 0.0}
     s01 = 5 * np.log(2) / (2 * np.pi)
     s11 = 1 / (8 * np.pi)
     s = {(0, 0): 1.0, (1, 0): 0.0, (0, 1): s01, (2, 0): 0.0, (1, 1): s11, (0, 2): 0.0}
@@ -246,7 +244,7 @@ def test_top_order_structure():
     for mu in (0.6, 1.7):
         c_full, _ = expansion_along_ray(jet, s, mu, n + 1)
         c_tilde, _ = expansion_along_ray(jet, s_known, mu, n + 1)
-        A = jet.dx + mu * jet.dy
+        A = jet[1, 0] + mu * jet[0, 1]
         top = (n + 1) * sum(A ** (n + 1 - l) * s[(l, n + 1 - l)] for l in range(n + 2))
         assert c_full[n] - c_tilde[n] == pytest.approx(top, rel=1e-10)
 
@@ -297,7 +295,7 @@ def test_solve_jet_order_roundtrip():
     got = solve_jet_order(mus, d_vals)
     assert got == generic_jet_order(1, mus, d_vals)
     for key, v in got.items():
-        assert v == pytest.approx(jet.derivs[key], rel=1e-9, abs=1e-11)
+        assert v == pytest.approx(jet[key], rel=1e-9, abs=1e-11)
 
 
 def test_solve_jet_duplicate_mu():
@@ -319,23 +317,23 @@ def test_solve_taylor_order_roundtrip():
 
 def test_taylor_determinant_formula():
     # closed form against direct evaluation at n=1, mu = (1,2,3)
-    jet = FrJet({(1, 0): -0.3, (0, 1): 2.0})
+    jet = {(1, 0): -0.3, (0, 1): 2.0}
     n, mus = 1, np.array([1.0, 2.0, 3.0])
-    Avals = jet.dx + mus * jet.dy
+    Avals = jet[1, 0] + mus * jet[0, 1]
     M = np.array([[(n + 1) * a ** (n + 1 - l) for l in range(n + 2)] for a in Avals])
     det = np.linalg.det(M)
-    assert abs(det) == pytest.approx(abs(taylor_system_determinant(n, mus, jet.dy)), rel=1e-9)
+    assert abs(det) == pytest.approx(abs(taylor_system_determinant(n, mus, jet[0, 1])), rel=1e-9)
     # at n=1 this also equals (n+1)^(n+2) (dy f_r)^(n+2) Vandermonde
     vdm = (mus[1] - mus[0]) * (mus[2] - mus[0]) * (mus[2] - mus[1])
-    assert abs(det) == pytest.approx(2 ** 3 * jet.dy ** 3 * vdm, rel=1e-9)
+    assert abs(det) == pytest.approx(2 ** 3 * jet[0, 1] ** 3 * vdm, rel=1e-9)
 
 
-SPIN_JET1 = FrJet({(1, 0): 0.0, (0, 1): 2.0})
+SPIN_JET1 = {(1, 0): 0.0, (0, 1): 2.0}
 SPIN_S01 = 5 * np.log(2) / (2 * np.pi)
 
 
 def manufactured_spin_g(mu, xs):
-    jet = FrJet({(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.25})
+    jet = {(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.25}
     s = {(1, 0): 0.0, (0, 1): SPIN_S01, (1, 1): 1 / (8 * np.pi)}
     return eval_g(jet, s, mu, xs, orders=2)
 
@@ -348,7 +346,7 @@ def pinned_route(mu, d1, c1, jet1, s01):
     """(dxdy f_r(0), S_11) from d_1 and c_1 at one mu: the generic order-1
     jet and Taylor solves with the pure coefficients pinned."""
     jet2 = generic_jet_order(1, [mu], [d1], fixed=PURE)
-    s2 = generic_taylor_order([mu], [c1], FrJet({**jet1.derivs, **jet2}), s01, fixed=PURE)
+    s2 = generic_taylor_order([mu], [c1], {**jet1, **jet2}, s01, fixed=PURE)
     return jet2[(1, 1)], s2[(1, 1)]
 
 
@@ -360,7 +358,7 @@ def closed_form_dxdy(d1, mu):
 def closed_form_s11(c1, mu, jet1, s01, dxdy):
     """Reference oracle, derived by hand: c_1 - c~_1 = 2 A S_11 with
     A = dx f_r + mu dy f_r, c~_1 = mu dxdy f_r(0) (2 S_01 - (1 + ln(1 + A^2)) / 2 pi)."""
-    A = jet1.dx + mu * jet1.dy
+    A = jet1[1, 0] + mu * jet1[0, 1]
     c1_tilde = mu * dxdy * (2 * s01 - (1 + np.log(1 + A * A)) / (2 * np.pi))
     return (c1 - c1_tilde) / (2 * A)
 
@@ -395,11 +393,11 @@ def test_s11_shortcut_roundtrip():
 
 def test_mixed_helpers_consistency():
     # exact (c_1, d_1) of a purely mixed jet give back dxdy f_r and S_11
-    jet = FrJet({(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.25})
+    jet = {(1, 0): 0.0, (0, 1): 2.0, (1, 1): -0.25}
     s = {(1, 0): 0.1, (0, 1): SPIN_S01, (1, 1): 1 / (8 * np.pi)}
     mu = 1.2
     c, d = expansion_along_ray(jet, s, mu, 2)
-    jet1 = FrJet({(1, 0): 0.0, (0, 1): 2.0})
+    jet1 = {(1, 0): 0.0, (0, 1): 2.0}
     dxdy, s11 = solve_mixed(mu, c[1], d[1], jet1, SPIN_S01)
     assert dxdy == pytest.approx(-0.25, rel=1e-12)
     assert s11 == pytest.approx(1 / (8 * np.pi), rel=1e-10)
@@ -412,7 +410,7 @@ def test_pinned_route_matches_closed_forms():
     rng = np.random.default_rng(31)
     for _ in range(50):
         dx = float(rng.choice([-1, 1]) * rng.uniform(0.1, 1.0))
-        jet1 = FrJet({(1, 0): dx, (0, 1): float(rng.uniform(0.3, 3.0))})
+        jet1 = {(1, 0): dx, (0, 1): float(rng.uniform(0.3, 3.0))}
         dxdy, s01 = (float(v) for v in rng.normal(size=2))
         mu = float(rng.uniform(0.3, 3.0))
         c1, d1 = (float(v) for v in rng.normal(size=2))
@@ -421,7 +419,7 @@ def test_pinned_route_matches_closed_forms():
         assert solve_mixed(mu, c1, d1, jet1, s01) == pytest.approx(
             (got_dxdy, got_s11), rel=1e-12, abs=1e-12)
         # S_11 read with a given dxdy, as the closed form takes it
-        s2 = generic_taylor_order([mu], [c1], FrJet({**jet1.derivs, **PURE, (1, 1): dxdy}),
+        s2 = generic_taylor_order([mu], [c1], {**jet1, **PURE, (1, 1): dxdy},
                                   s01, fixed=PURE)
         assert s2[(2, 0)] == 0.0 and s2[(0, 2)] == 0.0
         want = closed_form_s11(c1, mu, jet1, s01, dxdy)
@@ -432,7 +430,7 @@ def test_pinned_route_matches_closed_forms():
 def test_solve_mixed_refuses_a_singular_one_mu_solve(mu, dx):
     # mu = 0 leaves d_1 free of dx dy f_r, and A = dx f_r + mu dy f_r = 0
     # leaves c_1 free of S_11: a typed failure (exit 3), not a division
-    jet1 = FrJet({(1, 0): dx, (0, 1): 2.0})
+    jet1 = {(1, 0): dx, (0, 1): 2.0}
     with pytest.raises(IllConditioned, match="system condition inf"):
         solve_mixed(mu, 0.1, 0.2, jet1, 0.4)
 
@@ -450,7 +448,7 @@ def test_known_part_is_the_series_x1_coefficient(dx, dy, dxx, dxy, dyy, s01, s10
     # purely-mixed one, dx^2 f_r = dy^2 f_r = 0
     if pinned:
         dxx = dyy = 0.0
-    jet = FrJet({(1, 0): dx, (0, 1): dy, (2, 0): dxx, (1, 1): dxy, (0, 2): dyy})
+    jet = {(1, 0): dx, (0, 1): dy, (2, 0): dxx, (1, 1): dxy, (0, 2): dyy}
     a = dx + mu * dy
     got = _c1_known(mu, jet, s01)
     want = expansion_along_ray(jet, {(1, 0): s10, (0, 1): s01}, mu, 2)[0][1]
@@ -463,7 +461,7 @@ def test_known_part_is_the_series_x1_coefficient(dx, dy, dxx, dxy, dyy, s01, s10
 
 @pytest.mark.parametrize("solve", ["jet", "taylor"])
 def test_order2_solve_needs_exactly_three_mus(solve):
-    jet = FrJet({(1, 0): -0.3, (0, 1): 2.0, (1, 1): 0.5})
+    jet = {(1, 0): -0.3, (0, 1): 2.0, (2, 0): 0.0, (1, 1): 0.5, (0, 2): 0.0}
     call = {"jet": lambda mus: solve_jet_order(mus, [0.1] * len(mus)),
             "taylor": lambda mus: solve_taylor_order(mus, [0.1] * len(mus), jet, 0.4)}[solve]
     for mus in ([1.5, 2.0], [1.0, 1.5, 2.0, 3.0]):
@@ -480,7 +478,8 @@ NEAR = 1.0 + 1e-6 * np.arange(3)        # distinct but almost equal mu values
     (lambda: fit_log_expansion(0.01 * (1 + 1e-9 * np.arange(6)), np.arange(6.0)),
      "log-basis fit condition"),
     (lambda: solve_jet_order(NEAR, [0.1, 0.2, 0.3]), "jet system condition"),
-    (lambda: solve_taylor_order(NEAR, [0.1, 0.2, 0.3], FrJet({(0, 1): 1.0}), 0.0),
+    (lambda: solve_taylor_order(NEAR, [0.1, 0.2, 0.3], {(1, 0): 0.0, (0, 1): 1.0, (2, 0): 0.0,
+                                                         (1, 1): 0.0, (0, 2): 0.0}, 0.0),
      "Taylor system condition"),
 ], ids=["x_limit", "fit_log_expansion", "jet", "taylor"])
 def test_ill_conditioned_fits_raise(fit, prefix):

@@ -7,7 +7,7 @@ from semitoric import tridiag
 from semitoric.config import ProbeConfig
 from semitoric.invariants import ray_samples
 from semitoric.models import COUPLED_ANGULAR_MOMENTA, ModelSpec
-from semitoric.pipeline import build_probe_family, locate_critical_values
+from semitoric.pipeline import _set_origins, build_probe_family, locate_critical_values
 from semitoric.tridiag import eigs_in_window, eigs_sym_tridiagonal, sturm_count_below
 
 
@@ -239,7 +239,7 @@ def test_every_window_of_a_default_probe_ray_is_certified(monkeypatch):
 
     model = ModelSpec(COUPLED_ANGULAR_MOMENTA, r1=1.0, r2=2.5, t=0.5)
     family = build_probe_family(model, [100])
-    locate_critical_values(model, 100, family)
+    _set_origins(family, locate_critical_values(model, 100, family)[0])
     monkeypatch.setattr(tridiag, "_certified_window", recorded)
     ray_samples(family, 0.0, ProbeConfig().x_schedule)
     assert results
